@@ -1,13 +1,18 @@
 """Numerical detector response: transition rates and excitation probabilities.
 
-Everything here follows one recipe. For each regulator value eps in the
-schedule, evaluate the relevant oscillatory integral of the regularized
-correlators with meshes that cluster around the coincidence point and the
-cross-term lightcone crossings; then extrapolate the eps ladder to zero.
-Quadrature error must sit well below the extrapolation error for the ladder
-to be meaningful, which the panel error estimates verify per point. The one
-exception is excitation_probability_contour, which evaluates the windowed
-probability at eps = 0 on a contour shifted off the lightcone poles.
+Rates and quadrature probabilities follow one recipe. For each regulator
+value eps in the schedule, evaluate the relevant oscillatory integral of the
+regularized correlators with meshes that cluster around the coincidence
+point and the cross-term lightcone crossings; then extrapolate the eps
+ladder to zero. Quadrature error must sit well below the extrapolation error
+for the ladder to be meaningful, which the panel error estimates verify per
+point. Rates are 1-D integrals. The windowed probability is a 2-D integral
+over the switching square, except for branch pairs whose correlator depends
+on the proper-time difference only: their integral over the sum of the two
+times is Gaussian and done in closed form, leaving one 1-D integral. The
+exception to the recipe is excitation_probability_contour, which evaluates
+the windowed probability at eps = 0 on a contour shifted off the lightcone
+poles.
 
 Normalization: every rate and probability carries the explicit
 lambda^2 / N^2 prefactor (N = number of superposed branches), so one- and
@@ -22,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erf
 
 from .closed_form import DetectorParams
 from .correlators import denominator_factors, scenario_correlator
@@ -134,6 +140,30 @@ def _pair_aliases(scenario: TrajectoryScenario) -> dict:
     return alias
 
 
+def _stationary_pair(scenario: TrajectoryScenario, i: int, j: int) -> bool:
+    """Whether W^{ij}(tau', tau'') depends on tau' - tau'' only: every local
+    correlator, and the thermal bath's cross correlator. (Parallel at L = 0
+    and Differing at kappa1 = kappa2 alias their cross pairs to (1, 1).)"""
+    return i == j or scenario.family == "ThermalInertialPair"
+
+
+def _within_tol(val, err, quad) -> bool:
+    return not err > max(quad.abs_tol, quad.rel_tol * abs(val))
+
+
+def _refined_integral(f, edges, quad):
+    """panel_integrate of f on the mesh, halving every panel up to
+    quad.max_subdivisions times until the error meets the tolerance.
+    Returns (value, error); the caller decides what a miss means."""
+    val, err = panel_integrate(f, edges)
+    rounds = 0
+    while not _within_tol(val, err, quad) and rounds < quad.max_subdivisions:
+        edges = refine_mesh(edges)
+        val, err = panel_integrate(f, edges)
+        rounds += 1
+    return val, err
+
+
 # ---------------------------------------------------------------------------
 # semi-infinite rate integrals
 
@@ -169,13 +199,8 @@ def _rate_pair_integral(scenario, i, j, tau, omega, eps, quad,
         return val
 
     edges = cluster_mesh(0.0, s_hi, [0.0] + roots, scale=eps / 8.0, cap=cap)
-    val, err = panel_integrate(f, edges)
-    rounds = 0
-    while err > max(quad.abs_tol, quad.rel_tol * abs(val)) and rounds < quad.max_subdivisions:
-        edges = refine_mesh(edges)
-        val, err = panel_integrate(f, edges)
-        rounds += 1
-    if err > max(quad.abs_tol, quad.rel_tol * abs(val)):
+    val, err = _refined_integral(f, edges, quad)
+    if not _within_tol(val, err, quad):
         raise ConvergenceError(
             f"rate integrand for branch pair ({i},{j}) did not converge "
             f"(error {err:.3g} on |value| {abs(val):.3g})",
@@ -268,7 +293,12 @@ def _halfplane_pair_integral(scenario, i, j, params, eps, quad, level=0):
     """J_ij = (1/2) int dp int_{s>0} ds G(p) G(s) e^{-i omega s}
     W^{ij}((p+s)/2, (p-s)/2) over the diamond |p| + |s| <= 2T, i.e. the
     time-ordered half of the [-T, T]^2 switching square in rotated
-    coordinates (p = tau' + tau'', s = tau' - tau'')."""
+    coordinates (p = tau' + tau'', s = tau' - tau''), G(x) = e^{-x^2/4 sigma^2}.
+
+    The 2-D engine for the pairs whose correlator depends on p: an outer
+    GL-15/GL-7 rule in p over inner 1-D panel integrals in s, each with its
+    own lightcone-root scan. Stationary pairs take _stationary_pair_integral.
+    """
     sigma, omega = params.sigma, params.omega
     T2 = 2.0 * window_halfwidth(params)
     k = kappa_scale(scenario)
@@ -323,22 +353,60 @@ def _halfplane_pair_integral(scenario, i, j, params, eps, quad, level=0):
     return 0.5 * total, 0.5 * (err_outer + err_inner)
 
 
+def _stationary_pair_integral(scenario, i, j, params, eps, quad):
+    """J_ij of _halfplane_pair_integral for a pair whose correlator depends
+    on s only. Over the same diamond the Gaussian p-integral is exact,
+    int_{|p| <= 2T - s} G(p) dp = 2 sqrt(pi) sigma erf((2T - s)/2 sigma), so
+
+        J_ij = sqrt(pi) sigma int_0^{2T} ds erf((2T - s)/2 sigma)
+               e^{-s^2/4 sigma^2 - i omega s} W^{ij}(s/2, -s/2),
+
+    one 1-D integral on the 2-D engine's inner mesh at p = 0, refined by
+    halving its panels."""
+    sigma, omega = params.sigma, params.omega
+    T2 = 2.0 * window_halfwidth(params)
+    cap = min(sigma / 2.0, 0.5 / kappa_scale(scenario))
+    if omega != 0.0:
+        cap = min(cap, (2.0 * math.pi / abs(omega)) / quad.oscillation_resolution)
+    corr = scenario_correlator(scenario, i, j)
+    roots = []
+    for g in denominator_factors(scenario, i, j):
+        roots.extend(sign_change_roots(lambda s: g(s / 2.0, -s / 2.0), 0.0, T2))
+    inv4s2 = 1.0 / (4.0 * sigma**2)
+
+    def f(s):
+        return (erf((T2 - s) / (2.0 * sigma)) * np.exp(-s * s * inv4s2 - 1j * omega * s)
+                * corr(s / 2.0, -s / 2.0, eps))
+
+    edges = cluster_mesh(0.0, T2, [0.0] + roots, scale=eps / 8.0, cap=cap)
+    val, err = _refined_integral(f, edges, quad)
+    c = math.sqrt(math.pi) * sigma
+    return c * val, c * err
+
+
 def halfplane_integrals_at_eps(scenario, params, eps, quad) -> dict:
     """All J_ij building blocks at one regulator value, deduplicated across
-    branch pairs with identical correlators. Returns {(i, j): (value, err)}."""
+    branch pairs with identical correlators. Stationary pairs are one 1-D
+    integral each (_stationary_pair_integral); the others go through the 2-D
+    engine, restarted on a finer mesh until within tolerance. Returns
+    {(i, j): (value, err)}."""
     alias = _pair_aliases(scenario)
     cache = {}
     out = {}
     for pair in _branch_pairs(scenario):
         key = alias.get(pair, pair)
         if key not in cache:
-            val, err = _halfplane_pair_integral(scenario, key[0], key[1], params, eps, quad)
-            rounds = 0
-            while err > max(quad.abs_tol, quad.rel_tol * abs(val)) and rounds < quad.max_subdivisions:
-                rounds += 1
+            if _stationary_pair(scenario, *key):
+                val, err = _stationary_pair_integral(scenario, *key, params, eps, quad)
+            else:
                 val, err = _halfplane_pair_integral(scenario, key[0], key[1], params,
-                                                    eps, quad, level=rounds)
-            if err > max(quad.abs_tol, quad.rel_tol * abs(val)):
+                                                    eps, quad)
+                rounds = 0
+                while not _within_tol(val, err, quad) and rounds < quad.max_subdivisions:
+                    rounds += 1
+                    val, err = _halfplane_pair_integral(scenario, key[0], key[1], params,
+                                                        eps, quad, level=rounds)
+            if not _within_tol(val, err, quad):
                 raise ConvergenceError(
                     f"windowed double integral for branch pair {key} did not "
                     f"converge (error {err:.3g} on |value| {abs(val):.3g})",
@@ -357,7 +425,10 @@ def excitation_probability_quadrature(scenario: TrajectoryScenario, params: Dete
 
     where J_ij is the time-ordered Gaussian-windowed double integral of
     e^{-i omega (tau'-tau'')} W^{ij}; the full-plane integral follows from
-    hermiticity. Evaluated per regulator value, then extrapolated.
+    hermiticity. Stationary pairs (local terms, the thermal cross term) are
+    a 1-D integral with the p-integral done exactly, the other cross pairs a
+    2-D one (halfplane_integrals_at_eps). Evaluated per regulator value,
+    then extrapolated.
     """
     reg_schedule, quad = _defaults(scenario, reg_schedule, quad)
     n = scenario.branch_count

@@ -32,6 +32,7 @@ from udwsim import (
     transition_rate_finite_switching,
     window_halfwidth,
 )
+from udwsim import response
 from udwsim.response import default_quadrature
 
 
@@ -324,3 +325,30 @@ def test_contour_refuses_when_a_pole_nears_the_contour():
     with pytest.raises(ConvergenceError) as info:
         excitation_probability_contour(sc, unit(1.0, 1.0))
     assert info.value.error_estimate > 1e-4 * abs(info.value.estimate)
+
+
+# --- stationary pairs: the p-integral in closed form -------------------------
+
+@pytest.mark.parametrize("scenario, pair", [
+    (SA, (1, 1)),
+    (TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=1.0), (1, 2)),
+])
+def test_stationary_pair_integral_matches_2d_engine(scenario, pair):
+    quad = default_quadrature(scenario)
+    one_d, _ = response._stationary_pair_integral(scenario, *pair, REF, 1e-2, quad)
+    two_d, _ = response._halfplane_pair_integral(scenario, *pair, REF, 1e-2, quad)
+    assert abs(one_d - two_d) <= 1e-12 * abs(two_d)
+    # Re J, the part the probability keeps, is below 1e-6 of |J| here
+    assert abs(one_d.real - two_d.real) <= 1e-6 * abs(two_d.real)
+
+
+def test_stationary_probabilities_need_no_2d_integral(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("2-D engine called for a stationary pair")
+
+    monkeypatch.setattr(response, "_halfplane_pair_integral", refuse)
+    for scenario in (SA, TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=1.0),
+                     TrajectoryScenario("Parallel", kappa1=1.0, L=0.0)):
+        q = excitation_probability_quadrature(scenario, REF)
+        assert q.value > 0
+        assert q.error_estimate < 1e-2 * q.value
