@@ -12,9 +12,10 @@ from .closed_form import (ClosedFormResult, DetectorParams, p_antiparallel,
                           p_differing, p_local, p_parallel, xi_prefactor,
                           zeta_prefactor)
 from .config import OutputSpec, ScenarioConfig, validate_config
-from .correlators import (Regulator, denominator_factors, scenario_correlator,
-                          wightman_antiparallel_cross, wightman_differing_cross,
-                          wightman_local, wightman_parallel_cross,
+from .correlators import (Regulator, denominator_factors, lightcone_roots,
+                          scenario_correlator, wightman_antiparallel_cross,
+                          wightman_differing_cross, wightman_local,
+                          wightman_parallel_cross,
                           wightman_schlicht, wightman_thermal_cross,
                           wightman_thermal_local)
 from .errors import (ConfigError, ConvergenceError, IndeterminateRatioError,
@@ -81,6 +82,7 @@ __all__ = [
     "horizon_crossing_time",
     "kappa_scale",
     "kms_check",
+    "lightcone_roots",
     "minkowski_interval",
     "p_antiparallel",
     "p_differing",

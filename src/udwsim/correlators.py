@@ -318,3 +318,59 @@ def denominator_factors(scenario: TrajectoryScenario, i: int, j: int):
 
         return [g1, g2]
     raise ValueError(f"no cross correlator for family {fam!r}")
+
+
+def _asinh_exp(a):
+    """asinh(e^a), in a form that does not overflow at large a."""
+    pos = np.maximum(a, 0.0)
+    return np.where(a > 0.0, pos + np.log1p(np.sqrt(1.0 + np.exp(-2.0 * pos))),
+                    np.arcsinh(np.exp(np.minimum(a, 0.0))))
+
+
+def _log_cosh(x):
+    ax = np.abs(x)
+    return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
+
+
+def lightcone_roots(scenario: TrajectoryScenario, i: int, j: int, p) -> np.ndarray:
+    """Real zeros in s of the denominator_factors of W^{ij} on the cuts
+    p = tau1 + tau2, s = tau1 - tau2, in closed form.
+
+    Vectorized over p: returns an array of shape (m, *p.shape), one row per
+    factor that has a real zero (m = 0 for diagonal pairs and for AntiParallel
+    with L >= 2/kappa). Rows are not restricted to any s interval.
+    """
+    scenario._check_branch(i)
+    scenario._check_branch(j)
+    p = np.asarray(p, dtype=float)
+    if i == j:
+        return np.empty((0,) + p.shape)
+    fam = scenario.family
+    if fam == "Parallel":
+        k = scenario.kappa1
+        X = scenario.L if (i, j) == (1, 2) else -scenario.L
+        if X == 0.0:
+            return np.zeros((2,) + p.shape)
+        # sinh(ks/2) = kX e^{+-kp/2}/2, with the exponential kept in log form
+        c = math.log(k * abs(X) / 2.0)
+        sgn = math.copysign(2.0 / k, X)
+        return np.stack([sgn * _asinh_exp(c + k * p / 2.0),
+                         -sgn * _asinh_exp(c - k * p / 2.0)])
+    if fam == "AntiParallel":
+        k = scenario.kappa1
+        A = scenario.L - 2.0 / k
+        if not A < 0.0:
+            return np.empty((0,) + p.shape)
+        # e^{-+ks/2} = -kA / (2 cosh(kp/2))
+        s = (2.0 / k) * (math.log(-k * A / 2.0) - _log_cosh(k * p / 2.0))
+        return np.stack([-s, s])
+    if fam == "Differing":
+        k1, k2 = scenario.kappa1, scenario.kappa2
+        sgn = 1.0 if (i, j) == (1, 2) else -1.0
+        drift = (k2 - k1) * p
+        shift = 2.0 * math.log(k2 / k1)
+        return sgn * np.stack([shift + drift, -shift + drift]) / (k1 + k2)
+    if fam == "ThermalInertialPair":
+        L = scenario.L
+        return np.stack([np.full(p.shape, L), np.full(p.shape, -L)])
+    raise ValueError(f"no cross correlator for family {fam!r}")

@@ -30,10 +30,6 @@ from dataclasses import dataclass, field
 
 FAMILIES = ("SingleAccel", "Parallel", "AntiParallel", "Differing", "ThermalInertialPair")
 
-# proper-time search range (units of 1/kappa) for horizon crossings
-_HORIZON_SCAN = 30.0
-_HORIZON_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class Event:
@@ -161,51 +157,22 @@ def minkowski_interval(e1: Event, e2: Event) -> float:
             + (e1.y - e2.y) ** 2 + (e1.z - e2.z) ** 2)
 
 
-def _wedge_null_gap(scenario: TrajectoryScenario, tau: float) -> float:
-    """Signed null-condition function whose roots are horizon crossings.
-
-    For Parallel: gap between branch 2 and the future Rindler horizon of
-    branch 1 (the null plane z - t = L/2 - 1/kappa that branch 1 hugs
-    asymptotically). For AntiParallel: branch 2 against the same plane.
-    Both reduce to a single exponential in tau; evaluated in that form
-    because the naive z - t of worldline events loses all digits to
-    cosh - sinh cancellation at large kappa tau.
-    """
-    k = scenario.kappa1
-    if scenario.family == "Parallel":
-        return math.exp(-k * tau) / k - scenario.L
-    return 2.0 / k - scenario.L - math.exp(k * tau) / k
-
-
 def horizon_crossing_time(scenario: TrajectoryScenario) -> list[float]:
     """Proper times at which one branch crosses the other's Rindler horizon.
 
-    Found by bracketed bisection of the null condition (tolerance 1e-10).
-    Returns the future-horizon crossing; by the time symmetry of the
-    hyperbolic worldlines, a mirror crossing of the past horizon exists at
-    the negated time. Empty list when the branches never cross (Parallel
-    with L = 0; AntiParallel with kappa L >= 2).
+    Branch 2 crosses the future horizon of branch 1, the null plane
+    z - t = L/2 - 1/kappa, where its gap to that plane, a single exponential
+    in tau, vanishes: e^{-kappa tau}/kappa = L for Parallel, so
+    tau = -ln(kappa L)/kappa, and e^{kappa tau}/kappa = 2/kappa - L for
+    AntiParallel, so tau = ln(2 - kappa L)/kappa. Returns the future-horizon
+    crossing; by the
+    time symmetry of the hyperbolic worldlines, a mirror crossing of the past
+    horizon exists at the negated time. Empty list when the branches never
+    cross (Parallel with L = 0; AntiParallel with kappa L >= 2).
     """
     if scenario.family not in ("Parallel", "AntiParallel"):
         raise ValueError(f"horizon crossings undefined for family {scenario.family!r}")
-    k = scenario.kappa1
-    lo, hi = -_HORIZON_SCAN / k, _HORIZON_SCAN / k
-    f_lo = _wedge_null_gap(scenario, lo)
-    f_hi = _wedge_null_gap(scenario, hi)
-    if f_lo == 0.0:
-        return [lo]
-    if f_hi == 0.0:
-        return [hi]
-    if f_lo * f_hi > 0:
-        return []
-    # plain bisection; the gap function is monotone in tau for both families
-    while hi - lo > _HORIZON_TOL:
-        mid = 0.5 * (lo + hi)
-        f_mid = _wedge_null_gap(scenario, mid)
-        if f_mid == 0.0:
-            return [mid]
-        if f_lo * f_mid < 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return [0.5 * (lo + hi)]
+    k, L = scenario.kappa1, scenario.L
+    if scenario.family == "Parallel":
+        return [-math.log(k * L) / k] if L > 0 else []
+    return [math.log(2.0 - k * L) / k] if k * L < 2.0 else []

@@ -23,6 +23,27 @@ from scipy.optimize import brentq
 _X15, _W15 = leggauss(15)
 _X7, _W7 = leggauss(7)
 
+# Gauss-Kronrod 15-point rule with its embedded 7-point Gauss rule, the
+# constants of QUADPACK's qk15 (Piessens et al., QUADPACK, 1983), for
+# x >= 0 from the outermost node in
+_XGK_HALF = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0])
+_WGK_HALF = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_WG_HALF = np.array([
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327])
+# Kronrod nodes in ascending order; the Gauss-7 nodes are _XK15[1::2]
+_XK15 = np.concatenate([-_XGK_HALF[:-1], _XGK_HALF[::-1]])
+_WK15 = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
+_WG7 = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
+
 EXTRAPOLATION_MODES = ("richardson_linear", "richardson_quadratic", "none")
 
 # default regulator ladder, in units of 1/kappa

@@ -6,13 +6,16 @@ regularized correlators with meshes that cluster around the coincidence
 point and the cross-term lightcone crossings; then extrapolate the eps
 ladder to zero. Quadrature error must sit well below the extrapolation error
 for the ladder to be meaningful, which the panel error estimates verify per
-point. Rates are 1-D integrals. The windowed probability is a 2-D integral
-over the switching square, except for branch pairs whose correlator depends
-on the proper-time difference only: their integral over the sum of the two
-times is Gaussian and done in closed form, leaving one 1-D integral. The
-exception to the recipe is excitation_probability_contour, which evaluates
-the windowed probability at eps = 0 on a contour shifted off the lightcone
-poles.
+point. Rates are 1-D integrals, meshed at lightcone roots found by a
+sign-change scan along each cut. The windowed probability is a 2-D integral
+over the switching square: an outer Gauss-Kronrod rule over the sum of the
+two proper times, over inner 1-D integrals meshed at the closed-form
+lightcone roots of each cut. Branch pairs whose correlator depends on the
+proper-time difference only are the exception: their integral over the sum
+of the two times is Gaussian and done in closed form, leaving one 1-D
+integral. The other exception to the recipe is excitation_probability_contour,
+which evaluates the windowed probability at eps = 0 on a contour shifted off
+the lightcone poles.
 
 Normalization: every rate and probability carries the explicit
 lambda^2 / N^2 prefactor (N = number of superposed branches), so one- and
@@ -30,14 +33,13 @@ import numpy as np
 from scipy.special import erf
 
 from .closed_form import DetectorParams
-from .correlators import denominator_factors, scenario_correlator
+from .correlators import denominator_factors, lightcone_roots, scenario_correlator
 from .errors import ConvergenceError, IndeterminateRatioError, ValidityError
 from .kinematics import TrajectoryScenario
 from .quadrature import (
-    _W15,
-    _W7,
-    _X15,
-    _X7,
+    _WG7,
+    _WK15,
+    _XK15,
     QuadratureConfig,
     RegulatorSchedule,
     cluster_mesh,
@@ -47,7 +49,7 @@ from .quadrature import (
     refine_mesh,
     sign_change_roots,
 )
-from .validity import blocking_violations, check_antiparallel_pole, check_beta_bound
+from .validity import blocking_violations, check_beta_bound
 
 # Gaussian window support half-width, in sigmas
 _WINDOW_SIGMAS = 6.0
@@ -137,6 +139,18 @@ def _pair_aliases(scenario: TrajectoryScenario) -> dict:
             alias[(2, 2)] = (1, 1)
             alias[(1, 2)] = (1, 1)
             alias[(2, 1)] = (1, 1)
+    return alias
+
+
+def _window_aliases(scenario: TrajectoryScenario) -> dict:
+    """_pair_aliases, plus the aliases that hold only under the switching
+    window: for Parallel, W^{21}(p, s) = W^{12}(-p, s) (both denominator
+    factors swap), and the window and the diamond |p| + |s| <= 2T are even
+    in p, so J_21 = J_12. The rate cut at fixed tau is not even in p, so
+    rates keep both pairs."""
+    alias = _pair_aliases(scenario)
+    if scenario.family == "Parallel" and scenario.L != 0:
+        alias[(2, 1)] = (1, 2)
     return alias
 
 
@@ -296,8 +310,10 @@ def _halfplane_pair_integral(scenario, i, j, params, eps, quad, level=0):
     coordinates (p = tau' + tau'', s = tau' - tau''), G(x) = e^{-x^2/4 sigma^2}.
 
     The 2-D engine for the pairs whose correlator depends on p: an outer
-    GL-15/GL-7 rule in p over inner 1-D panel integrals in s, each with its
-    own lightcone-root scan. Stationary pairs take _stationary_pair_integral.
+    Gauss-Kronrod 15 rule in p, whose embedded Gauss 7 rule gives the error
+    estimate, over inner 1-D panel integrals in s. Each inner mesh clusters
+    at the closed-form lightcone roots of its p-cut (lightcone_roots, one
+    call per outer panel). Stationary pairs take _stationary_pair_integral.
     """
     sigma, omega = params.sigma, params.omega
     T2 = 2.0 * window_halfwidth(params)
@@ -309,15 +325,11 @@ def _halfplane_pair_integral(scenario, i, j, params, eps, quad, level=0):
         cap_s = min(cap_s, (2.0 * math.pi / abs(omega)) / quad.oscillation_resolution * shrink)
     scale = eps / 8.0 * shrink
     corr = scenario_correlator(scenario, i, j)
-    factors = denominator_factors(scenario, i, j)
     inv4s2 = 1.0 / (4.0 * sigma**2)
 
-    def inner(p):
+    def inner(p, roots):
         s_hi = T2 - abs(p)
-        roots = []
-        for g in factors:
-            roots.extend(sign_change_roots(
-                lambda s: g((p + s) / 2.0, (p - s) / 2.0), 0.0, s_hi))
+        roots = [float(r) for r in roots if 0.0 <= r <= s_hi]
         edges = cluster_mesh(0.0, s_hi, [0.0] + roots, scale=scale, cap=cap_s)
 
         def f(s):
@@ -330,26 +342,23 @@ def _halfplane_pair_integral(scenario, i, j, params, eps, quad, level=0):
     a, b = outer_edges[:-1], outer_edges[1:]
     h = 0.5 * (b - a)
     m = 0.5 * (a + b)
-    total = 0.0 + 0.0j
-    err_outer = 0.0
+    fk = np.empty((len(h), len(_XK15)), dtype=complex)
     err_inner = 0.0
     for k_pan in range(len(h)):
-        p15 = m[k_pan] + h[k_pan] * _X15
-        p7 = m[k_pan] + h[k_pan] * _X7
-        f15 = np.empty(15, dtype=complex)
-        f7 = np.empty(7, dtype=complex)
-        for idx, p in enumerate(p15):
-            val, ie = inner(p)
+        nodes = m[k_pan] + h[k_pan] * _XK15
+        roots = lightcone_roots(scenario, i, j, nodes)
+        for idx, p in enumerate(nodes):
+            val, ie = inner(p, roots[:, idx])
             g = math.exp(-p * p * inv4s2)
-            f15[idx] = g * val
-            err_inner += abs(_W15[idx]) * h[k_pan] * g * ie
-        for idx, p in enumerate(p7):
-            val, _ = inner(p)
-            f7[idx] = math.exp(-p * p * inv4s2) * val
-        s15 = (f15 * _W15).sum() * h[k_pan]
-        s7 = (f7 * _W7).sum() * h[k_pan]
-        total += s15
-        err_outer += abs(s15 - s7)
+            fk[k_pan, idx] = g * val
+            err_inner += _WK15[idx] * h[k_pan] * g * ie
+    s15 = (fk @ _WK15) * h
+    s7 = (fk[:, 1::2] @ _WG7) * h
+    # Re J is the remainder of a cancellation across panels (by about 6,000x
+    # for Parallel kappa L = 1 at sigma omega = 4), so the panel sums are
+    # accumulated with compensated summation, as in panel_integrate
+    total = complex(math.fsum(s15.real), math.fsum(s15.imag))
+    err_outer = math.fsum(np.abs(s15 - s7))
     return 0.5 * total, 0.5 * (err_outer + err_inner)
 
 
@@ -369,9 +378,7 @@ def _stationary_pair_integral(scenario, i, j, params, eps, quad):
     if omega != 0.0:
         cap = min(cap, (2.0 * math.pi / abs(omega)) / quad.oscillation_resolution)
     corr = scenario_correlator(scenario, i, j)
-    roots = []
-    for g in denominator_factors(scenario, i, j):
-        roots.extend(sign_change_roots(lambda s: g(s / 2.0, -s / 2.0), 0.0, T2))
+    roots = [float(r) for r in lightcone_roots(scenario, i, j, 0.0) if 0.0 <= r <= T2]
     inv4s2 = 1.0 / (4.0 * sigma**2)
 
     def f(s):
@@ -390,7 +397,7 @@ def halfplane_integrals_at_eps(scenario, params, eps, quad) -> dict:
     integral each (_stationary_pair_integral); the others go through the 2-D
     engine, restarted on a finer mesh until within tolerance. Returns
     {(i, j): (value, err)}."""
-    alias = _pair_aliases(scenario)
+    alias = _window_aliases(scenario)
     cache = {}
     out = {}
     for pair in _branch_pairs(scenario):
@@ -455,21 +462,20 @@ def excitation_probability_quadrature(scenario: TrajectoryScenario, params: Dete
 
 def _check_contour_domain(scenario: TrajectoryScenario, params: DetectorParams):
     """Refuse where the contour shift is not shown to cross no pole: the
-    closed forms' own checks, and the Differing family."""
+    closed forms' beta bound, and the Differing family. (The antiparallel
+    cross factors stay nonzero on the shifted contour for 0 < beta < pi, so
+    the closed forms' antiparallel pole condition does not apply here.)"""
     if scenario.family == "Differing":
         raise ValidityError(
             "the shifted contour is not shown to be pole-free for the Differing "
             "cross terms (p_differing omits their residues); use "
             "excitation_probability_quadrature")
-    reports = [check_beta_bound(params, scenario.kappa1)]
-    if scenario.family == "AntiParallel":
-        reports.append(check_antiparallel_pole(params, scenario.kappa1, scenario.L))
-    for report in reports:
-        blocking = blocking_violations(report)
-        if blocking:
-            names = ", ".join(v["name"] for v in blocking)
-            raise ValidityError(
-                f"contour shift outside its validity regime: {names}", report)
+    report = check_beta_bound(params, scenario.kappa1)
+    blocking = blocking_violations(report)
+    if blocking:
+        names = ", ".join(v["name"] for v in blocking)
+        raise ValidityError(
+            f"contour shift outside its validity regime: {names}", report)
 
 
 @functools.lru_cache(maxsize=None)
@@ -486,7 +492,7 @@ def _contour_sum(scenario, params, n):
     p = 2.0 * sigma * x[:, None]
     s = 2.0 * sigma * x[None, :] - 2j * sigma**2 * params.omega
     weights = w[:, None] * w[None, :]
-    alias = _pair_aliases(scenario)
+    alias = _window_aliases(scenario)
     cache = {}
     total = 0.0 + 0.0j
     size = 0.0
@@ -521,10 +527,14 @@ def excitation_probability_contour(scenario: TrajectoryScenario,
     that exceeds 1e-4 of the value, which happens as a pole nears the
     contour: sigma omega <~ 1 or beta -> pi.
 
-    Refuses (ValidityError) wherever the closed forms refuse: omega <= 0,
-    beta = kappa sigma^2 omega >= pi, and the antiparallel pole condition;
-    and the Differing family, whose cross-term contour is not shown to be
-    pole-free. excitation_probability_quadrature covers those cases.
+    Refuses (ValidityError) where the closed forms' beta bound refuses,
+    omega <= 0 and beta = kappa sigma^2 omega >= pi, and for the Differing
+    family, whose cross-term contour is not shown to be pole-free.
+    excitation_probability_quadrature covers those cases. Unlike
+    p_antiparallel it accepts the region of the antiparallel pole condition:
+    at Im s = -2 beta'/kappa and real p, the imaginary parts of both
+    antiparallel denominator factors are proportional to sin(beta'), nonzero
+    for 0 < beta' <= beta < pi, so the shift crosses no pole.
     """
     _check_contour_domain(scenario, params)
     sigma = params.sigma

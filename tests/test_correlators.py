@@ -6,6 +6,7 @@ independently of the factored implementations under test.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from udwsim import (
     Regulator,
     TrajectoryScenario,
     denominator_factors,
+    lightcone_roots,
     scenario_correlator,
     wightman_antiparallel_cross,
     wightman_differing_cross,
@@ -261,3 +263,65 @@ def test_diagonal_has_no_denominator_factors():
     sc = TrajectoryScenario("Parallel", kappa1=1.0, L=0.7)
     assert denominator_factors(sc, 1, 1) == []
     assert denominator_factors(sc, 2, 2) == []
+
+
+# --- closed-form lightcone roots on the p-cuts --------------------------------
+
+ROOT_CASES = [
+    (TrajectoryScenario("Parallel", kappa1=1.0, L=1.0), (1, 2)),
+    (TrajectoryScenario("Parallel", kappa1=1.0, L=1.0), (2, 1)),
+    (TrajectoryScenario("Parallel", kappa1=2.5, L=0.3), (2, 1)),
+    (TrajectoryScenario("AntiParallel", kappa1=1.0, L=0.5), (1, 2)),   # A < 0
+    (TrajectoryScenario("AntiParallel", kappa1=4.0, L=-0.2), (2, 1)),  # A < 0
+    (TrajectoryScenario("AntiParallel", kappa1=1.0, L=2.5), (1, 2)),   # A >= 0
+    (TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5), (1, 2)),
+    (TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5), (2, 1)),
+    (TrajectoryScenario("Differing", kappa1=0.7, kappa2=2.0), (2, 1)),
+    (TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=1.0), (1, 2)),
+    (TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=1.0), (2, 1)),
+]
+
+
+@pytest.mark.parametrize("sc, pair", ROOT_CASES)
+def test_lightcone_roots_match_sign_change_scan(sc, pair):
+    # on every cut p = tau1 + tau2 of the diamond |p| + s <= 2T, s >= 0, the
+    # closed-form roots in [0, 2T - |p|] are the scan's, for three windows
+    found = 0
+    for T2 in (1.4, 5.0, 20.0):
+        p = np.linspace(-T2, T2, 43)[1:-1]
+        roots = lightcone_roots(sc, *pair, p)
+        assert roots.shape[1:] == p.shape
+        for idx, pk in enumerate(p):
+            s_hi = T2 - abs(pk)
+            closed = sorted(r for r in roots[:, idx] if 0.0 <= r <= s_hi)
+            scanned = []
+            for g in denominator_factors(sc, *pair):
+                scanned += sign_change_roots(
+                    lambda s: g((pk + s) / 2.0, (pk - s) / 2.0), 0.0, s_hi)
+            assert len(closed) == len(scanned)
+            assert closed == pytest.approx(sorted(scanned), abs=1e-12)
+            found += len(closed)
+    if sc.family == "AntiParallel" and sc.L - 2.0 / sc.kappa1 >= 0:
+        assert found == 0
+    else:
+        assert found > 0
+
+
+def test_lightcone_roots_are_finite_far_out_on_the_cut():
+    # e^{kappa |p|/2} overflows float64 here; the roots do not
+    sc = TrajectoryScenario("Parallel", kappa1=1.0, L=1.0)
+    p = np.array([-2000.0, 2000.0])
+    for pair in ((1, 2), (2, 1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = lightcone_roots(sc, *pair, p)
+            anti = lightcone_roots(TrajectoryScenario("AntiParallel", kappa1=1.0, L=0.5),
+                                   *pair, p)
+        assert np.all(np.isfinite(roots)) and np.all(np.isfinite(anti))
+        # sinh(s/2) = +-e^{+-p/2}/2: |s| -> |p| on the growing factor
+        assert np.max(np.abs(roots)) == pytest.approx(2000.0, rel=1e-12)
+
+
+def test_diagonal_pairs_have_no_lightcone_roots():
+    sc = TrajectoryScenario("Parallel", kappa1=1.0, L=0.7)
+    assert lightcone_roots(sc, 1, 1, np.zeros(5)).shape == (0, 5)

@@ -182,3 +182,17 @@ def test_sign_change_roots_multiple():
     assert len(roots) == 3
     for r, e in zip(roots, expected):
         assert r == pytest.approx(e, rel=1e-9)
+
+
+def test_kronrod_and_embedded_gauss_rules_are_exact_on_monomials():
+    # K15 integrates degree <= 22 exactly, its embedded Gauss 7 degree <= 13
+    from udwsim.quadrature import _WG7, _WK15, _XK15
+
+    for n in range(23):
+        exact = 2.0 / (n + 1) if n % 2 == 0 else 0.0
+        assert (_WK15 * _XK15**n).sum() == pytest.approx(exact, abs=1e-14)
+        if n <= 13:
+            assert (_WG7 * _XK15[1::2] ** n).sum() == pytest.approx(exact, abs=1e-14)
+    # and neither is exact one degree higher
+    assert abs((_WK15 * _XK15**24).sum() - 2.0 / 25) > 1e-10
+    assert abs((_WG7 * _XK15[1::2] ** 14).sum() - 2.0 / 15) > 1e-10

@@ -310,12 +310,23 @@ def test_contour_far_parallel_halves_and_zero_coupling():
     (SA, 0.0, 0.05),                         # omega = 0
     (SA, 1300.0, 0.05),                      # beta = 3.25 >= pi
     (TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5), 80.0, 0.05),
-    # kappa L = 2.2 at beta = 0.6: the antiparallel pole condition holds
-    (TrajectoryScenario("AntiParallel", kappa1=4.0, L=0.55), 0.15, 1.0),
+    # beta = 3.2 >= pi on an AntiParallel point (kappa L = 2.2)
+    (TrajectoryScenario("AntiParallel", kappa1=4.0, L=0.55), 0.8, 1.0),
 ])
 def test_contour_refuses_outside_its_domain(scenario, omega, sigma):
     with pytest.raises(ValidityError):
         excitation_probability_contour(scenario, unit(omega, sigma))
+
+
+def test_contour_accepts_the_antiparallel_pole_condition_region():
+    # kappa L = 2.2 at beta = 0.6: check_antiparallel_pole refuses this point
+    # for the closed form, but at real p the shift crosses no pole of the
+    # antiparallel cross factors, and the contour agrees with the quadrature
+    sc = TrajectoryScenario("AntiParallel", kappa1=4.0, L=0.55)
+    params = unit(4.0 / 0.0375, 0.0375)
+    c = excitation_probability_contour(sc, params)
+    q = excitation_probability_quadrature(sc, params)
+    assert abs(c.value - q.value) <= c.error_estimate + q.error_estimate
 
 
 def test_contour_refuses_when_a_pole_nears_the_contour():
@@ -352,3 +363,35 @@ def test_stationary_probabilities_need_no_2d_integral(monkeypatch):
         q = excitation_probability_quadrature(scenario, REF)
         assert q.value > 0
         assert q.error_estimate < 1e-2 * q.value
+
+
+# --- the Parallel window alias J_21 = J_12 -----------------------------------
+
+PAR = TrajectoryScenario("Parallel", kappa1=1.0, L=1.0)
+
+
+def test_parallel_window_alias_matches_both_directions():
+    # W^{21}(p, s) = W^{12}(-p, s) and the window is even in p
+    quad = default_quadrature(PAR)
+    j12, _ = response._halfplane_pair_integral(PAR, 1, 2, REF, 1e-2, quad)
+    j21, _ = response._halfplane_pair_integral(PAR, 2, 1, REF, 1e-2, quad)
+    assert abs(j21 - j12) <= 1e-12 * abs(j12)
+
+
+def test_parallel_window_alias_is_used_for_windows_only(monkeypatch):
+    seen = []
+
+    def record(scenario, i, j, *args, **kwargs):
+        seen.append((i, j))
+        return 1j, 0.0
+
+    monkeypatch.setattr(response, "_halfplane_pair_integral", record)
+    blocks = response.halfplane_integrals_at_eps(PAR, REF, 1e-2, default_quadrature(PAR))
+    assert seen == [(1, 2)]
+    assert blocks[(2, 1)] == blocks[(1, 2)]
+
+    # at tau != 0 the two rate cuts differ, so the rate keeps both pairs
+    seen.clear()
+    monkeypatch.setattr(response, "_rate_pair_integral", record)
+    response._rate_at_eps(PAR, unit(1.0), 1.0, 1e-2, default_quadrature(PAR))
+    assert (1, 2) in seen and (2, 1) in seen
