@@ -12,8 +12,8 @@ from udwsim import (
     default_schedule,
     epsilon_extrapolate,
 )
-from udwsim.quadrature import (cluster_mesh, panel_integrate, refine_mesh,
-                               sign_change_roots)
+from udwsim.quadrature import (_WG7, _WK15, _XK15, cluster_mesh, panel_integrate,
+                               refine_mesh, sign_change_roots)
 
 
 # --- epsilon extrapolation ---------------------------------------------------
@@ -186,8 +186,6 @@ def test_sign_change_roots_multiple():
 
 def test_kronrod_and_embedded_gauss_rules_are_exact_on_monomials():
     # K15 integrates degree <= 22 exactly, its embedded Gauss 7 degree <= 13
-    from udwsim.quadrature import _WG7, _WK15, _XK15
-
     for n in range(23):
         exact = 2.0 / (n + 1) if n % 2 == 0 else 0.0
         assert (_WK15 * _XK15**n).sum() == pytest.approx(exact, abs=1e-14)
