@@ -33,7 +33,7 @@ from .response import (KMSReport, ProbabilityResult, RateResult,
                        transition_rate_finite_switching, window_halfwidth)
 from .superposition import (ControlState, DetectorDensityMatrix,
                             WightmanIntegrals, compute_wightman_integrals,
-                            conditional_density_matrix, conditional_norm,
+                            conditional_density_matrix,
                             phase_envelope, visibility_scan)
 from .validity import (ADVISORY_CONSTRAINTS, ValidityReport, beta_parameter,
                        check_antiparallel_pole, check_beta_bound)
@@ -72,7 +72,6 @@ __all__ = [
     "check_beta_bound",
     "compute_wightman_integrals",
     "conditional_density_matrix",
-    "conditional_norm",
     "default_schedule",
     "denominator_factors",
     "epsilon_extrapolate",

@@ -3,10 +3,13 @@
 All correlators take a smearing regulator eps > 0; physical values are
 obtained by the response layer, which integrates first and then removes the
 regulator by extrapolation. Functions are vectorized over their time
-arguments (numpy broadcasting) and return complex values. The local,
-parallel, antiparallel and thermal forms also accept complex proper-time
-differences with eps = 0: off the real axis the lightcone poles are not met,
-so the regulator is not needed there (see excitation_probability_contour).
+arguments (numpy broadcasting) and return complex values. eps may be a
+ladder of m values, taken as a column of shape (m, 1): against 1-D time
+arrays it gives one row per value, and the eps-free geometry is computed
+once. The local, parallel, antiparallel and thermal forms also accept
+complex proper-time differences with eps = 0: off the real axis the
+lightcone poles are not met, so the regulator is not needed there (see
+excitation_probability_contour).
 
 Conventions: metric (-,+,+,+); the massless-field vacuum Wightman function
 along worldlines x_i, x_j is
@@ -51,8 +54,11 @@ class Regulator:
             raise ValueError("regulator epsilon must be positive and finite")
 
 
-def _eps_of(reg) -> float:
-    return reg.epsilon if isinstance(reg, Regulator) else float(reg)
+def _eps_of(reg):
+    if isinstance(reg, Regulator):
+        return reg.epsilon
+    eps = np.asarray(reg, dtype=float)  # a ladder becomes a column (m, 1)
+    return eps.reshape(-1, 1) if eps.ndim else float(eps)
 
 
 def _times(x):

@@ -204,23 +204,31 @@ def refine_mesh(edges: np.ndarray, rounds: int = 1) -> np.ndarray:
 def panel_integrate(f, edges: np.ndarray):
     """Composite GL-15 integral of a vectorized (complex) integrand over the
     panel mesh, with a GL-7 comparison error estimate. Panel contributions
-    are accumulated with compensated summation."""
+    are accumulated with compensated summation. An integrand of shape (m, N)
+    for N nodes (one row per regulator value) gives arrays of m values and
+    errors."""
     a = edges[:-1]
     b = edges[1:]
     h = 0.5 * (b - a)
     m = 0.5 * (a + b)
     x15 = m[:, None] + h[:, None] * _X15[None, :]
     x7 = m[:, None] + h[:, None] * _X7[None, :]
-    f15 = np.asarray(f(x15.ravel())).reshape(x15.shape)
-    f7 = np.asarray(f(x7.ravel())).reshape(x7.shape)
-    p15 = (f15 * _W15[None, :]).sum(axis=1) * h
-    p7 = (f7 * _W7[None, :]).sum(axis=1) * h
-    if np.iscomplexobj(p15):
-        val = complex(math.fsum(p15.real), math.fsum(p15.imag))
-    else:
-        val = math.fsum(p15)
-    err = math.fsum(np.abs(p15 - p7))
-    return val, err
+    f15 = np.asarray(f(x15.ravel()))
+    f7 = np.asarray(f(x7.ravel()))
+    rows = f15.shape[:-1]
+    p15 = (f15.reshape(rows + x15.shape) * _W15).sum(axis=-1) * h
+    p7 = (f7.reshape(rows + x7.shape) * _W7).sum(axis=-1) * h
+    return fsum_rows(p15), fsum_rows(np.abs(p15 - p7))
+
+
+def fsum_rows(x):
+    """math.fsum over the last axis of a real or complex array: a scalar for
+    a 1-D array, an array of one sum per row for a 2-D one."""
+    if x.ndim > 1:
+        return np.array([fsum_rows(row) for row in x])
+    if np.iscomplexobj(x):
+        return complex(math.fsum(x.real), math.fsum(x.imag))
+    return math.fsum(x)
 
 
 def sign_change_roots(g, lo: float, hi: float, n_scan: int = 257) -> list:

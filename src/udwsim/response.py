@@ -1,12 +1,13 @@
 """Numerical detector response: transition rates and excitation probabilities.
 
-Rates and quadrature probabilities follow one recipe. For each regulator
-value eps in the schedule, evaluate the relevant oscillatory integral of the
-regularized correlators with meshes that cluster around the coincidence
-point and the cross-term lightcone crossings; then extrapolate the eps
-ladder to zero. Quadrature error must sit well below the extrapolation error
-for the ladder to be meaningful, which the panel error estimates verify per
-point. Rates are 1-D integrals, meshed at lightcone roots found by a
+Rates and quadrature probabilities follow one recipe. Evaluate the relevant
+oscillatory integral of the regularized correlators on the whole regulator
+ladder in one pass, with eps as an array axis of the integrand, on meshes
+built once at the smallest eps and clustered around the coincidence point
+and the cross-term lightcone crossings; then extrapolate the ladder to
+zero. Quadrature error must sit well below the extrapolation error for the
+ladder to be meaningful, which the panel error estimates verify on every
+rung. Rates are 1-D integrals, meshed at lightcone roots found by a
 sign-change scan along each cut. The windowed probability is a 2-D integral
 over the switching square: an outer Gauss-Kronrod rule over the sum of the
 two proper times, over inner 1-D integrals meshed at the closed-form
@@ -45,6 +46,7 @@ from .quadrature import (
     cluster_mesh,
     default_schedule,
     epsilon_extrapolate,
+    fsum_rows,
     panel_integrate,
     refine_mesh,
     sign_change_roots,
@@ -63,7 +65,8 @@ _CONTOUR_REL_TOL = 1e-4
 
 @dataclass(frozen=True)
 class RateResult:
-    """Extrapolated instantaneous transition rate (may be negative)."""
+    """Extrapolated transition rate (may be negative) or excitation
+    probability, with the (eps, value) rungs it was extrapolated from."""
 
     value: float
     error_estimate: float
@@ -74,17 +77,7 @@ class RateResult:
             raise ValueError("error_estimate must be non-negative")
 
 
-@dataclass(frozen=True)
-class ProbabilityResult:
-    """Extrapolated excitation probability for finite Gaussian switching."""
-
-    value: float
-    error_estimate: float
-    epsilon_estimates: tuple
-
-    def __post_init__(self):
-        if self.error_estimate < 0:
-            raise ValueError("error_estimate must be non-negative")
+ProbabilityResult = RateResult
 
 
 @dataclass(frozen=True)
@@ -162,12 +155,22 @@ def _stationary_pair(scenario: TrajectoryScenario, i: int, j: int) -> bool:
 
 
 def _within_tol(val, err, quad) -> bool:
-    return not err > max(quad.abs_tol, quad.rel_tol * abs(val))
+    """Whether the error meets the tolerance on every rung."""
+    return not np.any(err > np.fmax(quad.abs_tol, quad.rel_tol * np.abs(val)))
+
+
+def _check_converged(val, err, quad, what):
+    """Raise ConvergenceError for the first rung that misses the tolerance."""
+    for v, e in zip(np.atleast_1d(val), np.atleast_1d(err)):
+        if not _within_tol(v, e, quad):
+            raise ConvergenceError(
+                f"{what} did not converge (error {e:.3g} on |value| {abs(v):.3g})",
+                estimate=v.item(), error_estimate=e.item())
 
 
 def _refined_integral(f, edges, quad):
     """panel_integrate of f on the mesh, halving every panel up to
-    quad.max_subdivisions times until the error meets the tolerance.
+    quad.max_subdivisions times until every rung meets the tolerance.
     Returns (value, error); the caller decides what a miss means."""
     val, err = panel_integrate(f, edges)
     rounds = 0
@@ -191,12 +194,13 @@ def _rate_cut_roots(scenario, i, j, tau, s_hi):
 
 def _rate_pair_integral(scenario, i, j, tau, omega, eps, quad,
                         sigma=None, windowed=False):
-    """integral_0^s_hi e^{-i omega s} [eta(tau - s)] W^{ij}(tau, tau - s) ds."""
+    """integral_0^s_hi e^{-i omega s} [eta(tau - s)] W^{ij}(tau, tau - s) ds,
+    per rung for a ladder."""
     s_hi = quad.s_max
     if windowed:
         s_hi = min(s_hi, tau + _WINDOW_SIGMAS * sigma)
         if s_hi <= 0:
-            return 0.0 + 0.0j, 0.0
+            return np.zeros(np.shape(eps), complex), np.zeros(np.shape(eps))
     k = kappa_scale(scenario)
     cap = 0.5 / k
     if omega != 0.0:
@@ -207,22 +211,20 @@ def _rate_pair_integral(scenario, i, j, tau, omega, eps, quad,
     roots = _rate_cut_roots(scenario, i, j, tau, s_hi)
 
     def f(s):
-        val = np.exp(-1j * omega * s) * corr(np.full_like(s, tau), tau - s, eps)
+        phase = np.exp(-1j * omega * s)
         if windowed:
-            val = val * np.exp(-((tau - s) ** 2) / (2.0 * sigma**2))
-        return val
+            phase = phase * np.exp(-((tau - s) ** 2) / (2.0 * sigma**2))
+        return phase * corr(np.full_like(s, tau), tau - s, eps)
 
-    edges = cluster_mesh(0.0, s_hi, [0.0] + roots, scale=eps / 8.0, cap=cap)
+    edges = cluster_mesh(0.0, s_hi, [0.0] + roots, scale=float(np.min(eps)) / 8.0,
+                         cap=cap)
     val, err = _refined_integral(f, edges, quad)
-    if not _within_tol(val, err, quad):
-        raise ConvergenceError(
-            f"rate integrand for branch pair ({i},{j}) did not converge "
-            f"(error {err:.3g} on |value| {abs(val):.3g})",
-            estimate=val, error_estimate=err)
+    _check_converged(val, err, quad, f"rate integrand for branch pair ({i},{j})")
     return val, err
 
 
 def _rate_at_eps(scenario, params, tau, eps, quad, windowed=False):
+    """Unextrapolated rate and quadrature error, per rung for a ladder."""
     n = scenario.branch_count
     pref = 2.0 * params.lambda_coupling**2 / n**2
     if windowed:
@@ -243,17 +245,20 @@ def _rate_at_eps(scenario, params, tau, eps, quad, windowed=False):
     return pref * total.real, abs(pref) * qerr
 
 
-def _extrapolated_rate(scenario, params, tau, reg_schedule, quad, windowed):
-    reg_schedule, quad = _defaults(scenario, reg_schedule, quad)
-    estimates = []
-    for eps in reg_schedule.epsilons:
-        val, _ = _rate_at_eps(scenario, params, tau, eps, quad, windowed)
-        estimates.append((eps, val))
-    # quadrature errors are enforced against quad tolerances point by point;
-    # the reported uncertainty is the (dominant) regulator-extrapolation one
+def _extrapolated(reg_schedule, values) -> RateResult:
+    """One value per rung, extrapolated to eps -> 0. The quadrature errors
+    are held below the quad tolerances on every rung; the reported
+    uncertainty is the (dominant) regulator-extrapolation one."""
+    estimates = tuple((eps, float(v)) for eps, v in zip(reg_schedule.epsilons, values))
     limit, err = epsilon_extrapolate(estimates, reg_schedule.extrapolation)
     return RateResult(value=float(limit), error_estimate=float(err),
-                      epsilon_estimates=tuple(estimates))
+                      epsilon_estimates=estimates)
+
+
+def _extrapolated_rate(scenario, params, tau, reg_schedule, quad, windowed):
+    reg_schedule, quad = _defaults(scenario, reg_schedule, quad)
+    values, _ = _rate_at_eps(scenario, params, tau, reg_schedule.epsilons, quad, windowed)
+    return _extrapolated(reg_schedule, values)
 
 
 def transition_rate(scenario: TrajectoryScenario, params: DetectorParams, tau: float,
@@ -314,6 +319,7 @@ def _halfplane_pair_integral(scenario, i, j, params, eps, quad, level=0):
     estimate, over inner 1-D panel integrals in s. Each inner mesh clusters
     at the closed-form lightcone roots of its p-cut (lightcone_roots, one
     call per outer panel). Stationary pairs take _stationary_pair_integral.
+    A ladder of eps gives one value and error per rung, on one set of meshes.
     """
     sigma, omega = params.sigma, params.omega
     T2 = 2.0 * window_halfwidth(params)
@@ -323,7 +329,7 @@ def _halfplane_pair_integral(scenario, i, j, params, eps, quad, level=0):
     cap_s = cap_p
     if omega != 0.0:
         cap_s = min(cap_s, (2.0 * math.pi / abs(omega)) / quad.oscillation_resolution * shrink)
-    scale = eps / 8.0 * shrink
+    scale = float(np.min(eps)) / 8.0 * shrink
     corr = scenario_correlator(scenario, i, j)
     inv4s2 = 1.0 / (4.0 * sigma**2)
 
@@ -342,7 +348,7 @@ def _halfplane_pair_integral(scenario, i, j, params, eps, quad, level=0):
     a, b = outer_edges[:-1], outer_edges[1:]
     h = 0.5 * (b - a)
     m = 0.5 * (a + b)
-    fk = np.empty((len(h), len(_XK15)), dtype=complex)
+    fk = np.empty(np.shape(eps)[:1] + (len(h), len(_XK15)), dtype=complex)
     err_inner = 0.0
     for k_pan in range(len(h)):
         nodes = m[k_pan] + h[k_pan] * _XK15
@@ -350,16 +356,14 @@ def _halfplane_pair_integral(scenario, i, j, params, eps, quad, level=0):
         for idx, p in enumerate(nodes):
             val, ie = inner(p, roots[:, idx])
             g = math.exp(-p * p * inv4s2)
-            fk[k_pan, idx] = g * val
+            fk[..., k_pan, idx] = g * val
             err_inner += _WK15[idx] * h[k_pan] * g * ie
     s15 = (fk @ _WK15) * h
-    s7 = (fk[:, 1::2] @ _WG7) * h
+    s7 = (fk[..., 1::2] @ _WG7) * h
     # Re J is the remainder of a cancellation across panels (by about 6,000x
     # for Parallel kappa L = 1 at sigma omega = 4), so the panel sums are
     # accumulated with compensated summation, as in panel_integrate
-    total = complex(math.fsum(s15.real), math.fsum(s15.imag))
-    err_outer = math.fsum(np.abs(s15 - s7))
-    return 0.5 * total, 0.5 * (err_outer + err_inner)
+    return 0.5 * fsum_rows(s15), 0.5 * (fsum_rows(np.abs(s15 - s7)) + err_inner)
 
 
 def _stationary_pair_integral(scenario, i, j, params, eps, quad):
@@ -371,7 +375,7 @@ def _stationary_pair_integral(scenario, i, j, params, eps, quad):
                e^{-s^2/4 sigma^2 - i omega s} W^{ij}(s/2, -s/2),
 
     one 1-D integral on the 2-D engine's inner mesh at p = 0, refined by
-    halving its panels."""
+    halving its panels; per rung for a ladder."""
     sigma, omega = params.sigma, params.omega
     T2 = 2.0 * window_halfwidth(params)
     cap = min(sigma / 2.0, 0.5 / kappa_scale(scenario))
@@ -385,18 +389,20 @@ def _stationary_pair_integral(scenario, i, j, params, eps, quad):
         return (erf((T2 - s) / (2.0 * sigma)) * np.exp(-s * s * inv4s2 - 1j * omega * s)
                 * corr(s / 2.0, -s / 2.0, eps))
 
-    edges = cluster_mesh(0.0, T2, [0.0] + roots, scale=eps / 8.0, cap=cap)
+    edges = cluster_mesh(0.0, T2, [0.0] + roots, scale=float(np.min(eps)) / 8.0,
+                         cap=cap)
     val, err = _refined_integral(f, edges, quad)
     c = math.sqrt(math.pi) * sigma
     return c * val, c * err
 
 
 def halfplane_integrals_at_eps(scenario, params, eps, quad) -> dict:
-    """All J_ij building blocks at one regulator value, deduplicated across
-    branch pairs with identical correlators. Stationary pairs are one 1-D
-    integral each (_stationary_pair_integral); the others go through the 2-D
-    engine, restarted on a finer mesh until within tolerance. Returns
-    {(i, j): (value, err)}."""
+    """All J_ij building blocks at one regulator value, or at every rung of a
+    ladder in one pass, deduplicated across branch pairs with identical
+    correlators. Stationary pairs are one 1-D integral each
+    (_stationary_pair_integral); the others go through the 2-D engine,
+    restarted on a finer mesh until every rung is within tolerance. Returns
+    {(i, j): (value, err)}, arrays over the rungs for a ladder."""
     alias = _window_aliases(scenario)
     cache = {}
     out = {}
@@ -406,18 +412,13 @@ def halfplane_integrals_at_eps(scenario, params, eps, quad) -> dict:
             if _stationary_pair(scenario, *key):
                 val, err = _stationary_pair_integral(scenario, *key, params, eps, quad)
             else:
-                val, err = _halfplane_pair_integral(scenario, key[0], key[1], params,
-                                                    eps, quad)
-                rounds = 0
-                while not _within_tol(val, err, quad) and rounds < quad.max_subdivisions:
-                    rounds += 1
-                    val, err = _halfplane_pair_integral(scenario, key[0], key[1], params,
-                                                        eps, quad, level=rounds)
-            if not _within_tol(val, err, quad):
-                raise ConvergenceError(
-                    f"windowed double integral for branch pair {key} did not "
-                    f"converge (error {err:.3g} on |value| {abs(val):.3g})",
-                    estimate=val, error_estimate=err)
+                for level in range(quad.max_subdivisions + 1):
+                    val, err = _halfplane_pair_integral(scenario, *key, params, eps, quad,
+                                                        level=level)
+                    if _within_tol(val, err, quad):
+                        break
+            _check_converged(val, err, quad,
+                             f"windowed double integral for branch pair {key}")
             cache[key] = (val, err)
         out[pair] = cache[key]
     return out
@@ -434,8 +435,8 @@ def excitation_probability_quadrature(scenario: TrajectoryScenario, params: Dete
     e^{-i omega (tau'-tau'')} W^{ij}; the full-plane integral follows from
     hermiticity. Stationary pairs (local terms, the thermal cross term) are
     a 1-D integral with the p-integral done exactly, the other cross pairs a
-    2-D one (halfplane_integrals_at_eps). Evaluated per regulator value,
-    then extrapolated.
+    2-D one (halfplane_integrals_at_eps). Evaluated on the whole regulator
+    ladder in one pass, then extrapolated.
     """
     reg_schedule, quad = _defaults(scenario, reg_schedule, quad)
     n = scenario.branch_count
@@ -444,16 +445,9 @@ def excitation_probability_quadrature(scenario: TrajectoryScenario, params: Dete
         zeros = tuple((eps, 0.0) for eps in reg_schedule.epsilons)
         return ProbabilityResult(0.0, 0.0, zeros)
     pref = 2.0 * lam**2 / n**2
-    estimates = []
-    for eps in reg_schedule.epsilons:
-        blocks = halfplane_integrals_at_eps(scenario, params, eps, quad)
-        total = sum(v for v, _ in blocks.values())
-        estimates.append((eps, pref * total.real))
-    # quadrature errors are held below quad tolerances inside the block
-    # evaluation; the reported uncertainty is the extrapolation one
-    limit, err = epsilon_extrapolate(estimates, reg_schedule.extrapolation)
-    return ProbabilityResult(value=float(limit), error_estimate=float(err),
-                             epsilon_estimates=tuple(estimates))
+    blocks = halfplane_integrals_at_eps(scenario, params, reg_schedule.epsilons, quad)
+    total = sum(v for v, _ in blocks.values())
+    return _extrapolated(reg_schedule, pref * total.real)
 
 
 # ---------------------------------------------------------------------------

@@ -107,31 +107,28 @@ def compute_wightman_integrals(scenario: TrajectoryScenario, params: DetectorPar
     """
     reg_schedule, quad = _defaults(scenario, reg_schedule, quad)
     n = scenario.branch_count
-    per_eps = []
-    for eps in reg_schedule.epsilons:
-        blocks = halfplane_integrals_at_eps(scenario, params, eps, quad)
-        per_eps.append((eps, blocks))
+    # one pass over the ladder: J[(i, j)] holds one value per rung
+    J = {key: val for key, (val, _) in halfplane_integrals_at_eps(
+        scenario, params, reg_schedule.epsilons, quad).items()}
+
+    def extrapolate(values):
+        return epsilon_extrapolate(list(zip(reg_schedule.epsilons, values)),
+                                   reg_schedule.extrapolation)
+
     full = {}
     worst = 0.0
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             # full-plane integral from the time-ordered half by hermiticity
-            sym_limit, sym_err = epsilon_extrapolate(
-                [(eps, blocks[(i, j)][0] + np.conj(blocks[(j, i)][0]))
-                 for eps, blocks in per_eps],
-                reg_schedule.extrapolation)
+            sym_limit, sym_err = extrapolate(J[(i, j)] + np.conj(J[(j, i)]))
             worst = max(worst, sym_err)
             full[(i, j)] = complex(sym_limit)
     ordered = {}
-    im_offset = per_eps[-1][1][(1, 1)][0].imag
+    im_offset = J[(1, 1)][-1].imag
     for i in range(1, n + 1):
-        re_limit, re_err = epsilon_extrapolate(
-            [(eps, blocks[(i, i)][0].real) for eps, blocks in per_eps],
-            reg_schedule.extrapolation)
-        im_diff, im_err = epsilon_extrapolate(
-            [(eps, blocks[(i, i)][0].imag - blocks[(1, 1)][0].imag)
-             for eps, blocks in per_eps],
-            reg_schedule.extrapolation) if i > 1 else (0.0, 0.0)
+        re_limit, re_err = extrapolate(J[(i, i)].real)
+        im_diff, im_err = (extrapolate(J[(i, i)].imag - J[(1, 1)].imag) if i > 1
+                           else (0.0, 0.0))
         worst = max(worst, re_err, im_err)
         ordered[i] = complex(re_limit, im_offset + im_diff)
     return WightmanIntegrals(branch_count=n, full_grid=full, time_ordered=ordered,
@@ -161,11 +158,6 @@ def conditional_density_matrix(integrals: WightmanIntegrals, control: ControlSta
     p_gnd = ground.real / n**2
     return DetectorDensityMatrix(p_ground_unnormalized=p_gnd,
                                  p_excited_unnormalized=p_exc)
-
-
-def conditional_norm(dm: DetectorDensityMatrix) -> float:
-    """Probability of finding the control in the measured superposition."""
-    return dm.norm
 
 
 def phase_envelope(control: ControlState) -> float:

@@ -395,3 +395,72 @@ def test_parallel_window_alias_is_used_for_windows_only(monkeypatch):
     monkeypatch.setattr(response, "_rate_pair_integral", record)
     response._rate_at_eps(PAR, unit(1.0), 1.0, 1e-2, default_quadrature(PAR))
     assert (1, 2) in seen and (2, 1) in seen
+
+
+# --- the regulator ladder as an array axis -----------------------------------
+
+LADDER = (1e-2, 5e-3, 2.5e-3)
+DIFF = TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5)
+
+
+def assert_rungs_match(ladder, single):
+    """Each rung of a ladder call against a one-rung call at that eps, which
+    meshes at its own eps instead of the smallest."""
+    (lv, le), (v, e) = ladder, single
+    assert abs(lv - v) <= 1e-12 * abs(v)
+    # Re J of a local pair is about 1e-9 of |J| at sigma omega = 4, so its
+    # last digits are the rounding of |J|: allow a few ulps of |J| there
+    assert abs(lv.real - v.real) <= 1e-8 * abs(v.real) + 1e-15 * abs(v)
+    # both differ by far less than either error estimate
+    assert abs(lv - v) <= max(le, e)
+
+
+@pytest.mark.parametrize("scenario, pair, engine", [
+    (PAR, (1, 2), "_halfplane_pair_integral"),
+    (DIFF, (1, 2), "_halfplane_pair_integral"),
+    (DIFF, (2, 1), "_halfplane_pair_integral"),
+    (SA, (1, 1), "_stationary_pair_integral"),
+])
+def test_ladder_call_matches_one_rung_calls(scenario, pair, engine):
+    integral = getattr(response, engine)
+    quad = default_quadrature(scenario)
+    values, errors = integral(scenario, *pair, REF, LADDER, quad)
+    assert values.shape == errors.shape == (len(LADDER),)
+    singles = [integral(scenario, *pair, REF, eps, quad) for eps in LADDER]
+    for k, single in enumerate(singles):
+        assert_rungs_match((values[k], errors[k]), single)
+    # the smallest rung's mesh is the ladder's mesh: that rung is bit-identical
+    assert values[-1] == singles[-1][0]
+
+
+def test_ladder_rate_point_matches_one_rung_calls():
+    quad = default_quadrature(PAR)
+    for pair in ((1, 2), (2, 1)):
+        values, errors = response._rate_pair_integral(PAR, *pair, 1.0, 1.0, LADDER, quad)
+        singles = [response._rate_pair_integral(PAR, *pair, 1.0, 1.0, eps, quad)
+                   for eps in LADDER]
+        for k, single in enumerate(singles):
+            assert_rungs_match((values[k], errors[k]), single)
+        assert values[-1] == singles[-1][0]
+    rates, _ = response._rate_at_eps(PAR, unit(1.0), 1.0, LADDER, quad)
+    for k, eps in enumerate(LADDER):
+        rate, _ = response._rate_at_eps(PAR, unit(1.0), 1.0, eps, quad)
+        assert abs(rates[k] - rate) <= 1e-8 * abs(rate)
+
+
+@pytest.mark.parametrize("scenario, pair", [
+    (SA, (1, 1)),
+    (PAR, (1, 2)), (PAR, (2, 1)),
+    (TrajectoryScenario("AntiParallel", kappa1=1.0, L=0.5), (1, 2)),
+    (DIFF, (1, 2)), (DIFF, (2, 1)),
+    (TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=1.0), (1, 1)),
+    (TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=1.0), (1, 2)),
+])
+def test_correlator_with_an_eps_column_matches_scalar_calls(scenario, pair):
+    corr = response.scenario_correlator(scenario, *pair)
+    t1 = np.linspace(-2.0, 2.0, 41)
+    t2 = 0.3 - 0.7 * t1
+    column = corr(t1, t2, np.array(LADDER)[:, None])
+    assert column.shape == (len(LADDER), t1.size)
+    for k, eps in enumerate(LADDER):
+        np.testing.assert_allclose(column[k], corr(t1, t2, eps), rtol=1e-15, atol=0.0)
