@@ -13,9 +13,7 @@ from .closed_form import (ClosedFormResult, DetectorParams, p_antiparallel,
                           zeta_prefactor)
 from .config import OutputSpec, ScenarioConfig, validate_config
 from .correlators import (Regulator, denominator_factors, lightcone_roots,
-                          scenario_correlator, wightman_antiparallel_cross,
-                          wightman_differing_cross, wightman_local,
-                          wightman_parallel_cross,
+                          scenario_correlator, wightman_local,
                           wightman_schlicht, wightman_thermal_cross,
                           wightman_thermal_local)
 from .errors import (ConfigError, ConvergenceError, IndeterminateRatioError,
@@ -94,10 +92,7 @@ __all__ = [
     "transition_rate_finite_switching",
     "validate_config",
     "visibility_scan",
-    "wightman_antiparallel_cross",
-    "wightman_differing_cross",
     "wightman_local",
-    "wightman_parallel_cross",
     "wightman_schlicht",
     "wightman_thermal_cross",
     "wightman_thermal_local",

@@ -6,24 +6,28 @@ regulator by extrapolation. Functions are vectorized over their time
 arguments (numpy broadcasting) and return complex values. eps may be a
 ladder of m values, taken as a column of shape (m, 1): against 1-D time
 arrays it gives one row per value, and the eps-free geometry is computed
-once. The local, parallel, antiparallel and thermal forms also accept
-complex proper-time differences with eps = 0: off the real axis the
-lightcone poles are not met, so the regulator is not needed there (see
-excitation_probability_contour).
+once. The local and vacuum cross forms also accept complex proper times
+with eps = 0: off the real axis the lightcone poles are not met, so the
+regulator is not needed there (see excitation_probability_contour).
 
 Conventions: metric (-,+,+,+); the massless-field vacuum Wightman function
-along worldlines x_i, x_j is
+along worldlines x_i, x_j is Schlicht's
 
     W(tau1, tau2) = 1 / (4 pi^2 Q),
     Q = |dx - i eps (u_i + u_j)|_space^2 - (dt - i eps (u_i + u_j)_t)^2,
 
 where u are the 4-velocities (point-detector limit of a rigidly smeared
-detector). The specialized per-family forms below are algebraically exact
-rewrites of this along the corresponding worldline pairs, with one critical
-numerical difference: denominators are kept in factored
-difference-of-exponentials form. The textbook grouping psi^2 - phi^2 loses
-all 16 float64 digits once kappa(|p| + |s|) exceeds ~35 (cosh^2 - sinh^2
-cancellation), which sits squarely inside the rate-map parameter range.
+detector). In the null coordinates u = t - z, v = t + z of the family table
+(kinematics) Q factors as -(du - i eps U)(dv - i eps V), so one factored form
+serves every vacuum cross pair of every family, and its eps = 0 factors du,
+dv are the lightcone crossings. wightman_schlicht builds Q from the events
+and 4-velocities instead and cross-checks it. The factored form keeps the
+Rindler-centre offsets apart from the differences of exponentials; the
+textbook grouping psi^2 - phi^2 loses all 16 float64 digits once
+kappa(|p| + |s|) exceeds ~35 (cosh^2 - sinh^2 cancellation), which sits
+squarely inside the rate-map parameter range. Same-branch pairs keep
+wightman_local, a function of s alone: as s -> 0 the differences of
+exponentials would cancel.
 """
 
 from __future__ import annotations
@@ -90,87 +94,30 @@ def wightman_local(kappa: float, s, reg):
     return (-1.0 / _PI2_16) / (u * u)
 
 
-def _u_of(kappa, s, eps):
-    return np.sinh(kappa * s / 2.0) / kappa - 1j * eps * np.cosh(kappa * s / 2.0)
+def _null_gaps(row_i, row_j, tau1, tau2):
+    """(du, dv, a_i' + a_j', b_i' + b_j') of branches row_i at tau1 and row_j
+    at tau2, with du = u_i - u_j and dv = v_i - v_j. The centre offset
+    z_cj - z_ci is kept apart from a_j - a_i and b_i - b_j, so that the 1/kappa
+    inside the Rindler centres never cancels against them."""
+    ai, bi, dai, dbi = row_i.null(tau1)
+    aj, bj, daj, dbj = row_j.null(tau2)
+    dz = row_j.z_c - row_i.z_c
+    return dz + (aj - ai), (bi - bj) - dz, dai + daj, dbi + dbj
 
 
-def _direction_sign(direction) -> float:
-    d = str(direction)
-    if d == "12":
-        return +1.0
-    if d == "21":
-        return -1.0
-    raise ValueError(f"direction must be 12 or 21, got {direction!r}")
+def _vacuum_cross(row_i, row_j, tau1, tau2, reg):
+    """Vacuum correlator <Phi_i(tau1) Phi_j(tau2)> of two branches,
 
+        W = -1 / (4 pi^2 (du + i eps (a_i' + a_j')) (dv - i eps (b_i' + b_j'))):
 
-def wightman_parallel_cross(kappa: float, L: float, p, s, reg, direction):
-    """Cross-branch correlator for parallel accelerations, in (p, s) variables.
-
-    p = tau1 + tau2, s = tau1 - tau2. Equal to
-    -1/(4 pi^2 (psi^2 - (phi + X)^2)) with X = +L for direction 12 and -L for
-    21, psi = 2 cosh(kp/2) u, phi = 2 sinh(kp/2) u; evaluated via the exact
-    factorization (2 e^{-kp/2} u - X)(2 e^{kp/2} u + X).
-    """
+    Schlicht's 1/(4 pi^2 (dx - i eps (u_i + u_j))^2) in the null coordinates,
+    where the squared separation factors as -du dv. Accepts complex times at
+    eps = 0, where W^{ji}(tau1, tau2) = conj W^{ij}(conj tau2, conj tau1)."""
     eps = _eps_of(reg)
-    X = _direction_sign(direction) * L
-    p = _times(p)
-    s = _times(s)
-    _guard_hyp(kappa * p / 2.0, kappa * s / 2.0, kappa * (np.abs(p) + np.abs(s)) / 2.0)
-    u = _u_of(kappa, s, eps)
-    d = (2.0 * np.exp(-kappa * p / 2.0) * u - X) * (2.0 * np.exp(kappa * p / 2.0) * u + X)
-    return -1.0 / (_PI2_4 * d)
-
-
-def wightman_antiparallel_cross(kappa: float, L: float, p, s, reg):
-    """Cross-branch correlator for antiparallel accelerations (direction-symmetric).
-
-    Equal to -1/(4 pi^2 (psi^2 - (phi - 2/k + L)^2)) with
-    psi = 2 cosh(kp/2)(sinh(ks/2)/k - i eps cosh(ks/2)),
-    phi = 2 cosh(kp/2)(cosh(ks/2)/k - i eps sinh(ks/2)),
-    in factored form.
-    """
-    eps = _eps_of(reg)
-    p = _times(p)
-    s = _times(s)
-    _guard_hyp(kappa * p / 2.0, kappa * s / 2.0, kappa * (np.abs(p) + np.abs(s)) / 2.0)
-    cp = np.cosh(kappa * p / 2.0)
-    A = L - 2.0 / kappa
-    # psi - phi = -2 cp e^{-ks/2} (1/k + i eps); psi + phi = 2 cp e^{+ks/2} (1/k - i eps)
-    f1 = -2.0 * cp * np.exp(-kappa * s / 2.0) * (1.0 / kappa + 1j * eps) - A
-    f2 = 2.0 * cp * np.exp(kappa * s / 2.0) * (1.0 / kappa - 1j * eps) + A
-    return -1.0 / (_PI2_4 * f1 * f2)
-
-
-def _differing_12(kappa1, kappa2, tau1, tau2, eps):
-    # branch 1 (kappa1) at tau1, branch 2 (kappa2) at tau2
-    a1 = kappa1 * tau1
-    a2 = kappa2 * tau2
-    _guard_hyp(a1, a2, (np.abs(a1) + np.abs(a2)) / 2.0)
-    ap = (a1 + a2) / 2.0
-    cm = np.cosh((a1 - a2) / 2.0)
-    diff_m = np.exp(-a2) / kappa2 - np.exp(-a1) / kappa1  # (dz - dt) with sign flipped
-    diff_p = np.exp(a1) / kappa1 - np.exp(a2) / kappa2    # dz + dt
-    f1 = diff_m - 2j * eps * cm * np.exp(-ap)
-    f2 = diff_p - 2j * eps * cm * np.exp(ap)
-    return -1.0 / (_PI2_4 * f1 * f2)
-
-
-def wightman_differing_cross(kappa1: float, kappa2: float, tau1, tau2, reg, direction):
-    """Cross-branch correlator for differing accelerations sharing a horizon.
-
-    direction 12 places branch 1 (kappa1) at tau1 and branch 2 (kappa2) at
-    tau2; direction 21 is the operator-ordering swap, obtained from the
-    hermiticity identity W^{21}(tau1, tau2) = conj(W^{12}(tau2, tau1)).
-    """
-    eps = _eps_of(reg)
-    tau1 = np.asarray(tau1, dtype=float)
-    tau2 = np.asarray(tau2, dtype=float)
-    d = str(direction)
-    if d == "12":
-        return _differing_12(kappa1, kappa2, tau1, tau2, eps)
-    if d == "21":
-        return np.conj(_differing_12(kappa1, kappa2, tau2, tau1, eps))
-    raise ValueError(f"direction must be 12 or 21, got {direction!r}")
+    tau1, tau2 = _times(tau1), _times(tau2)
+    _guard_hyp(row_i.kappa * tau1, row_j.kappa * tau2)
+    du, dv, da, db = _null_gaps(row_i, row_j, tau1, tau2)
+    return -1.0 / (_PI2_4 * (du + 1j * eps * da) * (dv - 1j * eps * db))
 
 
 def wightman_thermal_cross(kappa: float, L: float, s_prime, reg):
@@ -227,103 +174,40 @@ def wightman_schlicht(scenario: TrajectoryScenario, i: int, j: int, tau1, tau2, 
 
 
 def scenario_correlator(scenario: TrajectoryScenario, i: int, j: int):
-    """Vectorized W^{ij}(tau1, tau2, eps) callable for the integration engine.
+    """Vectorized W^{ij}(tau1, tau2, eps) callable for the integration engine;
+    (i, j) ordering follows the operator ordering <Phi_i(tau1) Phi_j(tau2)>.
 
-    Dispatches to the specialized family forms; (i, j) ordering follows the
-    operator ordering <Phi_i(tau1) Phi_j(tau2)>.
+    Three cases: a local pair (wightman_local, or wightman_thermal_local in the
+    bath), the thermal bath's cross pair, and the vacuum cross correlator of
+    two rows of the family table.
     """
-    scenario._check_branch(i)
-    scenario._check_branch(j)
-    fam = scenario.family
-    if i == j:
-        if fam == "ThermalInertialPair":
-            k = scenario.kappa1
-            return lambda t1, t2, eps: wightman_thermal_local(k, np.asarray(t1) - np.asarray(t2), eps)
-        k = scenario.branch_kappa(i)
-        return lambda t1, t2, eps: wightman_local(k, np.asarray(t1) - np.asarray(t2), eps)
-    if fam == "Parallel":
-        k, L = scenario.kappa1, scenario.L
-        direction = "12" if (i, j) == (1, 2) else "21"
-        return lambda t1, t2, eps: wightman_parallel_cross(
-            k, L, np.asarray(t1) + np.asarray(t2), np.asarray(t1) - np.asarray(t2),
-            eps, direction)
-    if fam == "AntiParallel":
-        k, L = scenario.kappa1, scenario.L
-        return lambda t1, t2, eps: wightman_antiparallel_cross(
-            k, L, np.asarray(t1) + np.asarray(t2), np.asarray(t1) - np.asarray(t2), eps)
-    if fam == "Differing":
-        k1, k2 = scenario.kappa1, scenario.kappa2
-        direction = "12" if (i, j) == (1, 2) else "21"
-        return lambda t1, t2, eps: wightman_differing_cross(k1, k2, t1, t2, eps, direction)
-    if fam == "ThermalInertialPair":
-        k, L = scenario.kappa1, scenario.L
+    row_i, row_j = scenario.branch(i), scenario.branch(j)
+    k = scenario.kappa1
+    if scenario.family == "ThermalInertialPair":
+        if i == j:
+            return lambda t1, t2, eps: wightman_thermal_local(
+                k, np.asarray(t1) - np.asarray(t2), eps)
+        L = scenario.L
         return lambda t1, t2, eps: wightman_thermal_cross(
             k, L, np.asarray(t1) - np.asarray(t2), eps)
-    raise ValueError(f"no cross correlator for family {fam!r}")  # SingleAccel i != j
+    if i == j:
+        return lambda t1, t2, eps: wightman_local(
+            row_i.kappa, np.asarray(t1) - np.asarray(t2), eps)
+    return lambda t1, t2, eps: _vacuum_cross(row_i, row_j, t1, t2, eps)
 
 
 def denominator_factors(scenario: TrajectoryScenario, i: int, j: int):
-    """Real eps = 0 factors of the W^{ij} denominator, as vectorized callables
-    g(tau1, tau2). Their zeros are the lightcone crossings where the regulated
-    integrand peaks with width ~eps; the integration meshes cluster there.
-    The coincidence zero at tau1 = tau2 is always clustered separately, so
-    diagonal correlators contribute no factors here.
+    """Real eps = 0 factors [du, dv] of the W^{ij} denominator, as vectorized
+    callables g(tau1, tau2). Their zeros are the lightcone crossings where the
+    regulated integrand peaks with width ~eps; the integration meshes cluster
+    there. The coincidence zero at tau1 = tau2 is always clustered separately,
+    so diagonal correlators contribute no factors here.
     """
-    scenario._check_branch(i)
-    scenario._check_branch(j)
+    row_i, row_j = scenario.branch(i), scenario.branch(j)
     if i == j:
         return []
-    fam = scenario.family
-    if fam == "Parallel":
-        k, L = scenario.kappa1, scenario.L
-        X = L if (i, j) == (1, 2) else -L
-
-        def g1(t1, t2):
-            p, s = np.asarray(t1) + np.asarray(t2), np.asarray(t1) - np.asarray(t2)
-            return 2.0 * np.exp(-k * p / 2.0) * np.sinh(k * s / 2.0) / k - X
-
-        def g2(t1, t2):
-            p, s = np.asarray(t1) + np.asarray(t2), np.asarray(t1) - np.asarray(t2)
-            return 2.0 * np.exp(k * p / 2.0) * np.sinh(k * s / 2.0) / k + X
-
-        return [g1, g2]
-    if fam == "AntiParallel":
-        k, L = scenario.kappa1, scenario.L
-        A = L - 2.0 / k
-
-        def g1(t1, t2):
-            p, s = np.asarray(t1) + np.asarray(t2), np.asarray(t1) - np.asarray(t2)
-            return -2.0 * np.cosh(k * p / 2.0) * np.exp(-k * s / 2.0) / k - A
-
-        def g2(t1, t2):
-            p, s = np.asarray(t1) + np.asarray(t2), np.asarray(t1) - np.asarray(t2)
-            return 2.0 * np.cosh(k * p / 2.0) * np.exp(k * s / 2.0) / k + A
-
-        return [g1, g2]
-    if fam == "Differing":
-        k1, k2 = scenario.kappa1, scenario.kappa2
-        swap = (i, j) == (2, 1)
-
-        def g1(t1, t2):
-            ta, tb = (t2, t1) if swap else (t1, t2)
-            return np.exp(-k2 * np.asarray(tb)) / k2 - np.exp(-k1 * np.asarray(ta)) / k1
-
-        def g2(t1, t2):
-            ta, tb = (t2, t1) if swap else (t1, t2)
-            return np.exp(k1 * np.asarray(ta)) / k1 - np.exp(k2 * np.asarray(tb)) / k2
-
-        return [g1, g2]
-    if fam == "ThermalInertialPair":
-        L = scenario.L
-
-        def g1(t1, t2):
-            return L - (np.asarray(t1) - np.asarray(t2))
-
-        def g2(t1, t2):
-            return L + (np.asarray(t1) - np.asarray(t2))
-
-        return [g1, g2]
-    raise ValueError(f"no cross correlator for family {fam!r}")
+    return [lambda t1, t2: _null_gaps(row_i, row_j, t1, t2)[0],
+            lambda t1, t2: _null_gaps(row_i, row_j, t1, t2)[1]]
 
 
 def _asinh_exp(a):
@@ -346,8 +230,7 @@ def lightcone_roots(scenario: TrajectoryScenario, i: int, j: int, p) -> np.ndarr
     factor that has a real zero (m = 0 for diagonal pairs and for AntiParallel
     with L >= 2/kappa). Rows are not restricted to any s interval.
     """
-    scenario._check_branch(i)
-    scenario._check_branch(j)
+    scenario.branch(i), scenario.branch(j)  # raise on an invalid index
     p = np.asarray(p, dtype=float)
     if i == j:
         return np.empty((0,) + p.shape)

@@ -7,11 +7,13 @@ built once at the smallest eps and clustered around the coincidence point
 and the cross-term lightcone crossings; then extrapolate the ladder to
 zero. Quadrature error must sit well below the extrapolation error for the
 ladder to be meaningful, which the panel error estimates verify on every
-rung. Rates are 1-D integrals, meshed at lightcone roots found by a
-sign-change scan along each cut. The windowed probability is a 2-D integral
-over the switching square: an outer Gauss-Kronrod rule over the sum of the
-two proper times, over inner 1-D integrals meshed at the closed-form
-lightcone roots of each cut. Branch pairs whose correlator depends on the
+rung. Every mesh clusters at lightcone roots in closed form, on both kinds
+of cut. Rates are 1-D integrals along the cut tau1 = tau, tau2 = tau - s,
+whose roots come from the inverses of the branches' null coordinates
+(_rate_cut_roots). The windowed probability is a 2-D integral over the
+switching square: an outer Gauss-Kronrod rule over the sum p of the two
+proper times, over inner 1-D integrals along the cuts of fixed p, meshed at
+lightcone_roots. Branch pairs whose correlator depends on the
 proper-time difference only are the exception: their integral over the sum
 of the two times is Gaussian and done in closed form, leaving one 1-D
 integral. The other exception to the recipe is excitation_probability_contour,
@@ -34,7 +36,9 @@ import numpy as np
 from scipy.special import erf
 
 from .closed_form import DetectorParams
-from .correlators import denominator_factors, lightcone_roots, scenario_correlator
+# denominator_factors and sign_change_roots are no longer called here; they
+# stay bound because bench/spans.py wraps both names on this module
+from .correlators import denominator_factors, lightcone_roots, scenario_correlator  # noqa: F401
 from .errors import ConvergenceError, IndeterminateRatioError, ValidityError
 from .kinematics import TrajectoryScenario
 from .quadrature import (
@@ -49,7 +53,7 @@ from .quadrature import (
     fsum_rows,
     panel_integrate,
     refine_mesh,
-    sign_change_roots,
+    sign_change_roots,  # noqa: F401
 )
 from .validity import blocking_violations, check_beta_bound
 
@@ -186,10 +190,17 @@ def _refined_integral(f, edges, quad):
 
 
 def _rate_cut_roots(scenario, i, j, tau, s_hi):
-    roots = []
-    for g in denominator_factors(scenario, i, j):
-        roots.extend(sign_change_roots(lambda s: g(tau, tau - s), 0.0, s_hi))
-    return roots
+    """Lightcone crossings s in [0, s_hi] of W^{ij} on the rate cut
+    tau1 = tau, tau2 = tau - s, in closed form: du vanishes at
+    tau2 = a_j^{-1}(a_i(tau) + z_ci - z_cj), and dv at
+    tau2 = b_j^{-1}(b_i(tau) + z_ci - z_cj)."""
+    if i == j:
+        return []
+    row_i, row_j = scenario.branch(i), scenario.branch(j)
+    a, b, _, _ = row_i.null(tau)
+    off = row_i.z_c - row_j.z_c
+    s = tau - np.array([row_j.a_inv(a + off), row_j.b_inv(b + off)])
+    return [float(r) for r in s if 0.0 <= r <= s_hi]
 
 
 def _rate_pair_integral(scenario, i, j, tau, omega, eps, quad,
@@ -456,15 +467,15 @@ def excitation_probability_quadrature(scenario: TrajectoryScenario, params: Dete
 
 def _check_contour_domain(scenario: TrajectoryScenario, params: DetectorParams):
     """Refuse where the contour shift is not shown to cross no pole: the
-    closed forms' beta bound, and the Differing family. (The antiparallel
-    cross factors stay nonzero on the shifted contour for 0 < beta < pi, so
-    the closed forms' antiparallel pole condition does not apply here.)"""
-    if scenario.family == "Differing":
-        raise ValidityError(
-            "the shifted contour is not shown to be pole-free for the Differing "
-            "cross terms (p_differing omits their residues); use "
-            "excitation_probability_quadrature")
-    report = check_beta_bound(params, scenario.kappa1)
+    closed forms' beta bound, taken at the largest branch acceleration
+    (kappa1 is also the bath's temperature scale). Inside it the shift
+    crosses no cross-pair pole either: the antiparallel factors stay nonzero
+    for 0 < beta < pi, so the closed forms' antiparallel pole condition does
+    not apply, and the Differing factors vanish at Im s = 4 pi n/(kappa1 +
+    kappa2), with the real (n = 0) poles above the axis and n = -1 reached
+    only at sigma^2 omega (kappa1 + kappa2)/2 >= pi."""
+    kappa = max(scenario.kappa1, *(b.kappa for b in scenario.branches))
+    report = check_beta_bound(params, kappa)
     blocking = blocking_violations(report)
     if blocking:
         names = ", ".join(v["name"] for v in blocking)
@@ -522,9 +533,10 @@ def excitation_probability_contour(scenario: TrajectoryScenario,
     contour: sigma omega <~ 1 or beta -> pi.
 
     Refuses (ValidityError) where the closed forms' beta bound refuses,
-    omega <= 0 and beta = kappa sigma^2 omega >= pi, and for the Differing
-    family, whose cross-term contour is not shown to be pole-free.
-    excitation_probability_quadrature covers those cases. Unlike
+    omega <= 0 and beta = kappa sigma^2 omega >= pi, taken at the largest
+    branch acceleration; excitation_probability_quadrature covers those
+    cases. For Differing it includes the cross terms that p_differing omits
+    (the contour crosses none of their poles below that bound). Unlike
     p_antiparallel it accepts the region of the antiparallel pole condition:
     at Im s = -2 beta'/kappa and real p, the imaginary parts of both
     antiparallel denominator factors are proportional to sin(beta'), nonzero

@@ -17,15 +17,13 @@ from udwsim import (
     denominator_factors,
     lightcone_roots,
     scenario_correlator,
-    wightman_antiparallel_cross,
-    wightman_differing_cross,
     wightman_local,
-    wightman_parallel_cross,
     wightman_schlicht,
     wightman_thermal_cross,
     wightman_thermal_local,
 )
 from udwsim.quadrature import sign_change_roots
+from udwsim.response import _rate_cut_roots, default_quadrature
 
 PI2_4 = 4.0 * math.pi**2
 PI2_16 = 16.0 * math.pi**2
@@ -58,25 +56,29 @@ def test_local_value_at_finite_separation():
     assert w.imag < 0  # positive-frequency prescription for s > 0
 
 
+def cross(family, i=1, j=2, **kw):
+    return scenario_correlator(TrajectoryScenario(family, **kw), i, j)
+
+
 def test_parallel_cross_worked_value():
     # p = s = 0, L = 1, eps = 0.01: W = 1/(4 pi^2 (L^2 + 4 eps^2))
-    w = complex(wightman_parallel_cross(1.0, 1.0, 0.0, 0.0, 1e-2, "12"))
+    w = complex(cross("Parallel", kappa1=1.0, L=1.0)(0.0, 0.0, 1e-2))
     assert w == pytest.approx(0.025320167843447067 + 0.0j, rel=1e-12)
     assert w.real == pytest.approx(1.0 / (PI2_4 * (1.0 + 4e-4)), rel=1e-13)
-    # direction swap is a symmetry at the closest-approach point
-    w21 = complex(wightman_parallel_cross(1.0, 1.0, 0.0, 0.0, 1e-2, "21"))
+    # operator-ordering swap is a symmetry at the closest-approach point
+    w21 = complex(cross("Parallel", 2, 1, kappa1=1.0, L=1.0)(0.0, 0.0, 1e-2))
     assert w21 == pytest.approx(w, rel=1e-12)
 
 
 def test_antiparallel_coincident_apex():
     # L = 0, tau1 = tau2 = 0: branches touch; coincidence value
-    w = complex(wightman_antiparallel_cross(1.0, 0.0, 0.0, 0.0, 1e-3))
+    w = complex(cross("AntiParallel", kappa1=1.0, L=0.0)(0.0, 0.0, 1e-3))
     assert w == pytest.approx(6332.573977646111 + 0.0j, rel=1e-12)
 
 
 def test_differing_cross_worked_value():
     # kappa values 1 and 1/2 at tau1 = tau2 = 0 sit a distance 1 apart
-    w = complex(wightman_differing_cross(1.0, 0.5, 0.0, 0.0, 1e-2, "12"))
+    w = complex(cross("Differing", kappa1=1.0, kappa2=0.5)(0.0, 0.0, 1e-2))
     assert w == pytest.approx(0.025320167843447067 + 0.0j, rel=1e-12)
 
 
@@ -84,7 +86,7 @@ def test_differing_reduces_to_local():
     # equal accelerations: cross correlator degenerates to the local one
     k = 1.3
     for t1, t2 in ((0.4, -0.2), (1.0, 0.9), (-2.0, 1.0)):
-        wd = complex(wightman_differing_cross(k, k, t1, t2, 1e-3, "12"))
+        wd = complex(cross("Differing", kappa1=k, kappa2=k)(t1, t2, 1e-3))
         wl = complex(wightman_local(k, t1 - t2, 1e-3))
         assert wd == pytest.approx(wl, rel=1e-10)
 
@@ -123,25 +125,32 @@ def test_thermal_local_periodicity_in_imaginary_time():
     assert w_shift == pytest.approx(w_ref, rel=1e-6)
 
 
-def test_direction_argument_validation():
+def test_branch_index_validation():
+    sc = TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5)
+    for i, j in ((1, 3), (0, 1)):
+        with pytest.raises(ValueError):
+            scenario_correlator(sc, i, j)
+        with pytest.raises(ValueError):
+            denominator_factors(sc, i, j)
+    # a single branch has no cross pair
     with pytest.raises(ValueError):
-        wightman_parallel_cross(1.0, 1.0, 0.0, 0.0, 1e-3, "xy")
-    with pytest.raises(ValueError):
-        wightman_differing_cross(1.0, 0.5, 0.0, 0.0, 1e-3, 3)
+        scenario_correlator(TrajectoryScenario("SingleAccel"), 1, 2)
 
 
 def test_hyperbolic_argument_guard():
     with pytest.raises(ValueError, match="out of range"):
         wightman_local(1.0, 800.0, 1e-3)
     with pytest.raises(ValueError, match="out of range"):
-        wightman_parallel_cross(1.0, 1.0, 800.0, 0.0, 1e-3, "12")
+        # p = 800, s = 0
+        cross("Parallel", kappa1=1.0, L=1.0)(400.0, 400.0, 1e-3)
 
 
 def test_cross_correlator_decay():
     # correlations die off once the branches recede many 1/kappa
-    w = complex(wightman_parallel_cross(1.0, 0.5, 0.0, 30.0, 1e-3, "12"))
+    # Parallel at p = 0, s = 30; AntiParallel at p = 30, s = 0
+    w = complex(cross("Parallel", kappa1=1.0, L=0.5)(15.0, -15.0, 1e-3))
     assert abs(w) < 1e-12
-    w = complex(wightman_antiparallel_cross(1.0, 0.5, 30.0, 0.0, 1e-3))
+    w = complex(cross("AntiParallel", kappa1=1.0, L=0.5)(15.0, 15.0, 1e-3))
     assert abs(w) < 1e-12
 
 
@@ -149,7 +158,7 @@ def test_vectorized_over_time_arguments():
     s = np.linspace(-2.0, 2.0, 7)
     w = wightman_local(1.0, s, 1e-3)
     assert w.shape == (7,)
-    w = wightman_parallel_cross(1.0, 1.0, s, s, 1e-3, "21")
+    w = cross("Parallel", 2, 1, kappa1=1.0, L=1.0)(s, np.zeros_like(s), 1e-3)  # p = s
     assert w.shape == (7,)
 
 
@@ -159,16 +168,26 @@ def test_complex_arguments_at_zero_regulator():
     sh = np.array([np.sinh(0.7 * z / 2.0) / 0.7 for z in s])
     ideal = -1.0 / (PI2_16 * sh * sh)
     np.testing.assert_allclose(wightman_local(0.7, s, 0.0), ideal, rtol=1e-14)
-    np.testing.assert_allclose(
-        wightman_parallel_cross(0.7, 0.0, np.array([0.5, -2.0]), s, 0.0, "12"),
-        ideal, rtol=1e-13)
     p = np.array([0.5, -2.0])
+    t1, t2 = (p + s) / 2.0, (p - s) / 2.0
+    np.testing.assert_allclose(cross("Parallel", kappa1=0.7, L=0.0)(t1, t2, 0.0),
+                               ideal, rtol=1e-13)
     cp = np.cosh(0.7 * p / 2.0)
     A = 0.4 - 2.0 / 0.7
     d = ((-2.0 * cp * np.exp(-0.7 * s / 2.0) / 0.7 - A)
          * (2.0 * cp * np.exp(0.7 * s / 2.0) / 0.7 + A))
-    np.testing.assert_allclose(wightman_antiparallel_cross(0.7, 0.4, p, s, 0.0),
+    np.testing.assert_allclose(cross("AntiParallel", kappa1=0.7, L=0.4)(t1, t2, 0.0),
                                -1.0 / (PI2_4 * d), rtol=1e-14)
+    # Differing: the null-coordinate factors, and the Schwarz reflection
+    # W^{21}(tau1, tau2) = conj W^{12}(conj tau2, conj tau1) off the real axis
+    k1, k2 = 1.0, 0.5
+    d = ((np.exp(-k2 * t2) / k2 - np.exp(-k1 * t1) / k1)
+         * (np.exp(k1 * t1) / k1 - np.exp(k2 * t2) / k2))
+    w12 = cross("Differing", kappa1=k1, kappa2=k2)
+    np.testing.assert_allclose(w12(t1, t2, 0.0), -1.0 / (PI2_4 * d), rtol=1e-14)
+    w21 = cross("Differing", 2, 1, kappa1=k1, kappa2=k2)
+    np.testing.assert_allclose(w21(t1, t2, 0.0),
+                               np.conj(w12(np.conj(t2), np.conj(t1), 0.0)), rtol=1e-14)
 
 
 FAMILY_SCENARIOS = [
@@ -301,6 +320,28 @@ def test_lightcone_roots_match_sign_change_scan(sc, pair):
             assert len(closed) == len(scanned)
             assert closed == pytest.approx(sorted(scanned), abs=1e-12)
             found += len(closed)
+    if sc.family == "AntiParallel" and sc.L - 2.0 / sc.kappa1 >= 0:
+        assert found == 0
+    else:
+        assert found > 0
+
+
+@pytest.mark.parametrize("sc, pair", ROOT_CASES)
+def test_rate_cut_roots_match_sign_change_scan(sc, pair):
+    # on the rate cuts tau1 = tau, tau2 = tau - s, s in [0, s_max], for
+    # kappa tau on a grid in [-4, 4] that misses the horizon crossings (where
+    # a factor tends to exactly 0 as s -> inf and the scan finds rounding
+    # noise), the closed-form roots are the scan's
+    s_max = default_quadrature(sc).s_max
+    found = 0
+    for tau in np.linspace(-4.0, 4.0, 40) / sc.kappa1:
+        closed = _rate_cut_roots(sc, *pair, tau, s_max)
+        scanned = []
+        for g in denominator_factors(sc, *pair):
+            scanned += sign_change_roots(lambda s: g(tau, tau - s), 0.0, s_max)
+        assert len(closed) == len(scanned)
+        assert sorted(closed) == pytest.approx(sorted(scanned), abs=1e-12)
+        found += len(closed)
     if sc.family == "AntiParallel" and sc.L - 2.0 / sc.kappa1 >= 0:
         assert found == 0
     else:

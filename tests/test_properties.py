@@ -7,8 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from udwsim.correlators import (scenario_correlator, wightman_differing_cross,
-                                wightman_local, wightman_parallel_cross)
+from udwsim.correlators import scenario_correlator, wightman_local
 from udwsim.kinematics import (TrajectoryScenario, four_velocity,
                                minkowski_interval, worldline_event)
 from udwsim.quadrature import epsilon_extrapolate
@@ -45,6 +44,33 @@ def test_four_velocity_is_unit_timelike(scenario, tau):
 
 
 @settings(max_examples=60, deadline=None)
+@given(scenarios(), taus)
+def test_branch_null_coordinates_match_worldline_and_velocity(scenario, tau):
+    # u = -z_c - a and v = z_c + b are t - z and t + z of the worldline, and
+    # their tau-derivatives -a' and b' are u^t - u^z and u^t + u^z
+    for index, branch in enumerate(scenario.branches, start=1):
+        a, b, da, db = (float(x) for x in branch.null(tau))
+        e = worldline_event(scenario, index, tau)
+        vel = four_velocity(scenario, index, tau)
+        scale = max(1.0, abs(e.t) + abs(e.z))
+        assert -branch.z_c - a == pytest.approx(e.t - e.z, abs=1e-13 * scale)
+        assert branch.z_c + b == pytest.approx(e.t + e.z, abs=1e-13 * scale)
+        # u^t - u^z cancels at scale u^t * ulp
+        assert -da == pytest.approx(vel.t - vel.z, abs=1e-13 * vel.t)
+        assert db == pytest.approx(vel.t + vel.z, abs=1e-13 * vel.t)
+        # and both against the closed-form hyperbola or static line
+        k = scenario.branch_kappa(index)
+        t_exact = math.sinh(k * tau) / k if k else tau
+        z_exact = branch.z_c + (branch.direction * math.cosh(k * tau) / k if k else 0.0)
+        assert e.t == pytest.approx(t_exact, rel=1e-12, abs=1e-13 * scale)
+        assert e.z == pytest.approx(z_exact, rel=1e-12, abs=1e-13 * scale)
+        assert vel.t == pytest.approx(math.cosh(k * tau), rel=1e-13)
+        # the inverses undo a and b
+        assert float(branch.a_inv(a)) == pytest.approx(tau, abs=1e-12 * scale)
+        assert float(branch.b_inv(b)) == pytest.approx(tau, abs=1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
 @given(scenarios(), taus, taus, epsilons)
 def test_wightman_hermiticity(scenario, tau1, tau2, eps):
     n = scenario.branch_count
@@ -58,7 +84,8 @@ def test_wightman_hermiticity(scenario, tau1, tau2, eps):
 @settings(max_examples=60, deadline=None)
 @given(kappas, taus, taus, epsilons)
 def test_parallel_cross_at_zero_separation_is_local(kappa, p, s, eps):
-    cross = wightman_parallel_cross(kappa, 0.0, p, s, eps, "12")
+    sc = TrajectoryScenario("Parallel", kappa1=kappa, L=0.0)
+    cross = scenario_correlator(sc, 1, 2)((p + s) / 2.0, (p - s) / 2.0, eps)
     local = wightman_local(kappa, s, eps)
     assert abs(cross - local) <= 1e-10 * abs(local)
 
@@ -66,7 +93,8 @@ def test_parallel_cross_at_zero_separation_is_local(kappa, p, s, eps):
 @settings(max_examples=60, deadline=None)
 @given(kappas, taus, taus, epsilons)
 def test_differing_equal_accelerations_reduce_to_local(kappa, tau1, tau2, eps):
-    cross = wightman_differing_cross(kappa, kappa, tau1, tau2, eps, "12")
+    sc = TrajectoryScenario("Differing", kappa1=kappa, kappa2=kappa)
+    cross = scenario_correlator(sc, 1, 2)(tau1, tau2, eps)
     local = wightman_local(kappa, tau1 - tau2, eps)
     assert abs(cross - local) <= 1e-8 * abs(local)
 

@@ -25,6 +25,7 @@ from udwsim import (
     ValidityError,
     excitation_probability_contour,
     excitation_probability_quadrature,
+    horizon_crossing_time,
     kappa_scale,
     kms_check,
     planck_rate,
@@ -141,6 +142,20 @@ def test_differing_rate_goes_negative():
     assert r.value < 0
     assert r.value < -3.0 * r.error_estimate
     assert r.value == pytest.approx(-1.7884188383877763e-3, rel=1e-4)
+
+
+def test_no_rate_cut_roots_at_a_horizon_crossing():
+    # Parallel kappa L = 1: at tau = 0 branch 2 crosses branch 1's horizon.
+    # The dv factor of pair (2, 1) then tends to exactly 0 as s -> inf, and
+    # has no zero; a sign-change scan found a dozen rounding-noise "roots"
+    # in s in [36.9, 40] there
+    sc = TrajectoryScenario("Parallel", kappa1=1.0, L=1.0)
+    assert horizon_crossing_time(sc) == [0.0]
+    assert response._rate_cut_roots(sc, 2, 1, 0.0, default_quadrature(sc).s_max) == []
+    params = unit(-1.0)
+    at = transition_rate(sc, params, 0.0)
+    for tau in (-1e-6, 1e-6):
+        assert abs(transition_rate(sc, params, tau).value - at.value) <= at.error_estimate
 
 
 def test_rate_convergence_error_carries_estimate():
@@ -309,7 +324,8 @@ def test_contour_far_parallel_halves_and_zero_coupling():
     (SA, -80.0, 0.05),                       # emission: omega < 0
     (SA, 0.0, 0.05),                         # omega = 0
     (SA, 1300.0, 0.05),                      # beta = 3.25 >= pi
-    (TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5), 80.0, 0.05),
+    # beta2 = kappa2 sigma^2 omega = 3.5 >= pi, although beta1 = 1.75 < pi
+    (TrajectoryScenario("Differing", kappa1=1.0, kappa2=2.0), 700.0, 0.05),
     # beta = 3.2 >= pi on an AntiParallel point (kappa L = 2.2)
     (TrajectoryScenario("AntiParallel", kappa1=4.0, L=0.55), 0.8, 1.0),
 ])
@@ -325,6 +341,23 @@ def test_contour_accepts_the_antiparallel_pole_condition_region():
     sc = TrajectoryScenario("AntiParallel", kappa1=4.0, L=0.55)
     params = unit(4.0 / 0.0375, 0.0375)
     c = excitation_probability_contour(sc, params)
+    q = excitation_probability_quadrature(sc, params)
+    assert abs(c.value - q.value) <= c.error_estimate + q.error_estimate
+
+
+# contour values at kappa1 = 1, sigma = 0.05, omega = 80; the quadrature
+# agrees within the summed error bars (gaps of 0.41, 0.37 and 0.35 of them)
+DIFFERING_CONTOUR = {0.25: 1.31926e-10, 0.5: 1.48708e-10, 2.0: 1.85451e-10}
+
+
+@pytest.mark.parametrize("ratio", sorted(DIFFERING_CONTOUR))
+def test_contour_matches_quadrature_for_differing(ratio):
+    # the shift to Im s = -2 sigma^2 omega crosses no pole of the Differing
+    # cross terms below the beta bound at the larger acceleration
+    sc = TrajectoryScenario("Differing", kappa1=1.0, kappa2=ratio)
+    params = unit(80.0, 0.05)
+    c = excitation_probability_contour(sc, params)
+    assert c.value == pytest.approx(DIFFERING_CONTOUR[ratio], rel=1e-5)
     q = excitation_probability_quadrature(sc, params)
     assert abs(c.value - q.value) <= c.error_estimate + q.error_estimate
 
