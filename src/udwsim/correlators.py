@@ -28,6 +28,10 @@ kappa(|p| + |s|) exceeds ~35 (cosh^2 - sinh^2 cancellation), which sits
 squarely inside the rate-map parameter range. Same-branch pairs keep
 wightman_local, a function of s alone: as s -> 0 the differences of
 exponentials would cancel.
+
+lightcone_roots solves du = 0 and dv = 0 on the cuts of fixed p from the
+rows alone. The only family name compared here is the bath's, which selects
+the field's state, not a geometry.
 """
 
 from __future__ import annotations
@@ -222,44 +226,44 @@ def _log_cosh(x):
     return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
 
 
+def _null_roots(ki, kj, dz, p):
+    """Real zeros in s of dz + A_j((p - s)/2) - A_i((p + s)/2) on the cuts p,
+    A_k(tau) = e^{-k tau}/k (-tau if k = 0), or None where there are none:
+    du of rows with signed accelerations k_i, k_j and centre offset
+    dz = z_cj - z_ci for (k_i, k_j, dz), and dv for (-k_i, -k_j, -dz)."""
+    if ki == kj == 0.0:
+        return np.full(p.shape, -dz)
+    if ki == -kj:
+        # 2 cosh(kp/2) e^{-ks/2} = k dz, real only for k dz > 0
+        if not ki * dz > 0.0:
+            return None
+        return -(2.0 / ki) * (math.log(ki * dz / 2.0) - _log_cosh(ki * p / 2.0))
+    if dz == 0.0 and ki * kj > 0.0:
+        # a shared centre: k_j (p - s)/2 + ln k_j = k_i (p + s)/2 + ln k_i
+        return ((kj - ki) * p + 2.0 * math.log(kj / ki)) / (ki + kj)
+    if ki == kj:
+        # sinh(ks/2) = -k dz e^{kp/2}/2, with the exponential kept in log form
+        c = math.log(abs(ki * dz) / 2.0)
+        return math.copysign(2.0 / abs(ki), -dz) * _asinh_exp(c + ki * p / 2.0)
+    raise ValueError(f"no closed-form lightcone roots for signed accelerations "
+                     f"{ki:g}, {kj:g} at centre offset {dz:g}")
+
+
 def lightcone_roots(scenario: TrajectoryScenario, i: int, j: int, p) -> np.ndarray:
-    """Real zeros in s of the denominator_factors of W^{ij} on the cuts
-    p = tau1 + tau2, s = tau1 - tau2, in closed form.
+    """Real zeros in s of the denominator_factors [du, dv] of W^{ij} on the
+    cuts p = tau1 + tau2, s = tau1 - tau2, in closed form from the two rows
+    of the family table (_null_roots).
 
     Vectorized over p: returns an array of shape (m, *p.shape), one row per
     factor that has a real zero (m = 0 for diagonal pairs and for AntiParallel
     with L >= 2/kappa). Rows are not restricted to any s interval.
     """
-    scenario.branch(i), scenario.branch(j)  # raise on an invalid index
+    row_i, row_j = scenario.branch(i), scenario.branch(j)
     p = np.asarray(p, dtype=float)
     if i == j:
         return np.empty((0,) + p.shape)
-    fam = scenario.family
-    if fam == "Parallel":
-        k = scenario.kappa1
-        X = scenario.L if (i, j) == (1, 2) else -scenario.L
-        if X == 0.0:
-            return np.zeros((2,) + p.shape)
-        # sinh(ks/2) = kX e^{+-kp/2}/2, with the exponential kept in log form
-        c = math.log(k * abs(X) / 2.0)
-        sgn = math.copysign(2.0 / k, X)
-        return np.stack([sgn * _asinh_exp(c + k * p / 2.0),
-                         -sgn * _asinh_exp(c - k * p / 2.0)])
-    if fam == "AntiParallel":
-        k = scenario.kappa1
-        A = scenario.L - 2.0 / k
-        if not A < 0.0:
-            return np.empty((0,) + p.shape)
-        # e^{-+ks/2} = -kA / (2 cosh(kp/2))
-        s = (2.0 / k) * (math.log(-k * A / 2.0) - _log_cosh(k * p / 2.0))
-        return np.stack([-s, s])
-    if fam == "Differing":
-        k1, k2 = scenario.kappa1, scenario.kappa2
-        sgn = 1.0 if (i, j) == (1, 2) else -1.0
-        drift = (k2 - k1) * p
-        shift = 2.0 * math.log(k2 / k1)
-        return sgn * np.stack([shift + drift, -shift + drift]) / (k1 + k2)
-    if fam == "ThermalInertialPair":
-        L = scenario.L
-        return np.stack([np.full(p.shape, L), np.full(p.shape, -L)])
-    raise ValueError(f"no cross correlator for family {fam!r}")
+    ki, kj = row_i.direction * row_i.kappa, row_j.direction * row_j.kappa
+    dz = row_j.z_c - row_i.z_c
+    rows = [r for r in (_null_roots(ki, kj, dz, p), _null_roots(-ki, -kj, -dz, p))
+            if r is not None]
+    return np.stack(rows) if rows else np.empty((0,) + p.shape)

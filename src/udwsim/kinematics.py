@@ -17,6 +17,10 @@ accelerated (kappa > 0, direction d = +-1)
 static (kappa = 0)
     a = -tau, b = tau: the line z = z_c, t = tau.
 
+The response layer reads every branch-pair symmetry off these rows: z -> -z
+maps a row to Branch.mirrored(), and every row obeys a(-tau) = b(tau), the
+time reflection t -> -t.
+
 Families
 --------
 SingleAccel
@@ -38,6 +42,7 @@ ThermalInertialPair
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -80,6 +85,12 @@ class Branch:
         k = self.direction * self.kappa
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(k * np.asarray(y, dtype=float)) / k
+
+    def mirrored(self) -> Branch:
+        """The row's image under z -> -z, which swaps u and v: (kappa,
+        -direction, -z_c). A static line keeps its direction."""
+        d = self.direction if self.kappa == 0.0 else -self.direction
+        return Branch(self.kappa, d, -self.z_c)
 
 
 _TABLE = {
@@ -154,7 +165,7 @@ class TrajectoryScenario:
         if not math.isfinite(self.L):
             raise ValueError("L must be finite")
 
-    @property
+    @functools.cached_property
     def branches(self) -> tuple:
         """The family's row of the table: one Branch per superposed branch."""
         return _TABLE[self.family](self.kappa1, self.kappa2, self.L)

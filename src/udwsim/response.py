@@ -20,6 +20,10 @@ integral. The other exception to the recipe is excitation_probability_contour,
 which evaluates the windowed probability at eps = 0 on a contour shifted off
 the lightcone poles.
 
+No family is named here: which branch pairs share one integral (_pair_map),
+which are stationary, and kappa_scale are read off the rows of the family
+table (kinematics); one _mesh_policy sets the panels of every integral.
+
 Normalization: every rate and probability carries the explicit
 lambda^2 / N^2 prefactor (N = number of superposed branches), so one- and
 two-branch results are directly comparable. The single-branch rate with
@@ -31,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 from scipy.special import erf
@@ -93,10 +98,11 @@ class KMSReport:
 
 
 def kappa_scale(scenario: TrajectoryScenario) -> float:
-    """Slowest acceleration scale: sets envelope decay and the eps ladder."""
-    if scenario.family == "Differing":
-        return min(scenario.kappa1, scenario.kappa2)
-    return scenario.kappa1
+    """Slowest acceleration scale: sets envelope decay and the eps ladder.
+    The smallest positive branch acceleration; for static branches, the
+    bath's kappa1."""
+    return min((b.kappa for b in scenario.branches if b.kappa > 0),
+               default=scenario.kappa1)
 
 
 def default_quadrature(scenario: TrajectoryScenario | None = None) -> QuadratureConfig:
@@ -114,48 +120,58 @@ def _defaults(scenario, reg_schedule, quad):
     return reg_schedule, quad
 
 
-def _branch_pairs(scenario: TrajectoryScenario):
-    n = scenario.branch_count
-    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+def _pair_key(row_i, row_j, window):
+    """What W^{ij} of rows row_i, row_j depends on: a local pair (identical
+    rows) on the row's kappa alone, a cross pair on its rows and their mirror
+    images under z -> -z. Under the window the swapped pair joins them: every
+    row obeys a(-tau) = b(tau), so W^{ji}(p, s) = W^{ij}(-p, s), and the
+    window and the diamond |p| + |s| <= 2T are even in p, so J_ji = J_ij. A
+    rate cut at fixed tau is not even in p, so rates keep both orders."""
+    if row_i == row_j:
+        return row_i.kappa
+    pairs = {(row_i, row_j), (row_i.mirrored(), row_j.mirrored())}
+    if window:
+        pairs |= {(b, a) for a, b in pairs}
+    return frozenset(pairs)
 
 
-def _pair_aliases(scenario: TrajectoryScenario) -> dict:
-    """Map each (i, j) pair to a representative pair with an identical
-    correlator, to skip redundant integrals."""
-    fam = scenario.family
-    alias = {}
-    if scenario.branch_count == 2:
-        if fam in ("Parallel", "AntiParallel", "ThermalInertialPair"):
-            alias[(2, 2)] = (1, 1)  # both branches locally identical
-        if fam in ("AntiParallel", "ThermalInertialPair"):
-            alias[(2, 1)] = (1, 2)  # direction-symmetric cross correlator
-        if fam == "Parallel" and scenario.L == 0:
-            alias[(1, 2)] = (1, 1)
-            alias[(2, 1)] = (1, 1)
-        if fam == "Differing" and scenario.kappa1 == scenario.kappa2:
-            alias[(2, 2)] = (1, 1)
-            alias[(1, 2)] = (1, 1)
-            alias[(2, 1)] = (1, 1)
-    return alias
+@functools.lru_cache(maxsize=256)
+def _representatives(scenario: TrajectoryScenario, window: bool) -> dict:
+    """{(i, j): the first pair, in row-major order, with the same _pair_key},
+    over every branch pair of the scenario; read-only, as it is cached."""
+    rows, first = scenario.branches, {}
+    return MappingProxyType({
+        (i, j): first.setdefault(_pair_key(row_i, row_j, window), (i, j))
+        for i, row_i in enumerate(rows, 1) for j, row_j in enumerate(rows, 1)})
 
 
-def _window_aliases(scenario: TrajectoryScenario) -> dict:
-    """_pair_aliases, plus the aliases that hold only under the switching
-    window: for Parallel, W^{21}(p, s) = W^{12}(-p, s) (both denominator
-    factors swap), and the window and the diamond |p| + |s| <= 2T are even
-    in p, so J_21 = J_12. The rate cut at fixed tau is not even in p, so
-    rates keep both pairs."""
-    alias = _pair_aliases(scenario)
-    if scenario.family == "Parallel" and scenario.L != 0:
-        alias[(2, 1)] = (1, 2)
-    return alias
+def _pair_map(scenario: TrajectoryScenario, integral, window: bool) -> dict:
+    """{(i, j): integral(*rep)} over every branch pair, calling integral once
+    per representative pair (_representatives)."""
+    out = {}
+    for pair, rep in _representatives(scenario, window).items():
+        out[pair] = out[rep] if rep in out else integral(*rep)
+    return out
 
 
 def _stationary_pair(scenario: TrajectoryScenario, i: int, j: int) -> bool:
-    """Whether W^{ij}(tau', tau'') depends on tau' - tau'' only: every local
-    correlator, and the thermal bath's cross correlator. (Parallel at L = 0
-    and Differing at kappa1 = kappa2 alias their cross pairs to (1, 1).)"""
-    return i == j or scenario.family == "ThermalInertialPair"
+    """Whether W^{ij}(tau', tau'') depends on tau' - tau'' only: identical rows
+    (every local correlator), or two static ones (the bath's cross pair)."""
+    row_i, row_j = scenario.branch(i), scenario.branch(j)
+    return row_i == row_j or row_i.kappa == row_j.kappa == 0.0
+
+
+def _mesh_policy(scenario, omega, eps, quad, sigma=None, level=0):
+    """(cap, scale) of a panel mesh: panels within 0.5/kappa_scale, a period
+    of omega over oscillation_resolution and (under a window) sigma/2, and
+    clustering from 1/8 of the smallest eps; both halve per 2-D restart level."""
+    cap = 0.5 / kappa_scale(scenario)
+    if omega != 0.0:
+        cap = min(cap, (2.0 * math.pi / abs(omega)) / quad.oscillation_resolution)
+    if sigma is not None:
+        cap = min(cap, sigma / 2.0)
+    shrink = 0.5**level
+    return cap * shrink, float(np.min(eps)) / 8.0 * shrink
 
 
 def _within_tol(val, err, quad) -> bool:
@@ -203,32 +219,26 @@ def _rate_cut_roots(scenario, i, j, tau, s_hi):
     return [float(r) for r in s if 0.0 <= r <= s_hi]
 
 
-def _rate_pair_integral(scenario, i, j, tau, omega, eps, quad,
-                        sigma=None, windowed=False):
+def _rate_pair_integral(scenario, i, j, tau, omega, eps, quad, sigma=None):
     """integral_0^s_hi e^{-i omega s} [eta(tau - s)] W^{ij}(tau, tau - s) ds,
-    per rung for a ladder."""
+    per rung for a ladder; the window eta of width sigma only if sigma is
+    given."""
     s_hi = quad.s_max
-    if windowed:
+    if sigma is not None:
         s_hi = min(s_hi, tau + _WINDOW_SIGMAS * sigma)
         if s_hi <= 0:
             return np.zeros(np.shape(eps), complex), np.zeros(np.shape(eps))
-    k = kappa_scale(scenario)
-    cap = 0.5 / k
-    if omega != 0.0:
-        cap = min(cap, (2.0 * math.pi / abs(omega)) / quad.oscillation_resolution)
-    if windowed:
-        cap = min(cap, sigma / 2.0)
+    cap, scale = _mesh_policy(scenario, omega, eps, quad, sigma)
     corr = scenario_correlator(scenario, i, j)
     roots = _rate_cut_roots(scenario, i, j, tau, s_hi)
 
     def f(s):
         phase = np.exp(-1j * omega * s)
-        if windowed:
+        if sigma is not None:
             phase = phase * np.exp(-((tau - s) ** 2) / (2.0 * sigma**2))
         return phase * corr(np.full_like(s, tau), tau - s, eps)
 
-    edges = cluster_mesh(0.0, s_hi, [0.0] + roots, scale=float(np.min(eps)) / 8.0,
-                         cap=cap)
+    edges = cluster_mesh(0.0, s_hi, [0.0] + roots, scale=scale, cap=cap)
     val, err = _refined_integral(f, edges, quad)
     _check_converged(val, err, quad, f"rate integrand for branch pair ({i},{j})")
     return val, err
@@ -240,19 +250,11 @@ def _rate_at_eps(scenario, params, tau, eps, quad, windowed=False):
     pref = 2.0 * params.lambda_coupling**2 / n**2
     if windowed:
         pref *= math.exp(-(tau**2) / (2.0 * params.sigma**2))
-    alias = _pair_aliases(scenario)
-    cache = {}
-    total = 0.0 + 0.0j
-    qerr = 0.0
-    for pair in _branch_pairs(scenario):
-        key = alias.get(pair, pair)
-        if key not in cache:
-            cache[key] = _rate_pair_integral(
-                scenario, key[0], key[1], tau, params.omega, eps, quad,
-                sigma=params.sigma, windowed=windowed)
-        v, e = cache[key]
-        total += v
-        qerr += e
+    sigma = params.sigma if windowed else None
+    blocks = _pair_map(scenario, lambda i, j: _rate_pair_integral(
+        scenario, i, j, tau, params.omega, eps, quad, sigma), window=False).values()
+    total = sum(v for v, _ in blocks)
+    qerr = sum(e for _, e in blocks)
     return pref * total.real, abs(pref) * qerr
 
 
@@ -334,13 +336,9 @@ def _halfplane_pair_integral(scenario, i, j, params, eps, quad, level=0):
     """
     sigma, omega = params.sigma, params.omega
     T2 = 2.0 * window_halfwidth(params)
-    k = kappa_scale(scenario)
-    shrink = 0.5**level
-    cap_p = min(sigma / 2.0, 0.5 / k) * shrink
-    cap_s = cap_p
-    if omega != 0.0:
-        cap_s = min(cap_s, (2.0 * math.pi / abs(omega)) / quad.oscillation_resolution * shrink)
-    scale = float(np.min(eps)) / 8.0 * shrink
+    # the p-integrand does not oscillate: its mesh ignores omega
+    cap_p, scale = _mesh_policy(scenario, 0.0, eps, quad, sigma, level)
+    cap_s, _ = _mesh_policy(scenario, omega, eps, quad, sigma, level)
     corr = scenario_correlator(scenario, i, j)
     inv4s2 = 1.0 / (4.0 * sigma**2)
 
@@ -389,9 +387,7 @@ def _stationary_pair_integral(scenario, i, j, params, eps, quad):
     halving its panels; per rung for a ladder."""
     sigma, omega = params.sigma, params.omega
     T2 = 2.0 * window_halfwidth(params)
-    cap = min(sigma / 2.0, 0.5 / kappa_scale(scenario))
-    if omega != 0.0:
-        cap = min(cap, (2.0 * math.pi / abs(omega)) / quad.oscillation_resolution)
+    cap, scale = _mesh_policy(scenario, omega, eps, quad, sigma)
     corr = scenario_correlator(scenario, i, j)
     roots = [float(r) for r in lightcone_roots(scenario, i, j, 0.0) if 0.0 <= r <= T2]
     inv4s2 = 1.0 / (4.0 * sigma**2)
@@ -400,8 +396,7 @@ def _stationary_pair_integral(scenario, i, j, params, eps, quad):
         return (erf((T2 - s) / (2.0 * sigma)) * np.exp(-s * s * inv4s2 - 1j * omega * s)
                 * corr(s / 2.0, -s / 2.0, eps))
 
-    edges = cluster_mesh(0.0, T2, [0.0] + roots, scale=float(np.min(eps)) / 8.0,
-                         cap=cap)
+    edges = cluster_mesh(0.0, T2, [0.0] + roots, scale=scale, cap=cap)
     val, err = _refined_integral(f, edges, quad)
     c = math.sqrt(math.pi) * sigma
     return c * val, c * err
@@ -414,25 +409,20 @@ def halfplane_integrals_at_eps(scenario, params, eps, quad) -> dict:
     (_stationary_pair_integral); the others go through the 2-D engine,
     restarted on a finer mesh until every rung is within tolerance. Returns
     {(i, j): (value, err)}, arrays over the rungs for a ladder."""
-    alias = _window_aliases(scenario)
-    cache = {}
-    out = {}
-    for pair in _branch_pairs(scenario):
-        key = alias.get(pair, pair)
-        if key not in cache:
-            if _stationary_pair(scenario, *key):
-                val, err = _stationary_pair_integral(scenario, *key, params, eps, quad)
-            else:
-                for level in range(quad.max_subdivisions + 1):
-                    val, err = _halfplane_pair_integral(scenario, *key, params, eps, quad,
-                                                        level=level)
-                    if _within_tol(val, err, quad):
-                        break
-            _check_converged(val, err, quad,
-                             f"windowed double integral for branch pair {key}")
-            cache[key] = (val, err)
-        out[pair] = cache[key]
-    return out
+    def integral(i, j):
+        if _stationary_pair(scenario, i, j):
+            val, err = _stationary_pair_integral(scenario, i, j, params, eps, quad)
+        else:
+            for level in range(quad.max_subdivisions + 1):
+                val, err = _halfplane_pair_integral(scenario, i, j, params, eps, quad,
+                                                    level=level)
+                if _within_tol(val, err, quad):
+                    break
+        _check_converged(val, err, quad,
+                         f"windowed double integral for branch pair {(i, j)}")
+        return val, err
+
+    return _pair_map(scenario, integral, window=True)
 
 
 def excitation_probability_quadrature(scenario: TrajectoryScenario, params: DetectorParams,
@@ -497,19 +487,12 @@ def _contour_sum(scenario, params, n):
     p = 2.0 * sigma * x[:, None]
     s = 2.0 * sigma * x[None, :] - 2j * sigma**2 * params.omega
     weights = w[:, None] * w[None, :]
-    alias = _window_aliases(scenario)
-    cache = {}
-    total = 0.0 + 0.0j
-    size = 0.0
-    for pair in _branch_pairs(scenario):
-        key = alias.get(pair, pair)
-        if key not in cache:
-            terms = weights * scenario_correlator(scenario, *key)(
-                (p + s) / 2.0, (p - s) / 2.0, 0.0)
-            cache[key] = (terms.sum(), np.abs(terms).sum())
-        total += cache[key][0]
-        size += cache[key][1]
-    return total, size
+    def terms(i, j):
+        t = weights * scenario_correlator(scenario, i, j)((p + s) / 2.0, (p - s) / 2.0, 0.0)
+        return t.sum(), np.abs(t).sum()
+
+    sums = _pair_map(scenario, terms, window=True).values()
+    return sum(t for t, _ in sums), sum(a for _, a in sums)
 
 
 def excitation_probability_contour(scenario: TrajectoryScenario,

@@ -12,7 +12,7 @@ from udwsim.closed_form import DetectorParams, p_parallel
 from udwsim.kinematics import TrajectoryScenario
 from udwsim.quadrature import (DEFAULT_EPS_LADDER, QuadratureConfig,
                                RegulatorSchedule)
-from udwsim.response import excitation_probability_quadrature
+from udwsim.response import excitation_probability_quadrature, planck_rate
 
 RATE_CFG = (
     "scenario:\n"
@@ -156,6 +156,16 @@ class TestRunRateMap:
         absorption = rows[1].split(",")
         assert float(absorption[2]) == pytest.approx(2.977651232699531e-4,
                                                      rel=1e-9)
+
+    def test_coincident_thermal_pair_rows_are_valid(self, tmp_path):
+        # L omitted is L = 0: both static detectors sit at one point, and
+        # every branch pair is the local one
+        cfg = write_cfg(tmp_path, RATE_CFG.replace("SingleAccel", "ThermalInertialPair"))
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 0
+        rows = [row.split(",") for row in data_rows(tmp_path / "r.csv")]
+        assert len(rows) == 2
+        assert all(row[-1] == "1" for row in rows)
+        assert float(rows[1][2]) == pytest.approx(planck_rate(1.0, 1.0), rel=1e-4)
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, RATE_CFG)

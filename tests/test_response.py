@@ -398,20 +398,24 @@ def test_stationary_probabilities_need_no_2d_integral(monkeypatch):
         assert q.error_estimate < 1e-2 * q.value
 
 
-# --- the Parallel window alias J_21 = J_12 -----------------------------------
+# --- the window alias J_21 = J_12 of every two-branch family -----------------
 
 PAR = TrajectoryScenario("Parallel", kappa1=1.0, L=1.0)
+DIFF = TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5)
 
 
-def test_parallel_window_alias_matches_both_directions():
-    # W^{21}(p, s) = W^{12}(-p, s) and the window is even in p
-    quad = default_quadrature(PAR)
-    j12, _ = response._halfplane_pair_integral(PAR, 1, 2, REF, 1e-2, quad)
-    j21, _ = response._halfplane_pair_integral(PAR, 2, 1, REF, 1e-2, quad)
+@pytest.mark.parametrize("scenario", [PAR, DIFF], ids=["Parallel", "Differing"])
+def test_window_alias_matches_both_directions(scenario):
+    # time reflection gives W^{21}(p, s) = W^{12}(-p, s), and the window is
+    # even in p
+    quad = default_quadrature(scenario)
+    j12, _ = response._halfplane_pair_integral(scenario, 1, 2, REF, 1e-2, quad)
+    j21, _ = response._halfplane_pair_integral(scenario, 2, 1, REF, 1e-2, quad)
     assert abs(j21 - j12) <= 1e-12 * abs(j12)
 
 
-def test_parallel_window_alias_is_used_for_windows_only(monkeypatch):
+@pytest.mark.parametrize("scenario", [PAR, DIFF], ids=["Parallel", "Differing"])
+def test_window_alias_is_used_for_windows_only(monkeypatch, scenario):
     seen = []
 
     def record(scenario, i, j, *args, **kwargs):
@@ -419,21 +423,42 @@ def test_parallel_window_alias_is_used_for_windows_only(monkeypatch):
         return 1j, 0.0
 
     monkeypatch.setattr(response, "_halfplane_pair_integral", record)
-    blocks = response.halfplane_integrals_at_eps(PAR, REF, 1e-2, default_quadrature(PAR))
+    quad = default_quadrature(scenario)
+    blocks = response.halfplane_integrals_at_eps(scenario, REF, 1e-2, quad)
     assert seen == [(1, 2)]
     assert blocks[(2, 1)] == blocks[(1, 2)]
 
     # at tau != 0 the two rate cuts differ, so the rate keeps both pairs
     seen.clear()
     monkeypatch.setattr(response, "_rate_pair_integral", record)
-    response._rate_at_eps(PAR, unit(1.0), 1.0, 1e-2, default_quadrature(PAR))
+    response._rate_at_eps(scenario, unit(1.0), 1.0, 1e-2, quad)
     assert (1, 2) in seen and (2, 1) in seen
+
+
+# --- coincident static branches: L = 0 in the thermal bath --------------------
+
+TH0 = TrajectoryScenario("ThermalInertialPair", kappa1=1.0)
+
+
+def test_coincident_thermal_pair_rate_is_planckian():
+    # identical rows alias every pair to the local one: the rate is a single
+    # static detector's in the bath at T = kappa/2pi
+    r = transition_rate(TH0, unit(1.0), 0.0)
+    assert abs(r.value - planck_rate(1.0, 1.0)) <= r.error_estimate
+
+
+def test_coincident_thermal_pair_probability_doubles_the_far_one():
+    # at L = 0 all four pairs are the local term; at L -> inf only the two
+    # local ones are left
+    near = excitation_probability_quadrature(TH0, REF)
+    far = excitation_probability_quadrature(
+        TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=1e6), REF)
+    assert near.value == pytest.approx(2.0 * far.value, rel=1e-6)
 
 
 # --- the regulator ladder as an array axis -----------------------------------
 
 LADDER = (1e-2, 5e-3, 2.5e-3)
-DIFF = TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5)
 
 
 def assert_rungs_match(ladder, single):
