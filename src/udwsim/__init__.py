@@ -28,18 +28,16 @@ from .response import (KMSReport, ProbabilityResult, RateResult,
                        excitation_probability_contour,
                        excitation_probability_quadrature, kappa_scale,
                        kms_check, planck_rate, transition_rate,
-                       transition_rate_finite_switching, window_halfwidth)
+                       window_halfwidth)
 from .superposition import (ControlState, DetectorDensityMatrix,
                             WightmanIntegrals, compute_wightman_integrals,
                             conditional_density_matrix,
                             phase_envelope, visibility_scan)
-from .validity import (ADVISORY_CONSTRAINTS, ValidityReport, beta_parameter,
-                       check_antiparallel_pole, check_beta_bound)
+from .validity import ValidityReport, beta_parameter, check_beta_bound
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ADVISORY_CONSTRAINTS",
     "ClosedFormResult",
     "ConfigError",
     "ControlState",
@@ -66,7 +64,6 @@ __all__ = [
     "ValidityReport",
     "WightmanIntegrals",
     "beta_parameter",
-    "check_antiparallel_pole",
     "check_beta_bound",
     "compute_wightman_integrals",
     "conditional_density_matrix",
@@ -89,7 +86,6 @@ __all__ = [
     "planck_rate",
     "scenario_correlator",
     "transition_rate",
-    "transition_rate_finite_switching",
     "validate_config",
     "visibility_scan",
     "wightman_local",

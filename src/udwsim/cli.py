@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .closed_form import (DetectorParams, p_antiparallel, p_differing, p_local,
                           p_parallel)
-from .config import ScenarioConfig, validate_config
+from .config import KIND_GRIDS, ScenarioConfig, validate_config
 from .errors import (ConfigError, ConvergenceError, IndeterminateRatioError,
                      SingularParameterError, ValidityError)
 from .kinematics import TrajectoryScenario
@@ -149,10 +149,7 @@ _EVALUATORS.update({"probability_map": _eval_probability,
 
 
 def _grid_tasks(kind, cfg: ScenarioConfig, scenario, payload):
-    names = {"probability_map": ("L_over_sigma", "kappa_sigma2_omega"),
-             "rate_map": ("omega_over_kappa", "kappa_tau"),
-             "kms_report": ("omega_over_kappa", "kappa_tau")}[kind]
-    outer, inner = (cfg.grids[n] for n in names)
+    outer, inner = (cfg.grids[n] for n in KIND_GRIDS[kind])
     return [(kind, (a, b), payload) for a in outer for b in inner]
 
 

@@ -15,9 +15,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import SingularParameterError, ValidityError
-from .validity import (beta_parameter, blocking_violations,
-                       check_antiparallel_pole, check_beta_bound)
+from .errors import SingularParameterError
+from .validity import beta_parameter, require_beta_bound
 
 # lambda_coupling beyond this makes O(lambda^4) corrections non-negligible
 _LAMBDA_WARN = 0.1
@@ -74,21 +73,10 @@ def zeta_prefactor(params: DetectorParams, kappa: float) -> float:
     return 0.5 * xi_prefactor(params, kappa)
 
 
-def _require_valid(report):
-    """Refuse on hard validity violations; advisory flags only warn."""
-    blocking = blocking_violations(report)
-    if blocking:
-        names = ", ".join(v["name"] for v in blocking)
-        raise ValidityError(f"closed form outside its validity regime: {names}", report)
-    for v in report.violated_constraints:
-        warnings.warn(v["detail"], UserWarning, stacklevel=3)
-
-
 def _checked_beta(params: DetectorParams, kappa: float) -> float:
     if not (kappa > 0 and math.isfinite(kappa)):
         raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
-    _require_valid(check_beta_bound(params, kappa))
-    beta = beta_parameter(params, kappa)
+    beta = require_beta_bound(params, kappa, "closed form")
     if math.sin(beta) == 0.0:
         raise SingularParameterError(f"sin(beta) = 0 at beta = {beta:g}")
     if beta > _BETA_WARN:
@@ -121,9 +109,9 @@ def p_parallel(params: DetectorParams, kappa: float, L: float) -> ClosedFormResu
 
 def p_antiparallel(params: DetectorParams, kappa: float, L: float) -> ClosedFormResult:
     """Superposition of two antiparallel-accelerated branches; L may be negative
-    and the result is asymmetric under L -> -L."""
+    and the result is asymmetric under L -> -L. Valid where p_parallel is,
+    0 < beta < pi, at every kappa L."""
     beta = _checked_beta(params, kappa)
-    _require_valid(check_antiparallel_pole(params, kappa, L))
     loc = p_local(params, kappa).probability
     denom = math.sin(beta) ** 2 + (math.cos(beta) + kappa * L / 2.0 - 1.0) ** 2
     if denom == 0.0:

@@ -182,13 +182,14 @@ def scenario_correlator(scenario: TrajectoryScenario, i: int, j: int):
     (i, j) ordering follows the operator ordering <Phi_i(tau1) Phi_j(tau2)>.
 
     Three cases: a local pair (wightman_local, or wightman_thermal_local in the
-    bath), the thermal bath's cross pair, and the vacuum cross correlator of
-    two rows of the family table.
+    bath for identical rows, so also for the cross pair at L = 0), the thermal
+    bath's cross pair, and the vacuum cross correlator of two rows of the
+    family table.
     """
     row_i, row_j = scenario.branch(i), scenario.branch(j)
     k = scenario.kappa1
     if scenario.family == "ThermalInertialPair":
-        if i == j:
+        if row_i == row_j:
             return lambda t1, t2, eps: wightman_thermal_local(
                 k, np.asarray(t1) - np.asarray(t2), eps)
         L = scenario.L

@@ -44,7 +44,7 @@ from .closed_form import DetectorParams
 # denominator_factors and sign_change_roots are no longer called here; they
 # stay bound because bench/spans.py wraps both names on this module
 from .correlators import denominator_factors, lightcone_roots, scenario_correlator  # noqa: F401
-from .errors import ConvergenceError, IndeterminateRatioError, ValidityError
+from .errors import ConvergenceError, IndeterminateRatioError
 from .kinematics import TrajectoryScenario
 from .quadrature import (
     _WG7,
@@ -60,7 +60,7 @@ from .quadrature import (
     refine_mesh,
     sign_change_roots,  # noqa: F401
 )
-from .validity import blocking_violations, check_beta_bound
+from .validity import require_beta_bound
 
 # Gaussian window support half-width, in sigmas
 _WINDOW_SIGMAS = 6.0
@@ -219,24 +219,16 @@ def _rate_cut_roots(scenario, i, j, tau, s_hi):
     return [float(r) for r in s if 0.0 <= r <= s_hi]
 
 
-def _rate_pair_integral(scenario, i, j, tau, omega, eps, quad, sigma=None):
-    """integral_0^s_hi e^{-i omega s} [eta(tau - s)] W^{ij}(tau, tau - s) ds,
-    per rung for a ladder; the window eta of width sigma only if sigma is
-    given."""
+def _rate_pair_integral(scenario, i, j, tau, omega, eps, quad):
+    """integral_0^s_max e^{-i omega s} W^{ij}(tau, tau - s) ds, per rung for
+    a ladder."""
     s_hi = quad.s_max
-    if sigma is not None:
-        s_hi = min(s_hi, tau + _WINDOW_SIGMAS * sigma)
-        if s_hi <= 0:
-            return np.zeros(np.shape(eps), complex), np.zeros(np.shape(eps))
-    cap, scale = _mesh_policy(scenario, omega, eps, quad, sigma)
+    cap, scale = _mesh_policy(scenario, omega, eps, quad)
     corr = scenario_correlator(scenario, i, j)
     roots = _rate_cut_roots(scenario, i, j, tau, s_hi)
 
     def f(s):
-        phase = np.exp(-1j * omega * s)
-        if sigma is not None:
-            phase = phase * np.exp(-((tau - s) ** 2) / (2.0 * sigma**2))
-        return phase * corr(np.full_like(s, tau), tau - s, eps)
+        return np.exp(-1j * omega * s) * corr(np.full_like(s, tau), tau - s, eps)
 
     edges = cluster_mesh(0.0, s_hi, [0.0] + roots, scale=scale, cap=cap)
     val, err = _refined_integral(f, edges, quad)
@@ -244,15 +236,12 @@ def _rate_pair_integral(scenario, i, j, tau, omega, eps, quad, sigma=None):
     return val, err
 
 
-def _rate_at_eps(scenario, params, tau, eps, quad, windowed=False):
+def _rate_at_eps(scenario, params, tau, eps, quad):
     """Unextrapolated rate and quadrature error, per rung for a ladder."""
     n = scenario.branch_count
     pref = 2.0 * params.lambda_coupling**2 / n**2
-    if windowed:
-        pref *= math.exp(-(tau**2) / (2.0 * params.sigma**2))
-    sigma = params.sigma if windowed else None
     blocks = _pair_map(scenario, lambda i, j: _rate_pair_integral(
-        scenario, i, j, tau, params.omega, eps, quad, sigma), window=False).values()
+        scenario, i, j, tau, params.omega, eps, quad), window=False).values()
     total = sum(v for v, _ in blocks)
     qerr = sum(e for _, e in blocks)
     return pref * total.real, abs(pref) * qerr
@@ -268,12 +257,6 @@ def _extrapolated(reg_schedule, values) -> RateResult:
                       epsilon_estimates=estimates)
 
 
-def _extrapolated_rate(scenario, params, tau, reg_schedule, quad, windowed):
-    reg_schedule, quad = _defaults(scenario, reg_schedule, quad)
-    values, _ = _rate_at_eps(scenario, params, tau, reg_schedule.epsilons, quad, windowed)
-    return _extrapolated(reg_schedule, values)
-
-
 def transition_rate(scenario: TrajectoryScenario, params: DetectorParams, tau: float,
                     reg_schedule: RegulatorSchedule | None = None,
                     quad: QuadratureConfig | None = None) -> RateResult:
@@ -286,23 +269,9 @@ def transition_rate(scenario: TrajectoryScenario, params: DetectorParams, tau: f
     family tau is the shared proper-time parameter of both branches (no global
     time coordinate relates them).
     """
-    return _extrapolated_rate(scenario, params, float(tau), reg_schedule, quad,
-                              windowed=False)
-
-
-def transition_rate_finite_switching(scenario: TrajectoryScenario, params: DetectorParams,
-                                     tau: float,
-                                     reg_schedule: RegulatorSchedule | None = None,
-                                     quad: QuadratureConfig | None = None) -> RateResult:
-    """Rate with the Gaussian switching window kept inside the integrand:
-
-        rate(tau) = (lambda^2/N^2) 2 eta(tau) Re sum_ij int_0^inf ds
-                    e^{-i omega s} eta(tau - s) W^{ij}(tau, tau - s),
-
-    eta(t) = exp(-t^2 / 2 sigma^2). Truncation at min(s_max, tau + 6 sigma).
-    """
-    return _extrapolated_rate(scenario, params, float(tau), reg_schedule, quad,
-                              windowed=True)
+    reg_schedule, quad = _defaults(scenario, reg_schedule, quad)
+    values, _ = _rate_at_eps(scenario, params, float(tau), reg_schedule.epsilons, quad)
+    return _extrapolated(reg_schedule, values)
 
 
 # ---------------------------------------------------------------------------
@@ -456,21 +425,11 @@ def excitation_probability_quadrature(scenario: TrajectoryScenario, params: Dete
 
 
 def _check_contour_domain(scenario: TrajectoryScenario, params: DetectorParams):
-    """Refuse where the contour shift is not shown to cross no pole: the
-    closed forms' beta bound, taken at the largest branch acceleration
-    (kappa1 is also the bath's temperature scale). Inside it the shift
-    crosses no cross-pair pole either: the antiparallel factors stay nonzero
-    for 0 < beta < pi, so the closed forms' antiparallel pole condition does
-    not apply, and the Differing factors vanish at Im s = 4 pi n/(kappa1 +
-    kappa2), with the real (n = 0) poles above the axis and n = -1 reached
-    only at sigma^2 omega (kappa1 + kappa2)/2 >= pi."""
+    """Refuse outside the closed forms' beta bound (require_beta_bound),
+    taken at the largest branch acceleration; kappa1 is also the bath's
+    temperature scale."""
     kappa = max(scenario.kappa1, *(b.kappa for b in scenario.branches))
-    report = check_beta_bound(params, kappa)
-    blocking = blocking_violations(report)
-    if blocking:
-        names = ", ".join(v["name"] for v in blocking)
-        raise ValidityError(
-            f"contour shift outside its validity regime: {names}", report)
+    require_beta_bound(params, kappa, "contour shift")
 
 
 @functools.lru_cache(maxsize=None)
@@ -518,12 +477,14 @@ def excitation_probability_contour(scenario: TrajectoryScenario,
     Refuses (ValidityError) where the closed forms' beta bound refuses,
     omega <= 0 and beta = kappa sigma^2 omega >= pi, taken at the largest
     branch acceleration; excitation_probability_quadrature covers those
-    cases. For Differing it includes the cross terms that p_differing omits
-    (the contour crosses none of their poles below that bound). Unlike
-    p_antiparallel it accepts the region of the antiparallel pole condition:
-    at Im s = -2 beta'/kappa and real p, the imaginary parts of both
+    cases. Below that bound the shift crosses no cross-pair pole either. At
+    Im s = -2 beta'/kappa and real p, the imaginary parts of both
     antiparallel denominator factors are proportional to sin(beta'), nonzero
-    for 0 < beta' <= beta < pi, so the shift crosses no pole.
+    for 0 < beta' <= beta < pi. The Differing factors vanish at
+    Im s = 4 pi n/(kappa1 + kappa2): the real (n = 0) poles lie above the
+    axis, and n = -1 is reached only at sigma^2 omega (kappa1 + kappa2)/2 >= pi.
+    For Differing the result therefore includes the cross terms that
+    p_differing omits.
     """
     _check_contour_domain(scenario, params)
     sigma = params.sigma

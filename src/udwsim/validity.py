@@ -1,16 +1,20 @@
-"""Guards for the saddle-point closed forms.
+"""The one validity rule of the saddle-point closed forms and the shifted contour.
 
 The closed-form probabilities come from shifting the Gaussian-window
-integration contour into the complex plane; that shift is only legitimate
-while no correlator pole is crossed. Two checks cover the families used
-here: the universal bound beta = kappa sigma^2 omega < pi, and an extra
-pole condition specific to antiparallel accelerations.
+integration contour to Im s = -2 sigma^2 omega; excitation_probability_contour
+evaluates the same shifted integral in full. The shift crosses no correlator
+pole while beta = kappa sigma^2 omega < pi, for every family: the local poles
+sit at Im s = -2 pi n / kappa, and the cross-pair factors stay nonzero below
+that bound (see excitation_probability_contour). check_beta_bound reports the
+rule, require_beta_bound refuses outside it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+from .errors import ValidityError
 
 
 @dataclass(frozen=True)
@@ -22,10 +26,6 @@ class ValidityReport:
     def __post_init__(self):
         if self.ok != (len(self.violated_constraints) == 0):
             raise ValueError("ok must reflect an empty violation list")
-
-
-def _report(beta: float, violations: list) -> ValidityReport:
-    return ValidityReport(ok=not violations, violated_constraints=violations, beta=beta)
 
 
 def beta_parameter(params, kappa: float) -> float:
@@ -54,56 +54,14 @@ def check_beta_bound(params, kappa: float) -> ValidityReport:
             "detail": f"beta = kappa*sigma^2*omega = {beta:g} >= pi: contour shift "
                       "crosses correlator poles",
         })
-    return _report(beta, violations)
+    return ValidityReport(ok=not violations, violated_constraints=violations, beta=beta)
 
 
-# half-width of the kappa*L window flagged as numerically suspect around the
-# divergence of the pole-condition left side at kappa*L = 2
-POLE_WINDOW_DELTA = 0.05
-
-
-def check_antiparallel_pole(params, kappa: float, L: float) -> ValidityReport:
-    """Antiparallel pole condition on the shifted contour.
-
-    A pole is crossed when
-        (kappa^2/16) / ((kL/2 - 1)(kL/2 + 1)^2) = 1 / (1 - cos(kappa s))
-    has a solution with kappa*s in (0, 2*beta]. The right side sweeps
-    [1/(1 - cos(min(2 beta, pi))), inf), so the check reduces to a range
-    test on the left side; a negative left side (kL/2 < 1) can never match
-    and is automatically ok. The left side diverges near kL = 2, so a small
-    neighbourhood around it is flagged as suspect regardless.
-    """
-    beta = beta_parameter(params, kappa)
-    violations = []
-    x = kappa * L / 2.0
-    # x == 1 exactly: the left side is undefined (diverges with opposite signs
-    # from either approach) and the equality has no finite solution; only the
-    # suspect-neighbourhood flag below applies there
-    lhs = math.nan if x == 1.0 else (kappa**2 / 16.0) / ((x - 1.0) * (x + 1.0) ** 2)
-    one_minus_cos = 1.0 - math.cos(min(2.0 * beta, math.pi)) if beta > 0 else 0.0
-    rhs_min = math.inf if one_minus_cos == 0.0 else 1.0 / one_minus_cos
-    if lhs > 0 and lhs >= rhs_min:
-        violations.append({
-            "name": "antiparallel_pole",
-            "detail": f"pole-condition left side {lhs:g} reaches the attainable "
-                      f"range [{rhs_min:g}, inf) of 1/(1-cos(kappa s)); shifted "
-                      "contour crosses a pole",
-        })
-    if abs(kappa * L - 2.0) < POLE_WINDOW_DELTA:
-        violations.append({
-            "name": "near_pole_divergence",
-            "detail": f"kappa*L = {kappa * L:g} within {POLE_WINDOW_DELTA} of the "
-                      "divergence at kappa*L = 2: closed form suspect - use quadrature",
-        })
-    return _report(beta, violations)
-
-
-# constraints that flag a suspect regime without making the closed-form value
-# ill-defined; callers warn instead of refusing
-ADVISORY_CONSTRAINTS = frozenset({"near_pole_divergence"})
-
-
-def blocking_violations(report: ValidityReport) -> list:
-    """The violated constraints of a report that are not advisory."""
-    return [v for v in report.violated_constraints
-            if v["name"] not in ADVISORY_CONSTRAINTS]
+def require_beta_bound(params, kappa: float, what: str) -> float:
+    """beta at kappa, or ValidityError carrying the check_beta_bound report;
+    what names the refused method in the message."""
+    report = check_beta_bound(params, kappa)
+    if not report.ok:
+        names = ", ".join(v["name"] for v in report.violated_constraints)
+        raise ValidityError(f"{what} outside its validity regime: {names}", report)
+    return report.beta

@@ -12,7 +12,8 @@ from udwsim.closed_form import DetectorParams, p_parallel
 from udwsim.kinematics import TrajectoryScenario
 from udwsim.quadrature import (DEFAULT_EPS_LADDER, QuadratureConfig,
                                RegulatorSchedule)
-from udwsim.response import excitation_probability_quadrature, planck_rate
+from udwsim.response import (excitation_probability_contour,
+                             excitation_probability_quadrature, planck_rate)
 
 RATE_CFG = (
     "scenario:\n"
@@ -266,6 +267,39 @@ class TestRunProbabilityMap:
                 assert row[3] == 0
             else:
                 assert isinstance(row[2], float)
+
+    def test_antiparallel_closed_row_past_kappa_L_2_is_valid(self, tmp_path):
+        # kappa = 4, kappa L = 2.2, beta = 0.6, sigma omega = 4: the closed
+        # form takes the point and lands within the 3 / (2 (sigma omega)^2)
+        # = 9.4% saddle error of the shifted contour
+        sigma, omega = 0.0375, 320.0 / 3.0
+        text = (
+            "scenario:\n"
+            "  family: AntiParallel\n"
+            "params:\n"
+            f"  sigma: {sigma!r}\n"
+            f"  omega: {omega!r}\n"
+            "grids:\n"
+            f"  L_over_sigma: [{44.0 / 3.0!r}]\n"
+            "  kappa_sigma2_omega: [0.6]\n"
+            "outputs:\n"
+            "  - kind: probability_map\n"
+            "    path: pa.csv\n"
+            "    backend: closed\n"
+        )
+        cfg = write_cfg(tmp_path, text)
+        rc = main(["run", cfg, "--out-dir", str(tmp_path)])
+        assert rc == 0
+        rows = data_rows(tmp_path / "pa.csv")
+        assert len(rows) == 1
+        row = rows[0].split(",")
+        assert row[3] == "1"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            unit = DetectorParams(omega=omega, lambda_coupling=1.0, sigma=sigma)
+        contour = excitation_probability_contour(
+            TrajectoryScenario("AntiParallel", kappa1=4.0, L=0.55), unit).value
+        assert abs(float(row[2]) / contour - 1.0) < 3.0 / (2.0 * 4.0**2)
 
     def test_quadrature_backend_single_point(self, tmp_path):
         text = (

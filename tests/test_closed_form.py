@@ -13,7 +13,9 @@ from udwsim import (
     ClosedFormResult,
     DetectorParams,
     SingularParameterError,
+    TrajectoryScenario,
     ValidityError,
+    excitation_probability_contour,
     p_antiparallel,
     p_differing,
     p_local,
@@ -98,10 +100,8 @@ def test_antiparallel_coincident_apex():
 
 
 def test_antiparallel_at_wedge_boundary():
-    # kappa L = 2: denominator collapses to 1, p = loc/2 + zeta; the
-    # near-divergence advisory fires as a warning, not a refusal
-    with pytest.warns(UserWarning, match="kappa\\*L = 2"):
-        r = p_antiparallel(REF, 1.0, 2.0)
+    # kappa L = 2: denominator collapses to 1, p = loc/2 + zeta
+    r = p_antiparallel(REF, 1.0, 2.0)
     expected = p_local(REF, 1.0).probability / 2.0 + zeta_prefactor(REF, 1.0)
     assert r.probability == pytest.approx(expected, rel=1e-14)
     assert r.probability == pytest.approx(1.4740375166990416e-14, rel=1e-13)
@@ -116,12 +116,32 @@ def test_antiparallel_asymmetric_in_separation_sign():
     assert plus > minus
 
 
-def test_antiparallel_hard_pole_refused():
-    p = DetectorParams(omega=2.8, lambda_coupling=0.01, sigma=1.0)
-    with pytest.raises(ValidityError) as exc:
-        p_antiparallel(p, 1.0, 2.06)
-    assert "antiparallel_pole" in str(exc.value)
-    assert exc.value.report is not None
+def test_closed_forms_and_contour_are_invariant_under_rescaling():
+    # kappa -> c kappa (kappa2 too), L -> L/c, sigma -> sigma/c, omega -> c omega
+    # keeps every dimensionless group; c = 0.25 and 4 are exact in binary. The
+    # base point has kappa L = 2.2, beta = 0.6, sigma omega = 4
+    lam = 0.01
+
+    def values(c):
+        p = DetectorParams(omega=c * 80.0 / 3.0, lambda_coupling=lam, sigma=0.15 / c)
+        k, k2, L = c * 1.0, c * 0.5, 2.2 / c
+        scenarios = [TrajectoryScenario("AntiParallel", kappa1=k, L=L),
+                     TrajectoryScenario("Parallel", kappa1=k, L=L),
+                     TrajectoryScenario("Differing", kappa1=k, kappa2=k2)]
+        return ([p_local(p, k).probability, p_parallel(p, k, L).probability,
+                 p_antiparallel(p, k, L).probability,
+                 p_differing(p, k, k2).probability]
+                + [excitation_probability_contour(sc, p).value for sc in scenarios])
+
+    ref = values(1.0)
+    for c in (0.25, 4.0):
+        assert values(c) == pytest.approx(ref, rel=1e-12)
+    # AntiParallel per lambda^2: the closed form sits 6.3% above the contour,
+    # inside the 3 / (2 (sigma omega)^2) = 9.4% saddle error
+    closed, contour = ref[2] / lam**2, ref[4] / lam**2
+    assert closed == pytest.approx(2.008673e-10, rel=1e-6)
+    assert contour == pytest.approx(1.889201e-10, rel=1e-6)
+    assert abs(closed / contour - 1.0) < 3.0 / (2.0 * 4.0**2)
 
 
 def test_differing_equal_accelerations_reduce_to_local():

@@ -1,7 +1,8 @@
 """All knowledge about one trajectory family lives in the kinematics table.
 
 The correlator and response layers read every geometric fact off the
-table's rows, so their code compares no family name. The one exception is
+table's rows, and the validity rule and the closed forms hold for every
+family alike, so their code compares no family name. The one exception is
 the bath: the thermal state is a property of the field, not of a worldline,
 and two functions choose the thermal correlators over the vacuum ones by the
 family's name.
@@ -12,8 +13,10 @@ import inspect
 
 import pytest
 
+import udwsim.closed_form
 import udwsim.correlators
 import udwsim.response
+import udwsim.validity
 from udwsim.kinematics import FAMILIES
 
 BATH_SWITCH = {("scenario_correlator", "ThermalInertialPair"),
@@ -53,8 +56,10 @@ def test_guard_finds_family_comparisons():
     assert family_literals(source) == [("f", "Parallel", 3), ("f", "Differing", 3)]
 
 
-@pytest.mark.parametrize("module", [udwsim.correlators, udwsim.response],
-                         ids=["correlators", "response"])
+@pytest.mark.parametrize(
+    "module",
+    [udwsim.correlators, udwsim.response, udwsim.validity, udwsim.closed_form],
+    ids=["correlators", "response", "validity", "closed_form"])
 def test_no_family_name_outside_the_bath_switch(module):
     found = family_literals(inspect.getsource(module))
     assert [f for f in found if f[:2] not in BATH_SWITCH] == []

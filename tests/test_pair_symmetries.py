@@ -73,10 +73,8 @@ def test_representatives_are_the_replaced_alias_tables(name, window):
     assert response._representatives(sc, window) == expected
 
 
-# the thermal cross correlator has a 1/L prefactor and is not evaluated at
-# L = 0; that alias is checked by the coincident-pair rate in test_response
 @pytest.mark.parametrize("window", [False, True], ids=["rate", "window"])
-@pytest.mark.parametrize("name", [n for n in SCENARIOS if n != "ThermalInertialPair-L0"])
+@pytest.mark.parametrize("name", list(SCENARIOS))
 def test_representatives_have_identical_correlators(name, window):
     sc = SCENARIOS[name]
     rng = np.random.default_rng(20)

@@ -30,7 +30,6 @@ from udwsim import (
     kms_check,
     planck_rate,
     transition_rate,
-    transition_rate_finite_switching,
     window_halfwidth,
 )
 from udwsim import response
@@ -188,27 +187,6 @@ def test_kappa_scale_and_default_quadrature():
     assert default_quadrature().s_max == pytest.approx(40.0)
 
 
-# --- finite switching ---------------------------------------------------------
-
-def test_finite_switching_wide_window_reduces_to_stationary():
-    fs = transition_rate_finite_switching(SA, unit(1.0, sigma=1e3), 0.0)
-    r = transition_rate(SA, unit(1.0, sigma=1e3), 0.0)
-    assert fs.value == pytest.approx(r.value, rel=5e-3)
-
-
-def test_finite_switching_narrow_window_value():
-    # sigma kappa = 1: window bandwidth ~ the gap; the broadened response
-    # far exceeds the stationary rate. Frozen from a fine-grid referee run.
-    fs = transition_rate_finite_switching(SA, unit(1.0, sigma=1.0), 0.0)
-    assert fs.value == pytest.approx(1.645922457630234e-2, rel=1e-4)
-    assert fs.value > 0
-
-
-def test_finite_switching_outside_window_vanishes():
-    fs = transition_rate_finite_switching(SA, unit(1.0, sigma=0.5), 10.0)
-    assert abs(fs.value) < 1e-11
-
-
 def test_window_halfwidth():
     p = DetectorParams(omega=80.0, lambda_coupling=0.01, sigma=0.05)
     assert window_halfwidth(p) == pytest.approx(6.0 * 0.05 + 2.0 * 0.05**2 * 80.0)
@@ -335,9 +313,9 @@ def test_contour_refuses_outside_its_domain(scenario, omega, sigma):
 
 
 def test_contour_accepts_the_antiparallel_pole_condition_region():
-    # kappa L = 2.2 at beta = 0.6: check_antiparallel_pole refuses this point
-    # for the closed form, but at real p the shift crosses no pole of the
-    # antiparallel cross factors, and the contour agrees with the quadrature
+    # kappa L = 2.2 at beta = 0.6: at real p the shift crosses no pole of the
+    # antiparallel cross factors, and the contour agrees with the quadrature;
+    # p_antiparallel takes the point too (test_closed_form's rescaling test)
     sc = TrajectoryScenario("AntiParallel", kappa1=4.0, L=0.55)
     params = unit(4.0 / 0.0375, 0.0375)
     c = excitation_probability_contour(sc, params)

@@ -1,16 +1,19 @@
-"""Validity guards for the saddle-point closed forms."""
+"""The beta bound: the one validity rule of the closed forms and the contour."""
 
 import math
+import warnings
 
 import pytest
 
 from udwsim import (
-    ADVISORY_CONSTRAINTS,
     DetectorParams,
+    ValidityError,
     ValidityReport,
     beta_parameter,
-    check_antiparallel_pole,
     check_beta_bound,
+    p_antiparallel,
+    p_local,
+    zeta_prefactor,
 )
 
 
@@ -61,76 +64,73 @@ def test_report_consistency_enforced():
         ValidityReport(ok=False, violated_constraints=[])
 
 
-# --- antiparallel pole condition ---------------------------------------------
+# --- antiparallel points near and past kappa L = 2 ---------------------------
+# Below beta = pi the shifted contour crosses no antiparallel pole
+# (excitation_probability_contour), so p_antiparallel is held to the beta
+# bound alone, as p_parallel is.
 
 def test_pole_check_ok_for_small_separation():
-    # kL/2 < 1: the left side is negative, no pole can be crossed
-    r = check_antiparallel_pole(par(omega=1.0, sigma=0.4), 1.0, 0.2)
-    assert r.ok
-    r = check_antiparallel_pole(par(omega=1.0, sigma=0.4), 1.0, -0.5)
-    assert r.ok
+    # kL/2 < 1, on either side of the apex
+    for L in (0.2, -0.5):
+        assert p_antiparallel(par(omega=1.0, sigma=0.4), 1.0, L).probability > 0
 
 
 def test_pole_check_hard_violation():
-    # kL just past the divergence with a wide-open rhs range (large beta):
-    # lhs = (1/16)/((x-1)(x+1)^2) at x = 1.03 is ~1.5 > rhs_min ~ 0.5
-    p = par(omega=2.8, sigma=1.0)  # beta = 2.8, 2*beta > pi
-    r = check_antiparallel_pole(p, 1.0, 2.06)
-    assert not r.ok
-    assert "antiparallel_pole" in names(r)
+    # the one hard violation is beta >= pi, at every kappa L
+    p = par(omega=3.2, sigma=1.0)
+    for L in (0.2, 2.06, 3.0):
+        with pytest.raises(ValidityError, match="beta_bound") as exc:
+            p_antiparallel(p, 1.0, L)
+        assert exc.value.report == check_beta_bound(p, 1.0)
 
 
 def test_pole_check_far_side_ok():
-    # far past the divergence the left side falls below the attainable range
-    p = par(omega=0.001, sigma=1.0)  # tiny beta: rhs_min huge
-    r = check_antiparallel_pole(p, 1.0, 3.0)
-    assert r.ok
-
-
-def test_pole_check_near_divergence_is_advisory():
-    p = par(omega=0.28, sigma=1.0)
-    for L in (2.0, 1.96, 2.04):
-        r = check_antiparallel_pole(p, 1.0, L)
-        assert not r.ok
-        assert names(r) == ["near_pole_divergence"]
-    # the advisory set is what lets closed-form callers warn instead of raise
-    assert "near_pole_divergence" in ADVISORY_CONSTRAINTS
-    assert "antiparallel_pole" not in ADVISORY_CONSTRAINTS
-    assert "beta_bound" not in ADVISORY_CONSTRAINTS
+    # past kappa L = 2, with a tiny beta and with 2 beta > pi
+    assert p_antiparallel(par(omega=0.001, sigma=1.0), 1.0, 3.0).probability > 0
+    assert p_antiparallel(par(omega=2.8, sigma=1.0), 1.0, 2.06).probability > 0
 
 
 def test_pole_check_exactly_at_divergence():
-    # kappa L = 2 exactly: left side undefined; only the advisory flag fires
-    r = check_antiparallel_pole(par(omega=2.8, sigma=1.0), 1.0, 2.0)
-    assert names(r) == ["near_pole_divergence"]
+    # kappa L = 2 exactly: the closed form is regular, its interference
+    # denominator being 1
+    p = par(omega=2.8, sigma=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = p_antiparallel(p, 1.0, 2.0)
+    expected = p_local(p, 1.0).probability / 2.0 + zeta_prefactor(p, 1.0)
+    assert r.probability == pytest.approx(expected, rel=1e-14)
 
 
 def test_pole_check_window_boundary():
+    # across kappa L = 2 the closed form neither refuses nor warns
     p = par(omega=0.28, sigma=1.0)
-    r = check_antiparallel_pole(p, 1.0, 2.051)
-    assert r.ok
-    r = check_antiparallel_pole(p, 1.0, 1.949)
-    assert r.ok
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for L in (1.949, 1.96, 2.0, 2.04, 2.051):
+            assert p_antiparallel(p, 1.0, L).probability > 0
 
 
 def test_pole_check_zero_beta():
-    # beta <= 0 leaves the rhs range empty; nothing can be crossed
-    r = check_antiparallel_pole(par(omega=-1.0), 1.0, 2.5)
-    assert "antiparallel_pole" not in names(r)
+    # beta <= 0 is emission, refused as a negative gap
+    with pytest.raises(ValidityError, match="negative_gap"):
+        p_antiparallel(par(omega=-1.0), 1.0, 2.5)
 
 
 def test_pole_check_scales_with_kappa():
-    # the condition depends on kappa L and beta, not on L alone
+    # the rule depends on beta alone, so kappa -> c kappa, L -> L/c,
+    # sigma -> sigma/c, omega -> c omega leaves report and value unchanged
     p = par(omega=1.4, sigma=1.0)  # beta = 2.8 at kappa = 2
-    r1 = check_antiparallel_pole(p, 2.0, 1.03)
-    assert "antiparallel_pole" in names(r1)
+    ref = p_antiparallel(p, 2.0, 1.03).probability
+    for c in (0.25, 4.0):
+        q = par(omega=1.4 * c, sigma=1.0 / c)
+        assert check_beta_bound(q, 2.0 * c) == check_beta_bound(p, 2.0)
+        assert p_antiparallel(q, 2.0 * c, 1.03 / c).probability == pytest.approx(
+            ref, rel=1e-12)
 
 
 def test_probability_sweep_parameters_are_valid():
-    # the probability-map regime: kappa sigma = 0.05, sigma Omega = 4,
-    # kappa L away from 2 -> every constraint clean
+    # the probability-map regime: kappa sigma = 0.05, sigma Omega = 4
     p = DetectorParams(omega=80.0, lambda_coupling=0.01, sigma=0.05)
-    for kL in (0.0, 0.2, 0.5, 0.9, 1.0, 1.5, 1.9):
-        r = check_antiparallel_pole(p, 1.0, kL)
-        assert r.ok, (kL, names(r))
     assert check_beta_bound(p, 1.0).ok
+    for kL in (0.0, 0.2, 0.5, 0.9, 1.0, 1.5, 1.9):
+        assert p_antiparallel(p, 1.0, kL).probability > 0
