@@ -16,8 +16,9 @@ from .correlators import (Regulator, denominator_factors, lightcone_roots,
                           scenario_correlator, wightman_local,
                           wightman_schlicht, wightman_thermal_cross,
                           wightman_thermal_local)
-from .errors import (ConfigError, ConvergenceError, IndeterminateRatioError,
-                     SingularParameterError, ValidityError)
+from .errors import (ConfigError, ConvergenceError, HyperbolicRangeError,
+                     IndeterminateRatioError, SingularParameterError,
+                     ValidityError)
 from .kinematics import (FAMILIES, Event, FourVector, TrajectoryScenario,
                          four_velocity, horizon_crossing_time,
                          minkowski_interval, worldline_event)
@@ -49,6 +50,7 @@ __all__ = [
     "Event",
     "FAMILIES",
     "FourVector",
+    "HyperbolicRangeError",
     "IndeterminateRatioError",
     "KMSReport",
     "OutputSpec",

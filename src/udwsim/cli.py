@@ -29,8 +29,9 @@ from pathlib import Path
 from .closed_form import (DetectorParams, p_antiparallel, p_differing, p_local,
                           p_parallel)
 from .config import KIND_GRIDS, ScenarioConfig, validate_config
-from .errors import (ConfigError, ConvergenceError, IndeterminateRatioError,
-                     SingularParameterError, ValidityError)
+from .errors import (ConfigError, ConvergenceError, HyperbolicRangeError,
+                     IndeterminateRatioError, SingularParameterError,
+                     ValidityError)
 from .kinematics import TrajectoryScenario
 from .response import (excitation_probability_quadrature, kms_check, planck_rate,
                        transition_rate)
@@ -48,9 +49,10 @@ _COLUMNS = {
     "visibility_scan": ("delta_phi", "norm", "envelope", "residual", "valid"),
 }
 
-# per-point failures that turn into a NaN row with valid=0
+# per-point failures that turn into a NaN row with valid=0; any other
+# exception is a fault of the program and aborts the run
 _POINT_ERRORS = (ValidityError, SingularParameterError, ConvergenceError,
-                 IndeterminateRatioError, ValueError)
+                 IndeterminateRatioError, HyperbolicRangeError)
 
 
 def _config_sha1(text: str) -> str:
@@ -113,7 +115,10 @@ def _eval_probability(point, payload):
         fn = p_parallel if family == "Parallel" else p_antiparallel
         value = fn(params, kappa, L).probability
     else:
-        scenario = TrajectoryScenario(family, kappa1=kappa, L=L)
+        try:
+            scenario = TrajectoryScenario(family, kappa1=kappa, L=L)
+        except ValueError as exc:  # e.g. Parallel refuses L < 0
+            raise ValidityError(f"grid point outside the family: {exc}") from exc
         value = excitation_probability_quadrature(scenario, params, reg, quad).value
     return (L_over_sigma, beta, value, 1)
 
@@ -148,7 +153,7 @@ _EVALUATORS.update({"probability_map": _eval_probability,
                     "kms_report": _eval_kms})
 
 
-def _grid_tasks(kind, cfg: ScenarioConfig, scenario, payload):
+def _grid_tasks(kind, cfg: ScenarioConfig, payload):
     outer, inner = (cfg.grids[n] for n in KIND_GRIDS[kind])
     return [(kind, (a, b), payload) for a in outer for b in inner]
 
@@ -176,9 +181,7 @@ def _header_lines(kind, cfg: ScenarioConfig, scenario, extra=()):
         "populations carry the control factor lambda^2/N^2 with N=2",
         f"regulator epsilons={eps} extrapolation={reg.extrapolation} "
         "(pointlike limit eps->0 taken after integration)",
-        f"quadrature s_max={_fmt(quad.s_max)} abs_tol={_fmt(quad.abs_tol)} "
-        f"rel_tol={_fmt(quad.rel_tol)} max_subdivisions={quad.max_subdivisions} "
-        f"oscillation_resolution={quad.oscillation_resolution}",
+        f"quadrature abs_tol={_fmt(quad.abs_tol)} rel_tol={_fmt(quad.rel_tol)}",
         *extra,
         f"columns: {','.join(_COLUMNS[kind])}",
     ]
@@ -227,19 +230,16 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".", workers: int = 1) -> i
             if out.kind == "probability_map":
                 payload = (scenario.family, unit, out.backend,
                            cfg.regulator, cfg.quadrature)
-                tasks = _grid_tasks(out.kind, cfg, scenario, payload)
                 extra = (f"backend={out.backend}",
                          "kappa derived per point: kappa = "
                          "kappa_sigma2_omega / (sigma^2 omega); L = L_over_sigma * sigma")
             elif out.kind == "rate_map":
                 payload = (scenario, unit, cfg.regulator, cfg.quadrature)
-                tasks = _grid_tasks(out.kind, cfg, scenario, payload)
                 extra = ("rate normalization: single-branch stationary limit is "
                          "the thermal value omega/(2 pi (e^{2 pi omega/kappa}-1))",)
             elif out.kind == "kms_report":
                 payload = (scenario, unit, out.tolerance, cfg.regulator,
                            cfg.quadrature)
-                tasks = _grid_tasks(out.kind, cfg, scenario, payload)
                 extra = (f"kms tolerance={_fmt(out.tolerance)} "
                          "(detailed balance rate(omega)/rate(-omega) vs "
                          "e^{-2 pi omega/kappa})",)
@@ -249,7 +249,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".", workers: int = 1) -> i
                               rows, out.json_mirror, out.kind)
                 print(f"wrote {path} ({len(rows)} rows)")
                 continue
-            rows = _run_tasks(tasks, workers)
+            rows = _run_tasks(_grid_tasks(out.kind, cfg, payload), workers)
             _write_output(path, _header_lines(out.kind, cfg, scenario, extra),
                           rows, out.json_mirror, out.kind)
             print(f"wrote {path} ({len(rows)} rows)")
@@ -400,9 +400,7 @@ def _cmd_check(args) -> int:
     print(f"regulator: epsilons={','.join(f'{e:g}' for e in cfg.regulator.epsilons)} "
           f"extrapolation={cfg.regulator.extrapolation}")
     q = cfg.quadrature
-    print(f"quadrature: s_max={q.s_max:g} abs_tol={q.abs_tol:g} rel_tol={q.rel_tol:g} "
-          f"max_subdivisions={q.max_subdivisions} "
-          f"oscillation_resolution={q.oscillation_resolution}")
+    print(f"quadrature: abs_tol={q.abs_tol:g} rel_tol={q.rel_tol:g}")
     if cfg.outputs:
         for out in cfg.outputs:
             detail = f" backend={out.backend}" if out.kind == "probability_map" else ""

@@ -1,12 +1,16 @@
 """Saddle-point excitation probabilities for Gaussian switching.
 
 Each form is the leading saddle term of the windowed integral on the
-contour shifted by -2 i sigma^2 omega (legitimate while beta < pi). Its
-leading relative error is about 3 (kappa sigma)^2 / (2 beta^2) =
-3 / (2 (sigma omega)^2): measured 8.84% at sigma omega = 4, 3.29% at 6.7,
+contour shifted by -2 i sigma^2 omega (legitimate while beta < pi). At
+small beta its leading relative error is about 3 (kappa sigma)^2 / (2 beta^2)
+= 3 / (2 (sigma omega)^2): measured 8.84% at sigma omega = 4, 3.29% at 6.7,
 2.30% at 8 and 1.48% at 10 against excitation_probability_contour, which
-evaluates the same shifted integral in full. The numeric paths in
-response.py cover the rest. All probabilities carry the lambda^2 prefactor.
+evaluates the same shifted integral in full. The error grows with beta as
+the pole at s = -2 pi i / kappa nears the contour: p_local is 6.7% off at
+sigma omega = 4, beta = 1.5 and 80% off at beta = 2.5 (1.13% and 17.4% at
+sigma omega = 10), while _BETA_WARN warns only from beta = 3. The numeric
+paths in response.py cover the rest. All probabilities carry the lambda^2
+prefactor.
 """
 
 from __future__ import annotations
@@ -134,7 +138,12 @@ def _inverse_sin_sq_term(kappa: float, params: DetectorParams) -> float:
 def p_differing(params: DetectorParams, kappa1: float, kappa2: float) -> ClosedFormResult:
     """Superposition of two branches with differing accelerations sharing a
     horizon. Residue contributions of the saddle analysis are omitted
-    (residues_omitted = True); they vanish identically at kappa1 = kappa2."""
+    (residues_omitted = True); they vanish identically at kappa1 = kappa2.
+    This is the paper's form. excitation_probability_contour includes the
+    cross terms it omits; against it p_differing reads 6.5-8.7% high at
+    kappa1 = 1, sigma = 0.05, omega = 80 (kappa2 = 0.25, 0.5, 2) and 1.1-1.3%
+    high at omega = 200, about the saddle error of p_local at the same
+    sigma omega."""
     if not (kappa1 > 0 and kappa2 > 0):
         raise ValueError("both accelerations must be positive")
     b1 = _checked_beta(params, kappa1)

@@ -249,8 +249,7 @@ def validate_config(raw_text: str) -> ScenarioConfig:
             grids[name] = _as_float_list(raw_grids[name], f"grids.{name}", errors)
 
     quad_raw = dict(data.get("quadrature", {}))
-    _check_keys(quad_raw, ("s_max", "abs_tol", "rel_tol", "max_subdivisions",
-                           "oscillation_resolution"), "quadrature", errors)
+    _check_keys(quad_raw, ("abs_tol", "rel_tol"), "quadrature", errors)
     try:
         quadrature = QuadratureConfig(**{k: v for k, v in quad_raw.items()
                                          if k in QuadratureConfig.__dataclass_fields__})
@@ -285,9 +284,6 @@ def validate_config(raw_text: str) -> ScenarioConfig:
                 errors.append(f"grids.{name}: empty")
             elif any(math.isnan(v) or math.isinf(v) for v in values):
                 errors.append(f"grids.{name}: entries must be finite")
-        if out.kind == "visibility_scan" and len(grids.get("delta_phi", ())) < 3:
-            errors.append("grids.delta_phi: need at least 3 phases for the "
-                          "visibility harmonic fit")
 
     if errors:
         raise ConfigError(sorted(set(errors)))

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import HyperbolicRangeError
 from .kinematics import TrajectoryScenario, four_velocity, worldline_event
 
 _PI2_4 = 4.0 * math.pi**2
@@ -79,7 +80,7 @@ def _times(x):
 def _guard_hyp(*args):
     m = max(float(np.max(np.abs(a))) if np.size(a) else 0.0 for a in args)
     if m > _MAX_HYP_ARG:
-        raise ValueError(
+        raise HyperbolicRangeError(
             f"hyperbolic argument {m:.3g} out of range (|arg| <= {_MAX_HYP_ARG}); "
             "correlator magnitudes are negligible long before this scale"
         )

@@ -16,6 +16,12 @@ class SingularParameterError(ValueError):
     """Parameters sit exactly on a singular set of a closed-form expression."""
 
 
+class HyperbolicRangeError(ValueError):
+    """A correlator was asked for a hyperbolic function past the argument
+    range where it is evaluated (a rate cut or window far beyond the decay
+    of the correlator)."""
+
+
 class ConvergenceError(RuntimeError):
     """Quadrature failed to reach the requested tolerance.
 

@@ -52,28 +52,17 @@ DEFAULT_EPS_LADDER = (1e-2, 5e-3, 2.5e-3)
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tunables for the oscillatory integrals.
+    """Error tolerances of the oscillatory integrals: every panel sum must
+    meet max(abs_tol, rel_tol |value|) on every regulator rung. Mesh
+    resolution, refinement depth and the rate truncation are fixed by the
+    response layer from the scenario and the detector parameters."""
 
-    s_max is the truncation of semi-infinite rate integrals in absolute time
-    units (default 40, i.e. 40/kappa at the natural kappa = 1; callers with
-    other scales should use default_quadrature(scenario)).
-    """
-
-    s_max: float = 40.0
     abs_tol: float = 1e-11
     rel_tol: float = 1e-4
-    max_subdivisions: int = 2
-    oscillation_resolution: int = 8
 
     def __post_init__(self):
-        if not (self.s_max > 0):
-            raise ValueError("s_max must be positive")
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.oscillation_resolution < 8:
-            raise ValueError("oscillation_resolution must be >= 8")
-        if self.max_subdivisions < 0:
-            raise ValueError("max_subdivisions must be >= 0")
 
 
 @dataclass(frozen=True)

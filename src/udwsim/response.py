@@ -70,6 +70,10 @@ _CONTOUR_NODES = 64
 # shifted-contour results whose error estimate exceeds this fraction of the
 # value are refused (the default quadrature rel_tol)
 _CONTOUR_REL_TOL = 1e-4
+# mesh panels per period of omega
+_OSCILLATION_RESOLUTION = 8
+# most halvings of a mesh (1-D integrals) or restart levels (2-D engine)
+_MAX_REFINEMENTS = 2
 
 
 @dataclass(frozen=True)
@@ -105,19 +109,10 @@ def kappa_scale(scenario: TrajectoryScenario) -> float:
                default=scenario.kappa1)
 
 
-def default_quadrature(scenario: TrajectoryScenario | None = None) -> QuadratureConfig:
-    """Default tunables; s_max scales with the slowest branch acceleration."""
-    if scenario is None:
-        return QuadratureConfig()
-    return QuadratureConfig(s_max=40.0 / kappa_scale(scenario))
-
-
 def _defaults(scenario, reg_schedule, quad):
     if reg_schedule is None:
         reg_schedule = default_schedule(kappa_scale(scenario))
-    if quad is None:
-        quad = default_quadrature(scenario)
-    return reg_schedule, quad
+    return reg_schedule, quad or QuadratureConfig()
 
 
 def _pair_key(row_i, row_j, window):
@@ -161,13 +156,13 @@ def _stationary_pair(scenario: TrajectoryScenario, i: int, j: int) -> bool:
     return row_i == row_j or row_i.kappa == row_j.kappa == 0.0
 
 
-def _mesh_policy(scenario, omega, eps, quad, sigma=None, level=0):
+def _mesh_policy(scenario, omega, eps, sigma=None, level=0):
     """(cap, scale) of a panel mesh: panels within 0.5/kappa_scale, a period
-    of omega over oscillation_resolution and (under a window) sigma/2, and
+    of omega over _OSCILLATION_RESOLUTION and (under a window) sigma/2, and
     clustering from 1/8 of the smallest eps; both halve per 2-D restart level."""
     cap = 0.5 / kappa_scale(scenario)
     if omega != 0.0:
-        cap = min(cap, (2.0 * math.pi / abs(omega)) / quad.oscillation_resolution)
+        cap = min(cap, (2.0 * math.pi / abs(omega)) / _OSCILLATION_RESOLUTION)
     if sigma is not None:
         cap = min(cap, sigma / 2.0)
     shrink = 0.5**level
@@ -190,19 +185,25 @@ def _check_converged(val, err, quad, what):
 
 def _refined_integral(f, edges, quad):
     """panel_integrate of f on the mesh, halving every panel up to
-    quad.max_subdivisions times until every rung meets the tolerance.
+    _MAX_REFINEMENTS times until every rung meets the tolerance.
     Returns (value, error); the caller decides what a miss means."""
     val, err = panel_integrate(f, edges)
-    rounds = 0
-    while not _within_tol(val, err, quad) and rounds < quad.max_subdivisions:
+    for _ in range(_MAX_REFINEMENTS):
+        if _within_tol(val, err, quad):
+            break
         edges = refine_mesh(edges)
         val, err = panel_integrate(f, edges)
-        rounds += 1
     return val, err
 
 
 # ---------------------------------------------------------------------------
 # semi-infinite rate integrals
+
+
+def _rate_cut(scenario: TrajectoryScenario) -> float:
+    """Upper end of the rate integrals in s: 40 decay lengths of the slowest
+    branch acceleration, the same for every branch pair."""
+    return 40.0 / kappa_scale(scenario)
 
 
 def _rate_cut_roots(scenario, i, j, tau, s_hi):
@@ -220,10 +221,10 @@ def _rate_cut_roots(scenario, i, j, tau, s_hi):
 
 
 def _rate_pair_integral(scenario, i, j, tau, omega, eps, quad):
-    """integral_0^s_max e^{-i omega s} W^{ij}(tau, tau - s) ds, per rung for
-    a ladder."""
-    s_hi = quad.s_max
-    cap, scale = _mesh_policy(scenario, omega, eps, quad)
+    """integral_0^S e^{-i omega s} W^{ij}(tau, tau - s) ds, S = _rate_cut,
+    per rung for a ladder."""
+    s_hi = _rate_cut(scenario)
+    cap, scale = _mesh_policy(scenario, omega, eps)
     corr = scenario_correlator(scenario, i, j)
     roots = _rate_cut_roots(scenario, i, j, tau, s_hi)
 
@@ -265,9 +266,9 @@ def transition_rate(scenario: TrajectoryScenario, params: DetectorParams, tau: f
         rate(tau) = (lambda^2/N^2) 2 Re sum_ij int_0^inf ds e^{-i omega s}
                     W^{ij}(tau, tau - s),
 
-    truncated at quad.s_max and extrapolated to eps -> 0. For the Differing
-    family tau is the shared proper-time parameter of both branches (no global
-    time coordinate relates them).
+    truncated at s = 40/kappa_scale(scenario) (_rate_cut) and extrapolated to
+    eps -> 0. For the Differing family tau is the shared proper-time
+    parameter of both branches (no global time coordinate relates them).
     """
     reg_schedule, quad = _defaults(scenario, reg_schedule, quad)
     values, _ = _rate_at_eps(scenario, params, float(tau), reg_schedule.epsilons, quad)
@@ -306,8 +307,8 @@ def _halfplane_pair_integral(scenario, i, j, params, eps, quad, level=0):
     sigma, omega = params.sigma, params.omega
     T2 = 2.0 * window_halfwidth(params)
     # the p-integrand does not oscillate: its mesh ignores omega
-    cap_p, scale = _mesh_policy(scenario, 0.0, eps, quad, sigma, level)
-    cap_s, _ = _mesh_policy(scenario, omega, eps, quad, sigma, level)
+    cap_p, scale = _mesh_policy(scenario, 0.0, eps, sigma, level)
+    cap_s, _ = _mesh_policy(scenario, omega, eps, sigma, level)
     corr = scenario_correlator(scenario, i, j)
     inv4s2 = 1.0 / (4.0 * sigma**2)
 
@@ -322,7 +323,9 @@ def _halfplane_pair_integral(scenario, i, j, params, eps, quad, level=0):
 
         return panel_integrate(f, edges)
 
-    outer_edges = cluster_mesh(-T2, T2, [0.0], scale=scale, cap=cap_p)
+    # mirrored, so that J_ji = J_ij holds on the same nodes (_pair_key)
+    half = cluster_mesh(0.0, T2, [0.0], scale=scale, cap=cap_p)
+    outer_edges = np.concatenate([-half[:0:-1], half])
     a, b = outer_edges[:-1], outer_edges[1:]
     h = 0.5 * (b - a)
     m = 0.5 * (a + b)
@@ -356,7 +359,7 @@ def _stationary_pair_integral(scenario, i, j, params, eps, quad):
     halving its panels; per rung for a ladder."""
     sigma, omega = params.sigma, params.omega
     T2 = 2.0 * window_halfwidth(params)
-    cap, scale = _mesh_policy(scenario, omega, eps, quad, sigma)
+    cap, scale = _mesh_policy(scenario, omega, eps, sigma)
     corr = scenario_correlator(scenario, i, j)
     roots = [float(r) for r in lightcone_roots(scenario, i, j, 0.0) if 0.0 <= r <= T2]
     inv4s2 = 1.0 / (4.0 * sigma**2)
@@ -382,7 +385,7 @@ def halfplane_integrals_at_eps(scenario, params, eps, quad) -> dict:
         if _stationary_pair(scenario, i, j):
             val, err = _stationary_pair_integral(scenario, i, j, params, eps, quad)
         else:
-            for level in range(quad.max_subdivisions + 1):
+            for level in range(_MAX_REFINEMENTS + 1):
                 val, err = _halfplane_pair_integral(scenario, i, j, params, eps, quad,
                                                     level=level)
                 if _within_tol(val, err, quad):

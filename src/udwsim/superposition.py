@@ -171,25 +171,18 @@ def visibility_scan(integrals: WightmanIntegrals, params: DetectorParams,
     """Scan the conditional norm over relative phase dphi for N = 2.
 
     The norm's O(1) dependence is the envelope (1 + cos dphi)/2; the field
-    terms ride on top at order lambda^2. Returns the mean of the norm over
-    the grid (about 1/2 on a full period) and the first-harmonic amplitude of
-    the residual after subtracting the envelope, which is the lambda^2-order
-    visibility degradation.
+    terms ride on top at order lambda^2. The residual after subtracting the
+    envelope is (lambda^2/2) Re(e^{i dphi} C), C = I_12 - T_2 - conj(T_1),
+    plus (lambda^2/4) sum_i (I_ii - 2 Re T_i), which vanishes; so the
+    amplitude of its first harmonic, the lambda^2-order visibility
+    degradation, is (lambda^2/2)|C|. Returns it with the mean of the norm
+    over the grid (about 1/2 on a full period).
     """
     if integrals.branch_count != 2:
         raise ValueError("visibility scan is defined for N = 2")
-    dphis = np.asarray(list(phase_grid), dtype=float)
-    if dphis.size < 3:
-        raise ValueError("need at least 3 phases to fit a first harmonic")
-    norms = np.empty(dphis.size)
-    resid = np.empty(dphis.size)
-    for k, dphi in enumerate(dphis):
-        control = ControlState(2, (0.0, float(dphi)))
-        dm = conditional_density_matrix(integrals, control, params)
-        norms[k] = dm.norm
-        resid[k] = dm.norm - phase_envelope(control)
-    # least-squares first-harmonic fit of the residual
-    design = np.column_stack([np.ones_like(dphis), np.cos(dphis), np.sin(dphis)])
-    coef, *_ = np.linalg.lstsq(design, resid, rcond=None)
-    amplitude = float(math.hypot(coef[1], coef[2]))
-    return {"mean": float(norms.mean()), "amplitude": amplitude}
+    norms = [conditional_density_matrix(integrals, ControlState(2, (0.0, float(dphi))),
+                                        params).norm for dphi in phase_grid]
+    t = integrals.time_ordered
+    c = integrals.full_grid[(1, 2)] - t[2] - np.conj(t[1])
+    return {"mean": float(np.mean(norms)),
+            "amplitude": float(0.5 * params.lambda_coupling**2 * abs(c))}

@@ -7,13 +7,15 @@ import warnings
 
 import pytest
 
+from udwsim import cli
 from udwsim.cli import main
 from udwsim.closed_form import DetectorParams, p_parallel
 from udwsim.kinematics import TrajectoryScenario
 from udwsim.quadrature import (DEFAULT_EPS_LADDER, QuadratureConfig,
                                RegulatorSchedule)
 from udwsim.response import (excitation_probability_contour,
-                             excitation_probability_quadrature, planck_rate)
+                             excitation_probability_quadrature, planck_rate,
+                             transition_rate)
 
 RATE_CFG = (
     "scenario:\n"
@@ -221,6 +223,62 @@ class TestRunRateMap:
                    for h in header_lines(tmp_path / "r.csv"))
 
 
+class TestRunSlowAcceleration:
+    """kappa1 = 0.1: the rate integrals must reach 40 decay lengths, 400 in
+    time, whatever the config's absolute regulator ladder."""
+
+    SINGLE = (
+        "scenario:\n"
+        "  family: SingleAccel\n"
+        "  kappa1: 0.1\n"
+        "grids:\n"
+        "  omega_over_kappa: [-1.0, 0.5, 1.0, 2.0]\n"
+        "  kappa_tau: [0.0]\n"
+        "outputs:\n"
+        "  - kind: rate_map\n"
+        "    path: r.csv\n"
+        "  - kind: kms_report\n"
+        "    path: k.csv\n"
+    )
+
+    def test_single_branch_rates_are_planckian(self, tmp_path):
+        main(["run", write_cfg(tmp_path, self.SINGLE), "--out-dir", str(tmp_path)])
+        rows = [list(map(float, r.split(","))) for r in data_rows(tmp_path / "r.csv")]
+        assert len(rows) == 4
+        for w, _, rate, err, valid in rows:
+            assert valid == 1
+            assert abs(rate - planck_rate(0.1, 0.1 * w)) <= err
+
+    def test_kms_report_is_satisfied(self, tmp_path):
+        main(["run", write_cfg(tmp_path, self.SINGLE), "--out-dir", str(tmp_path)])
+        rows = [r.split(",") for r in data_rows(tmp_path / "k.csv")]
+        assert len(rows) == 4
+        assert all(r[-2:] == ["1", "1"] for r in rows)
+
+    def test_thermal_pair_row_matches_the_library(self, tmp_path):
+        text = (
+            "scenario:\n"
+            "  family: ThermalInertialPair\n"
+            "  kappa1: 0.1\n"
+            "  L: 10.0\n"
+            "grids:\n"
+            "  omega_over_kappa: [1.0]\n"
+            "  kappa_tau: [0.0]\n"
+            "outputs:\n"
+            "  - kind: rate_map\n"
+            "    path: r.csv\n"
+        )
+        main(["run", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)])
+        _, _, rate, err, valid = data_rows(tmp_path / "r.csv")[0].split(",")
+        assert valid == "1"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            unit = DetectorParams(omega=0.1, lambda_coupling=1.0, sigma=1.0)
+        lib = transition_rate(TrajectoryScenario("ThermalInertialPair", kappa1=0.1,
+                                                 L=10.0), unit, 0.0)
+        assert abs(float(rate) - lib.value) <= float(err) + lib.error_estimate
+
+
 class TestRunProbabilityMap:
     def run_prob(self, tmp_path):
         cfg = write_cfg(tmp_path, PROB_CFG)
@@ -394,6 +452,31 @@ class TestRunFailures:
         rc = main(["run", cfg, "--out-dir", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_hyperbolic_range_row_is_invalid(self, tmp_path):
+        # kappa2/kappa1 = 20: the correlator of the fast branch leaves the
+        # evaluated range of sinh/cosh long before the cut at 40/kappa1
+        text = RATE_CFG.replace("SingleAccel", "Differing\n  kappa2: 20.0")
+        assert main(["run", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)]) == 0
+        rows = [r.split(",") for r in data_rows(tmp_path / "r.csv")]
+        assert len(rows) == 2
+        assert all(r[2] == "nan" and r[-1] == "0" for r in rows)
+
+    def test_refused_scenario_row_is_invalid(self, tmp_path):
+        # Parallel refuses L < 0; on the quadrature backend that grid point
+        # is a nan row, not an aborted sweep
+        text = PROB_CFG.replace("[0.0, 2.0]", "[-1.0]").replace(
+            "[0.2, 4.0]", "[0.2]").replace("json_mirror: true", "backend: quadrature")
+        assert main(["run", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)]) == 0
+        assert data_rows(tmp_path / "p.csv") == ["-1,0.2,nan,0"]
+
+    def test_program_error_aborts_the_run(self, tmp_path, monkeypatch):
+        def broken(point, payload):
+            raise ValueError("a fault of the program, not of the grid point")
+
+        monkeypatch.setitem(cli._EVALUATORS, "rate_map", broken)
+        with pytest.raises(ValueError, match="fault of the program"):
+            main(["run", write_cfg(tmp_path, RATE_CFG), "--out-dir", str(tmp_path)])
 
     def test_no_outputs_is_a_noop(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "scenario:\n  family: Parallel\n")

@@ -1,7 +1,9 @@
 """Config parsing: defaults, aggregated errors, and the beta warning."""
 
 import math
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +11,9 @@ from udwsim.config import (GRID_NAMES, KIND_GRIDS, OUTPUT_KINDS,
                            PROBABILITY_BACKENDS, OutputSpec, ScenarioConfig,
                            validate_config)
 from udwsim.errors import ConfigError
-from udwsim.quadrature import DEFAULT_EPS_LADDER
+from udwsim.quadrature import DEFAULT_EPS_LADDER, QuadratureConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def errors_of(text):
@@ -59,7 +63,8 @@ class TestDefaults:
 
     def test_minimal_config_quadrature_and_regulator_defaults(self):
         cfg = validate_config(MINIMAL)
-        assert cfg.quadrature.s_max == 40.0
+        assert cfg.quadrature == QuadratureConfig()
+        assert cfg.quadrature.abs_tol == 1e-11
         assert cfg.quadrature.rel_tol == 1e-4
         assert cfg.regulator.epsilons == DEFAULT_EPS_LADDER
         assert cfg.regulator.extrapolation == "richardson_linear"
@@ -82,7 +87,7 @@ class TestDefaults:
             "grids:\n"
             "  kappa_tau: [-1.0, 0.0, 1.0]\n"
             "quadrature:\n"
-            "  s_max: 25.0\n"
+            "  abs_tol: 1.0e-12\n"
             "  rel_tol: 1.0e-3\n"
             "regulator:\n"
             "  epsilons: [2.0e-2, 1.0e-2]\n"
@@ -94,7 +99,7 @@ class TestDefaults:
         assert cfg.grids["kappa_tau"] == (-1.0, 0.0, 1.0)
         # untouched grids keep their defaults
         assert len(cfg.grids["omega_over_kappa"]) == 20
-        assert cfg.quadrature.s_max == 25.0
+        assert cfg.quadrature == QuadratureConfig(abs_tol=1e-12, rel_tol=1e-3)
         assert cfg.regulator.epsilons == (2e-2, 1e-2)
         assert cfg.regulator.extrapolation == "none"
 
@@ -235,27 +240,35 @@ class TestGridsSection:
         errs = errors_of(MINIMAL + "grids:\n  delta_phi: [a]\n")
         assert "grids.delta_phi[0]: expected a number, got 'a'" in errs
 
-    def test_too_few_phases_for_visibility(self):
-        text = MINIMAL + (
-            "grids:\n"
-            "  delta_phi: [0.0, 3.0]\n"
-            "outputs:\n"
-            "  - kind: visibility_scan\n"
-            "    path: vis.csv\n"
-        )
-        errs = errors_of(text)
-        assert ("grids.delta_phi: need at least 3 phases for the "
-                "visibility harmonic fit") in errs
-
 
 class TestQuadratureAndRegulator:
     def test_unknown_quadrature_key(self):
         errs = errors_of(MINIMAL + "quadrature:\n  panels: 4\n")
         assert "quadrature.panels: unknown field" in errs
 
+    @pytest.mark.parametrize("key", ["s_max", "max_subdivisions",
+                                     "oscillation_resolution"])
+    def test_retired_quadrature_keys_are_unknown(self, key):
+        # the rate cut follows the scenario, and mesh resolution and
+        # refinement depth are fixed by the response layer
+        errs = errors_of(MINIMAL + f"quadrature:\n  {key}: 8\n")
+        assert errs == [f"quadrature.{key}: unknown field"]
+
     def test_invalid_quadrature_value_falls_back(self):
-        errs = errors_of(MINIMAL + "quadrature:\n  oscillation_resolution: 2\n")
-        assert any(e.startswith("quadrature: ") for e in errs)
+        errs = errors_of(MINIMAL + "quadrature:\n  rel_tol: -1.0\n")
+        assert errs == ["quadrature: tolerances must be positive"]
+
+    def test_readme_schema_sections_validate(self):
+        # the quadrature: and regulator: sections of the README's schema
+        # block, under a minimal scenario, must parse without error
+        block = re.search(r"### Config schema.*?```yaml\n(.*?)```",
+                          README.read_text(encoding="utf-8"), re.S).group(1)
+        sections = re.search(r"^quadrature:.*?(?=^outputs:)", block,
+                             re.S | re.M).group(0)
+        assert "\nregulator:\n" in sections
+        cfg = validate_config(MINIMAL + sections)
+        assert cfg.quadrature == QuadratureConfig()
+        assert cfg.regulator.epsilons == DEFAULT_EPS_LADDER
 
     def test_unknown_extrapolation_mode(self):
         errs = errors_of(MINIMAL + "regulator:\n  extrapolation: cubic\n")

@@ -23,7 +23,7 @@ from udwsim import (
     wightman_thermal_local,
 )
 from udwsim.quadrature import sign_change_roots
-from udwsim.response import _rate_cut_roots, default_quadrature
+from udwsim.response import _rate_cut, _rate_cut_roots
 
 PI2_4 = 4.0 * math.pi**2
 PI2_16 = 16.0 * math.pi**2
@@ -332,7 +332,7 @@ def test_rate_cut_roots_match_sign_change_scan(sc, pair):
     # kappa tau on a grid in [-4, 4] that misses the horizon crossings (where
     # a factor tends to exactly 0 as s -> inf and the scan finds rounding
     # noise), the closed-form roots are the scan's
-    s_max = default_quadrature(sc).s_max
+    s_max = _rate_cut(sc)
     found = 0
     for tau in np.linspace(-4.0, 4.0, 40) / sc.kappa1:
         closed = _rate_cut_roots(sc, *pair, tau, s_max)

@@ -1,5 +1,6 @@
 """Extrapolation, mesh construction and panel integration."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -105,13 +106,14 @@ def test_regulator_schedule_validation():
 
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
-        QuadratureConfig(s_max=0.0)
-    with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=-1e-9)
     with pytest.raises(ValueError):
-        QuadratureConfig(oscillation_resolution=4)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_subdivisions=-1)
+        QuadratureConfig(rel_tol=0.0)
+    # the config holds the two tolerances and nothing else
+    assert [f.name for f in dataclasses.fields(QuadratureConfig)] == ["abs_tol", "rel_tol"]
+    for retired in ("s_max", "oscillation_resolution", "max_subdivisions"):
+        with pytest.raises(TypeError):
+            QuadratureConfig(**{retired: 8})
 
 
 # --- meshes and panels --------------------------------------------------------

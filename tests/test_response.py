@@ -33,7 +33,6 @@ from udwsim import (
     window_halfwidth,
 )
 from udwsim import response
-from udwsim.response import default_quadrature
 
 
 def unit(omega, sigma=1.0):
@@ -150,7 +149,7 @@ def test_no_rate_cut_roots_at_a_horizon_crossing():
     # in s in [36.9, 40] there
     sc = TrajectoryScenario("Parallel", kappa1=1.0, L=1.0)
     assert horizon_crossing_time(sc) == [0.0]
-    assert response._rate_cut_roots(sc, 2, 1, 0.0, default_quadrature(sc).s_max) == []
+    assert response._rate_cut_roots(sc, 2, 1, 0.0, response._rate_cut(sc)) == []
     params = unit(-1.0)
     at = transition_rate(sc, params, 0.0)
     for tau in (-1e-6, 1e-6):
@@ -158,7 +157,8 @@ def test_no_rate_cut_roots_at_a_horizon_crossing():
 
 
 def test_rate_convergence_error_carries_estimate():
-    strict = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-15, max_subdivisions=0)
+    # a relative tolerance below double precision cannot be met on any mesh
+    strict = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-20)
     with pytest.raises(ConvergenceError) as exc:
         transition_rate(SA, unit(1.0), 0.0, quad=strict)
     assert exc.value.estimate is not None
@@ -179,12 +179,15 @@ def test_result_dataclass_validation():
         ProbabilityResult(1.0, -1e-3, ())
 
 
-def test_kappa_scale_and_default_quadrature():
+def test_kappa_scale_and_rate_cut():
     assert kappa_scale(SA) == 1.0
+    assert response._rate_cut(SA) == 40.0
     df = TrajectoryScenario("Differing", kappa1=2.0, kappa2=0.5)
     assert kappa_scale(df) == 0.5
-    assert default_quadrature(df).s_max == pytest.approx(80.0)
-    assert default_quadrature().s_max == pytest.approx(40.0)
+    assert response._rate_cut(df) == 80.0
+    # static branches: the bath's temperature scale
+    th = TrajectoryScenario("ThermalInertialPair", kappa1=0.1, L=10.0)
+    assert response._rate_cut(th) == pytest.approx(400.0)
 
 
 def test_window_halfwidth():
@@ -356,7 +359,7 @@ def test_contour_refuses_when_a_pole_nears_the_contour():
     (TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=1.0), (1, 2)),
 ])
 def test_stationary_pair_integral_matches_2d_engine(scenario, pair):
-    quad = default_quadrature(scenario)
+    quad = QuadratureConfig()
     one_d, _ = response._stationary_pair_integral(scenario, *pair, REF, 1e-2, quad)
     two_d, _ = response._halfplane_pair_integral(scenario, *pair, REF, 1e-2, quad)
     assert abs(one_d - two_d) <= 1e-12 * abs(two_d)
@@ -382,14 +385,18 @@ PAR = TrajectoryScenario("Parallel", kappa1=1.0, L=1.0)
 DIFF = TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5)
 
 
-@pytest.mark.parametrize("scenario", [PAR, DIFF], ids=["Parallel", "Differing"])
-def test_window_alias_matches_both_directions(scenario):
+@pytest.mark.parametrize("scenario, params", [
+    (PAR, REF), (DIFF, REF),
+    (DIFF, DetectorParams(omega=2.0, lambda_coupling=0.01, sigma=1.0)),
+], ids=["Parallel", "Differing", "Differing-sigma1"])
+def test_window_alias_matches_both_directions(scenario, params):
     # time reflection gives W^{21}(p, s) = W^{12}(-p, s), and the window is
-    # even in p
-    quad = default_quadrature(scenario)
-    j12, _ = response._halfplane_pair_integral(scenario, 1, 2, REF, 1e-2, quad)
-    j21, _ = response._halfplane_pair_integral(scenario, 2, 1, REF, 1e-2, quad)
-    assert abs(j21 - j12) <= 1e-12 * abs(j12)
+    # even in p; the outer p-mesh is mirrored, so both orders meet the same
+    # nodes and agree to rounding
+    quad = QuadratureConfig()
+    j12, _ = response._halfplane_pair_integral(scenario, 1, 2, params, 1e-2, quad)
+    j21, _ = response._halfplane_pair_integral(scenario, 2, 1, params, 1e-2, quad)
+    assert abs(j21 - j12) <= 1e-14 * abs(j12)
 
 
 @pytest.mark.parametrize("scenario", [PAR, DIFF], ids=["Parallel", "Differing"])
@@ -401,7 +408,7 @@ def test_window_alias_is_used_for_windows_only(monkeypatch, scenario):
         return 1j, 0.0
 
     monkeypatch.setattr(response, "_halfplane_pair_integral", record)
-    quad = default_quadrature(scenario)
+    quad = QuadratureConfig()
     blocks = response.halfplane_integrals_at_eps(scenario, REF, 1e-2, quad)
     assert seen == [(1, 2)]
     assert blocks[(2, 1)] == blocks[(1, 2)]
@@ -459,7 +466,7 @@ def assert_rungs_match(ladder, single):
 ])
 def test_ladder_call_matches_one_rung_calls(scenario, pair, engine):
     integral = getattr(response, engine)
-    quad = default_quadrature(scenario)
+    quad = QuadratureConfig()
     values, errors = integral(scenario, *pair, REF, LADDER, quad)
     assert values.shape == errors.shape == (len(LADDER),)
     singles = [integral(scenario, *pair, REF, eps, quad) for eps in LADDER]
@@ -470,7 +477,7 @@ def test_ladder_call_matches_one_rung_calls(scenario, pair, engine):
 
 
 def test_ladder_rate_point_matches_one_rung_calls():
-    quad = default_quadrature(PAR)
+    quad = QuadratureConfig()
     for pair in ((1, 2), (2, 1)):
         values, errors = response._rate_pair_integral(PAR, *pair, 1.0, 1.0, LADDER, quad)
         singles = [response._rate_pair_integral(PAR, *pair, 1.0, 1.0, eps, quad)

@@ -209,10 +209,27 @@ def test_visibility_amplitude_scales_with_coupling(parallel_unit_sep_integrals):
     assert b["amplitude"] / a["amplitude"] == pytest.approx(4.0, rel=0.02)
 
 
-def test_visibility_scan_validation(parallel_unit_sep_integrals):
-    _, ints = parallel_unit_sep_integrals
-    with pytest.raises(ValueError):
-        visibility_scan(ints, REF_PARAMS, [0.0, 1.0])  # < 3 phases
+@pytest.mark.parametrize("grid", [
+    np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False), [0.0, 2.0, 4.0],
+    [0.0, 1.0, 2.0, 3.0]], ids=["24", "3", "4"])
+def test_visibility_amplitude_is_the_fitted_first_harmonic(differing_integrals, grid):
+    # the closed form (lambda^2/2)|I_12 - T_2 - conj T_1| against a
+    # least-squares first-harmonic fit of norm - envelope on the grid; the
+    # fit carries the rounding of the O(1) envelope subtraction, about 1e-16
+    # of the lambda^2 = 1e-4 residual scale
+    _, params, ints = differing_integrals
+    resid = []
+    for dphi in grid:
+        control = ControlState(2, (0.0, dphi))
+        resid.append(conditional_density_matrix(ints, control, params).norm
+                     - phase_envelope(control))
+    design = np.column_stack([np.ones(len(grid)), np.cos(grid), np.sin(grid)])
+    coef, *_ = np.linalg.lstsq(design, np.array(resid), rcond=None)
+    amplitude = visibility_scan(ints, params, grid)["amplitude"]
+    assert amplitude == pytest.approx(math.hypot(coef[1], coef[2]), rel=1e-8)
+
+
+def test_visibility_scan_validation():
     one = WightmanIntegrals(branch_count=1, full_grid={(1, 1): 0j},
                             time_ordered={1: 0j})
     with pytest.raises(ValueError):
