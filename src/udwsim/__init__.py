@@ -13,7 +13,7 @@ from .closed_form import (ClosedFormResult, DetectorParams, p_antiparallel,
                           zeta_prefactor)
 from .config import OutputSpec, ScenarioConfig, validate_config
 from .correlators import (Regulator, denominator_factors, lightcone_roots,
-                          scenario_correlator, wightman_local,
+                          pair_spectrum, scenario_correlator, wightman_local,
                           wightman_schlicht, wightman_thermal_cross,
                           wightman_thermal_local)
 from .errors import (ConfigError, ConvergenceError, HyperbolicRangeError,
@@ -84,6 +84,7 @@ __all__ = [
     "p_differing",
     "p_local",
     "p_parallel",
+    "pair_spectrum",
     "phase_envelope",
     "planck_rate",
     "scenario_correlator",

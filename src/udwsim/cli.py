@@ -7,11 +7,13 @@ Subcommands:
     limits <family>   evaluate the family's closed-form limit identities
 
 Outputs are figure-ready CSVs: '#'-prefixed header lines record every
-parameter, the normalization conventions, the regulator schedule and a
-git-style content hash of the config, so a file is traceable to the exact
-run that produced it. Bodies are byte-identical across repeated runs and
-across --workers settings: every grid point is evaluated independently and
-assembled in grid order by the single writer.
+parameter, the normalization conventions, the regulator schedule, the
+udwsim, numpy and scipy versions and a git-style content hash of the config,
+so a file is traceable to the exact run that produced it. Every float is
+written as the shortest string that reads back as the same float. Bodies are
+byte-identical across repeated runs and across --workers settings: every
+grid point is evaluated independently and assembled in grid order by the
+single writer.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+import scipy
+
+from . import __version__
 from .closed_form import (DetectorParams, p_antiparallel, p_differing, p_local,
                           p_parallel)
 from .config import KIND_GRIDS, ScenarioConfig, validate_config
@@ -76,8 +82,15 @@ def _fmt(value) -> str:
         return str(value)
     if math.isnan(value):
         return "nan"
-    return f"{value:.12g}"
+    # the shortest string that reads back as the same float; 1.0 is "1"
+    text = repr(float(value))
+    return text[:-2] if text.endswith(".0") else text
 
+
+_RATE_METHOD = ("rate method: stationary branch pairs in closed form (Planck "
+                "spectrum, times sin(omega L)/(omega L) for the bath's cross pair); "
+                "the other cross pairs integrated on the regulator ladder and "
+                "extrapolated to eps->0")
 
 _NAN = math.nan
 _INVALID_ROW = {
@@ -172,6 +185,7 @@ def _header_lines(kind, cfg: ScenarioConfig, scenario, extra=()):
     return [
         f"udwsim output kind={kind}",
         f"config sha1={_config_sha1(cfg.source_text)}",
+        f"versions udwsim={__version__} numpy={np.__version__} scipy={scipy.__version__}",
         f"scenario family={sc.family} kappa1={_fmt(sc.kappa1)} "
         f"kappa2={_fmt(sc.kappa2)} L={_fmt(sc.L)}",
         f"params omega={_fmt(par.omega)} lambda_coupling={_fmt(par.lambda_coupling)} "
@@ -236,13 +250,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".", workers: int = 1) -> i
             elif out.kind == "rate_map":
                 payload = (scenario, unit, cfg.regulator, cfg.quadrature)
                 extra = ("rate normalization: single-branch stationary limit is "
-                         "the thermal value omega/(2 pi (e^{2 pi omega/kappa}-1))",)
+                         "the thermal value omega/(2 pi (e^{2 pi omega/kappa}-1))",
+                         _RATE_METHOD)
             elif out.kind == "kms_report":
                 payload = (scenario, unit, out.tolerance, cfg.regulator,
                            cfg.quadrature)
                 extra = (f"kms tolerance={_fmt(out.tolerance)} "
                          "(detailed balance rate(omega)/rate(-omega) vs "
-                         "e^{-2 pi omega/kappa})",)
+                         "e^{-2 pi omega/kappa})", _RATE_METHOD)
             else:
                 rows, extra = _visibility_rows(cfg, scenario)
                 _write_output(path, _header_lines(out.kind, cfg, scenario, extra),

@@ -77,7 +77,11 @@ class ScenarioConfig:
 
 
 def _as_float(value, path: str, errors: list) -> float:
+    """value as a finite float; numeric strings such as 1e-3 (a string under
+    YAML 1.1) are accepted, booleans are not."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         out = float(value)
     except (TypeError, ValueError):
         errors.append(f"{path}: expected a number, got {value!r}")
@@ -250,12 +254,14 @@ def validate_config(raw_text: str) -> ScenarioConfig:
 
     quad_raw = dict(data.get("quadrature", {}))
     _check_keys(quad_raw, ("abs_tol", "rel_tol"), "quadrature", errors)
-    try:
-        quadrature = QuadratureConfig(**{k: v for k, v in quad_raw.items()
-                                         if k in QuadratureConfig.__dataclass_fields__})
-    except (TypeError, ValueError) as exc:
-        errors.append(f"quadrature: {exc}")
-        quadrature = QuadratureConfig()
+    tols = {k: _as_float(v, f"quadrature.{k}", errors) for k, v in quad_raw.items()
+            if k in QuadratureConfig.__dataclass_fields__}
+    quadrature = QuadratureConfig()
+    if not any(math.isnan(v) for v in tols.values()):
+        try:
+            quadrature = QuadratureConfig(**tols)
+        except ValueError as exc:
+            errors.append(f"quadrature: {exc}")
 
     reg_raw = dict(data.get("regulator", {}))
     _check_keys(reg_raw, ("epsilons", "extrapolation"), "regulator", errors)

@@ -30,8 +30,10 @@ wightman_local, a function of s alone: as s -> 0 the differences of
 exponentials would cancel.
 
 lightcone_roots solves du = 0 and dv = 0 on the cuts of fixed p from the
-rows alone. The only family name compared here is the bath's, which selects
-the field's state, not a geometry.
+rows alone. pair_spectrum gives the Fourier transform F_ij(E) of every
+stationary pair in closed form, with a bound on its rounding. The only
+family name compared here is the bath's, which selects the field's state,
+not a geometry.
 """
 
 from __future__ import annotations
@@ -200,6 +202,57 @@ def scenario_correlator(scenario: TrajectoryScenario, i: int, j: int):
         return lambda t1, t2, eps: wightman_local(
             row_i.kappa, np.asarray(t1) - np.asarray(t2), eps)
     return lambda t1, t2, eps: _vacuum_cross(row_i, row_j, t1, t2, eps)
+
+
+def planck_rate(kappa: float, omega: float) -> float:
+    """Transition rate of a single uniformly accelerated detector (lambda = 1):
+    the Planck spectrum omega / (2 pi (e^{2 pi omega / kappa} - 1)) at the
+    Unruh temperature kappa / 2 pi. Continuous through omega = 0 (series)."""
+    if not kappa > 0:
+        raise ValueError("kappa must be positive")
+    x = 2.0 * math.pi * omega / kappa
+    if abs(omega) / kappa < 1e-6:
+        return kappa / (4.0 * math.pi**2) * (1.0 - x / 2.0 + x * x / 12.0)
+    if x > 700.0:
+        # in log form, so that no factor underflows before the product does
+        return math.exp(math.log(omega / (2.0 * math.pi)) - x)
+    return omega / (2.0 * math.pi * math.expm1(x))
+
+
+def pair_spectrum(scenario: TrajectoryScenario, i: int, j: int, E: float):
+    """(F, bound): the spectrum F_ij(E) = int ds e^{-iEs} W^{ij}(s) of a pair
+    whose correlator depends on s = tau1 - tau2 only, in closed form, and a
+    bound on the rounding error of the float F. 2 Re int_0^inf of the same
+    integrand is F, so such a pair adds lambda^2 F(omega)/N^2 to a rate.
+
+    - identical accelerated rows: the Planck form planck_rate at the row's
+      kappa (Takagi, Prog. Theor. Phys. Suppl. 88 (1986) 1);
+    - rows in the thermal bath: the Planck form at kappa1, times
+      sin(EL)/(EL) for two rows a distance L apart (Louko & Satz,
+      gr-qc/0606067), which is 1 at E = 0.
+
+    With x = 2 pi E/kappa, the bound is 4 (1 + |x|) eps_mach |F|: the
+    rounding of x is amplified by |x| in e^x. Two rows apart add
+    4 eps_mach times the Planck factor, since the rounding of EL is an
+    absolute error of sin(EL)/(EL); an underflowed F adds the smallest
+    subnormal. Raises ValueError for a pair with no closed form here.
+    """
+    row_i, row_j = scenario.branch(i), scenario.branch(j)
+    if scenario.family == "ThermalInertialPair":
+        kappa = scenario.kappa1
+    elif row_i == row_j and row_i.kappa > 0:
+        kappa = row_i.kappa
+    else:
+        raise ValueError(f"branch pair ({i},{j}) of {scenario.family} has no "
+                         "closed-form spectrum")
+    planck = planck_rate(kappa, E)
+    eps = np.finfo(float).eps
+    rel = 4.0 * (1.0 + abs(2.0 * math.pi * E / kappa)) * eps
+    if row_i == row_j:
+        return planck, rel * abs(planck) + math.ulp(0.0)
+    EL = E * (row_i.z_c - row_j.z_c)
+    F = planck * math.sin(EL) / EL if EL != 0.0 else planck
+    return F, rel * abs(F) + 4.0 * eps * abs(planck) + math.ulp(0.0)
 
 
 def denominator_factors(scenario: TrajectoryScenario, i: int, j: int):

@@ -1,22 +1,24 @@
 """Numerical detector response: transition rates and excitation probabilities.
 
-Rates and quadrature probabilities follow one recipe. Evaluate the relevant
-oscillatory integral of the regularized correlators on the whole regulator
-ladder in one pass, with eps as an array axis of the integrand, on meshes
-built once at the smallest eps and clustered around the coincidence point
-and the cross-term lightcone crossings; then extrapolate the ladder to
-zero. Quadrature error must sit well below the extrapolation error for the
-ladder to be meaningful, which the panel error estimates verify on every
-rung. Every mesh clusters at lightcone roots in closed form, on both kinds
-of cut. Rates are 1-D integrals along the cut tau1 = tau, tau2 = tau - s,
-whose roots come from the inverses of the branches' null coordinates
-(_rate_cut_roots). The windowed probability is a 2-D integral over the
-switching square: an outer Gauss-Kronrod rule over the sum p of the two
-proper times, over inner 1-D integrals along the cuts of fixed p, meshed at
-lightcone_roots. Branch pairs whose correlator depends on the
-proper-time difference only are the exception: their integral over the sum
-of the two times is Gaussian and done in closed form, leaving one 1-D
-integral. The other exception to the recipe is excitation_probability_contour,
+Rates of non-stationary branch pairs and quadrature probabilities follow
+one recipe. Evaluate the relevant oscillatory integral of the regularized
+correlators on the whole regulator ladder in one pass, with eps as an array
+axis of the integrand, on meshes built once at the smallest eps and
+clustered around the coincidence point and the cross-term lightcone
+crossings; then extrapolate the ladder to zero. Quadrature error must sit
+well below the extrapolation error for the ladder to be meaningful, which
+the panel error estimates verify on every rung. Every mesh clusters at
+lightcone roots in closed form, on both kinds of cut. Rates are 1-D
+integrals along the cut tau1 = tau, tau2 = tau - s, whose roots come from
+the inverses of the branches' null coordinates (_rate_cut_roots). A
+stationary pair needs no integral: its rate is its closed-form spectrum
+(correlators.pair_spectrum), so a rate whose pairs are all stationary runs
+no ladder and has epsilon_estimates = (). The windowed probability is a 2-D
+integral over the switching square: an outer Gauss-Kronrod rule over the
+sum p of the two proper times, over inner 1-D integrals along the cuts of
+fixed p, meshed at lightcone_roots. Stationary pairs are the exception here
+too: their integral over the sum of the two times is Gaussian and done in
+closed form, leaving one 1-D integral. The other exception to the recipe is excitation_probability_contour,
 which evaluates the windowed probability at eps = 0 on a contour shifted off
 the lightcone poles.
 
@@ -27,7 +29,7 @@ table (kinematics); one _mesh_policy sets the panels of every integral.
 Normalization: every rate and probability carries the explicit
 lambda^2 / N^2 prefactor (N = number of superposed branches), so one- and
 two-branch results are directly comparable. The single-branch rate with
-lambda = 1 reproduces the Planck-spectrum reference planck_rate().
+lambda = 1 is the Planck-spectrum reference planck_rate().
 """
 
 from __future__ import annotations
@@ -42,8 +44,10 @@ from scipy.special import erf
 
 from .closed_form import DetectorParams
 # denominator_factors and sign_change_roots are no longer called here; they
-# stay bound because bench/spans.py wraps both names on this module
-from .correlators import denominator_factors, lightcone_roots, scenario_correlator  # noqa: F401
+# stay bound because bench/spans.py wraps both names on this module.
+# planck_rate is re-exported from here
+from .correlators import (denominator_factors, lightcone_roots,  # noqa: F401
+                          pair_spectrum, planck_rate, scenario_correlator)
 from .errors import ConvergenceError, IndeterminateRatioError
 from .kinematics import TrajectoryScenario
 from .quadrature import (
@@ -79,7 +83,9 @@ _MAX_REFINEMENTS = 2
 @dataclass(frozen=True)
 class RateResult:
     """Extrapolated transition rate (may be negative) or excitation
-    probability, with the (eps, value) rungs it was extrapolated from."""
+    probability, with the (eps, value) rungs it was extrapolated from;
+    epsilon_estimates is () for a value that used no regulator ladder (a
+    rate whose branch pairs are all stationary, or the shifted contour)."""
 
     value: float
     error_estimate: float
@@ -237,15 +243,33 @@ def _rate_pair_integral(scenario, i, j, tau, omega, eps, quad):
     return val, err
 
 
+def _spectral_rate(scenario, params):
+    """(lambda^2/N^2) sum_ij F_ij(omega) over the stationary branch pairs,
+    each from its closed-form spectrum (pair_spectrum), and a bound on the
+    rounding of that float."""
+    pref = params.lambda_coupling**2 / scenario.branch_count**2
+    spectra = _pair_map(scenario, lambda i, j: pair_spectrum(scenario, i, j, params.omega)
+                        if _stationary_pair(scenario, i, j) else (0.0, 0.0),
+                        window=False).values()
+    value = pref * math.fsum(F for F, _ in spectra)
+    # fsum rounds once, and so do lambda^2 and the product
+    return value, pref * sum(b for _, b in spectra) + 2.0 * np.finfo(float).eps * abs(value)
+
+
 def _rate_at_eps(scenario, params, tau, eps, quad):
-    """Unextrapolated rate and quadrature error, per rung for a ladder."""
-    n = scenario.branch_count
-    pref = 2.0 * params.lambda_coupling**2 / n**2
-    blocks = _pair_map(scenario, lambda i, j: _rate_pair_integral(
-        scenario, i, j, tau, params.omega, eps, quad), window=False).values()
+    """Unextrapolated rate and quadrature error, per rung for a ladder. The
+    stationary pairs enter at their closed-form value (_spectral_rate), the
+    same on every rung; only the other pairs are integrated on the ladder
+    (_rate_pair_integral). When every pair is stationary the rate is one
+    number, not one per rung."""
+    pref = 2.0 * params.lambda_coupling**2 / scenario.branch_count**2
+    exact, _ = _spectral_rate(scenario, params)
+    blocks = _pair_map(scenario, lambda i, j: (0.0, 0.0) if _stationary_pair(scenario, i, j)
+                       else _rate_pair_integral(scenario, i, j, tau, params.omega, eps, quad),
+                       window=False).values()
     total = sum(v for v, _ in blocks)
     qerr = sum(e for _, e in blocks)
-    return pref * total.real, abs(pref) * qerr
+    return exact + pref * total.real, pref * qerr
 
 
 def _extrapolated(reg_schedule, values) -> RateResult:
@@ -264,15 +288,27 @@ def transition_rate(scenario: TrajectoryScenario, params: DetectorParams, tau: f
     """Instantaneous transition rate in the infinite-interaction-time limit,
 
         rate(tau) = (lambda^2/N^2) 2 Re sum_ij int_0^inf ds e^{-i omega s}
-                    W^{ij}(tau, tau - s),
+                    W^{ij}(tau, tau - s).
 
-    truncated at s = 40/kappa_scale(scenario) (_rate_cut) and extrapolated to
-    eps -> 0. For the Differing family tau is the shared proper-time
-    parameter of both branches (no global time coordinate relates them).
+    A stationary pair (every local pair, and the thermal bath's cross pair)
+    adds lambda^2 F_ij(omega)/N^2 in closed form (pair_spectrum). The other
+    cross pairs are integrated up to s = 40/kappa_scale(scenario)
+    (_rate_cut) on the regulator ladder and extrapolated to eps -> 0.
+    error_estimate is the extrapolation error plus the rounding bound of the
+    closed-form part. epsilon_estimates holds the ladder's (eps, rate) rungs,
+    and is () when every pair is stationary: then no ladder is run and the
+    rate is exact up to that rounding bound. For the Differing family tau is
+    the shared proper-time parameter of both branches (no global time
+    coordinate relates them).
     """
     reg_schedule, quad = _defaults(scenario, reg_schedule, quad)
     values, _ = _rate_at_eps(scenario, params, float(tau), reg_schedule.epsilons, quad)
-    return _extrapolated(reg_schedule, values)
+    _, rounding = _spectral_rate(scenario, params)
+    if np.ndim(values) == 0:
+        return RateResult(value=float(values), error_estimate=rounding, epsilon_estimates=())
+    result = _extrapolated(reg_schedule, values)
+    return RateResult(value=result.value, error_estimate=result.error_estimate + rounding,
+                      epsilon_estimates=result.epsilon_estimates)
 
 
 # ---------------------------------------------------------------------------
@@ -509,20 +545,6 @@ def excitation_probability_contour(scenario: TrajectoryScenario,
 
 # ---------------------------------------------------------------------------
 # references and checks
-
-
-def planck_rate(kappa: float, omega: float) -> float:
-    """Transition rate of a single uniformly accelerated detector (lambda = 1):
-    the Planck spectrum omega / (2 pi (e^{2 pi omega / kappa} - 1)) at the
-    Unruh temperature kappa / 2 pi. Continuous through omega = 0 (series)."""
-    if not kappa > 0:
-        raise ValueError("kappa must be positive")
-    x = 2.0 * math.pi * omega / kappa
-    if abs(omega) / kappa < 1e-6:
-        return kappa / (4.0 * math.pi**2) * (1.0 - x / 2.0 + x * x / 12.0)
-    if x > 700.0:
-        return omega * math.exp(-x) / (2.0 * math.pi)
-    return omega / (2.0 * math.pi * math.expm1(x))
 
 
 def _value_and_error(r):

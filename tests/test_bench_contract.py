@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import udwsim.cli
 import udwsim.quadrature
 from udwsim import DetectorParams, TrajectoryScenario, response
 
@@ -63,3 +64,35 @@ def test_tracer_counts_the_quadrature_layers(spans):
     for counter in ("quadrature.panel_calls", "quadrature.panels",
                     "quadrature.mesh_calls", "response.eps_rungs"):
         assert tracer.counts[counter] > 0, counter
+
+
+@pytest.mark.parametrize("scenario, panel_calls", [
+    (TrajectoryScenario("SingleAccel", kappa1=1.0), 0),
+    (TrajectoryScenario("Parallel", kappa1=1.0, L=1.0), 2),
+], ids=["SingleAccel", "Parallel-kL1"])
+def test_tracer_sees_only_the_ladder_pairs_of_a_rate(spans, scenario, panel_calls):
+    # a stationary pair's rate is its closed-form spectrum: the local pairs
+    # make no panel integral, and each cross pair of Parallel makes one
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        unit = DetectorParams(omega=1.0, lambda_coupling=1.0, sigma=1.0)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        response.transition_rate(scenario, unit, 1.0)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["quadrature.panel_calls"] == panel_calls
+    assert tracer.counts["response.eps_rungs"] == 1
+
+
+def test_names_the_tracer_wraps_keep_their_signatures():
+    # bench/spans.py reads these arguments by position
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(response._rate_at_eps) == ["scenario", "params", "tau", "eps", "quad"]
+    assert params(udwsim.cli.transition_rate) == params(response.transition_rate)
+    assert params(udwsim.cli._eval_point) == ["task"]
+    assert params(udwsim.cli._write_output) == ["path", "header", "rows",
+                                               "json_mirror", "kind"]

@@ -5,8 +5,11 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
+import scipy
 
+import udwsim
 from udwsim import cli
 from udwsim.cli import main
 from udwsim.closed_form import DetectorParams, p_parallel
@@ -154,10 +157,10 @@ class TestRunRateMap:
         assert len(rows) == 2
         emission = rows[0].split(",")
         assert emission[0] == "-1"
-        assert float(emission[2]) == pytest.approx(0.159450698954935, rel=1e-9)
+        assert float(emission[2]) == pytest.approx(0.15945271189978372, rel=1e-9)
         assert emission[4] == "1"
         absorption = rows[1].split(",")
-        assert float(absorption[2]) == pytest.approx(2.977651232699531e-4,
+        assert float(absorption[2]) == pytest.approx(2.9776880788837915e-4,
                                                      rel=1e-9)
 
     def test_coincident_thermal_pair_rows_are_valid(self, tmp_path):
@@ -214,6 +217,34 @@ class TestRunRateMap:
             header_lines(half)
         assert "scenario family=Parallel kappa1=2 kappa2=0 L=0.5" in \
             header_lines(one)
+
+    def test_header_names_versions_and_rate_method(self, tmp_path):
+        text = RATE_CFG + "  - kind: kms_report\n    path: k.csv\n"
+        main(["run", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)])
+        versions = (f"versions udwsim={udwsim.__version__} numpy={np.__version__} "
+                    f"scipy={scipy.__version__}")
+        for name in ("r.csv", "k.csv"):
+            headers = header_lines(tmp_path / name)
+            assert versions in headers
+            method = [h for h in headers if h.startswith("rate method: ")]
+            assert len(method) == 1
+            assert "stationary branch pairs in closed form" in method[0]
+            assert "cross pairs integrated on the regulator ladder" in method[0]
+
+    def test_values_are_written_at_round_trip_precision(self, tmp_path):
+        cfg = write_cfg(tmp_path, RATE_CFG.replace("[-1.0, 1.0]", "[-1.0, 0.1]"))
+        main(["run", cfg, "--out-dir", str(tmp_path)])
+        rows = [row.split(",") for row in data_rows(tmp_path / "r.csv")]
+        # integer-valued floats keep their short form
+        assert rows[0][0] == "-1" and rows[0][1] == "0" and rows[0][4] == "1"
+        assert rows[1][0] == "0.1"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            unit = DetectorParams(omega=0.1, lambda_coupling=1.0, sigma=1.0)
+        lib = transition_rate(TrajectoryScenario("SingleAccel", kappa1=1.0), unit, 0.0)
+        assert float(rows[1][2]) == lib.value
+        assert float(rows[1][3]) == lib.error_estimate
+        assert rows[1][2] == repr(lib.value)
 
     def test_eps_ladder_override_lands_in_header(self, tmp_path):
         cfg = write_cfg(tmp_path, RATE_CFG)
@@ -421,8 +452,8 @@ class TestRunVisibility:
         for r in rows:
             dphi, norm, env, residual = map(float, r[:4])
             assert env == pytest.approx((1 + math.cos(dphi)) / 2, rel=1e-10)
-            # columns carry 12 significant digits, so recomputing the
-            # difference from parsed values is quantized near 1e-12
+            # columns carry every digit, so the parsed values reproduce the
+            # difference up to its rounding
             assert norm - env == pytest.approx(residual, abs=1e-11)
             assert abs(residual) < 1e-3
             assert r[4] == "1"

@@ -158,6 +158,10 @@ class TestScenarioSection:
         errs = errors_of("scenario:\n  family: Parallel\n  kappa1: fast\n")
         assert "scenario.kappa1: expected a number, got 'fast'" in errs
 
+    def test_boolean_kappa_rejected(self):
+        errs = errors_of("scenario:\n  family: Parallel\n  kappa1: true\n")
+        assert errs == ["scenario.kappa1: expected a number, got True"]
+
     def test_unknown_scenario_key(self):
         errs = errors_of(MINIMAL + "  tilt: 0.2\n")
         assert "scenario.tilt: unknown field" in errs
@@ -257,6 +261,15 @@ class TestQuadratureAndRegulator:
     def test_invalid_quadrature_value_falls_back(self):
         errs = errors_of(MINIMAL + "quadrature:\n  rel_tol: -1.0\n")
         assert errs == ["quadrature: tolerances must be positive"]
+
+    def test_yaml11_string_tolerance_is_a_number(self):
+        # YAML 1.1 needs a dot in a float, so 1e-3 loads as the string "1e-3"
+        cfg = validate_config(MINIMAL + "quadrature:\n  rel_tol: 1e-3\n")
+        assert cfg.quadrature == QuadratureConfig(rel_tol=1e-3)
+
+    def test_boolean_tolerance_rejected(self):
+        errs = errors_of(MINIMAL + "quadrature:\n  rel_tol: true\n")
+        assert errs == ["quadrature.rel_tol: expected a number, got True"]
 
     def test_readme_schema_sections_validate(self):
         # the quadrature: and regulator: sections of the README's schema

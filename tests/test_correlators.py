@@ -8,6 +8,7 @@ independently of the factored implementations under test.
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -16,6 +17,8 @@ from udwsim import (
     TrajectoryScenario,
     denominator_factors,
     lightcone_roots,
+    pair_spectrum,
+    planck_rate,
     scenario_correlator,
     wightman_local,
     wightman_schlicht,
@@ -366,3 +369,73 @@ def test_lightcone_roots_are_finite_far_out_on_the_cut():
 def test_diagonal_pairs_have_no_lightcone_roots():
     sc = TrajectoryScenario("Parallel", kappa1=1.0, L=0.7)
     assert lightcone_roots(sc, 1, 1, np.zeros(5)).shape == (0, 5)
+
+
+# --- closed-form spectra of the stationary pairs ------------------------------
+
+def _exact_spectrum(kappa, E, L):
+    """E/(2 pi (e^{2 pi E/kappa} - 1)) sin(EL)/(EL) at 50 digits, from the
+    float inputs as given; L = 0 is the Planck form alone."""
+    with mp.workdps(50):
+        k, e, l = mp.mpf(kappa), mp.mpf(E), mp.mpf(L)
+        planck = k / (4 * mp.pi**2) if e == 0 else e / (2 * mp.pi * mp.expm1(2 * mp.pi * e / k))
+        x = e * l
+        return planck * (mp.sin(x) / x if x != 0 else 1)
+
+
+def _spectrum_samples(n):
+    """(kappa, E, L): |2 pi E/kappa| up to 40, gaps near zero, and EL near
+    multiples of pi, where sin(EL) is small and the rounding of EL dominates."""
+    rng = np.random.default_rng(7)
+    out = []
+    for k in range(n):
+        kappa = float(10.0 ** rng.uniform(-2.0, 2.0))
+        x = float(rng.uniform(-40.0, 40.0))
+        if k % 10 == 0:
+            x = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -4.0))
+        if k % 50 == 0:
+            x = 0.0
+        E = x * kappa / (2.0 * math.pi)
+        if k % 2 == 0 and E != 0.0:
+            n_pi = int(rng.integers(1, 60))
+            L = abs((n_pi * math.pi + float(rng.uniform(-1.0, 1.0)) * 1e-6) / E)
+        else:
+            L = float(10.0 ** rng.uniform(-3.0, 3.0))
+        out.append((kappa, E, L))
+    return out
+
+
+def test_pair_spectrum_rounding_bound_holds_against_mpmath():
+    samples = _spectrum_samples(1200)
+    assert max(abs(2.0 * math.pi * E / k) for k, E, _ in samples) > 39.0
+    for kappa, E, L in samples:
+        single = TrajectoryScenario("SingleAccel", kappa1=kappa)
+        bath = TrajectoryScenario("ThermalInertialPair", kappa1=kappa, L=L)
+        for sc, pair, dist in ((single, (1, 1), 0.0), (bath, (1, 1), 0.0),
+                               (bath, (1, 2), L)):
+            F, bound = pair_spectrum(sc, *pair, E)
+            exact = _exact_spectrum(kappa, E, dist)
+            assert bound > 0
+            assert abs(F - exact) <= bound, (sc.family, pair, kappa, E, L)
+
+
+@pytest.mark.parametrize("sc, pair", [
+    (TrajectoryScenario("Parallel", kappa1=1.0, L=1.0), (1, 2)),
+    (TrajectoryScenario("AntiParallel", kappa1=1.0, L=0.5), (1, 2)),
+    (TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5), (1, 2)),
+])
+def test_pair_spectrum_refuses_non_stationary_pairs(sc, pair):
+    with pytest.raises(ValueError, match="no closed-form spectrum"):
+        pair_spectrum(sc, *pair, 1.0)
+
+
+def test_pair_spectrum_reads_the_rows():
+    # identical rows give the local form; the bath's cross pair at L = 0 too
+    par0 = TrajectoryScenario("Parallel", kappa1=2.0, L=0.0)
+    assert pair_spectrum(par0, 1, 2, 0.3) == pair_spectrum(par0, 1, 1, 0.3)
+    th0 = TrajectoryScenario("ThermalInertialPair", kappa1=2.0)
+    assert pair_spectrum(th0, 1, 2, 0.3)[0] == planck_rate(2.0, 0.3)
+    # the bath's cross pair is even in L and is the Planck form at E = 0
+    th = TrajectoryScenario("ThermalInertialPair", kappa1=2.0, L=1.5)
+    assert pair_spectrum(th, 1, 2, 0.3) == pair_spectrum(th, 2, 1, 0.3)
+    assert pair_spectrum(th, 1, 2, 0.0)[0] == planck_rate(2.0, 0.0)

@@ -4,8 +4,8 @@ The correlator and response layers read every geometric fact off the
 table's rows, and the validity rule and the closed forms hold for every
 family alike, so their code compares no family name. The one exception is
 the bath: the thermal state is a property of the field, not of a worldline,
-and two functions choose the thermal correlators over the vacuum ones by the
-family's name.
+and three functions choose the thermal correlators or spectra over the
+vacuum ones by the family's name.
 """
 
 import ast
@@ -20,6 +20,7 @@ import udwsim.validity
 from udwsim.kinematics import FAMILIES
 
 BATH_SWITCH = {("scenario_correlator", "ThermalInertialPair"),
+               ("pair_spectrum", "ThermalInertialPair"),
                ("wightman_schlicht", "ThermalInertialPair")}
 
 

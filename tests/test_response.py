@@ -23,11 +23,13 @@ from udwsim import (
     RegulatorSchedule,
     TrajectoryScenario,
     ValidityError,
+    epsilon_extrapolate,
     excitation_probability_contour,
     excitation_probability_quadrature,
     horizon_crossing_time,
     kappa_scale,
     kms_check,
+    pair_spectrum,
     planck_rate,
     transition_rate,
     window_halfwidth,
@@ -80,17 +82,19 @@ def test_planck_rate_extreme_gaps():
 # --- transition_rate ----------------------------------------------------------
 
 def test_single_detector_rate_matches_planck():
+    # the local pair is stationary: its rate is the closed-form spectrum,
+    # with no regulator ladder
     r = transition_rate(SA, unit(1.0), 0.0)
     assert r.value == pytest.approx(planck_rate(1.0, 1.0), rel=1e-4)
-    assert r.value == pytest.approx(2.977651232699531e-4, rel=1e-10)
-    assert r.error_estimate < 1e-7
-    assert len(r.epsilon_estimates) == 3
+    assert r.value == pytest.approx(2.9776880788837915e-4, rel=1e-10)
+    assert 0 < r.error_estimate < 1e-7
+    assert r.epsilon_estimates == ()
 
 
 def test_single_detector_rate_emission():
     r = transition_rate(SA, unit(-1.0), 0.0)
     assert r.value == pytest.approx(planck_rate(1.0, -1.0), rel=1e-4)
-    assert r.value == pytest.approx(0.159450698954935, rel=1e-10)
+    assert r.value == pytest.approx(0.15945271189978372, rel=1e-10)
 
 
 def test_single_detector_rate_stationary():
@@ -121,7 +125,7 @@ def test_parallel_equilibrates_at_late_times():
 def test_thermal_pair_rate_is_stationary():
     th = TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=1.0)
     vals = [transition_rate(th, unit(1.0), t).value for t in (-2.0, -0.5, 1.0, 2.0)]
-    assert vals[0] == pytest.approx(2.7416459206120684e-4, rel=1e-8)
+    assert vals[0] == pytest.approx(2.7416630995364343e-4, rel=1e-8)
     spread = (max(vals) - min(vals)) / abs(vals[0])
     assert spread < 1e-8
 
@@ -129,7 +133,7 @@ def test_thermal_pair_rate_is_stationary():
 def test_differing_rate_reference_cell():
     df = TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5)
     r = transition_rate(df, unit(1.0), 0.0)
-    assert r.value == pytest.approx(1.064685305326209e-4, rel=1e-6)
+    assert r.value == pytest.approx(1.0647218933034789e-4, rel=1e-6)
 
 
 def test_differing_rate_goes_negative():
@@ -156,20 +160,25 @@ def test_no_rate_cut_roots_at_a_horizon_crossing():
         assert abs(transition_rate(sc, params, tau).value - at.value) <= at.error_estimate
 
 
+PAR_KL1 = TrajectoryScenario("Parallel", kappa1=1.0, L=1.0)
+
+
 def test_rate_convergence_error_carries_estimate():
-    # a relative tolerance below double precision cannot be met on any mesh
+    # a relative tolerance below double precision cannot be met on any mesh;
+    # the cross pairs are the ones integrated
     strict = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-20)
     with pytest.raises(ConvergenceError) as exc:
-        transition_rate(SA, unit(1.0), 0.0, quad=strict)
+        transition_rate(PAR_KL1, unit(1.0), 1.0, quad=strict)
     assert exc.value.estimate is not None
     assert exc.value.error_estimate > 0
 
 
 def test_rate_respects_custom_schedule():
     sched = RegulatorSchedule((2e-2, 1e-2))
-    r = transition_rate(SA, unit(1.0), 0.0, reg_schedule=sched)
+    r = transition_rate(PAR_KL1, unit(1.0), 1.0, reg_schedule=sched)
     assert [e for e, _ in r.epsilon_estimates] == [2e-2, 1e-2]
-    assert r.value == pytest.approx(planck_rate(1.0, 1.0), rel=1e-3)
+    ref = transition_rate(PAR_KL1, unit(1.0), 1.0)
+    assert r.value == pytest.approx(ref.value, rel=1e-3)
 
 
 def test_result_dataclass_validation():
@@ -507,3 +516,41 @@ def test_correlator_with_an_eps_column_matches_scalar_calls(scenario, pair):
     assert column.shape == (len(LADDER), t1.size)
     for k, eps in enumerate(LADDER):
         np.testing.assert_allclose(column[k], corr(t1, t2, eps), rtol=1e-15, atol=0.0)
+
+
+# --- closed-form spectra against the regulator ladder -------------------------
+
+def _ladder_pair_rate(scenario, pair, omega):
+    """2 Re int_0^S e^{-i omega s} W^{ij}(0, -s) ds on the default ladder,
+    extrapolated to eps -> 0: (value, bar). The bar is the extrapolation
+    error plus the rounding that it does not see: the integrand peaks at
+    |W| ~ 1/(16 pi^2 eps^2) at s = 0, so each rung rounds by about
+    eps_mach int |2W| ds = eps_mach/(16 pi eps), and linear Richardson
+    extrapolation over rungs a factor 2 apart triples that."""
+    sched, quad = response._defaults(scenario, None, None)
+    vals, _ = response._rate_pair_integral(scenario, *pair, 0.0, omega,
+                                           sched.epsilons, quad)
+    value, err = epsilon_extrapolate(tuple(zip(sched.epsilons, 2.0 * vals.real)),
+                                     sched.extrapolation)
+    rounding = 3.0 * np.finfo(float).eps / (16.0 * math.pi * min(sched.epsilons))
+    return value, err + rounding
+
+
+STATIONARY_PAIRS = [
+    (SA, (1, 1)),
+    (DIFF, (1, 1)), (DIFF, (2, 2)),
+    (TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=1.0), (1, 1)),
+    *[(TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=kL), (1, 2))
+      for kL in (0.0, 1.0, 3.0)],
+]
+
+
+@pytest.mark.parametrize("q", [-2.0, -0.7, 0.0, 0.5, 2.3])
+@pytest.mark.parametrize("scenario, pair", STATIONARY_PAIRS,
+                         ids=["SingleAccel", "Differing-11", "Differing-22",
+                              "Thermal-11", "Thermal-kL0", "Thermal-kL1", "Thermal-kL3"])
+def test_pair_spectrum_matches_the_ladder_integral(scenario, pair, q):
+    omega = q * scenario.kappa1
+    exact, bound = pair_spectrum(scenario, *pair, omega)
+    ladder, err = _ladder_pair_rate(scenario, pair, omega)
+    assert abs(ladder - exact) <= err + bound
