@@ -12,10 +12,9 @@ from .closed_form import (ClosedFormResult, DetectorParams, p_antiparallel,
                           p_differing, p_local, p_parallel, xi_prefactor,
                           zeta_prefactor)
 from .config import OutputSpec, ScenarioConfig, validate_config
-from .correlators import (Regulator, denominator_factors, lightcone_roots,
-                          pair_spectrum, scenario_correlator, wightman_local,
-                          wightman_schlicht, wightman_thermal_cross,
-                          wightman_thermal_local)
+from .correlators import (denominator_factors, lightcone_roots, pair_spectrum,
+                          scenario_correlator, wightman_local, wightman_schlicht,
+                          wightman_thermal_cross, wightman_thermal_local)
 from .errors import (ConfigError, ConvergenceError, HyperbolicRangeError,
                      IndeterminateRatioError, SingularParameterError,
                      ValidityError)
@@ -34,7 +33,7 @@ from .superposition import (ControlState, DetectorDensityMatrix,
                             WightmanIntegrals, compute_wightman_integrals,
                             conditional_density_matrix,
                             phase_envelope, visibility_scan)
-from .validity import ValidityReport, beta_parameter, check_beta_bound
+from .validity import beta_bound_violation, beta_parameter
 
 __version__ = "0.1.0"
 
@@ -57,16 +56,14 @@ __all__ = [
     "ProbabilityResult",
     "QuadratureConfig",
     "RateResult",
-    "Regulator",
     "RegulatorSchedule",
     "ScenarioConfig",
     "SingularParameterError",
     "TrajectoryScenario",
     "ValidityError",
-    "ValidityReport",
     "WightmanIntegrals",
+    "beta_bound_violation",
     "beta_parameter",
-    "check_beta_bound",
     "compute_wightman_integrals",
     "conditional_density_matrix",
     "default_schedule",

@@ -426,9 +426,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.reference != "planck":
-        print(f"error: unknown oracle {args.reference!r}", file=sys.stderr)
-        return 2
     try:
         value = planck_rate(args.kappa, args.omega)
     except (ValueError, OverflowError) as exc:

@@ -58,8 +58,6 @@ class DetectorParams:
 @dataclass(frozen=True)
 class ClosedFormResult:
     probability: float
-    residues_omitted: bool
-    beta_values: tuple
 
     def __post_init__(self):
         if self.probability < 0:
@@ -97,7 +95,7 @@ def p_local(params: DetectorParams, kappa: float) -> ClosedFormResult:
     (kappa sigma lambda / 2)^2 e^{-sigma^2 omega^2} / (2 pi sin^2 beta)."""
     beta = _checked_beta(params, kappa)
     prob = xi_prefactor(params, kappa) / math.sin(beta) ** 2
-    return ClosedFormResult(prob, residues_omitted=False, beta_values=(beta,))
+    return ClosedFormResult(prob)
 
 
 def p_parallel(params: DetectorParams, kappa: float, L: float) -> ClosedFormResult:
@@ -107,8 +105,7 @@ def p_parallel(params: DetectorParams, kappa: float, L: float) -> ClosedFormResu
     interference = zeta_prefactor(params, kappa) / (
         (kappa * L / 2.0) ** 2 + math.sin(beta) ** 2
     )
-    return ClosedFormResult(0.5 * loc + interference,
-                            residues_omitted=False, beta_values=(beta,))
+    return ClosedFormResult(0.5 * loc + interference)
 
 
 def p_antiparallel(params: DetectorParams, kappa: float, L: float) -> ClosedFormResult:
@@ -121,8 +118,7 @@ def p_antiparallel(params: DetectorParams, kappa: float, L: float) -> ClosedForm
     if denom == 0.0:
         raise SingularParameterError("antiparallel interference denominator vanished")
     interference = zeta_prefactor(params, kappa) / denom
-    return ClosedFormResult(0.5 * loc + interference,
-                            residues_omitted=False, beta_values=(beta,))
+    return ClosedFormResult(0.5 * loc + interference)
 
 
 def _inverse_sin_sq_term(kappa: float, params: DetectorParams) -> float:
@@ -137,8 +133,8 @@ def _inverse_sin_sq_term(kappa: float, params: DetectorParams) -> float:
 
 def p_differing(params: DetectorParams, kappa1: float, kappa2: float) -> ClosedFormResult:
     """Superposition of two branches with differing accelerations sharing a
-    horizon. Residue contributions of the saddle analysis are omitted
-    (residues_omitted = True); they vanish identically at kappa1 = kappa2.
+    horizon. Residue contributions of the saddle analysis are omitted; they
+    vanish identically at kappa1 = kappa2.
     This is the paper's form. excitation_probability_contour includes the
     cross terms it omits; against it p_differing reads 6.5-8.7% high at
     kappa1 = 1, sigma = 0.05, omega = 80 (kappa2 = 0.25, 0.5, 2) and 1.1-1.3%
@@ -156,4 +152,4 @@ def p_differing(params: DetectorParams, kappa1: float, kappa2: float) -> ClosedF
         raise SingularParameterError("differing-acceleration interference denominator vanished")
     bracket += 8.0 * kappa1**2 * kappa2**2 / denom
     prob = (sigma * lam / 2.0) ** 2 * math.exp(-(sigma * params.omega) ** 2) / (8.0 * math.pi) * bracket
-    return ClosedFormResult(prob, residues_omitted=True, beta_values=(b1, b2))
+    return ClosedFormResult(prob)

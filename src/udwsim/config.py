@@ -179,6 +179,9 @@ def _parse_outputs(raw, scenario, errors: list):
         elif "backend" in item:
             errors.append(f"{prefix}.backend: only probability_map takes a backend")
             continue
+        if "tolerance" in item and kind != "kms_report":
+            errors.append(f"{prefix}.tolerance: only kms_report takes a tolerance")
+            continue
         if (kind == "visibility_scan" and scenario is not None
                 and scenario.branch_count != 2):
             errors.append(f"{prefix}.kind: visibility_scan needs a two-branch family")
@@ -222,8 +225,9 @@ def _parse_outputs(raw, scenario, errors: list):
 def validate_config(raw_text: str) -> ScenarioConfig:
     """Parse and validate a YAML config; all problems raise one ConfigError.
 
-    Emits UserWarnings for legal-but-suspect requests (beta >= pi points
-    under the closed-form probability backend).
+    Emits UserWarnings for legal-but-suspect requests: a probability map at
+    omega <= 0 (either backend), or beta outside (0, pi) points under the
+    closed-form probability backend.
     """
     errors: list = []
     try:
@@ -295,7 +299,14 @@ def validate_config(raw_text: str) -> ScenarioConfig:
         raise ConfigError(sorted(set(errors)))
 
     for out in outputs:
-        if out.kind == "probability_map" and out.backend == "closed":
+        if out.kind != "probability_map":
+            continue
+        if params.omega <= 0:
+            warnings.warn(
+                f"probability_map ({out.path}): params.omega = {params.omega:g}; "
+                "probability_map needs omega > 0, so every row will be flagged "
+                "invalid", UserWarning, stacklevel=2)
+        elif out.backend == "closed":
             bad = [b for b in grids["kappa_sigma2_omega"] if b >= math.pi or b <= 0]
             if bad:
                 warnings.warn(

@@ -39,7 +39,6 @@ not a geometry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,21 +53,9 @@ _PI2_16 = 16.0 * math.pi**2
 _MAX_HYP_ARG = 350.0
 
 
-@dataclass(frozen=True)
-class Regulator:
-    """Smearing scale eps > 0 (time units)."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if not (self.epsilon > 0) or not math.isfinite(self.epsilon):
-            raise ValueError("regulator epsilon must be positive and finite")
-
-
 def _eps_of(reg):
-    if isinstance(reg, Regulator):
-        return reg.epsilon
-    eps = np.asarray(reg, dtype=float)  # a ladder becomes a column (m, 1)
+    """eps as a float, or a ladder as a column (m, 1)."""
+    eps = np.asarray(reg, dtype=float)
     return eps.reshape(-1, 1) if eps.ndim else float(eps)
 
 

@@ -2,14 +2,8 @@
 
 
 class ValidityError(ValueError):
-    """A closed-form expression was requested outside its regime of validity.
-
-    Carries the offending report so callers can inspect which constraint fired.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """A closed-form expression was requested outside its regime of validity;
+    the message names the violated constraint."""
 
 
 class SingularParameterError(ValueError):

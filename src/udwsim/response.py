@@ -327,7 +327,7 @@ def window_halfwidth(params: DetectorParams) -> float:
     return _WINDOW_SIGMAS * params.sigma + 2.0 * params.sigma**2 * abs(params.omega)
 
 
-def _halfplane_pair_integral(scenario, i, j, params, eps, quad, level=0):
+def _halfplane_pair_integral(scenario, i, j, params, eps, level=0):
     """J_ij = (1/2) int dp int_{s>0} ds G(p) G(s) e^{-i omega s}
     W^{ij}((p+s)/2, (p-s)/2) over the diamond |p| + |s| <= 2T, i.e. the
     time-ordered half of the [-T, T]^2 switching square in rotated
@@ -422,7 +422,7 @@ def halfplane_integrals_at_eps(scenario, params, eps, quad) -> dict:
             val, err = _stationary_pair_integral(scenario, i, j, params, eps, quad)
         else:
             for level in range(_MAX_REFINEMENTS + 1):
-                val, err = _halfplane_pair_integral(scenario, i, j, params, eps, quad,
+                val, err = _halfplane_pair_integral(scenario, i, j, params, eps,
                                                     level=level)
                 if _within_tol(val, err, quad):
                     break

@@ -53,8 +53,6 @@ def test_p_local_reference_value():
     assert r.probability == pytest.approx(2.836134225096332e-14, rel=1e-13)
     assert r.probability == pytest.approx(
         xi_prefactor(REF, 1.0) / math.sin(0.2) ** 2, rel=1e-14)
-    assert r.residues_omitted is False
-    assert r.beta_values == pytest.approx((0.2,))
 
 
 def test_p_local_scaling_in_coupling():
@@ -148,8 +146,6 @@ def test_differing_equal_accelerations_reduce_to_local():
     loc = p_local(REF, 1.0).probability
     d = p_differing(REF, 1.0, 1.0)
     assert d.probability == pytest.approx(loc, rel=1e-12)
-    assert d.residues_omitted is True
-    assert d.beta_values == pytest.approx((0.2, 0.2))
 
 
 def test_differing_vanishing_first_acceleration():
@@ -209,7 +205,7 @@ def test_kappa_validation():
 
 def test_result_rejects_negative_probability():
     with pytest.raises(ValueError):
-        ClosedFormResult(-1e-20, residues_omitted=False, beta_values=(0.1,))
+        ClosedFormResult(-1e-20)
 
 
 def test_probabilities_scale_invariant():

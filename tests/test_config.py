@@ -355,6 +355,27 @@ class TestOutputsSection:
         errs = errors_of(text)
         assert "outputs[0].backend: only probability_map takes a backend" in errs
 
+    @pytest.mark.parametrize("kind", ["rate_map", "probability_map",
+                                      "visibility_scan"])
+    def test_tolerance_rejected_on_other_kinds(self, kind):
+        text = MINIMAL + (
+            "outputs:\n"
+            f"  - kind: {kind}\n"
+            "    path: r.csv\n"
+            "    tolerance: 7.5\n"
+        )
+        errs = errors_of(text)
+        assert "outputs[0].tolerance: only kms_report takes a tolerance" in errs
+
+    def test_kms_report_takes_a_tolerance(self):
+        text = MINIMAL + (
+            "outputs:\n"
+            "  - kind: kms_report\n"
+            "    path: k.csv\n"
+            "    tolerance: 7.5\n"
+        )
+        assert validate_config(text).outputs[0].tolerance == 7.5
+
     def test_visibility_needs_two_branches(self):
         text = (
             "scenario:\n  family: SingleAccel\n"
@@ -535,6 +556,36 @@ class TestBetaWarning:
             "outputs:\n"
             "  - kind: probability_map\n"
             "    path: p.csv\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            validate_config(text)
+
+
+class TestNonPositiveGapWarning:
+    @pytest.mark.parametrize("backend", ["closed", "quadrature"])
+    @pytest.mark.parametrize("omega", [-1.0, 0.0])
+    def test_probability_map_warns_at_omega_not_positive(self, backend, omega):
+        text = MINIMAL + (
+            f"params:\n  omega: {omega}\n"
+            "grids:\n"
+            "  L_over_sigma: [0.0, 1.0]\n"
+            "  kappa_sigma2_omega: [0.2, 0.4]\n"
+            "outputs:\n"
+            "  - kind: probability_map\n"
+            "    path: p.csv\n"
+            f"    backend: {backend}\n"
+        )
+        with pytest.warns(UserWarning, match=r"probability_map \(p\.csv\).*"
+                                             r"needs omega > 0"):
+            validate_config(text)
+
+    def test_other_kinds_do_not_warn(self):
+        text = MINIMAL + (
+            "params:\n  omega: -1.0\n"
+            "outputs:\n"
+            "  - kind: rate_map\n"
+            "    path: r.csv\n"
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")

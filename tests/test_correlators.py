@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from udwsim import (
-    Regulator,
     TrajectoryScenario,
     denominator_factors,
     lightcone_roots,
@@ -32,21 +31,11 @@ PI2_4 = 4.0 * math.pi**2
 PI2_16 = 16.0 * math.pi**2
 
 
-def test_regulator_validation():
-    with pytest.raises(ValueError):
-        Regulator(0.0)
-    with pytest.raises(ValueError):
-        Regulator(-1e-3)
-    with pytest.raises(ValueError):
-        Regulator(math.inf)
-    assert Regulator(1e-3).epsilon == 1e-3
-
-
 def test_coincidence_value():
     # W(s=0) = +1/(16 pi^2 eps^2), independent of kappa
     w = wightman_local(1.0, 0.0, 1e-2)
     assert complex(w) == pytest.approx(63.32573977646111 + 0.0j, rel=1e-12)
-    w = wightman_local(7.0, 0.0, Regulator(1e-2))
+    w = wightman_local(7.0, 0.0, 1e-2)
     assert complex(w) == pytest.approx(63.32573977646111 + 0.0j, rel=1e-12)
     assert complex(w).real == pytest.approx(1.0 / (PI2_16 * 1e-4), rel=1e-13)
 

@@ -370,7 +370,7 @@ def test_contour_refuses_when_a_pole_nears_the_contour():
 def test_stationary_pair_integral_matches_2d_engine(scenario, pair):
     quad = QuadratureConfig()
     one_d, _ = response._stationary_pair_integral(scenario, *pair, REF, 1e-2, quad)
-    two_d, _ = response._halfplane_pair_integral(scenario, *pair, REF, 1e-2, quad)
+    two_d, _ = response._halfplane_pair_integral(scenario, *pair, REF, 1e-2)
     assert abs(one_d - two_d) <= 1e-12 * abs(two_d)
     # Re J, the part the probability keeps, is below 1e-6 of |J| here
     assert abs(one_d.real - two_d.real) <= 1e-6 * abs(two_d.real)
@@ -402,9 +402,8 @@ def test_window_alias_matches_both_directions(scenario, params):
     # time reflection gives W^{21}(p, s) = W^{12}(-p, s), and the window is
     # even in p; the outer p-mesh is mirrored, so both orders meet the same
     # nodes and agree to rounding
-    quad = QuadratureConfig()
-    j12, _ = response._halfplane_pair_integral(scenario, 1, 2, params, 1e-2, quad)
-    j21, _ = response._halfplane_pair_integral(scenario, 2, 1, params, 1e-2, quad)
+    j12, _ = response._halfplane_pair_integral(scenario, 1, 2, params, 1e-2)
+    j21, _ = response._halfplane_pair_integral(scenario, 2, 1, params, 1e-2)
     assert abs(j21 - j12) <= 1e-14 * abs(j12)
 
 
@@ -474,11 +473,16 @@ def assert_rungs_match(ladder, single):
     (SA, (1, 1), "_stationary_pair_integral"),
 ])
 def test_ladder_call_matches_one_rung_calls(scenario, pair, engine):
-    integral = getattr(response, engine)
-    quad = QuadratureConfig()
-    values, errors = integral(scenario, *pair, REF, LADDER, quad)
+    engine_fn = getattr(response, engine)
+    # only the 1-D engine refines to the quadrature tolerances itself
+    quad = (QuadratureConfig(),) if engine == "_stationary_pair_integral" else ()
+
+    def integral(eps):
+        return engine_fn(scenario, *pair, REF, eps, *quad)
+
+    values, errors = integral(LADDER)
     assert values.shape == errors.shape == (len(LADDER),)
-    singles = [integral(scenario, *pair, REF, eps, quad) for eps in LADDER]
+    singles = [integral(eps) for eps in LADDER]
     for k, single in enumerate(singles):
         assert_rungs_match((values[k], errors[k]), single)
     # the smallest rung's mesh is the ladder's mesh: that rung is bit-identical

@@ -8,9 +8,8 @@ import pytest
 from udwsim import (
     DetectorParams,
     ValidityError,
-    ValidityReport,
+    beta_bound_violation,
     beta_parameter,
-    check_beta_bound,
     p_antiparallel,
     p_local,
     zeta_prefactor,
@@ -21,8 +20,8 @@ def par(omega=1.0, sigma=0.1, lam=0.01):
     return DetectorParams(omega=omega, lambda_coupling=lam, sigma=sigma)
 
 
-def names(report):
-    return [v["name"] for v in report.violated_constraints]
+def names(violation):
+    return [] if violation is None else [violation.split(" ", 1)[0]]
 
 
 def test_beta_parameter():
@@ -31,37 +30,29 @@ def test_beta_parameter():
 
 
 def test_beta_bound_ok():
-    r = check_beta_bound(par(omega=1.0, sigma=0.1), 1.0)
-    assert r.ok
-    assert r.violated_constraints == []
-    assert r.beta == pytest.approx(0.01)
+    p = par(omega=1.0, sigma=0.1)
+    assert beta_bound_violation(p, 1.0) is None
+    assert beta_parameter(p, 1.0) == pytest.approx(0.01)
 
 
 def test_beta_bound_violated():
-    r = check_beta_bound(par(omega=4.0, sigma=1.0), 1.0)
-    assert not r.ok
+    p = par(omega=4.0, sigma=1.0)
+    r = beta_bound_violation(p, 1.0)
     assert names(r) == ["beta_bound"]
-    assert r.beta == pytest.approx(4.0)
-    assert "pi" in r.violated_constraints[0]["detail"]
+    assert beta_parameter(p, 1.0) == pytest.approx(4.0)
+    assert "pi" in r
 
 
 def test_beta_bound_exactly_pi_is_violated():
-    r = check_beta_bound(par(omega=math.pi, sigma=1.0), 1.0)
+    r = beta_bound_violation(par(omega=math.pi, sigma=1.0), 1.0)
     assert names(r) == ["beta_bound"]
 
 
 def test_negative_gap_reported_separately():
-    r = check_beta_bound(par(omega=-2.0), 1.0)
+    r = beta_bound_violation(par(omega=-2.0), 1.0)
     assert names(r) == ["negative_gap_closed_form"]
-    r = check_beta_bound(par(omega=0.0), 1.0)
+    r = beta_bound_violation(par(omega=0.0), 1.0)
     assert names(r) == ["negative_gap_closed_form"]
-
-
-def test_report_consistency_enforced():
-    with pytest.raises(ValueError):
-        ValidityReport(ok=True, violated_constraints=[{"name": "x", "detail": ""}])
-    with pytest.raises(ValueError):
-        ValidityReport(ok=False, violated_constraints=[])
 
 
 # --- antiparallel points near and past kappa L = 2 ---------------------------
@@ -81,7 +72,8 @@ def test_pole_check_hard_violation():
     for L in (0.2, 2.06, 3.0):
         with pytest.raises(ValidityError, match="beta_bound") as exc:
             p_antiparallel(p, 1.0, L)
-        assert exc.value.report == check_beta_bound(p, 1.0)
+        assert str(exc.value) == ("closed form outside its validity regime: "
+                                  + beta_bound_violation(p, 1.0))
 
 
 def test_pole_check_far_side_ok():
@@ -118,12 +110,13 @@ def test_pole_check_zero_beta():
 
 def test_pole_check_scales_with_kappa():
     # the rule depends on beta alone, so kappa -> c kappa, L -> L/c,
-    # sigma -> sigma/c, omega -> c omega leaves report and value unchanged
+    # sigma -> sigma/c, omega -> c omega leaves verdict and value unchanged
     p = par(omega=1.4, sigma=1.0)  # beta = 2.8 at kappa = 2
     ref = p_antiparallel(p, 2.0, 1.03).probability
     for c in (0.25, 4.0):
         q = par(omega=1.4 * c, sigma=1.0 / c)
-        assert check_beta_bound(q, 2.0 * c) == check_beta_bound(p, 2.0)
+        assert beta_bound_violation(q, 2.0 * c) == beta_bound_violation(p, 2.0)
+        assert beta_parameter(q, 2.0 * c) == beta_parameter(p, 2.0)
         assert p_antiparallel(q, 2.0 * c, 1.03 / c).probability == pytest.approx(
             ref, rel=1e-12)
 
@@ -131,6 +124,6 @@ def test_pole_check_scales_with_kappa():
 def test_probability_sweep_parameters_are_valid():
     # the probability-map regime: kappa sigma = 0.05, sigma Omega = 4
     p = DetectorParams(omega=80.0, lambda_coupling=0.01, sigma=0.05)
-    assert check_beta_bound(p, 1.0).ok
+    assert beta_bound_violation(p, 1.0) is None
     for kL in (0.0, 0.2, 0.5, 0.9, 1.0, 1.5, 1.9):
         assert p_antiparallel(p, 1.0, kL).probability > 0
