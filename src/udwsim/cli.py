@@ -87,10 +87,9 @@ def _fmt(value) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-_RATE_METHOD = ("rate method: stationary branch pairs in closed form (Planck "
-                "spectrum, times sin(omega L)/(omega L) for the bath's cross pair); "
-                "the other cross pairs integrated on the regulator ladder and "
-                "extrapolated to eps->0")
+_METHOD = ("method: stationary branch pairs exact from their closed-form spectrum "
+           "(Planck form, times sin(E L)/(E L) for the bath's cross pair); the other "
+           "cross pairs integrated on the regulator ladder and extrapolated to eps->0")
 
 _NAN = math.nan
 _INVALID_ROW = {
@@ -247,17 +246,18 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".", workers: int = 1) -> i
                 extra = (f"backend={out.backend}",
                          "kappa derived per point: kappa = "
                          "kappa_sigma2_omega / (sigma^2 omega); L = L_over_sigma * sigma")
+                extra += (_METHOD,) if out.backend == "quadrature" else ()
             elif out.kind == "rate_map":
                 payload = (scenario, unit, cfg.regulator, cfg.quadrature)
                 extra = ("rate normalization: single-branch stationary limit is "
                          "the thermal value omega/(2 pi (e^{2 pi omega/kappa}-1))",
-                         _RATE_METHOD)
+                         _METHOD)
             elif out.kind == "kms_report":
                 payload = (scenario, unit, out.tolerance, cfg.regulator,
                            cfg.quadrature)
                 extra = (f"kms tolerance={_fmt(out.tolerance)} "
                          "(detailed balance rate(omega)/rate(-omega) vs "
-                         "e^{-2 pi omega/kappa})", _RATE_METHOD)
+                         "e^{-2 pi omega/kappa})", _METHOD)
             else:
                 rows, extra = _visibility_rows(cfg, scenario)
                 _write_output(path, _header_lines(out.kind, cfg, scenario, extra),
@@ -286,7 +286,7 @@ def _visibility_rows(cfg: ScenarioConfig, scenario):
              f"amplitude={_fmt(summary['amplitude'])} "
              f"(first harmonic of the residual after subtracting the "
              f"(1+cos)/2 envelope)",
-             f"integral error estimate={_fmt(integrals.error_estimate)}")
+             f"integral error estimate={_fmt(integrals.error_estimate)}", _METHOD)
     return rows, extra
 
 

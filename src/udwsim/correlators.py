@@ -191,26 +191,30 @@ def scenario_correlator(scenario: TrajectoryScenario, i: int, j: int):
     return lambda t1, t2, eps: _vacuum_cross(row_i, row_j, t1, t2, eps)
 
 
-def planck_rate(kappa: float, omega: float) -> float:
+def planck_rate(kappa: float, omega):
     """Transition rate of a single uniformly accelerated detector (lambda = 1):
     the Planck spectrum omega / (2 pi (e^{2 pi omega / kappa} - 1)) at the
-    Unruh temperature kappa / 2 pi. Continuous through omega = 0 (series)."""
+    Unruh temperature kappa / 2 pi. Continuous through omega = 0 (series).
+    Vectorized over omega; a float for a scalar omega."""
     if not kappa > 0:
         raise ValueError("kappa must be positive")
-    x = 2.0 * math.pi * omega / kappa
-    if abs(omega) / kappa < 1e-6:
-        return kappa / (4.0 * math.pi**2) * (1.0 - x / 2.0 + x * x / 12.0)
-    if x > 700.0:
-        # in log form, so that no factor underflows before the product does
-        return math.exp(math.log(omega / (2.0 * math.pi)) - x)
-    return omega / (2.0 * math.pi * math.expm1(x))
+    w = np.asarray(omega, dtype=float)
+    x = 2.0 * math.pi * w / kappa
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # past x = 700 in log form, so that no factor underflows first
+        out = np.where(x > 700.0, np.exp(np.log(w / (2.0 * math.pi)) - x),
+                       w / (2.0 * math.pi * np.expm1(x)))
+    out = np.where(np.abs(w) / kappa < 1e-6,
+                   kappa / (4.0 * math.pi**2) * (1.0 - x / 2.0 + x * x / 12.0), out)
+    return out if out.ndim else float(out)
 
 
-def pair_spectrum(scenario: TrajectoryScenario, i: int, j: int, E: float):
+def pair_spectrum(scenario: TrajectoryScenario, i: int, j: int, E):
     """(F, bound): the spectrum F_ij(E) = int ds e^{-iEs} W^{ij}(s) of a pair
     whose correlator depends on s = tau1 - tau2 only, in closed form, and a
-    bound on the rounding error of the float F. 2 Re int_0^inf of the same
-    integrand is F, so such a pair adds lambda^2 F(omega)/N^2 to a rate.
+    bound on the rounding error of the float F; vectorized over E, floats
+    for a scalar E. 2 Re int_0^inf of the same integrand is F, so such a
+    pair adds lambda^2 F(omega)/N^2 to a rate.
 
     - identical accelerated rows: the Planck form planck_rate at the row's
       kappa (Takagi, Prog. Theor. Phys. Suppl. 88 (1986) 1);
@@ -232,14 +236,15 @@ def pair_spectrum(scenario: TrajectoryScenario, i: int, j: int, E: float):
     else:
         raise ValueError(f"branch pair ({i},{j}) of {scenario.family} has no "
                          "closed-form spectrum")
-    planck = planck_rate(kappa, E)
-    eps = np.finfo(float).eps
-    rel = 4.0 * (1.0 + abs(2.0 * math.pi * E / kappa)) * eps
-    if row_i == row_j:
-        return planck, rel * abs(planck) + math.ulp(0.0)
-    EL = E * (row_i.z_c - row_j.z_c)
-    F = planck * math.sin(EL) / EL if EL != 0.0 else planck
-    return F, rel * abs(F) + 4.0 * eps * abs(planck) + math.ulp(0.0)
+    planck, E = planck_rate(kappa, E), np.asarray(E, dtype=float)
+    F, floor, eps = planck, math.ulp(0.0), np.finfo(float).eps
+    if row_i != row_j:
+        EL = E * (row_i.z_c - row_j.z_c)
+        with np.errstate(invalid="ignore"):
+            F = planck * np.where(EL != 0.0, np.sin(EL) / EL, 1.0)
+        floor = floor + 4.0 * eps * np.abs(planck)
+    bound = 4.0 * (1.0 + np.abs(2.0 * math.pi * E / kappa)) * eps * np.abs(F) + floor
+    return (F, bound) if E.ndim else (float(F), float(bound))
 
 
 def denominator_factors(scenario: TrajectoryScenario, i: int, j: int):

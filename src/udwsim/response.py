@@ -1,26 +1,15 @@
 """Numerical detector response: transition rates and excitation probabilities.
 
-Rates of non-stationary branch pairs and quadrature probabilities follow
-one recipe. Evaluate the relevant oscillatory integral of the regularized
-correlators on the whole regulator ladder in one pass, with eps as an array
-axis of the integrand, on meshes built once at the smallest eps and
-clustered around the coincidence point and the cross-term lightcone
-crossings; then extrapolate the ladder to zero. Quadrature error must sit
-well below the extrapolation error for the ladder to be meaningful, which
-the panel error estimates verify on every rung. Every mesh clusters at
-lightcone roots in closed form, on both kinds of cut. Rates are 1-D
-integrals along the cut tau1 = tau, tau2 = tau - s, whose roots come from
-the inverses of the branches' null coordinates (_rate_cut_roots). A
-stationary pair needs no integral: its rate is its closed-form spectrum
-(correlators.pair_spectrum), so a rate whose pairs are all stationary runs
-no ladder and has epsilon_estimates = (). The windowed probability is a 2-D
-integral over the switching square: an outer Gauss-Kronrod rule over the
-sum p of the two proper times, over inner 1-D integrals along the cuts of
-fixed p, meshed at lightcone_roots. Stationary pairs are the exception here
-too: their integral over the sum of the two times is Gaussian and done in
-closed form, leaving one 1-D integral. The other exception to the recipe is excitation_probability_contour,
-which evaluates the windowed probability at eps = 0 on a contour shifted off
-the lightcone poles.
+Stationary branch pairs (every local pair, the thermal bath's cross pair)
+are exact from their spectrum (correlators.pair_spectrum): a rate adds
+F(omega), a window integrates F against its transform
+(_spectral_pair_integral), and a result of such pairs only has
+epsilon_estimates = (). The other cross pairs are integrated on the whole
+regulator ladder in one pass, eps an array axis, on meshes clustered at the
+closed-form lightcone crossings, then extrapolated to eps -> 0: rates along
+the cut tau1 = tau, tau2 = tau - s, windows by an outer Gauss-Kronrod rule
+over p = tau1 + tau2 over inner cuts of fixed p. excitation_probability_contour
+instead takes the window at eps = 0 on a contour shifted off the poles.
 
 No family is named here: which branch pairs share one integral (_pair_map),
 which are stationary, and kappa_scale are read off the rows of the family
@@ -40,7 +29,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import dawsn, erfcx
 
 from .closed_form import DetectorParams
 # denominator_factors and sign_change_roots are no longer called here; they
@@ -257,29 +246,26 @@ def _spectral_rate(scenario, params):
 
 
 def _rate_at_eps(scenario, params, tau, eps, quad):
-    """Unextrapolated rate and quadrature error, per rung for a ladder. The
-    stationary pairs enter at their closed-form value (_spectral_rate), the
-    same on every rung; only the other pairs are integrated on the ladder
-    (_rate_pair_integral). When every pair is stationary the rate is one
-    number, not one per rung."""
+    """The non-stationary pairs' part of the rate and its quadrature error,
+    per rung for a ladder (_rate_pair_integral); 0.0 when every pair is
+    stationary. The stationary pairs enter exactly (_spectral_rate)."""
     pref = 2.0 * params.lambda_coupling**2 / scenario.branch_count**2
-    exact, _ = _spectral_rate(scenario, params)
     blocks = _pair_map(scenario, lambda i, j: (0.0, 0.0) if _stationary_pair(scenario, i, j)
                        else _rate_pair_integral(scenario, i, j, tau, params.omega, eps, quad),
                        window=False).values()
     total = sum(v for v, _ in blocks)
     qerr = sum(e for _, e in blocks)
-    return exact + pref * total.real, pref * qerr
+    return pref * total.real, pref * qerr
 
 
-def _extrapolated(reg_schedule, values) -> RateResult:
-    """One value per rung, extrapolated to eps -> 0. The quadrature errors
-    are held below the quad tolerances on every rung; the reported
-    uncertainty is the (dominant) regulator-extrapolation one."""
-    estimates = tuple((eps, float(v)) for eps, v in zip(reg_schedule.epsilons, values))
+def _exact_plus_ladder(reg_schedule, exact, bar, ladder) -> RateResult:
+    """exact +- bar plus a ladder part, one value per rung, extrapolated to eps -> 0;
+    a ladder part of 0.0 (no pair needed it) gives epsilon_estimates = ()."""
+    if np.ndim(ladder) == 0:
+        return RateResult(float(exact + ladder), float(bar), ())
+    estimates = tuple((eps, float(exact + v)) for eps, v in zip(reg_schedule.epsilons, ladder))
     limit, err = epsilon_extrapolate(estimates, reg_schedule.extrapolation)
-    return RateResult(value=float(limit), error_estimate=float(err),
-                      epsilon_estimates=estimates)
+    return RateResult(float(limit), float(err + bar), estimates)
 
 
 def transition_rate(scenario: TrajectoryScenario, params: DetectorParams, tau: float,
@@ -295,20 +281,14 @@ def transition_rate(scenario: TrajectoryScenario, params: DetectorParams, tau: f
     cross pairs are integrated up to s = 40/kappa_scale(scenario)
     (_rate_cut) on the regulator ladder and extrapolated to eps -> 0.
     error_estimate is the extrapolation error plus the rounding bound of the
-    closed-form part. epsilon_estimates holds the ladder's (eps, rate) rungs,
-    and is () when every pair is stationary: then no ladder is run and the
-    rate is exact up to that rounding bound. For the Differing family tau is
-    the shared proper-time parameter of both branches (no global time
-    coordinate relates them).
+    closed-form part; epsilon_estimates is () when every pair is stationary.
+    For the Differing family tau is the shared proper-time parameter of both
+    branches (no global time coordinate relates them).
     """
     reg_schedule, quad = _defaults(scenario, reg_schedule, quad)
-    values, _ = _rate_at_eps(scenario, params, float(tau), reg_schedule.epsilons, quad)
-    _, rounding = _spectral_rate(scenario, params)
-    if np.ndim(values) == 0:
-        return RateResult(value=float(values), error_estimate=rounding, epsilon_estimates=())
-    result = _extrapolated(reg_schedule, values)
-    return RateResult(value=result.value, error_estimate=result.error_estimate + rounding,
-                      epsilon_estimates=result.epsilon_estimates)
+    exact, rounding = _spectral_rate(scenario, params)
+    ladder, _ = _rate_at_eps(scenario, params, float(tau), reg_schedule.epsilons, quad)
+    return _exact_plus_ladder(reg_schedule, exact, rounding, ladder)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +317,10 @@ def _halfplane_pair_integral(scenario, i, j, params, eps, level=0):
     Gauss-Kronrod 15 rule in p, whose embedded Gauss 7 rule gives the error
     estimate, over inner 1-D panel integrals in s. Each inner mesh clusters
     at the closed-form lightcone roots of its p-cut (lightcone_roots, one
-    call per outer panel). Stationary pairs take _stationary_pair_integral.
-    A ladder of eps gives one value and error per rung, on one set of meshes.
+    call per outer panel). Probabilities take the stationary pairs from
+    _spectral_pair_integral; this engine still accepts them, as their
+    independent check. A ladder of eps gives one value and error per rung,
+    on one set of meshes.
     """
     sigma, omega = params.sigma, params.omega
     T2 = 2.0 * window_halfwidth(params)
@@ -383,49 +365,76 @@ def _halfplane_pair_integral(scenario, i, j, params, eps, level=0):
     return 0.5 * fsum_rows(s15), 0.5 * (fsum_rows(np.abs(s15 - s7)) + err_inner)
 
 
-def _stationary_pair_integral(scenario, i, j, params, eps, quad):
-    """J_ij of _halfplane_pair_integral for a pair whose correlator depends
-    on s only. Over the same diamond the Gaussian p-integral is exact,
-    int_{|p| <= 2T - s} G(p) dp = 2 sqrt(pi) sigma erf((2T - s)/2 sigma), so
+def _spectral_pair_integral(scenario, i, j, params, quad):
+    """J_ij of _halfplane_pair_integral for a stationary pair, with no
+    regulator, from its spectrum F = pair_spectrum. With Dawson's function D
+    and G(E) = e^{-sigma^2 (omega - E)^2}, Re J_ij = (sigma^2/2) int F G dE
+    and Im J_ij = -(sigma^2/sqrt(pi)) int dE F(|E|) D(sigma (omega - E)): the
+    pair minus the same pair in the inertial vacuum (P(E) + E Theta(-E)/2 pi
+    = P(|E|) for the Planck form P, and sin(EL)/(EL) is even), which drops a
+    local pair's kappa-independent coincidence divergence. Both are one
+    panel integral, on a mesh clustered at E = 0 and omega that resolves
+    sin(EL)/(EL) of the bath's cross pair. Once L >~ 12 sigma, e^{iEL} moved
+    to Im E = y = kappa (N + 1/2) ~ L/2 sigma^2, past the Planck poles
+    i kappa n, leaves that pair Re J = (sigma^2/2) pi F(0) G(0)/L
+    (1 + 2 sum_{n <= N} e^{(kappa sigma n)^2 - kappa n L} cos(2 beta n)) up to
+    e^{sigma^2 y^2 - yL} sqrt(pi)/(kappa sigma) (erfcx(sigma omega) +
+    erfcx(pi/(kappa sigma) - sigma omega)) of its first term, and Im J = 0:
+    no caller reads it (J_21 = J_12, _pair_key).
 
-        J_ij = sqrt(pi) sigma int_0^{2T} ds erf((2T - s)/2 sigma)
-               e^{-s^2/4 sigma^2 - i omega s} W^{ij}(s/2, -s/2),
+    Returns (J, err): err.real bounds the error of Re J and err.imag that of
+    Im J: the panel estimate plus the integrated rounding bound of F, of
+    e^{-x^2} (x = sigma (omega - E); (4 + 3 x^2) eps_mach) and of D (5 eps_mach)."""
+    sigma, omega, a = params.sigma, params.omega, params.sigma * params.omega
+    row_i, row_j = scenario.branch(i), scenario.branch(j)
+    kappa, L = max(row_i.kappa, row_j.kappa) or scenario.kappa1, abs(row_i.z_c - row_j.z_c)
+    eps_m, c_re, c_im = np.finfo(float).eps, sigma**2 / 2.0, sigma**2 / math.sqrt(math.pi)
+    # y = kappa (N + 1/2) nearest L/2 sigma^2, between the poles i kappa N and i kappa (N + 1)
+    y = kappa * (max(0, round(L / (2.0 * sigma**2 * kappa) - 0.5)) + 0.5)
+    if L > 0.0 and (sigma * y) ** 2 - y * L + math.log(math.sqrt(math.pi) / (kappa * sigma) * (
+            erfcx(a) + erfcx(math.pi / (kappa * sigma) - a))) <= math.log(eps_m):
+        n = np.arange(1.0, min(math.floor(y / kappa), math.ceil(90.0 / (kappa * L))) + 1.0)
+        w, phase = np.exp((sigma * kappa * n) ** 2 - kappa * L * n), 2.0 * a * sigma * kappa * n
+        s = 1.0 + 2.0 * math.fsum(w * np.cos(phase))
+        lead = c_re * math.pi * pair_spectrum(scenario, i, j, 0.0)[0] * math.exp(-a * a) / L
+        # rounding; remainder; terms past 90/(kappa L): < e^{-45}, (kappa sigma n)^2 <= kappa L n/2
+        bar = eps_m * (2.0 * np.sum((2.0 + 4.0 * (kappa * L * n + phase)) * w)
+                       + (8.0 + 2.0 * a * a) * abs(s) + 1.0)
+        bar += 2.0 * math.exp(-45.0) / -math.expm1(-kappa * L / 2.0)
+        return complex(lead * s, 0.0), complex(abs(lead) * bar, 0.0)
 
-    one 1-D integral on the 2-D engine's inner mesh at p = 0, refined by
-    halving its panels; per rung for a ladder."""
-    sigma, omega = params.sigma, params.omega
-    T2 = 2.0 * window_halfwidth(params)
-    cap, scale = _mesh_policy(scenario, omega, eps, sigma)
-    corr = scenario_correlator(scenario, i, j)
-    roots = [float(r) for r in lightcone_roots(scenario, i, j, 0.0) if 0.0 <= r <= T2]
-    inv4s2 = 1.0 / (4.0 * sigma**2)
+    def f(E):
+        F, bF = pair_spectrum(scenario, i, j, E)
+        Fa, bFa = pair_spectrum(scenario, i, j, np.abs(E))
+        x = sigma * (omega - E)
+        # each window factor from its own exponent: e^{-sigma^2 omega^2} is not taken out
+        g, d = np.exp(-x * x), dawsn(x)
+        return np.stack([F * g, Fa * d, (bF + (4.0 + 3.0 * x * x) * eps_m * np.abs(F)) * g,
+                         (bFa + 5.0 * eps_m * np.abs(Fa)) * np.abs(d)])
 
-    def f(s):
-        return (erf((T2 - s) / (2.0 * sigma)) * np.exp(-s * s * inv4s2 - 1j * omega * s)
-                * corr(s / 2.0, -s / 2.0, eps))
-
-    edges = cluster_mesh(0.0, T2, [0.0] + roots, scale=scale, cap=cap)
+    half = max(_WINDOW_SIGMAS / sigma, 40.0 * kappa / (2.0 * math.pi))
+    cap = min(0.5 / sigma, math.pi / (2.0 * L) if L else math.inf)
+    edges = cluster_mesh(min(0.0, omega) - half, max(0.0, omega) + half, [0.0, omega],
+                         scale=min(kappa, 1.0 / sigma) / 64.0, cap=cap)
     val, err = _refined_integral(f, edges, quad)
-    c = math.sqrt(math.pi) * sigma
-    return c * val, c * err
+    _check_converged(val[:2], err[:2], quad, f"spectral window integral for branch pair {(i, j)}")
+    J = complex(c_re * val[0], -c_im * val[1])
+    return J, complex(c_re * (err[0] + val[2]) + 2.0 * eps_m * abs(J.real),
+                      c_im * (err[1] + val[3]) + 2.0 * eps_m * abs(J.imag))
 
 
 def halfplane_integrals_at_eps(scenario, params, eps, quad) -> dict:
-    """All J_ij building blocks at one regulator value, or at every rung of a
-    ladder in one pass, deduplicated across branch pairs with identical
-    correlators. Stationary pairs are one 1-D integral each
-    (_stationary_pair_integral); the others go through the 2-D engine,
-    restarted on a finer mesh until every rung is within tolerance. Returns
-    {(i, j): (value, err)}, arrays over the rungs for a ladder."""
+    """{(i, j): (value, err)} over every branch pair, one integral per
+    _pair_map representative. A stationary pair is exact, with a complex err
+    (_spectral_pair_integral); the others take the 2-D engine at one eps or a
+    ladder (arrays over the rungs), restarted finer until within tolerance."""
     def integral(i, j):
         if _stationary_pair(scenario, i, j):
-            val, err = _stationary_pair_integral(scenario, i, j, params, eps, quad)
-        else:
-            for level in range(_MAX_REFINEMENTS + 1):
-                val, err = _halfplane_pair_integral(scenario, i, j, params, eps,
-                                                    level=level)
-                if _within_tol(val, err, quad):
-                    break
+            return _spectral_pair_integral(scenario, i, j, params, quad)
+        for level in range(_MAX_REFINEMENTS + 1):
+            val, err = _halfplane_pair_integral(scenario, i, j, params, eps, level=level)
+            if _within_tol(val, err, quad):
+                break
         _check_converged(val, err, quad,
                          f"windowed double integral for branch pair {(i, j)}")
         return val, err
@@ -436,27 +445,25 @@ def halfplane_integrals_at_eps(scenario, params, eps, quad) -> dict:
 def excitation_probability_quadrature(scenario: TrajectoryScenario, params: DetectorParams,
                                       reg_schedule: RegulatorSchedule | None = None,
                                       quad: QuadratureConfig | None = None) -> ProbabilityResult:
-    """Excitation probability for Gaussian switching by direct 2-D quadrature,
+    """Excitation probability for Gaussian switching,
 
         P = (lambda^2/N^2) 2 Re sum_ij J_ij,
 
     where J_ij is the time-ordered Gaussian-windowed double integral of
-    e^{-i omega (tau'-tau'')} W^{ij}; the full-plane integral follows from
-    hermiticity. Stationary pairs (local terms, the thermal cross term) are
-    a 1-D integral with the p-integral done exactly, the other cross pairs a
-    2-D one (halfplane_integrals_at_eps). Evaluated on the whole regulator
-    ladder in one pass, then extrapolated.
+    e^{-i omega (tau'-tau'')} W^{ij} (halfplane_integrals_at_eps): exact for
+    stationary pairs, extrapolated from the regulator ladder for the other
+    cross pairs. error_estimate is the extrapolation error plus the exact
+    pairs' bars; epsilon_estimates is () when no pair needs the ladder.
     """
     reg_schedule, quad = _defaults(scenario, reg_schedule, quad)
-    n = scenario.branch_count
-    lam = params.lambda_coupling
-    if lam == 0.0:
-        zeros = tuple((eps, 0.0) for eps in reg_schedule.epsilons)
-        return ProbabilityResult(0.0, 0.0, zeros)
-    pref = 2.0 * lam**2 / n**2
-    blocks = halfplane_integrals_at_eps(scenario, params, reg_schedule.epsilons, quad)
-    total = sum(v for v, _ in blocks.values())
-    return _extrapolated(reg_schedule, pref * total.real)
+    pref = 2.0 * params.lambda_coupling**2 / scenario.branch_count**2
+    blocks = halfplane_integrals_at_eps(scenario, params, reg_schedule.epsilons, quad).items()
+    exact = [vb for pair, vb in blocks if _stationary_pair(scenario, *pair)]
+    ladder = sum(v for pair, (v, _) in blocks if not _stationary_pair(scenario, *pair))
+    value = pref * math.fsum(v.real for v, _ in exact)
+    # fsum rounds once, and so does the product
+    bar = pref * sum(e.real for _, e in exact) + 2.0 * np.finfo(float).eps * abs(value)
+    return _exact_plus_ladder(reg_schedule, value, bar, pref * np.real(ladder))
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +521,9 @@ def excitation_probability_contour(scenario: TrajectoryScenario,
     contour: sigma omega <~ 1 or beta -> pi.
 
     Refuses (ValidityError) where the closed forms' beta bound refuses,
-    omega <= 0 and beta = kappa sigma^2 omega >= pi, taken at the largest
-    branch acceleration; excitation_probability_quadrature covers those
-    cases. Below that bound the shift crosses no cross-pair pole either. At
+    omega <= 0 and beta = kappa sigma^2 omega >= pi, at the largest branch
+    acceleration; excitation_probability_quadrature covers them, exactly for
+    stationary pairs. Below that bound the shift crosses no cross-pair pole. At
     Im s = -2 beta'/kappa and real p, the imaginary parts of both
     antiparallel denominator factors are proportional to sin(beta'), nonzero
     for 0 < beta' <= beta < pi. The Differing factors vanish at

@@ -28,7 +28,7 @@ import numpy as np
 from .closed_form import DetectorParams
 from .kinematics import TrajectoryScenario
 from .quadrature import epsilon_extrapolate
-from .response import _defaults, halfplane_integrals_at_eps
+from .response import _defaults, _stationary_pair, halfplane_integrals_at_eps
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,12 @@ class ControlState:
 
 @dataclass(frozen=True)
 class WightmanIntegrals:
-    """Extrapolated windowed integrals for one scenario and detector.
+    """Windowed integrals for one scenario and detector, at eps -> 0.
 
     full_grid[(i, j)] holds I_ij (conjugate-symmetric across the grid);
-    time_ordered[i] holds T_i, whose imaginary part is meaningful only
-    through branch differences (see compute_wightman_integrals).
-    error_estimate bounds the regulator extrapolation of every such
-    finite combination.
+    time_ordered[i] holds T_i, whose imaginary part is taken relative to an
+    inertial detector in the vacuum (compute_wightman_integrals), so only
+    its branch differences are physical. error_estimate bounds every entry.
     """
 
     branch_count: int
@@ -95,42 +94,31 @@ class DetectorDensityMatrix:
 
 def compute_wightman_integrals(scenario: TrajectoryScenario, params: DetectorParams,
                                reg_schedule=None, quad=None) -> WightmanIntegrals:
-    """Evaluate all I_ij and T_i by the response-layer quadrature engine.
-
-    Only regulator-finite combinations are extrapolated to eps -> 0: the
-    hermitian full-plane entries, the real parts of the time-ordered
-    diagonal, and the branch differences of its imaginary parts. Im T_i
-    carries a universal (branch-independent) coincidence divergence ~ 1/eps;
-    it enters the density matrix only through T_i + conj(T_j), where that
-    common piece cancels, so T_i is stored with the offset of the smallest
-    regulator value and only differences should be trusted.
+    """All I_ij and T_i from the J_ij of halfplane_integrals_at_eps. Every
+    diagonal pair is stationary, so T_i = J_ii is exact. Im T_i is relative
+    to an inertial detector in the vacuum: the coincidence divergence dropped
+    is the same for every branch, and cancels in T_i + conj(T_j), the only
+    way T_i enters the density matrix. I_ij = J_ij + conj(J_ji) is exact for
+    stationary pairs and extrapolated to eps -> 0 for the others.
+    error_estimate is the largest bar of any entry.
     """
     reg_schedule, quad = _defaults(scenario, reg_schedule, quad)
     n = scenario.branch_count
-    # one pass over the ladder: J[(i, j)] holds one value per rung
-    J = {key: val for key, (val, _) in halfplane_integrals_at_eps(
-        scenario, params, reg_schedule.epsilons, quad).items()}
-
-    def extrapolate(values):
-        return epsilon_extrapolate(list(zip(reg_schedule.epsilons, values)),
-                                   reg_schedule.extrapolation)
-
+    J = halfplane_integrals_at_eps(scenario, params, reg_schedule.epsilons, quad)
     full = {}
-    worst = 0.0
+    worst = max(J[(i, i)][1].real + J[(i, i)][1].imag for i in range(1, n + 1))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            # full-plane integral from the time-ordered half by hermiticity
-            sym_limit, sym_err = extrapolate(J[(i, j)] + np.conj(J[(j, i)]))
-            worst = max(worst, sym_err)
-            full[(i, j)] = complex(sym_limit)
-    ordered = {}
-    im_offset = J[(1, 1)][-1].imag
-    for i in range(1, n + 1):
-        re_limit, re_err = extrapolate(J[(i, i)].real)
-        im_diff, im_err = (extrapolate(J[(i, i)].imag - J[(1, 1)].imag) if i > 1
-                           else (0.0, 0.0))
-        worst = max(worst, re_err, im_err)
-        ordered[i] = complex(re_limit, im_offset + im_diff)
+            (v_ij, e_ij), (v_ji, e_ji) = J[(i, j)], J[(j, i)]
+            if _stationary_pair(scenario, i, j):
+                limit, err = v_ij + np.conj(v_ji), e_ij.real + e_ji.real
+            else:
+                limit, err = epsilon_extrapolate(
+                    list(zip(reg_schedule.epsilons, v_ij + np.conj(v_ji))),
+                    reg_schedule.extrapolation)
+            worst = max(worst, err)
+            full[(i, j)] = complex(limit)
+    ordered = {i: complex(J[(i, i)][0]) for i in range(1, n + 1)}
     return WightmanIntegrals(branch_count=n, full_grid=full, time_ordered=ordered,
                              error_estimate=float(worst))
 

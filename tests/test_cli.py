@@ -226,10 +226,10 @@ class TestRunRateMap:
         for name in ("r.csv", "k.csv"):
             headers = header_lines(tmp_path / name)
             assert versions in headers
-            method = [h for h in headers if h.startswith("rate method: ")]
+            method = [h for h in headers if h.startswith("method: ")]
             assert len(method) == 1
-            assert "stationary branch pairs in closed form" in method[0]
-            assert "cross pairs integrated on the regulator ladder" in method[0]
+            assert "stationary branch pairs exact from their closed-form spectrum" in method[0]
+            assert "other cross pairs integrated on the regulator ladder" in method[0]
 
     def test_values_are_written_at_round_trip_precision(self, tmp_path):
         cfg = write_cfg(tmp_path, RATE_CFG.replace("[-1.0, 1.0]", "[-1.0, 0.1]"))
@@ -457,6 +457,37 @@ class TestRunVisibility:
             assert norm - env == pytest.approx(residual, abs=1e-11)
             assert abs(residual) < 1e-3
             assert r[4] == "1"
+
+
+class TestMethodHeader:
+    def test_method_line_names_exact_stationary_pairs_in_every_ladder_output(self, tmp_path):
+        # Parallel at L = 0: every branch pair is stationary, so each point is
+        # cheap; the closed-form backend integrates nothing and has no line
+        text = (
+            "scenario:\n"
+            "  family: Parallel\n"
+            "  kappa1: 1.0\n"
+            "grids:\n"
+            "  omega_over_kappa: [1.0]\n"
+            "  kappa_tau: [0.0]\n"
+            "  L_over_sigma: [0.0]\n"
+            "  kappa_sigma2_omega: [0.2]\n"
+            "  delta_phi: [0.0, 3.0]\n"
+            "outputs:\n"
+            "  - kind: rate_map\n    path: r.csv\n"
+            "  - kind: kms_report\n    path: k.csv\n"
+            "  - kind: probability_map\n    path: pq.csv\n    backend: quadrature\n"
+            "  - kind: probability_map\n    path: pc.csv\n    backend: closed\n"
+            "  - kind: visibility_scan\n    path: v.csv\n"
+        )
+        assert main(["run", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)]) == 0
+        for name, expected in (("r.csv", 1), ("k.csv", 1), ("pq.csv", 1), ("pc.csv", 0),
+                               ("v.csv", 1)):
+            method = [h for h in header_lines(tmp_path / name) if h.startswith("method: ")]
+            assert len(method) == expected, name
+            if expected:
+                assert method[0].startswith(
+                    "method: stationary branch pairs exact from their closed-form spectrum")
 
 
 class TestRunFailures:

@@ -428,3 +428,16 @@ def test_pair_spectrum_reads_the_rows():
     th = TrajectoryScenario("ThermalInertialPair", kappa1=2.0, L=1.5)
     assert pair_spectrum(th, 1, 2, 0.3) == pair_spectrum(th, 2, 1, 0.3)
     assert pair_spectrum(th, 1, 2, 0.0)[0] == planck_rate(2.0, 0.0)
+
+
+def test_pair_spectrum_over_an_array_equals_scalar_calls():
+    # every branch of the Planck form: the series near 0, expm1, the log
+    # form past x = 700, and the emission side
+    E = np.array([-300.0, -1.0, -1e-8, 0.0, 1e-8, 0.7, 250.0, 400.0])
+    for sc, pair in ((TrajectoryScenario("SingleAccel", kappa1=2.0), (1, 1)),
+                     (TrajectoryScenario("ThermalInertialPair", kappa1=2.0, L=1.5), (1, 2))):
+        F, bound = pair_spectrum(sc, *pair, E)
+        assert F.shape == bound.shape == E.shape
+        for k, e in enumerate(E):
+            assert (F[k], bound[k]) == pair_spectrum(sc, *pair, float(e))
+    np.testing.assert_array_equal(planck_rate(2.0, E), [planck_rate(2.0, e) for e in E])

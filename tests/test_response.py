@@ -266,12 +266,12 @@ def test_probability_zero_coupling_is_exactly_zero():
 
 
 def test_probability_single_detector_frozen_value():
+    # the local pair is exact from its spectrum: the regulator-free value
     q = excitation_probability_quadrature(SA, REF)
-    assert q.value == pytest.approx(2.6058037425848013e-14, rel=1e-6)
-    # quadrature settles far below the 6-9% saddle-point discrepancy
-    # (measured extrapolation error is 2e-3 of the value)
-    assert q.error_estimate < 1e-2 * q.value
-    assert q.value > 0
+    assert q.value == pytest.approx(EXACT_SINGLE[0.05] * REF.lambda_coupling**2,
+                                   rel=1e-10, abs=0.0)
+    assert 0 < q.error_estimate < 1e-10 * q.value
+    assert q.epsilon_estimates == ()
 
 
 def test_probability_far_parallel_exactly_halves():
@@ -280,15 +280,15 @@ def test_probability_far_parallel_exactly_halves():
     far = TrajectoryScenario("Parallel", kappa1=1.0, L=1e6 * 0.05)
     q_far = excitation_probability_quadrature(far, REF)
     q_one = excitation_probability_quadrature(SA, REF)
-    assert q_far.value == pytest.approx(0.5 * q_one.value, rel=1e-8)
+    assert q_far.value == pytest.approx(0.5 * q_one.value, rel=1e-8, abs=0.0)
 
 
 # --- shifted-contour probability --------------------------------------------
 
 # exact single-branch probabilities per lambda^2 at sigma omega = 4, from the
 # regulator-free form of the response (Louko & Satz, gr-qc/0606067) evaluated
-# in 30-digit arithmetic
-EXACT_SINGLE = {0.05: 2.60768783411e-10, 0.01: 2.57157650623e-10}
+# in 50-digit arithmetic, which agrees with 30 digits to 1e-16
+EXACT_SINGLE = {0.05: 2.6076878341128876e-10, 0.01: 2.5715765062258074e-10}
 
 
 @pytest.mark.parametrize("kappa_sigma", sorted(EXACT_SINGLE))
@@ -296,7 +296,7 @@ def test_contour_matches_exact_single_branch_probability(kappa_sigma):
     sigma = 0.05
     sc = TrajectoryScenario("SingleAccel", kappa1=kappa_sigma / sigma)
     c = excitation_probability_contour(sc, unit(4.0 / sigma, sigma))
-    assert c.value == pytest.approx(EXACT_SINGLE[kappa_sigma], rel=1e-10)
+    assert c.value == pytest.approx(EXACT_SINGLE[kappa_sigma], rel=1e-10, abs=0.0)
     assert c.error_estimate < 1e-10 * c.value
     assert c.epsilon_estimates == ()
 
@@ -304,7 +304,7 @@ def test_contour_matches_exact_single_branch_probability(kappa_sigma):
 def test_contour_far_parallel_halves_and_zero_coupling():
     far = TrajectoryScenario("Parallel", kappa1=1.0, L=1e6 * 0.05)
     assert excitation_probability_contour(far, REF).value == pytest.approx(
-        0.5 * excitation_probability_contour(SA, REF).value, rel=1e-8)
+        0.5 * excitation_probability_contour(SA, REF).value, rel=1e-8, abs=0.0)
     zero = DetectorParams(omega=80.0, lambda_coupling=0.0, sigma=0.05)
     c = excitation_probability_contour(SA, zero)
     assert (c.value, c.error_estimate) == (0.0, 0.0)
@@ -347,7 +347,7 @@ def test_contour_matches_quadrature_for_differing(ratio):
     sc = TrajectoryScenario("Differing", kappa1=1.0, kappa2=ratio)
     params = unit(80.0, 0.05)
     c = excitation_probability_contour(sc, params)
-    assert c.value == pytest.approx(DIFFERING_CONTOUR[ratio], rel=1e-5)
+    assert c.value == pytest.approx(DIFFERING_CONTOUR[ratio], rel=1e-5, abs=0.0)
     q = excitation_probability_quadrature(sc, params)
     assert abs(c.value - q.value) <= c.error_estimate + q.error_estimate
 
@@ -361,31 +361,90 @@ def test_contour_refuses_when_a_pole_nears_the_contour():
     assert info.value.error_estimate > 1e-4 * abs(info.value.estimate)
 
 
-# --- stationary pairs: the p-integral in closed form -------------------------
+# --- stationary pairs: exact from their spectrum ------------------------------
 
-@pytest.mark.parametrize("scenario, pair", [
-    (SA, (1, 1)),
-    (TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=1.0), (1, 2)),
-])
+TH1 = TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=1.0)
+
+
+@pytest.mark.parametrize("scenario, pair", [(SA, (1, 1)), (TH1, (1, 2))])
 def test_stationary_pair_integral_matches_2d_engine(scenario, pair):
-    quad = QuadratureConfig()
-    one_d, _ = response._stationary_pair_integral(scenario, *pair, REF, 1e-2, quad)
-    two_d, _ = response._halfplane_pair_integral(scenario, *pair, REF, 1e-2)
-    assert abs(one_d - two_d) <= 1e-12 * abs(two_d)
-    # Re J, the part the probability keeps, is below 1e-6 of |J| here
-    assert abs(one_d.real - two_d.real) <= 1e-6 * abs(two_d.real)
+    # Re J against the 2-D engine on the default ladder, extrapolated to
+    # eps -> 0: within the ladder's bar. Im J is not compared: the ladder's
+    # still holds the inertial part that the spectral value leaves out
+    sched, quad = response._defaults(scenario, None, None)
+    exact, bar = response._spectral_pair_integral(scenario, *pair, REF, quad)
+    values, _ = response._halfplane_pair_integral(scenario, *pair, REF, sched.epsilons)
+    ladder, err = epsilon_extrapolate(tuple(zip(sched.epsilons, values.real)),
+                                      sched.extrapolation)
+    assert abs(exact.real - ladder) <= err + bar.real
+    assert 0 < bar.real < 1e-10 * exact.real
 
 
 def test_stationary_probabilities_need_no_2d_integral(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("2-D engine called for a stationary pair")
+        raise AssertionError("correlator or 2-D engine called for a stationary pair")
 
     monkeypatch.setattr(response, "_halfplane_pair_integral", refuse)
-    for scenario in (SA, TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=1.0),
-                     TrajectoryScenario("Parallel", kappa1=1.0, L=0.0)):
+    monkeypatch.setattr(response, "scenario_correlator", refuse)
+    for scenario in (SA, TH1, TrajectoryScenario("Parallel", kappa1=1.0, L=0.0)):
         q = excitation_probability_quadrature(scenario, REF)
         assert q.value > 0
-        assert q.error_estimate < 1e-2 * q.value
+        assert 0 < q.error_estimate < 1e-2 * q.value
+        assert q.epsilon_estimates == ()
+
+
+# windowed single-branch probabilities per lambda^2 from the same
+# regulator-free form, (kappa, sigma, omega, value), with the working
+# precision raised by 20 digits until two precisions agree to 1e-16; the
+# digits used are noted, and bench/oracles.py's single_branch_probability
+# gives the same values at those digits. 30 digits is not enough past
+# sigma omega = 4, where e^{-(sigma omega)^2} cancels against O(1) terms
+EXACT_WINDOWED = [
+    (1.0, 0.05, 80.0, 2.6076878341128876e-10),     # sigma omega = 4; 50 digits
+    (1.0, 0.05, 160.0, 1.0294930363463572e-31),    # sigma omega = 8; 70 digits
+    (1.0, 0.05, 200.0, 1.5882348359417039e-47),    # sigma omega = 10; 90 digits
+    (0.7, 0.5, 20.0, 3.1425463566848918e-44),      # beta = 3.5; 90 digits
+    (1.0, 0.5, 20.0, 3.8973620086895676e-38),      # beta = 5; 70 digits
+    (1.0, 0.05, -80.0, 1.1283791673562814),        # emission; 50 digits
+    (1.0, 0.05, -1.0, 0.086861768435118521),       # 50 digits
+    (1.0, 0.05, 0.0, 0.079610620541368333),        # 50 digits
+]
+
+
+@pytest.mark.parametrize("kappa, sigma, omega, exact", EXACT_WINDOWED,
+                         ids=["so4", "so8", "so10", "beta3.5", "beta5",
+                              "w-80", "w-1", "w0"])
+def test_single_branch_probability_matches_high_precision_reference(
+        kappa, sigma, omega, exact):
+    # where the contour and the closed forms refuse too: beta >= pi, omega <= 0
+    q = excitation_probability_quadrature(TrajectoryScenario("SingleAccel", kappa1=kappa),
+                                          unit(omega, sigma))
+    assert q.value == pytest.approx(exact, rel=1e-10, abs=0.0)
+    assert abs(q.value - exact) <= q.error_estimate
+    assert q.epsilon_estimates == ()
+
+
+@pytest.mark.parametrize("kappa_L", [0.5, 1.0, 3.0, 30.0])
+def test_thermal_pair_probability_matches_the_contour(kappa_L):
+    # sigma omega = 4, where the contour is regulator-free too; the cross
+    # pair is a panel integral at L = 10 sigma and a series past about 12 sigma
+    params = unit(80.0, 0.05)
+    sc = TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=kappa_L)
+    q = excitation_probability_quadrature(sc, params)
+    c = excitation_probability_contour(sc, params)
+    assert q.value == pytest.approx(c.value, rel=1e-10, abs=0.0)
+    assert abs(q.value - c.value) <= q.error_estimate + c.error_estimate
+
+
+def test_far_thermal_pair_is_the_first_term_of_its_series():
+    # at kappa L = 1e6 every other term of the series underflows:
+    # Re J = (sigma^2/2) pi F(0) G(0)/L
+    params = unit(80.0, 0.05)
+    far = TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=1e6)
+    J, bar = response._spectral_pair_integral(far, 1, 2, params, QuadratureConfig())
+    limit = 0.05**2 * math.exp(-16.0) / (8.0 * math.pi * 1e6)
+    assert J.real == pytest.approx(limit, rel=1e-14, abs=0.0)
+    assert 0 < bar.real <= 1e-14 * J.real
 
 
 # --- the window alias J_21 = J_12 of every two-branch family -----------------
@@ -446,7 +505,7 @@ def test_coincident_thermal_pair_probability_doubles_the_far_one():
     near = excitation_probability_quadrature(TH0, REF)
     far = excitation_probability_quadrature(
         TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=1e6), REF)
-    assert near.value == pytest.approx(2.0 * far.value, rel=1e-6)
+    assert near.value == pytest.approx(2.0 * far.value, rel=1e-6, abs=0.0)
 
 
 # --- the regulator ladder as an array axis -----------------------------------
@@ -459,8 +518,8 @@ def assert_rungs_match(ladder, single):
     meshes at its own eps instead of the smallest."""
     (lv, le), (v, e) = ladder, single
     assert abs(lv - v) <= 1e-12 * abs(v)
-    # Re J of a local pair is about 1e-9 of |J| at sigma omega = 4, so its
-    # last digits are the rounding of |J|: allow a few ulps of |J| there
+    # Re J is the remainder of a cancellation, far below |J|, so its last
+    # digits are the rounding of |J|: allow a few ulps of |J| there
     assert abs(lv.real - v.real) <= 1e-8 * abs(v.real) + 1e-15 * abs(v)
     # both differ by far less than either error estimate
     assert abs(lv - v) <= max(le, e)
@@ -470,15 +529,12 @@ def assert_rungs_match(ladder, single):
     (PAR, (1, 2), "_halfplane_pair_integral"),
     (DIFF, (1, 2), "_halfplane_pair_integral"),
     (DIFF, (2, 1), "_halfplane_pair_integral"),
-    (SA, (1, 1), "_stationary_pair_integral"),
 ])
 def test_ladder_call_matches_one_rung_calls(scenario, pair, engine):
     engine_fn = getattr(response, engine)
-    # only the 1-D engine refines to the quadrature tolerances itself
-    quad = (QuadratureConfig(),) if engine == "_stationary_pair_integral" else ()
 
     def integral(eps):
-        return engine_fn(scenario, *pair, REF, eps, *quad)
+        return engine_fn(scenario, *pair, REF, eps)
 
     values, errors = integral(LADDER)
     assert values.shape == errors.shape == (len(LADDER),)

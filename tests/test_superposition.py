@@ -14,7 +14,9 @@ from udwsim import (
     ControlState,
     DetectorDensityMatrix,
     DetectorParams,
+    TrajectoryScenario,
     WightmanIntegrals,
+    compute_wightman_integrals,
     conditional_density_matrix,
     phase_envelope,
     visibility_scan,
@@ -155,15 +157,29 @@ def test_coupling_scaling_of_populations(parallel_unit_sep_integrals):
 
 
 def test_differing_time_ordered_branch_difference(differing_integrals):
-    # Im T_i individually carries the regulator offset; the branch
-    # difference is the physical (finite) piece
+    # T_i is exact from the local spectra; Im T_i is relative to an inertial
+    # detector in the vacuum, and the branch difference is the physical part.
+    # The contour gives the same values, and the fine quadratic ladder of the
+    # regulated integrals -1.750116e-3 +- 3.1e-8
     _, _, ints = differing_integrals
     t1, t2 = ints.time_ordered[1], ints.time_ordered[2]
     diff = t1 - t2
     assert abs(diff.imag) < 0.1
-    assert diff.imag == pytest.approx(-1.744045e-3, rel=1e-3)
-    assert t1.real == pytest.approx(2.874602e-4, rel=1e-4)
-    assert t2.real == pytest.approx(1.049113e-4, rel=1e-4)
+    assert diff.imag == pytest.approx(-1.7501239e-3, rel=1e-6)
+    assert t1.real == pytest.approx(2.8745338e-4, rel=1e-6)
+    assert t2.real == pytest.approx(1.0491160e-4, rel=1e-6)
+
+
+def test_single_branch_integrals_take_no_ladder():
+    # the local pair is exact from its spectrum: I_11 = 2 Re T_1 to the bit,
+    # and Im T_1 is the finite part relative to the inertial vacuum, where
+    # the regulated integral gave about -0.26 at eps = 2.5e-3
+    ints = compute_wightman_integrals(TrajectoryScenario("SingleAccel", kappa1=1.0),
+                                      REF_PARAMS)
+    t = ints.time_ordered[1]
+    assert ints.full_grid[(1, 1)] == complex(2.0 * t.real, 0.0)
+    assert abs(t.imag) < 1e-5
+    assert 0 < ints.error_estimate < 1e-9 * abs(t)
 
 
 def test_differing_norm_stays_near_envelope(differing_integrals):
