@@ -298,20 +298,33 @@ def transition_rate(scenario: TrajectoryScenario, params: DetectorParams, tau: f
 def window_halfwidth(params: DetectorParams) -> float:
     """Truncation half-width T of the switching window in each proper time.
 
-    6 sigma covers the Gaussian itself; the extra 2 sigma^2 |omega| covers the
-    contour shift of e^{-s^2/4sigma^2 - i omega s}: after completing the
-    square the effective Gaussian is displaced by 2 sigma^2 omega, and
-    truncating the undisplaced 6-sigma box would leave a tail comparable to
-    the e^{-sigma^2 omega^2}-suppressed signal itself.
+    6 sigma covers the Gaussian itself: with both proper times at 6 sigma
+    the window product e^{-(tau'^2 + tau''^2)/2 sigma^2} is e^{-36}. The
+    extra 2 sigma^2 |omega| covers the contour shift of
+    e^{-s^2/4sigma^2 - i omega s}: after completing the square the effective
+    Gaussian is displaced by 2 sigma^2 omega, and truncating the undisplaced
+    6-sigma box would leave a tail comparable to the
+    e^{-sigma^2 omega^2}-suppressed signal itself. Only s = tau' - tau''
+    carries that shift: the 2-D engine stays inside the diamond
+    |p| + s <= 2T, but cuts p and s tighter (_halfplane_pair_integral).
     """
     return _WINDOW_SIGMAS * params.sigma + 2.0 * params.sigma**2 * abs(params.omega)
 
 
 def _halfplane_pair_integral(scenario, i, j, params, eps, level=0):
     """J_ij = (1/2) int dp int_{s>0} ds G(p) G(s) e^{-i omega s}
-    W^{ij}((p+s)/2, (p-s)/2) over the diamond |p| + |s| <= 2T, i.e. the
-    time-ordered half of the [-T, T]^2 switching square in rotated
-    coordinates (p = tau' + tau'', s = tau' - tau''), G(x) = e^{-x^2/4 sigma^2}.
+    W^{ij}((p+s)/2, (p-s)/2), G(x) = e^{-x^2/4 sigma^2}, over the
+    time-ordered half of the switching plane in rotated coordinates
+    (p = tau' + tau'', s = tau' - tau''), cut where the window is below
+    rounding:
+    - |p| <= P = 12 sigma (2 _WINDOW_SIGMAS sigma), where the unshifted
+      G(p) is e^{-36}, the level of both proper times at 6 sigma;
+    - s <= min(2T - |p|, S), T = window_halfwidth, inside the diamond of
+      the [-T, T]^2 switching square, and S = 2 sigma sqrt(36 + (sigma
+      omega)^2), where G(s) is e^{-36} times e^{-(sigma omega)^2}, the
+      suppression of the signal itself (the 2 sigma^2 omega contour shift).
+    Past either cut the window weight is below e^{-36} ~ 2e-16 of the scale
+    of the value it would add to.
 
     The 2-D engine for the pairs whose correlator depends on p: an outer
     Gauss-Kronrod 15 rule in p, whose embedded Gauss 7 rule gives the error
@@ -324,6 +337,8 @@ def _halfplane_pair_integral(scenario, i, j, params, eps, level=0):
     """
     sigma, omega = params.sigma, params.omega
     T2 = 2.0 * window_halfwidth(params)
+    p_hi = 2.0 * _WINDOW_SIGMAS * sigma
+    s_cut = 2.0 * sigma * math.hypot(_WINDOW_SIGMAS, sigma * omega)
     # the p-integrand does not oscillate: its mesh ignores omega
     cap_p, scale = _mesh_policy(scenario, 0.0, eps, sigma, level)
     cap_s, _ = _mesh_policy(scenario, omega, eps, sigma, level)
@@ -331,7 +346,7 @@ def _halfplane_pair_integral(scenario, i, j, params, eps, level=0):
     inv4s2 = 1.0 / (4.0 * sigma**2)
 
     def inner(p, roots):
-        s_hi = T2 - abs(p)
+        s_hi = min(T2 - abs(p), s_cut)
         roots = [float(r) for r in roots if 0.0 <= r <= s_hi]
         edges = cluster_mesh(0.0, s_hi, [0.0] + roots, scale=scale, cap=cap_s)
 
@@ -342,7 +357,7 @@ def _halfplane_pair_integral(scenario, i, j, params, eps, level=0):
         return panel_integrate(f, edges)
 
     # mirrored, so that J_ji = J_ij holds on the same nodes (_pair_key)
-    half = cluster_mesh(0.0, T2, [0.0], scale=scale, cap=cap_p)
+    half = cluster_mesh(0.0, p_hi, [0.0], scale=scale, cap=cap_p)
     outer_edges = np.concatenate([-half[:0:-1], half])
     a, b = outer_edges[:-1], outer_edges[1:]
     h = 0.5 * (b - a)

@@ -194,6 +194,17 @@ def test_beta_near_pi_warns():
     assert math.isfinite(r.probability)
 
 
+@pytest.mark.parametrize("sigma_omega, beta, gap", [
+    (4.0, 1.5, 0.067), (4.0, 2.5, 0.80), (10.0, 1.5, 0.0113), (10.0, 2.5, 0.174)])
+def test_saddle_gap_grows_with_beta(sigma_omega, beta, gap):
+    # the module docstring's table: p_local against the full shifted-contour
+    # integral it is the leading saddle term of, to 2 digits
+    p = DetectorParams(omega=sigma_omega / REF.sigma, lambda_coupling=0.01, sigma=REF.sigma)
+    kappa = beta / (p.sigma**2 * p.omega)
+    exact = excitation_probability_contour(TrajectoryScenario("SingleAccel", kappa1=kappa), p)
+    assert p_local(p, kappa).probability / exact.value - 1.0 == pytest.approx(gap, rel=1e-2)
+
+
 def test_kappa_validation():
     with pytest.raises(ValueError):
         p_local(REF, 0.0)

@@ -560,6 +560,57 @@ def test_ladder_rate_point_matches_one_rung_calls():
         assert abs(rates[k] - rate) <= 1e-8 * abs(rate)
 
 
+# --- the 2-D engine's domain: cut where the window is below rounding ----------
+
+def test_2d_engine_stays_where_the_window_is_above_rounding(monkeypatch):
+    # |p| <= 12 sigma, where the unshifted G(p) is e^{-36}, and
+    # s <= 2 sigma sqrt(36 + (sigma omega)^2), where G(s) is e^{-36} times
+    # the e^{-(sigma omega)^2} of the signal; both reached, neither passed
+    nodes, correlator = [], response.scenario_correlator
+
+    def recording(scenario, i, j):
+        corr = correlator(scenario, i, j)
+
+        def f(t1, t2, eps):
+            nodes.append((t1 + t2, t1 - t2))
+            return corr(t1, t2, eps)
+        return f
+
+    monkeypatch.setattr(response, "scenario_correlator", recording)
+    response._halfplane_pair_integral(PAR, 1, 2, REF, LADDER)
+    p = np.abs(np.concatenate([np.atleast_1d(p) for p, _ in nodes]))
+    s = np.concatenate([np.atleast_1d(s) for _, s in nodes])
+    p_hi = 12.0 * REF.sigma
+    s_hi = 2.0 * REF.sigma * math.sqrt(36.0 + (REF.sigma * REF.omega) ** 2)
+    assert p.max() <= p_hi * (1.0 + 1e-12) and s.max() <= s_hi * (1.0 + 1e-12)
+    assert p.max() > 0.99 * p_hi and s.max() > 0.99 * s_hi
+    assert s.min() >= 0.0
+
+
+# J_12 of Parallel kappa L = 1 at sigma = 0.05 on the default ladder
+# (eps = 1e-2, 5e-3, 2.5e-3), as the 2-D engine gave it on the whole diamond
+# |p| + s <= 2T: the cut domain leaves every rung unchanged to rounding
+J12_WHOLE_DIAMOND = {
+    80.0: (1.9087895716747576e-11 - 2.899825668807417e-05j,
+           1.9222884432530875e-11 - 2.90148012959312e-05j,
+           1.9289892957588187e-11 - 2.902089619354422e-05j),
+    -80.0: (1.961959189969815e-11 + 2.9029536245318535e-05j,
+            1.9488830107759066e-11 + 2.9030450514474665e-05j,
+            1.942287799508641e-11 + 2.902872198347606e-05j),
+}
+
+
+@pytest.mark.parametrize("omega", [80.0, -80.0])
+def test_cut_domain_keeps_j12_on_every_rung(omega):
+    params = DetectorParams(omega=omega, lambda_coupling=0.01, sigma=0.05)
+    sched, quad = response._defaults(PAR, None, None)
+    assert sched.epsilons == LADDER
+    values, _ = response.halfplane_integrals_at_eps(PAR, params, sched.epsilons, quad)[(1, 2)]
+    for value, pinned in zip(values, J12_WHOLE_DIAMOND[omega], strict=True):
+        assert value == pytest.approx(pinned, rel=1e-15, abs=0.0)
+        assert value.real == pytest.approx(pinned.real, rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("scenario, pair", [
     (SA, (1, 1)),
     (PAR, (1, 2)), (PAR, (2, 1)),
