@@ -34,7 +34,7 @@ import scipy
 from . import __version__
 from .closed_form import (DetectorParams, p_antiparallel, p_differing, p_local,
                           p_parallel)
-from .config import KIND_GRIDS, ScenarioConfig, validate_config
+from .config import KIND_GRIDS, ScenarioConfig, scenario_variants, validate_config
 from .errors import (ConfigError, ConvergenceError, HyperbolicRangeError,
                      IndeterminateRatioError, SingularParameterError,
                      ValidityError)
@@ -214,17 +214,6 @@ def _write_output(path: Path, header, rows, json_mirror: bool, kind):
             json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _scenario_variants(out, cfg: ScenarioConfig):
-    """(suffix, scenario) pairs: one per swept separation or ratio value."""
-    base = cfg.scenario
-    if out.kappa_L:
-        return [(f"_kL{v:g}", replace(base, L=v / base.kappa1)) for v in out.kappa_L]
-    if out.kappa_ratio:
-        return [(f"_k2r{v:g}", replace(base, kappa2=v * base.kappa1))
-                for v in out.kappa_ratio]
-    return [("", base)]
-
-
 def _suffixed(path: str, suffix: str) -> Path:
     p = Path(path)
     return p if not suffix else p.with_name(p.stem + suffix + p.suffix)
@@ -237,7 +226,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".", workers: int = 1) -> i
         print("nothing to do: config declares no outputs")
         return 0
     for out in cfg.outputs:
-        for suffix, scenario in _scenario_variants(out, cfg):
+        for suffix, scenario in scenario_variants(out, cfg.scenario):
             path = base / _suffixed(out.path, suffix)
             unit = _unit_coupling(cfg.params)
             if out.kind == "probability_map":

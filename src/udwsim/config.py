@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import yaml
 
@@ -74,6 +74,18 @@ class ScenarioConfig:
     regulator: RegulatorSchedule
     outputs: tuple = ()
     source_text: str = field(default="", repr=False)
+
+
+def scenario_variants(out: OutputSpec, base: TrajectoryScenario) -> list:
+    """(suffix, scenario) pairs: one per swept separation or ratio value of
+    the output, or the base scenario alone. Raises ValueError for a value
+    the family refuses (validate_config reports it)."""
+    if out.kappa_L:
+        return [(f"_kL{v:g}", replace(base, L=v / base.kappa1)) for v in out.kappa_L]
+    if out.kappa_ratio:
+        return [(f"_k2r{v:g}", replace(base, kappa2=v * base.kappa1))
+                for v in out.kappa_ratio]
+    return [("", base)]
 
 
 def _as_float(value, path: str, errors: list) -> float:
@@ -216,9 +228,19 @@ def _parse_outputs(raw, scenario, errors: list):
         if not isinstance(json_mirror, bool):
             errors.append(f"{prefix}.json_mirror: must be a boolean")
             continue
-        outputs.append(OutputSpec(kind=kind, path=path, backend=backend,
-                                  kappa_L=tuple(kappa_L), kappa_ratio=tuple(kappa_ratio),
-                                  json_mirror=json_mirror, tolerance=tolerance))
+        out = OutputSpec(kind=kind, path=path, backend=backend,
+                         kappa_L=tuple(kappa_L), kappa_ratio=tuple(kappa_ratio),
+                         json_mirror=json_mirror, tolerance=tolerance)
+        # build every variant the run will build, so that a value the family
+        # refuses is reported here
+        if scenario is not None and not any(map(math.isnan, out.kappa_L + out.kappa_ratio)):
+            try:
+                scenario_variants(out, scenario)
+            except ValueError as exc:
+                swept = "kappa_L" if out.kappa_L else "kappa_ratio"
+                errors.append(f"{prefix}.{swept}: {exc}")
+                continue
+        outputs.append(out)
     return tuple(outputs)
 
 

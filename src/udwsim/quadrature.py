@@ -63,6 +63,8 @@ class QuadratureConfig:
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
+        if not (math.isfinite(self.abs_tol) and math.isfinite(self.rel_tol)):
+            raise ValueError("tolerances must be finite")
 
 
 @dataclass(frozen=True)
@@ -77,8 +79,8 @@ class RegulatorSchedule:
         if self.extrapolation not in EXTRAPOLATION_MODES:
             raise ValueError(f"unknown extrapolation mode {self.extrapolation!r}")
         eps = self.epsilons
-        if any(e <= 0 for e in eps):
-            raise ValueError("all epsilons must be positive")
+        if not all(0 < e < math.inf for e in eps):
+            raise ValueError("all epsilons must be positive and finite")
         if self.extrapolation != "none":
             if len(eps) < 2:
                 raise ValueError("extrapolating schedules need at least 2 epsilons")

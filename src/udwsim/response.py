@@ -1,15 +1,18 @@
 """Numerical detector response: transition rates and excitation probabilities.
 
-Stationary branch pairs (every local pair, the thermal bath's cross pair)
-are exact from their spectrum (correlators.pair_spectrum): a rate adds
-F(omega), a window integrates F against its transform
-(_spectral_pair_integral), and a result of such pairs only has
-epsilon_estimates = (). The other cross pairs are integrated on the whole
-regulator ladder in one pass, eps an array axis, on meshes clustered at the
-closed-form lightcone crossings, then extrapolated to eps -> 0: rates along
-the cut tau1 = tau, tau2 = tau - s, windows by an outer Gauss-Kronrod rule
-over p = tau1 + tau2 over inner cuts of fixed p. excitation_probability_contour
-instead takes the window at eps = 0 on a contour shifted off the poles.
+A rate (_rate_at_eps, on the cut tau1 = tau, tau2 = tau - s) and a window
+(halfplane_integrals_at_eps) are maps of branch-pair integrals
+{(i, j): (J, err)}, and only a map decides which pairs are exact. Stationary
+pairs (every local pair, the thermal bath's cross pair) are exact from their
+spectrum (correlators.pair_spectrum): a rate's J is F(omega)/2, a window
+integrates F against its transform (_spectral_pair_integral). The other
+cross pairs are integrated on the whole regulator ladder in one pass, eps an
+array axis, on meshes clustered at the closed-form lightcone crossings;
+windows by an outer Gauss-Kronrod rule over p = tau1 + tau2 over inner cuts
+of fixed p. _limit alone reduces a map to a rate, a probability or an I_ij
+of the conditional state, extrapolating to eps -> 0 (epsilon_estimates = ()
+when every pair is exact). excitation_probability_contour instead takes the
+window at eps = 0 on a contour shifted off the poles.
 
 No family is named here: which branch pairs share one integral (_pair_map),
 which are stationary, and kappa_scale are read off the rows of the family
@@ -232,40 +235,40 @@ def _rate_pair_integral(scenario, i, j, tau, omega, eps, quad):
     return val, err
 
 
-def _spectral_rate(scenario, params):
-    """(lambda^2/N^2) sum_ij F_ij(omega) over the stationary branch pairs,
-    each from its closed-form spectrum (pair_spectrum), and a bound on the
-    rounding of that float."""
-    pref = params.lambda_coupling**2 / scenario.branch_count**2
-    spectra = _pair_map(scenario, lambda i, j: pair_spectrum(scenario, i, j, params.omega)
-                        if _stationary_pair(scenario, i, j) else (0.0, 0.0),
-                        window=False).values()
-    value = pref * math.fsum(F for F, _ in spectra)
-    # fsum rounds once, and so do lambda^2 and the product
-    return value, pref * sum(b for _, b in spectra) + 2.0 * np.finfo(float).eps * abs(value)
+def _rate_at_eps(scenario, params, tau, eps, quad) -> dict:
+    """{(i, j): (J, err)} of the rate over every branch pair: a stationary
+    pair's exact J = F_ij(omega)/2 and half its bound (pair_spectrum), since
+    2 Re J = F (halving is exact while F is normal, |omega/kappa| <~ 110);
+    the others' _rate_pair_integral, per rung for a ladder."""
+    def integral(i, j):
+        if _stationary_pair(scenario, i, j):
+            F, bound = pair_spectrum(scenario, i, j, params.omega)
+            return F / 2.0, bound / 2.0
+        return _rate_pair_integral(scenario, i, j, tau, params.omega, eps, quad)
+
+    return _pair_map(scenario, integral, window=False)
 
 
-def _rate_at_eps(scenario, params, tau, eps, quad):
-    """The non-stationary pairs' part of the rate and its quadrature error,
-    per rung for a ladder (_rate_pair_integral); 0.0 when every pair is
-    stationary. The stationary pairs enter exactly (_spectral_rate)."""
-    pref = 2.0 * params.lambda_coupling**2 / scenario.branch_count**2
-    blocks = _pair_map(scenario, lambda i, j: (0.0, 0.0) if _stationary_pair(scenario, i, j)
-                       else _rate_pair_integral(scenario, i, j, tau, params.omega, eps, quad),
-                       window=False).values()
-    total = sum(v for v, _ in blocks)
-    qerr = sum(e for _, e in blocks)
-    return pref * total.real, pref * qerr
-
-
-def _exact_plus_ladder(reg_schedule, exact, bar, ladder) -> RateResult:
-    """exact +- bar plus a ladder part, one value per rung, extrapolated to eps -> 0;
-    a ladder part of 0.0 (no pair needed it) gives epsilon_estimates = ()."""
-    if np.ndim(ladder) == 0:
-        return RateResult(float(exact + ladder), float(bar), ())
-    estimates = tuple((eps, float(exact + v)) for eps, v in zip(reg_schedule.epsilons, ladder))
-    limit, err = epsilon_extrapolate(estimates, reg_schedule.extrapolation)
-    return RateResult(float(limit), float(err + bar), estimates)
+def _limit(reg_schedule, blocks, pref):
+    """(value, error_estimate, epsilon_estimates) at eps -> 0 of pref times
+    the sum of blocks, (value, err) pairs. An exact block (a stationary pair)
+    has a scalar value, a ladder block one value per rung: every caller
+    passes reg_schedule.epsilons, a tuple, even with one rung. Exact blocks
+    are fsummed, with their bars plus the rounding; ladder blocks are summed
+    per rung, added to that and extrapolated (epsilon_estimates is () without
+    them). A caller keeping a real part takes it first: a complex value
+    extrapolates with other rounding."""
+    exact = [(v, e) for v, e in blocks if np.ndim(v) == 0]
+    ladder = [v for v, _ in blocks if np.ndim(v) > 0]
+    value = pref * fsum_rows(np.array([v for v, _ in exact]))
+    # fsum rounds once, and so does the product
+    bar = pref * sum(e for _, e in exact) + 2.0 * np.finfo(float).eps * abs(value)
+    if not ladder:
+        return value, float(bar), ()
+    rungs = value + pref * sum(ladder)
+    limit, err = epsilon_extrapolate(tuple(zip(reg_schedule.epsilons, rungs)),
+                                     reg_schedule.extrapolation)
+    return limit.item(), float(err + bar), tuple(zip(reg_schedule.epsilons, rungs.tolist()))
 
 
 def transition_rate(scenario: TrajectoryScenario, params: DetectorParams, tau: float,
@@ -286,9 +289,9 @@ def transition_rate(scenario: TrajectoryScenario, params: DetectorParams, tau: f
     branches (no global time coordinate relates them).
     """
     reg_schedule, quad = _defaults(scenario, reg_schedule, quad)
-    exact, rounding = _spectral_rate(scenario, params)
-    ladder, _ = _rate_at_eps(scenario, params, float(tau), reg_schedule.epsilons, quad)
-    return _exact_plus_ladder(reg_schedule, exact, rounding, ladder)
+    pref = 2.0 * params.lambda_coupling**2 / scenario.branch_count**2
+    blocks = _rate_at_eps(scenario, params, float(tau), reg_schedule.epsilons, quad).values()
+    return RateResult(*_limit(reg_schedule, [(v.real, e) for v, e in blocks], pref))
 
 
 # ---------------------------------------------------------------------------
@@ -472,13 +475,8 @@ def excitation_probability_quadrature(scenario: TrajectoryScenario, params: Dete
     """
     reg_schedule, quad = _defaults(scenario, reg_schedule, quad)
     pref = 2.0 * params.lambda_coupling**2 / scenario.branch_count**2
-    blocks = halfplane_integrals_at_eps(scenario, params, reg_schedule.epsilons, quad).items()
-    exact = [vb for pair, vb in blocks if _stationary_pair(scenario, *pair)]
-    ladder = sum(v for pair, (v, _) in blocks if not _stationary_pair(scenario, *pair))
-    value = pref * math.fsum(v.real for v, _ in exact)
-    # fsum rounds once, and so does the product
-    bar = pref * sum(e.real for _, e in exact) + 2.0 * np.finfo(float).eps * abs(value)
-    return _exact_plus_ladder(reg_schedule, value, bar, pref * np.real(ladder))
+    blocks = halfplane_integrals_at_eps(scenario, params, reg_schedule.epsilons, quad).values()
+    return ProbabilityResult(*_limit(reg_schedule, [(v.real, e.real) for v, e in blocks], pref))
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,18 @@ class TestCheck:
         assert "epsilons=0.02,0.01" in out
         assert "rel_tol=0.001" in out
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--eps-ladder", "inf,1e-3"], "all epsilons must be positive and finite"),
+        (["--eps-ladder", "nan,1e-3"], "all epsilons must be positive and finite"),
+        (["--quad-tol", "inf"], "tolerances must be finite"),
+    ], ids=["inf-epsilon", "nan-epsilon", "inf-tolerance"])
+    def test_non_finite_override_exit_2(self, tmp_path, capsys, flags, message):
+        # the config file refuses .inf and .nan; the flags must too
+        cfg = write_cfg(tmp_path, "scenario:\n  family: Parallel\n")
+        rc = main(["check", cfg, *flags])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_invalid_config_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "scenario:\n  family: Spiral\n")
         rc = main(["check", cfg])
@@ -217,6 +229,16 @@ class TestRunRateMap:
             header_lines(half)
         assert "scenario family=Parallel kappa1=2 kappa2=0 L=0.5" in \
             header_lines(one)
+
+    def test_refused_sweep_value_exits_2_before_writing(self, tmp_path, capsys):
+        text = ("scenario:\n  family: Parallel\n"
+                "outputs:\n  - kind: rate_map\n    path: rates.csv\n"
+                "    kappa_L: [0.5, -1.0]\n")
+        rc = main(["run", write_cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: outputs[0].kappa_L: Parallel requires L >= 0\n"
+        assert not (tmp_path / "out").exists()
 
     def test_header_names_versions_and_rate_method(self, tmp_path):
         text = RATE_CFG + "  - kind: kms_report\n    path: k.csv\n"

@@ -418,6 +418,16 @@ class TestOutputsSection:
         errs = errors_of(text)
         assert "outputs[0].kappa_ratio: ratios must be > 0" in errs
 
+    def test_sweep_value_the_family_refuses_is_reported(self):
+        # every variant scenario is built at validation, as the run builds it
+        text = MINIMAL + (
+            "outputs:\n"
+            "  - kind: rate_map\n"
+            "    path: r.csv\n"
+            "    kappa_L: [0.5, -1.0]\n"
+        )
+        assert errors_of(text) == ["outputs[0].kappa_L: Parallel requires L >= 0"]
+
     def test_kappa_L_and_ratio_exclusive(self):
         text = (
             "scenario:\n  family: Differing\n  kappa2: 0.5\n"

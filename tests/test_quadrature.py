@@ -104,11 +104,26 @@ def test_regulator_schedule_validation():
     RegulatorSchedule((0.01,), extrapolation="none")
 
 
+@pytest.mark.parametrize("eps", [(math.inf, 1e-3), (math.nan, 1e-3), (1e-2, math.nan)])
+def test_regulator_schedule_refuses_non_finite_epsilons(eps):
+    # nan passes every comparison with <=, so it was accepted once; a nan
+    # scale never ends a cluster_mesh loop, and inf makes nan rows
+    with pytest.raises(ValueError, match="all epsilons must be positive and finite"):
+        RegulatorSchedule(eps)
+    with pytest.raises(ValueError, match="all epsilons must be positive and finite"):
+        RegulatorSchedule(eps, extrapolation="none")
+
+
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=-1e-9)
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.0)
+    for tol in ({"abs_tol": math.inf}, {"rel_tol": math.inf}):
+        with pytest.raises(ValueError, match="tolerances must be finite"):
+            QuadratureConfig(**tol)
+    with pytest.raises(ValueError, match="tolerances must be positive"):
+        QuadratureConfig(rel_tol=math.nan)
     # the config holds the two tolerances and nothing else
     assert [f.name for f in dataclasses.fields(QuadratureConfig)] == ["abs_tol", "rel_tol"]
     for retired in ("s_max", "oscillation_resolution", "max_subdivisions"):

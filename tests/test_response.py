@@ -173,6 +173,35 @@ def test_rate_convergence_error_carries_estimate():
     assert exc.value.error_estimate > 0
 
 
+# transition_rate of every family at omega = kappa = 1, tau = 0.5, as
+# (value, error_estimate, rungs extrapolated) in float.hex: bit for bit what
+# the separate exact and ladder parts gave before one function (_limit)
+# combined every response (numpy 2.4 on x86-64; a different vector math
+# library may move the last bits, and then the pins are re-recorded from
+# that code)
+RATE_PINS = {
+    TrajectoryScenario("SingleAccel", kappa1=1.0):
+        ("0x1.383bb4aa98a94p-12", "0x1.2fc568e21adcap-59", 0),
+    TrajectoryScenario("Parallel", kappa1=1.0, L=1.0):
+        ("-0x1.bb8751ea31947p-9", "0x1.6f05103becbf1p-22", 3),
+    TrajectoryScenario("AntiParallel", kappa1=1.0, L=1.0):
+        ("-0x1.0d01824265912p-7", "0x1.a73c7229e5f8bp-25", 3),
+    TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5):
+        ("-0x1.3055b75488d50p-12", "0x1.cfeffeea68a86p-20", 3),
+    TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=1.0):
+        ("0x1.1f7bf55bd0c5cp-12", "0x1.2b351ab9f8e24p-59", 0),
+}
+
+
+@pytest.mark.parametrize("scenario", RATE_PINS, ids=lambda sc: sc.family)
+def test_rate_is_bit_identical_to_its_pin(scenario):
+    r = transition_rate(scenario, unit(1.0), 0.5)
+    value, error, rungs = RATE_PINS[scenario]
+    assert (r.value.hex(), r.error_estimate.hex()) == (value, error)
+    assert len(r.epsilon_estimates) == rungs
+    assert all(type(v) is float for _, v in r.epsilon_estimates)
+
+
 def test_rate_respects_custom_schedule():
     sched = RegulatorSchedule((2e-2, 1e-2))
     r = transition_rate(PAR_KL1, unit(1.0), 1.0, reg_schedule=sched)
@@ -554,10 +583,15 @@ def test_ladder_rate_point_matches_one_rung_calls():
         for k, single in enumerate(singles):
             assert_rungs_match((values[k], errors[k]), single)
         assert values[-1] == singles[-1][0]
-    rates, _ = response._rate_at_eps(PAR, unit(1.0), 1.0, LADDER, quad)
+    # the rate's pair map: the cross pairs' Re J per rung, and the local
+    # pairs exact, the same scalars whatever the ladder
+    blocks = response._rate_at_eps(PAR, unit(1.0), 1.0, LADDER, quad)
+    cross = ((1, 2), (2, 1))
     for k, eps in enumerate(LADDER):
-        rate, _ = response._rate_at_eps(PAR, unit(1.0), 1.0, eps, quad)
-        assert abs(rates[k] - rate) <= 1e-8 * abs(rate)
+        single = response._rate_at_eps(PAR, unit(1.0), 1.0, eps, quad)
+        rate = sum(single[pair][0].real for pair in cross)
+        assert abs(sum(blocks[pair][0][k].real for pair in cross) - rate) <= 1e-8 * abs(rate)
+        assert blocks[(1, 1)] == single[(1, 1)] and blocks[(2, 2)] == single[(2, 2)]
 
 
 # --- the 2-D engine's domain: cut where the window is below rounding ----------

@@ -18,11 +18,25 @@ from udwsim import (
     WightmanIntegrals,
     compute_wightman_integrals,
     conditional_density_matrix,
+    excitation_probability_quadrature,
     phase_envelope,
     visibility_scan,
 )
 
 from conftest import REF_PARAMS
+
+
+def test_probability_and_i12_are_bit_identical_to_their_pins(parallel_unit_sep_integrals):
+    # float.hex of what the separate exact and ladder parts gave before one
+    # function (response._limit) combined every response, on the same
+    # numpy build (see RATE_PINS in test_response.py)
+    sc, integrals = parallel_unit_sep_integrals
+    p = excitation_probability_quadrature(sc, REF_PARAMS)
+    assert (p.value.hex(), p.error_estimate.hex()) == ("0x1.0dbffb99f1f85p-46",
+                                                      "0x1.cadb2faba5305p-64")
+    i12 = integrals.full_grid[(1, 2)]
+    assert (i12.real.hex(), i12.imag.hex()) == ("0x1.5487bbfb5dad7p-35", "0x0.0p+0")
+    assert integrals.error_estimate.hex() == "0x1.1810458b94000p-49"
 
 
 def test_control_state_canonicalizes_global_phase():
