@@ -28,7 +28,7 @@ from .response import (KMSReport, ProbabilityResult, RateResult,
                        excitation_probability_contour,
                        excitation_probability_quadrature, kappa_scale,
                        kms_check, planck_rate, transition_rate,
-                       window_halfwidth)
+                       transition_rates, window_halfwidth)
 from .superposition import (ControlState, DetectorDensityMatrix,
                             WightmanIntegrals, compute_wightman_integrals,
                             conditional_density_matrix,
@@ -86,6 +86,7 @@ __all__ = [
     "planck_rate",
     "scenario_correlator",
     "transition_rate",
+    "transition_rates",
     "validate_config",
     "visibility_scan",
     "wightman_local",

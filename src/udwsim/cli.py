@@ -12,8 +12,11 @@ udwsim, numpy and scipy versions and a git-style content hash of the config,
 so a file is traceable to the exact run that produced it. Every float is
 written as the shortest string that reads back as the same float. Bodies are
 byte-identical across repeated runs and across --workers settings: every
-grid point is evaluated independently and assembled in grid order by the
-single writer.
+probability grid point, and every kappa tau row of rates, is evaluated
+independently, and the single writer assembles them in grid order. A row
+holds every gap that a scenario's rate_map and kms_report need (omega, and
+-omega for the KMS ratio), integrated together (transition_rates), so both
+outputs read the same rates; a row that raises is evaluated gap by gap.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import json
 import math
 import sys
 import warnings
+from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -40,7 +44,7 @@ from .errors import (ConfigError, ConvergenceError, HyperbolicRangeError,
                      ValidityError)
 from .kinematics import TrajectoryScenario
 from .response import (excitation_probability_quadrature, kms_check, planck_rate,
-                       transition_rate)
+                       transition_rate, transition_rates)
 from .superposition import (ControlState, compute_wightman_integrals,
                             conditional_density_matrix, phase_envelope,
                             visibility_scan)
@@ -101,10 +105,12 @@ _EVALUATORS = {}
 
 
 def _eval_point(task):
-    """Evaluate one grid point; returns the full CSV row as a tuple.
+    """Evaluate one task: a probability grid point, returning its CSV row, or
+    a kappa tau row of rates (_eval_rates).
 
-    Module-level so process pools can pickle it. Per-point validity or
-    convergence failures become NaN values with the valid flag down.
+    Module-level so process pools can pickle it. A point's validity or
+    convergence failure becomes a NaN row with the valid flag down; a rate
+    row marks each failed gap None.
     """
     kind, point, payload = task
     with warnings.catch_warnings():
@@ -135,34 +141,29 @@ def _eval_probability(point, payload):
     return (L_over_sigma, beta, value, 1)
 
 
-def _eval_rate(point, payload):
-    omega_over_kappa, kappa_tau = point
-    scenario, params, reg, quad = payload
-    kappa = scenario.kappa1
-    rate_params = DetectorParams(omega=omega_over_kappa * kappa,
-                                 lambda_coupling=1.0, sigma=params.sigma)
-    res = transition_rate(scenario, rate_params, kappa_tau / kappa, reg, quad)
-    return (omega_over_kappa, kappa_tau, res.value, res.error_estimate, 1)
-
-
-def _eval_kms(point, payload):
-    omega_over_kappa, kappa_tau = point
-    scenario, params, tol, reg, quad = payload
-    kappa = scenario.kappa1
-    tau = kappa_tau / kappa
-
-    def rate_at(om):
-        p = DetectorParams(omega=om, lambda_coupling=1.0, sigma=params.sigma)
-        return transition_rate(scenario, p, tau, reg, quad)
-
-    report = kms_check(rate_at, omega_over_kappa * kappa, kappa, tol)
-    return (omega_over_kappa, kappa_tau, report.ratio, report.expected,
-            report.deviation, 1 if report.satisfied else 0, 1)
+def _eval_rates(kappa_tau, payload):
+    """The rates of one kappa tau row, one per gap: a RateResult, or None
+    where that gap's own transition_rate call raises a point failure. The
+    row is one transition_rates call; if that raises, each gap is evaluated
+    alone, so that one failing gap does not fail the others."""
+    scenario, sigma, gaps, reg, quad = payload
+    tau = kappa_tau / scenario.kappa1
+    try:
+        return transition_rates(scenario, gaps, tau, reg, quad)
+    except _POINT_ERRORS:
+        pass
+    rates = []
+    for omega in gaps:
+        params = DetectorParams(omega=omega, lambda_coupling=1.0, sigma=sigma)
+        try:
+            rates.append(transition_rate(scenario, params, tau, reg, quad))
+        except _POINT_ERRORS:
+            rates.append(None)
+    return rates
 
 
 _EVALUATORS.update({"probability_map": _eval_probability,
-                    "rate_map": _eval_rate,
-                    "kms_report": _eval_kms})
+                    "rate_map": _eval_rates})
 
 
 def _grid_tasks(kind, cfg: ScenarioConfig, payload):
@@ -170,12 +171,49 @@ def _grid_tasks(kind, cfg: ScenarioConfig, payload):
     return [(kind, (a, b), payload) for a in outer for b in inner]
 
 
-def _run_tasks(tasks, workers: int):
-    if workers <= 1 or len(tasks) <= 1:
+def _run_tasks(tasks, pool, workers: int):
+    if pool is None or len(tasks) <= 1:
         return [_eval_point(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(tasks) // (4 * workers))
-        return list(pool.map(_eval_point, tasks, chunksize=chunk))
+    chunk = max(1, len(tasks) // (4 * workers))
+    return list(pool.map(_eval_point, tasks, chunksize=chunk))
+
+
+def _rate_table(cfg: ScenarioConfig, scenario, negated: bool, pool, workers: int) -> dict:
+    """{kappa_tau: {gap: RateResult or None}} over the grids: omega, and
+    -omega too if negated (a kms_report reads the table), in one task per
+    kappa tau. Gaps equal as floats (0.0 and -0.0 too) are evaluated once."""
+    kappa = scenario.kappa1
+    gaps = [w * kappa for w in cfg.grids["omega_over_kappa"]]
+    if negated:
+        gaps += [-g for g in gaps]
+    gaps = tuple(dict.fromkeys(gaps))
+    payload = (scenario, cfg.params.sigma, gaps, cfg.regulator, cfg.quadrature)
+    taus = cfg.grids["kappa_tau"]
+    rows = _run_tasks([("rate_map", kt, payload) for kt in taus], pool, workers)
+    return {kt: dict(zip(gaps, row)) for kt, row in zip(taus, rows)}
+
+
+def _rate_row(w, kt, rates, kappa):
+    """The rate_map row at omega/kappa = w from a row of rates."""
+    res = rates[w * kappa]
+    if res is None:
+        return _INVALID_ROW["rate_map"](w, kt)
+    return (w, kt, res.value, res.error_estimate, 1)
+
+
+def _kms_row(w, kt, rates, kappa, tol):
+    """The kms_report row at omega/kappa = w from a row of rates: valid=0
+    if either rate failed or the ratio is indeterminate (kms_check)."""
+    omega = w * kappa
+    if rates[omega] is not None and rates[-omega] is not None:
+        try:
+            report = kms_check(rates.__getitem__, omega, kappa, tol)
+        except IndeterminateRatioError:
+            pass
+        else:
+            return (w, kt, report.ratio, report.expected, report.deviation,
+                    1 if report.satisfied else 0, 1)
+    return _INVALID_ROW["kms_report"](w, kt)
 
 
 def _header_lines(kind, cfg: ScenarioConfig, scenario, extra=()):
@@ -220,43 +258,53 @@ def _suffixed(path: str, suffix: str) -> Path:
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str = ".", workers: int = 1) -> int:
-    """Produce every configured output file; returns a process exit code."""
+    """Produce every configured output file; returns a process exit code.
+    With workers > 1, one process pool serves every output."""
     base = Path(out_dir)
     if not cfg.outputs:
         print("nothing to do: config declares no outputs")
         return 0
-    for out in cfg.outputs:
-        for suffix, scenario in scenario_variants(out, cfg.scenario):
-            path = base / _suffixed(out.path, suffix)
-            unit = _unit_coupling(cfg.params)
-            if out.kind == "probability_map":
-                payload = (scenario.family, unit, out.backend,
-                           cfg.regulator, cfg.quadrature)
-                extra = (f"backend={out.backend}",
-                         "kappa derived per point: kappa = "
-                         "kappa_sigma2_omega / (sigma^2 omega); L = L_over_sigma * sigma")
-                extra += (_METHOD,) if out.backend == "quadrature" else ()
-            elif out.kind == "rate_map":
-                payload = (scenario, unit, cfg.regulator, cfg.quadrature)
-                extra = ("rate normalization: single-branch stationary limit is "
-                         "the thermal value omega/(2 pi (e^{2 pi omega/kappa}-1))",
-                         _METHOD)
-            elif out.kind == "kms_report":
-                payload = (scenario, unit, out.tolerance, cfg.regulator,
-                           cfg.quadrature)
-                extra = (f"kms tolerance={_fmt(out.tolerance)} "
-                         "(detailed balance rate(omega)/rate(-omega) vs "
-                         "e^{-2 pi omega/kappa})", _METHOD)
-            else:
-                rows, extra = _visibility_rows(cfg, scenario)
+    # the scenario variants whose rate rows a kms_report reads
+    kms_variants = {scenario for out in cfg.outputs if out.kind == "kms_report"
+                    for _, scenario in scenario_variants(out, cfg.scenario)}
+    tables = {}
+    pool_cm = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    with pool_cm as pool:
+        for out in cfg.outputs:
+            for suffix, scenario in scenario_variants(out, cfg.scenario):
+                path = base / _suffixed(out.path, suffix)
+                if out.kind == "probability_map":
+                    payload = (scenario.family, _unit_coupling(cfg.params), out.backend,
+                               cfg.regulator, cfg.quadrature)
+                    extra = (f"backend={out.backend}",
+                             "kappa derived per point: kappa = "
+                             "kappa_sigma2_omega / (sigma^2 omega); L = L_over_sigma * sigma")
+                    extra += (_METHOD,) if out.backend == "quadrature" else ()
+                    rows = _run_tasks(_grid_tasks(out.kind, cfg, payload), pool, workers)
+                elif out.kind == "visibility_scan":
+                    rows, extra = _visibility_rows(cfg, scenario)
+                else:
+                    if scenario not in tables:
+                        tables[scenario] = _rate_table(cfg, scenario, scenario in kms_variants,
+                                                       pool, workers)
+                    table, kappa = tables[scenario], scenario.kappa1
+                    if out.kind == "rate_map":
+                        rows = [_rate_row(w, kt, table[kt], kappa)
+                                for w in cfg.grids["omega_over_kappa"]
+                                for kt in cfg.grids["kappa_tau"]]
+                        extra = ("rate normalization: single-branch stationary limit is "
+                                 "the thermal value omega/(2 pi (e^{2 pi omega/kappa}-1))",
+                                 _METHOD)
+                    else:
+                        rows = [_kms_row(w, kt, table[kt], kappa, out.tolerance)
+                                for w in cfg.grids["omega_over_kappa"]
+                                for kt in cfg.grids["kappa_tau"]]
+                        extra = (f"kms tolerance={_fmt(out.tolerance)} "
+                                 "(detailed balance rate(omega)/rate(-omega) vs "
+                                 "e^{-2 pi omega/kappa})", _METHOD)
                 _write_output(path, _header_lines(out.kind, cfg, scenario, extra),
                               rows, out.json_mirror, out.kind)
                 print(f"wrote {path} ({len(rows)} rows)")
-                continue
-            rows = _run_tasks(_grid_tasks(out.kind, cfg, payload), workers)
-            _write_output(path, _header_lines(out.kind, cfg, scenario, extra),
-                          rows, out.json_mirror, out.kind)
-            print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
 
@@ -369,6 +417,9 @@ def _print_config_errors(exc: ConfigError) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.workers < 1:
+        print(f"error: --workers must be at least 1, got {args.workers}", file=sys.stderr)
+        return 2
     try:
         cfg = _load_config(args)
     except ConfigError as exc:
@@ -441,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a scenario config")
     add_common(p_run)
     p_run.add_argument("--workers", type=int, default=1,
-                       help="process-pool size for grid points (default 1)")
+                       help="process-pool size for grid tasks, at least 1 (default 1)")
     p_run.add_argument("--out-dir", default=".",
                        help="directory output paths are resolved against")
     p_run.set_defaults(handler=_cmd_run)

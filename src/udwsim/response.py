@@ -1,10 +1,10 @@
 """Numerical detector response: transition rates and excitation probabilities.
 
-A rate (_rate_at_eps, on the cut tau1 = tau, tau2 = tau - s) and a window
-(halfplane_integrals_at_eps) are maps of branch-pair integrals
-{(i, j): (J, err)}, and only a map decides which pairs are exact. Stationary
-pairs (every local pair, the thermal bath's cross pair) are exact from their
-spectrum (correlators.pair_spectrum): a rate's J is F(omega)/2, a window
+A rate (_rate_at_eps, on the cut tau1 = tau, tau2 = tau - s, for one gap or
+a row of them) and a window (halfplane_integrals_at_eps) are maps of
+branch-pair integrals {(i, j): (J, err)}, and only a map decides which pairs
+are exact. Stationary pairs (every local pair, the thermal bath's cross
+pair) are exact from their spectrum (correlators.pair_spectrum): a rate's J is F(omega)/2, a window
 integrates F against its transform (_spectral_pair_integral). The other
 cross pairs are integrated on the whole regulator ladder in one pass, eps an
 array axis, on meshes clustered at the closed-form lightcone crossings;
@@ -174,6 +174,8 @@ def _within_tol(val, err, quad) -> bool:
 
 def _check_converged(val, err, quad, what):
     """Raise ConvergenceError for the first rung that misses the tolerance."""
+    if _within_tol(val, err, quad):
+        return
     for v, e in zip(np.atleast_1d(val), np.atleast_1d(err)):
         if not _within_tol(v, e, quad):
             raise ConvergenceError(
@@ -181,16 +183,17 @@ def _check_converged(val, err, quad, what):
                 estimate=v.item(), error_estimate=e.item())
 
 
-def _refined_integral(f, edges, quad):
-    """panel_integrate of f on the mesh, halving every panel up to
-    _MAX_REFINEMENTS times until every rung meets the tolerance.
-    Returns (value, error); the caller decides what a miss means."""
-    val, err = panel_integrate(f, edges)
+def _refined_integral(f, edges, quad, omegas=None):
+    """panel_integrate of f on the mesh (per omega, given omegas), halving
+    every panel up to _MAX_REFINEMENTS times until every omega and rung meets
+    the tolerance. Returns (value, error); the caller decides what a miss
+    means."""
+    val, err = panel_integrate(f, edges, omegas=omegas)
     for _ in range(_MAX_REFINEMENTS):
         if _within_tol(val, err, quad):
             break
         edges = refine_mesh(edges)
-        val, err = panel_integrate(f, edges)
+        val, err = panel_integrate(f, edges, omegas=omegas)
     return val, err
 
 
@@ -220,31 +223,38 @@ def _rate_cut_roots(scenario, i, j, tau, s_hi):
 
 def _rate_pair_integral(scenario, i, j, tau, omega, eps, quad):
     """integral_0^S e^{-i omega s} W^{ij}(tau, tau - s) ds, S = _rate_cut,
-    per rung for a ladder."""
+    per rung for a ladder; for an array of omegas, one such row per omega.
+    The correlator does not depend on omega: it is evaluated once, on one
+    mesh that resolves the largest |omega|, and every omega must meet the
+    tolerance on it (ConvergenceError names the first that does not)."""
+    omegas = np.atleast_1d(np.asarray(omega, dtype=float))
     s_hi = _rate_cut(scenario)
-    cap, scale = _mesh_policy(scenario, omega, eps)
+    cap, scale = _mesh_policy(scenario, float(np.max(np.abs(omegas))), eps)
     corr = scenario_correlator(scenario, i, j)
     roots = _rate_cut_roots(scenario, i, j, tau, s_hi)
 
     def f(s):
-        return np.exp(-1j * omega * s) * corr(np.full_like(s, tau), tau - s, eps)
+        return corr(np.full_like(s, tau), tau - s, eps)
 
     edges = cluster_mesh(0.0, s_hi, [0.0] + roots, scale=scale, cap=cap)
-    val, err = _refined_integral(f, edges, quad)
-    _check_converged(val, err, quad, f"rate integrand for branch pair ({i},{j})")
-    return val, err
+    val, err = _refined_integral(f, edges, quad, omegas)
+    for w, v, e in zip(omegas, val, err):
+        _check_converged(v, e, quad,
+                         f"rate integrand for branch pair ({i},{j}) at omega = {w:g}")
+    return (val, err) if np.ndim(omega) else (val[0], err[0])
 
 
-def _rate_at_eps(scenario, params, tau, eps, quad) -> dict:
-    """{(i, j): (J, err)} of the rate over every branch pair: a stationary
-    pair's exact J = F_ij(omega)/2 and half its bound (pair_spectrum), since
-    2 Re J = F (halving is exact while F is normal, |omega/kappa| <~ 110);
-    the others' _rate_pair_integral, per rung for a ladder."""
+def _rate_at_eps(scenario, omega, tau, eps, quad) -> dict:
+    """{(i, j): (J, err)} of the rate at a gap omega, or a row for an array
+    of gaps, over every branch pair: a stationary pair's exact
+    J = F_ij(omega)/2 and half its bound (pair_spectrum), since 2 Re J = F
+    (halving is exact while F is normal, |omega/kappa| <~ 110); the others'
+    _rate_pair_integral, per rung for a ladder."""
     def integral(i, j):
         if _stationary_pair(scenario, i, j):
-            F, bound = pair_spectrum(scenario, i, j, params.omega)
+            F, bound = pair_spectrum(scenario, i, j, omega)
             return F / 2.0, bound / 2.0
-        return _rate_pair_integral(scenario, i, j, tau, params.omega, eps, quad)
+        return _rate_pair_integral(scenario, i, j, tau, omega, eps, quad)
 
     return _pair_map(scenario, integral, window=False)
 
@@ -271,27 +281,43 @@ def _limit(reg_schedule, blocks, pref):
     return limit.item(), float(err + bar), tuple(zip(reg_schedule.epsilons, rungs.tolist()))
 
 
-def transition_rate(scenario: TrajectoryScenario, params: DetectorParams, tau: float,
-                    reg_schedule: RegulatorSchedule | None = None,
-                    quad: QuadratureConfig | None = None) -> RateResult:
+def transition_rates(scenario: TrajectoryScenario, omegas, tau: float,
+                     reg_schedule: RegulatorSchedule | None = None,
+                     quad: QuadratureConfig | None = None,
+                     lambda_coupling: float = 1.0) -> list[RateResult]:
     """Instantaneous transition rate in the infinite-interaction-time limit,
 
         rate(tau) = (lambda^2/N^2) 2 Re sum_ij int_0^inf ds e^{-i omega s}
-                    W^{ij}(tau, tau - s).
+                    W^{ij}(tau, tau - s),
+
+    one RateResult per gap omega in omegas, all at one tau.
 
     A stationary pair (every local pair, and the thermal bath's cross pair)
     adds lambda^2 F_ij(omega)/N^2 in closed form (pair_spectrum). The other
     cross pairs are integrated up to s = 40/kappa_scale(scenario)
-    (_rate_cut) on the regulator ladder and extrapolated to eps -> 0.
+    (_rate_cut) on the regulator ladder and extrapolated to eps -> 0. Their
+    correlator does not depend on omega, so each such pair is evaluated once
+    for the whole row, on a mesh that resolves the largest |omega|; a row
+    raises if any of its gaps does not converge there.
     error_estimate is the extrapolation error plus the rounding bound of the
     closed-form part; epsilon_estimates is () when every pair is stationary.
     For the Differing family tau is the shared proper-time parameter of both
     branches (no global time coordinate relates them).
     """
     reg_schedule, quad = _defaults(scenario, reg_schedule, quad)
-    pref = 2.0 * params.lambda_coupling**2 / scenario.branch_count**2
-    blocks = _rate_at_eps(scenario, params, float(tau), reg_schedule.epsilons, quad).values()
-    return RateResult(*_limit(reg_schedule, [(v.real, e) for v, e in blocks], pref))
+    pref = 2.0 * lambda_coupling**2 / scenario.branch_count**2
+    omegas = np.asarray(omegas, dtype=float)
+    blocks = _rate_at_eps(scenario, omegas, float(tau), reg_schedule.epsilons, quad).values()
+    return [RateResult(*_limit(reg_schedule, [(v[k].real, e[k]) for v, e in blocks], pref))
+            for k in range(len(omegas))]
+
+
+def transition_rate(scenario: TrajectoryScenario, params: DetectorParams, tau: float,
+                    reg_schedule: RegulatorSchedule | None = None,
+                    quad: QuadratureConfig | None = None) -> RateResult:
+    """The transition rate at the gap params.omega (transition_rates)."""
+    return transition_rates(scenario, [params.omega], tau, reg_schedule, quad,
+                            params.lambda_coupling)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ def test_names_the_tracer_wraps_keep_their_signatures():
     def params(fn):
         return list(inspect.signature(fn).parameters)
 
-    assert params(response._rate_at_eps) == ["scenario", "params", "tau", "eps", "quad"]
+    assert params(response._rate_at_eps) == ["scenario", "omega", "tau", "eps", "quad"]
     assert params(udwsim.cli.transition_rate) == params(response.transition_rate)
     assert params(udwsim.cli._eval_point) == ["task"]
     assert params(udwsim.cli._write_output) == ["path", "header", "rows",

@@ -332,6 +332,90 @@ class TestRunSlowAcceleration:
         assert abs(float(rate) - lib.value) <= float(err) + lib.error_estimate
 
 
+def ladder_cfg(kappa_tau="[-1.0, 0.0, 1.0]", outputs=""):
+    """Parallel kappa L = 1: its cross pairs take the regulator ladder."""
+    return (
+        "scenario:\n"
+        "  family: Parallel\n"
+        "  kappa1: 1.0\n"
+        "  L: 1.0\n"
+        "grids:\n"
+        "  omega_over_kappa: [-0.5, 0.0, 0.5]\n"
+        f"  kappa_tau: {kappa_tau}\n"
+        "outputs:\n"
+        "  - kind: rate_map\n"
+        "    path: r.csv\n"
+        "  - kind: kms_report\n"
+        "    path: k.csv\n"
+        + outputs
+    )
+
+
+class TestRateRows:
+    """rate_map and kms_report share one row of rates per kappa tau."""
+
+    def test_worker_pool_output_identical_to_serial(self, tmp_path):
+        cfg = write_cfg(tmp_path, ladder_cfg())
+        for workers in ("1", "2"):
+            rc = main(["run", cfg, "--out-dir", str(tmp_path / workers),
+                       "--workers", workers])
+            assert rc == 0
+        for name in ("r.csv", "k.csv"):
+            serial = (tmp_path / "1" / name).read_bytes()
+            assert serial == (tmp_path / "2" / name).read_bytes()
+            assert len(data_rows(tmp_path / "1" / name)) == 9
+
+    def test_one_row_call_per_kappa_tau_serves_both_outputs(self, tmp_path, monkeypatch):
+        calls, original = [], cli.transition_rates
+
+        def recording(scenario, gaps, tau, *args):
+            calls.append((tau, gaps))
+            return original(scenario, gaps, tau, *args)
+
+        monkeypatch.setattr(cli, "transition_rates", recording)
+        main(["run", write_cfg(tmp_path, ladder_cfg()), "--out-dir", str(tmp_path)])
+        # omega and -omega once each: -0.0 is the gap 0.0
+        assert calls == [(tau, (-0.5, 0.0, 0.5)) for tau in (-1.0, 0.0, 1.0)]
+        # rate(0)/rate(-0) is one rate divided by itself
+        kms = [r.split(",") for r in data_rows(tmp_path / "k.csv")]
+        assert [r[2:] for r in kms if r[0] == "0"] == [["1", "1", "0", "1", "1"]] * 3
+
+    def test_one_pool_serves_every_output(self, tmp_path, monkeypatch):
+        pools = []
+
+        class CountingPool(cli.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+        text = ladder_cfg(outputs="  - kind: probability_map\n    path: p.csv\n")
+        text = text.replace("    path: k.csv\n", "    path: k.csv\n    kappa_L: [1.0, 2.0]\n")
+        text = text.replace("grids:\n", "grids:\n  L_over_sigma: [0.0, 2.0]\n"
+                            "  kappa_sigma2_omega: [0.2, 0.4]\n")
+        assert main(["run", write_cfg(tmp_path, text), "--out-dir", str(tmp_path),
+                     "--workers", "2"]) == 0
+        assert len(pools) == 1
+        for name in ("r.csv", "k_kL1.csv", "k_kL2.csv", "p.csv"):
+            assert (tmp_path / name).exists()
+
+    def test_out_of_range_kappa_tau_row_is_invalid_alone(self, tmp_path):
+        # at kappa tau = 400 the cross correlator leaves the evaluated range
+        # of sinh/cosh (HyperbolicRangeError) at every gap
+        main(["run", write_cfg(tmp_path, ladder_cfg("[0.0, 400.0, 1.0]")),
+              "--out-dir", str(tmp_path / "far")])
+        main(["run", write_cfg(tmp_path, ladder_cfg("[0.0, 1.0]")),
+              "--out-dir", str(tmp_path / "near")])
+        for name, width in (("r.csv", 5), ("k.csv", 7)):
+            far = [r.split(",") for r in data_rows(tmp_path / "far" / name)]
+            assert len(far) == 9
+            bad = [r for r in far if r[1] == "400"]
+            assert len(bad) == 3
+            assert all(r[2] == "nan" and r[-1] == "0" and len(r) == width for r in bad)
+            good = [",".join(r) for r in far if r[1] != "400"]
+            assert good == data_rows(tmp_path / "near" / name)
+
+
 class TestRunProbabilityMap:
     def run_prob(self, tmp_path):
         cfg = write_cfg(tmp_path, PROB_CFG)
@@ -518,6 +602,15 @@ class TestRunFailures:
         rc = main(["run", cfg, "--out-dir", str(tmp_path)])
         assert rc == 2
         assert "error: scenario.family" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
+        rc = main(["run", write_cfg(tmp_path, RATE_CFG), "--out-dir", str(tmp_path / "out"),
+                   "--workers", workers])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"error: --workers must be at least 1, got {workers}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_unwritable_output_exit_1(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"

@@ -32,6 +32,7 @@ from udwsim import (
     pair_spectrum,
     planck_rate,
     transition_rate,
+    transition_rates,
     window_halfwidth,
 )
 from udwsim import response
@@ -200,6 +201,43 @@ def test_rate_is_bit_identical_to_its_pin(scenario):
     assert (r.value.hex(), r.error_estimate.hex()) == (value, error)
     assert len(r.epsilon_estimates) == rungs
     assert all(type(v) is float for _, v in r.epsilon_estimates)
+
+
+# a row of gaps: both signs, omega = 0, and |omega| past pi kappa/2, where a
+# period of omega, not 1/(2 kappa), caps the panels: the row's mesh is finer
+# than the smaller gaps' own
+ROW = (-2.6, -0.9, 0.0, 0.9, 2.6)
+
+
+@pytest.mark.parametrize("scenario", [
+    PAR_KL1,
+    TrajectoryScenario("AntiParallel", kappa1=1.0, L=1.0),
+    TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5),
+], ids=lambda sc: sc.family)
+def test_rate_row_matches_one_gap_calls(scenario):
+    row = transition_rates(scenario, ROW, 0.7)
+    assert len(row) == len(ROW)
+    for omega, batch in zip(ROW, row):
+        single = transition_rate(scenario, unit(omega), 0.7)
+        gap = abs(batch.value - single.value)
+        assert gap <= 1e-10 * abs(single.value)
+        assert gap <= min(batch.error_estimate, single.error_estimate)
+        assert len(batch.epsilon_estimates) == 3
+
+
+@pytest.mark.parametrize("scenario", [
+    SA, TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=1.0),
+], ids=lambda sc: sc.family)
+def test_stationary_rate_row_is_bit_identical_to_one_gap_calls(scenario):
+    for omega, batch in zip(ROW, transition_rates(scenario, ROW, 0.7)):
+        assert batch == transition_rate(scenario, unit(omega), 0.7)
+
+
+def test_rate_row_names_the_gap_that_does_not_converge():
+    # no mesh meets a relative tolerance below rounding
+    strict = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-18)
+    with pytest.raises(ConvergenceError, match=r"\(1,2\) at omega = -0\.9"):
+        transition_rates(PAR_KL1, (-0.9, 0.9), 0.7, quad=strict)
 
 
 def test_rate_respects_custom_schedule():
@@ -512,7 +550,7 @@ def test_window_alias_is_used_for_windows_only(monkeypatch, scenario):
     # at tau != 0 the two rate cuts differ, so the rate keeps both pairs
     seen.clear()
     monkeypatch.setattr(response, "_rate_pair_integral", record)
-    response._rate_at_eps(scenario, unit(1.0), 1.0, 1e-2, quad)
+    response._rate_at_eps(scenario, 1.0, 1.0, 1e-2, quad)
     assert (1, 2) in seen and (2, 1) in seen
 
 
@@ -585,10 +623,10 @@ def test_ladder_rate_point_matches_one_rung_calls():
         assert values[-1] == singles[-1][0]
     # the rate's pair map: the cross pairs' Re J per rung, and the local
     # pairs exact, the same scalars whatever the ladder
-    blocks = response._rate_at_eps(PAR, unit(1.0), 1.0, LADDER, quad)
+    blocks = response._rate_at_eps(PAR, 1.0, 1.0, LADDER, quad)
     cross = ((1, 2), (2, 1))
     for k, eps in enumerate(LADDER):
-        single = response._rate_at_eps(PAR, unit(1.0), 1.0, eps, quad)
+        single = response._rate_at_eps(PAR, 1.0, 1.0, eps, quad)
         rate = sum(single[pair][0].real for pair in cross)
         assert abs(sum(blocks[pair][0][k].real for pair in cross) - rate) <= 1e-8 * abs(rate)
         assert blocks[(1, 1)] == single[(1, 1)] and blocks[(2, 2)] == single[(2, 2)]
