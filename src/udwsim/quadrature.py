@@ -192,6 +192,19 @@ def refine_mesh(edges: np.ndarray, rounds: int = 1) -> np.ndarray:
     return edges
 
 
+def panel_nodes(edges: np.ndarray) -> np.ndarray:
+    """The GL-15 nodes of every panel of the mesh, in panel order, followed
+    by the GL-7 nodes in the same order: the one layout on which
+    panel_integrate evaluates its integrand."""
+    a = edges[:-1]
+    b = edges[1:]
+    h = 0.5 * (b - a)
+    m = 0.5 * (a + b)
+    x15 = (m[:, None] + h[:, None] * _X15[None, :]).ravel()
+    x7 = (m[:, None] + h[:, None] * _X7[None, :]).ravel()
+    return np.concatenate([x15, x7])
+
+
 def _panel_sums(f15, f7, h):
     """(value, error) from an integrand's values on the GL-15 and GL-7 nodes
     of panels of half-widths h, flattened in panel order."""
@@ -203,25 +216,25 @@ def _panel_sums(f15, f7, h):
 
 def panel_integrate(f, edges: np.ndarray, omegas=None):
     """Composite GL-15 integral of a vectorized (complex) integrand over the
-    panel mesh, with a GL-7 comparison error estimate. Panel contributions
-    are accumulated with compensated summation. An integrand of shape (m, N)
-    for N nodes (one row per regulator value) gives arrays of m values and
-    errors.
+    panel mesh, with a GL-7 comparison error estimate. f is called once, on
+    panel_nodes(edges). Panel contributions are accumulated with compensated
+    summation. An integrand of shape (m, N) for N nodes (one row per
+    regulator value) gives arrays of m values and errors.
 
     With a 1-D array omegas, the integrals of e^{-i omega x} f(x), one per
     omega, with a leading omega axis: f is evaluated once, and each omega
     reduces its own product with f in turn, so that no array carries both
     axes."""
-    a = edges[:-1]
-    b = edges[1:]
-    h = 0.5 * (b - a)
-    m = 0.5 * (a + b)
-    x15 = (m[:, None] + h[:, None] * _X15[None, :]).ravel()
-    x7 = (m[:, None] + h[:, None] * _X7[None, :]).ravel()
-    f15 = np.asarray(f(x15))
-    f7 = np.asarray(f(x7))
+    h = 0.5 * (edges[1:] - edges[:-1])
+    n15 = len(h) * len(_X15)
+    x = panel_nodes(edges)
+    fx = np.asarray(f(x))
     if omegas is None:
-        return _panel_sums(f15, f7, h)
+        return _panel_sums(fx[..., :n15], fx[..., n15:], h)
+    # contiguous halves, so that each omega's products are those of two
+    # separate evaluations
+    x15, x7 = x[:n15], x[n15:]
+    f15, f7 = np.ascontiguousarray(fx[..., :n15]), np.ascontiguousarray(fx[..., n15:])
     sums = [_panel_sums(np.exp(-1j * w * x15) * f15, np.exp(-1j * w * x7) * f7, h)
             for w in omegas]
     return np.array([v for v, _ in sums]), np.array([e for _, e in sums])
@@ -229,13 +242,20 @@ def panel_integrate(f, edges: np.ndarray, omegas=None):
 
 def fsum_rows(x):
     """math.fsum over the last axis of a real or complex array: a scalar for
-    a 1-D array, an array of one sum per row for a 2-D one."""
-    if x.ndim > 1:
-        return np.array([fsum_rows(row) for row in x])
-    # fsum reads a list faster than an array, to the same sum
+    a 1-D array, an array of one sum per row for a 2-D one. fsum is exactly
+    rounded, so each sum is independent of the order of its terms."""
     if np.iscomplexobj(x):
-        return complex(math.fsum(x.real.tolist()), math.fsum(x.imag.tolist()))
-    return math.fsum(x.tolist())
+        re, im = fsum_rows(x.real), fsum_rows(x.imag)
+        if x.ndim == 1:
+            return complex(re, im)
+        out = np.empty(len(re), dtype=complex)
+        out.real, out.imag = re, im
+        return out
+    # fsum reads a list faster than an array, to the same sum
+    terms = x.tolist()
+    if x.ndim == 1:
+        return math.fsum(terms)
+    return np.array([math.fsum(row) for row in terms])
 
 
 def sign_change_roots(g, lo: float, hi: float, n_scan: int = 257) -> list:

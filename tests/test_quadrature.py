@@ -13,8 +13,9 @@ from udwsim import (
     default_schedule,
     epsilon_extrapolate,
 )
-from udwsim.quadrature import (_WG7, _WK15, _XK15, cluster_mesh, panel_integrate,
-                               refine_mesh, sign_change_roots)
+from udwsim.quadrature import (_WG7, _WK15, _XK15, cluster_mesh, fsum_rows,
+                               panel_integrate, panel_nodes, refine_mesh,
+                               sign_change_roots)
 
 
 # --- epsilon extrapolation ---------------------------------------------------
@@ -183,6 +184,41 @@ def test_panel_error_estimate_flags_unresolved_oscillation():
     edges = np.array([0.0, 1.0])
     _, err = panel_integrate(lambda x: np.sin(250.0 * x), edges)
     assert err > 1e-3
+
+
+def test_panel_integrate_calls_the_integrand_once_on_panel_nodes():
+    edges = np.array([0.0, 0.25, 1.0, 1.5])
+    nodes = panel_nodes(edges)
+    # GL-15 nodes of each panel, then GL-7 nodes, all inside their panels
+    assert nodes.shape == (22 * 3,)
+    for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        for x in (nodes[15 * k:15 * (k + 1)], nodes[45 + 7 * k:45 + 7 * (k + 1)]):
+            assert np.all((a < x) & (x < b)) and np.all(np.diff(x) > 0)
+    for omegas in (None, np.array([0.0, 3.0])):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return np.exp(1j * x)
+
+        val, _ = panel_integrate(f, edges, omegas=omegas)
+        assert len(seen) == 1 and np.array_equal(seen[0], nodes)
+        for w, v in zip([0.0] if omegas is None else omegas, np.atleast_1d(val)):
+            # integral of e^{i (1 - w) x} over [0, 1.5]
+            k = 1.0 - w
+            assert v == pytest.approx((np.exp(1.5j * k) - 1.0) / (1j * k), abs=1e-12)
+
+
+def test_fsum_rows_is_exactly_rounded_per_row():
+    # each row cancels to a remainder far below its terms
+    rows = np.array([[1e16, 1.0, -1e16, 3.0], [0.1, 0.2, 0.3, -0.6]])
+    r1 = math.fsum([0.1, 0.2, 0.3, -0.6])
+    assert fsum_rows(rows).tolist() == [4.0, r1]
+    z = rows + 1j * rows[::-1]
+    assert fsum_rows(z).dtype == complex
+    assert fsum_rows(z).tolist() == [complex(4.0, r1), complex(r1, 4.0)]
+    # a 1-D array gives a scalar
+    assert fsum_rows(z[0]) == complex(4.0, r1) and fsum_rows(rows[0]) == 4.0
 
 
 def test_sign_change_roots():

@@ -659,6 +659,75 @@ def test_2d_engine_stays_where_the_window_is_above_rounding(monkeypatch):
     assert s.min() >= 0.0
 
 
+def counting(monkeypatch):
+    """Counts of response.cluster_mesh and correlator calls, and the meshes
+    cluster_mesh returned, in call order."""
+    calls = {"mesh": 0, "corr": 0, "meshes": []}
+    mesh, correlator = response.cluster_mesh, response.scenario_correlator
+
+    def counted_mesh(*args, **kwargs):
+        calls["mesh"] += 1
+        calls["meshes"].append(mesh(*args, **kwargs))
+        return calls["meshes"][-1]
+
+    def counted_correlator(scenario, i, j):
+        corr = correlator(scenario, i, j)
+
+        def f(t1, t2, eps):
+            calls["corr"] += 1
+            return corr(t1, t2, eps)
+        return f
+
+    monkeypatch.setattr(response, "cluster_mesh", counted_mesh)
+    monkeypatch.setattr(response, "scenario_correlator", counted_correlator)
+    return calls
+
+
+def test_2d_engine_builds_a_shared_inner_mesh_once(monkeypatch):
+    # at sigma omega = 4 and kappa sigma = 0.05 no lightcone root of Parallel
+    # kappa L = 1 lies in any s-cut, and every cut ends at s_cut: one outer
+    # mesh, one inner mesh, and one correlator call per cut
+    calls = counting(monkeypatch)
+    response._halfplane_pair_integral(PAR, 1, 2, REF, LADDER)
+    half = calls["meshes"][0]
+    assert half[0] == 0.0 and half[-1] == pytest.approx(12.0 * REF.sigma)
+    outer_panels = 2 * (len(half) - 1)
+    assert calls["mesh"] == 2
+    assert calls["corr"] == 15 * outer_panels
+
+
+# J_12 of two cross pairs with lightcone roots inside the s-cuts, so that
+# consecutive cuts build different inner meshes: (values per rung as
+# (Re, Im), errors per rung) in float.hex, as the engine gave them when it
+# built every cut's mesh and window afresh and evaluated the correlator
+# separately on the GL-15 and GL-7 nodes (numpy 2.4 on x86-64)
+J12_ROOTS_IN_CUTS = {
+    "AntiParallel kappa L = 0.5": (
+        TrajectoryScenario("AntiParallel", kappa1=1.0, L=0.5), REF,
+        (("0x1.ffb98bed721cep-35", "-0x1.e2a964ab3457ap-14"),
+         ("0x1.0434bcc745d10p-34", "-0x1.e39f0c7f994f0p-14"),
+         ("0x1.0661b7eea6ef8p-34", "-0x1.e3f55296f337ep-14")),
+        ("0x1.b62fb61f8a21dp-63", "0x1.ae12e7349c02dp-63", "0x1.be2a139679c23p-63")),
+    "Parallel kappa L = 1, sigma = 1": (
+        PAR, DetectorParams(omega=2.0, lambda_coupling=0.01, sigma=1.0),
+        (("0x1.8f67c4756bee9p-13", "-0x1.1299ac31d99f1p-6"),
+         ("0x1.8ec0102ed3579p-13", "-0x1.14ff6795bbb71p-6"),
+         ("0x1.8e6ba7e0cc550p-13", "-0x1.162ea3a195f5bp-6")),
+        ("0x1.5f631c92ae77bp-40", "0x1.e9a1a21462daep-40", "0x1.45d9e7ab9a325p-39")),
+}
+
+
+@pytest.mark.parametrize("case", J12_ROOTS_IN_CUTS)
+def test_2d_engine_with_roots_in_the_cuts_is_bit_identical_to_its_pin(case, monkeypatch):
+    scenario, params, values, errors = J12_ROOTS_IN_CUTS[case]
+    calls = counting(monkeypatch)
+    val, err = response._halfplane_pair_integral(scenario, 1, 2, params, LADDER)
+    # most cuts differ from the one before: the mesh is rebuilt at each change
+    assert calls["mesh"] > calls["corr"] // 2
+    assert [(v.real.hex(), v.imag.hex()) for v in val] == [tuple(v) for v in values]
+    assert [e.hex() for e in err] == list(errors)
+
+
 # J_12 of Parallel kappa L = 1 at sigma = 0.05 on the default ladder
 # (eps = 1e-2, 5e-3, 2.5e-3), as the 2-D engine gave it on the whole diamond
 # |p| + s <= 2T: the cut domain leaves every rung unchanged to rounding
