@@ -66,8 +66,23 @@ def _times(x):
     return x if x.dtype.kind == "c" else x.astype(float, copy=False)
 
 
-def _guard_hyp(*args):
-    m = max(float(np.max(np.abs(a))) if np.size(a) else 0.0 for a in args)
+def _max_abs(a) -> float:
+    return float(np.max(np.abs(a))) if np.size(a) else 0.0
+
+
+def _max_abs_scaled(kappa: float, tau) -> float:
+    """_max_abs(kappa * tau) with no temporaries for real times: rounding a
+    product is monotone in |tau|, so the extreme times give the same number.
+    Complex (contour) times take every modulus."""
+    if tau.dtype.kind == "c" or not tau.size:
+        return _max_abs(kappa * tau)
+    return abs(kappa) * max(abs(float(tau.min())), abs(float(tau.max())))
+
+
+def _guard_hyp(*bounds):
+    """Refuse hyperbolic arguments whose largest |arg|, one bound per
+    argument array, exceeds _MAX_HYP_ARG; a nan bound passes."""
+    m = max(bounds)
     if m > _MAX_HYP_ARG:
         raise HyperbolicRangeError(
             f"hyperbolic argument {m:.3g} out of range (|arg| <= {_MAX_HYP_ARG}); "
@@ -83,7 +98,7 @@ def wightman_local(kappa: float, s, reg):
     """
     eps = _eps_of(reg)
     s = _times(s)
-    _guard_hyp(kappa * s / 2.0)
+    _guard_hyp(_max_abs(kappa * s / 2.0))
     u = np.sinh(kappa * s / 2.0) / kappa - 1j * eps * np.cosh(kappa * s / 2.0)
     return (-1.0 / _PI2_16) / (u * u)
 
@@ -109,7 +124,7 @@ def _vacuum_cross(row_i, row_j, tau1, tau2, reg):
     eps = 0, where W^{ji}(tau1, tau2) = conj W^{ij}(conj tau2, conj tau1)."""
     eps = _eps_of(reg)
     tau1, tau2 = _times(tau1), _times(tau2)
-    _guard_hyp(row_i.kappa * tau1, row_j.kappa * tau2)
+    _guard_hyp(_max_abs_scaled(row_i.kappa, tau1), _max_abs_scaled(row_j.kappa, tau2))
     du, dv, da, db = _null_gaps(row_i, row_j, tau1, tau2)
     return -1.0 / (_PI2_4 * (du + 1j * eps * da) * (dv - 1j * eps * db))
 
@@ -137,7 +152,7 @@ def wightman_thermal_local(kappa: float, s, reg):
     cross form, W = -(kappa^2/16 pi^2) / sinh^2(kappa (s - i eps)/2)."""
     eps = _eps_of(reg)
     s = np.asarray(s, dtype=complex) - 1j * eps
-    _guard_hyp(kappa * np.abs(s.real) / 2.0)
+    _guard_hyp(_max_abs(kappa * np.abs(s.real) / 2.0))
     sh = np.sinh(kappa * s / 2.0)
     return -(kappa**2 / _PI2_16) / (sh * sh)
 

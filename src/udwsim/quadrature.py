@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq
 
 _X15, _W15 = leggauss(15)
 _X7, _W7 = leggauss(7)
@@ -261,7 +260,11 @@ def fsum_rows(x):
 def sign_change_roots(g, lo: float, hi: float, n_scan: int = 257) -> list:
     """Real roots of a vectorized function g on [lo, hi] by sign-change scan
     plus brentq polish. Intended for the (at most one or two) lightcone
-    crossings of cross-correlator denominator factors along a 1-D cut."""
+    crossings of cross-correlator denominator factors along a 1-D cut.
+    scipy.optimize is imported here, not at module level: it is most of the
+    package's import time, and no library path calls this function."""
+    from scipy.optimize import brentq
+
     grid = np.linspace(lo, hi, n_scan)
     vals = np.asarray(g(grid), dtype=float)
     roots = []

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-from scipy.special import dawsn, erfcx
 
 from .closed_form import DetectorParams
 # denominator_factors and sign_change_roots are no longer called here; they
@@ -442,7 +441,11 @@ def _spectral_pair_integral(scenario, i, j, params, quad):
 
     Returns (J, err): err.real bounds the error of Re J and err.imag that of
     Im J: the panel estimate plus the integrated rounding bound of F, of
-    e^{-x^2} (x = sigma (omega - E); (4 + 3 x^2) eps_mach) and of D (5 eps_mach)."""
+    e^{-x^2} (x = sigma (omega - E); (4 + 3 x^2) eps_mach) and of D (5 eps_mach).
+    scipy.special loads on the first call, not with the package: rate maps
+    and closed forms never need it."""
+    from scipy.special import dawsn, erfcx
+
     sigma, omega, a = params.sigma, params.omega, params.sigma * params.omega
     row_i, row_j = scenario.branch(i), scenario.branch(j)
     kappa, L = max(row_i.kappa, row_j.kappa) or scenario.kappa1, abs(row_i.z_c - row_j.z_c)

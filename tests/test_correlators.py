@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from udwsim import (
+    HyperbolicRangeError,
     TrajectoryScenario,
     denominator_factors,
     lightcone_roots,
@@ -24,7 +25,8 @@ from udwsim import (
     wightman_thermal_cross,
     wightman_thermal_local,
 )
-from udwsim.quadrature import sign_change_roots
+from udwsim.correlators import _max_abs, _max_abs_scaled
+from udwsim.quadrature import panel_nodes, sign_change_roots
 from udwsim.response import _rate_cut, _rate_cut_roots
 
 PI2_4 = 4.0 * math.pi**2
@@ -441,3 +443,45 @@ def test_pair_spectrum_over_an_array_equals_scalar_calls():
         for k, e in enumerate(E):
             assert (F[k], bound[k]) == pair_spectrum(sc, *pair, float(e))
     np.testing.assert_array_equal(planck_rate(2.0, E), [planck_rate(2.0, e) for e in E])
+
+
+def test_guard_bound_for_real_times_reads_only_the_extreme_times():
+    # kappa max(|min tau|, |max tau|) is max |kappa tau| to the last bit: the
+    # times of a 2-D cut p = 0.4 and random times of both signs, several kappa
+    s = panel_nodes(np.linspace(0.0, 3.0, 41))
+    rng = np.random.default_rng(7)
+    times = [(0.4 + s) / 2.0, (0.4 - s) / 2.0, rng.uniform(-9.0, 4.0, 500),
+             np.array([-0.0]), np.array(2.5)]
+    for kappa in (0.0, 0.37, 1.0, 3.1, 20.0):
+        for tau in times:
+            assert _max_abs_scaled(kappa, tau) == _max_abs(kappa * tau)
+    # complex (contour) times keep the modulus; nan and empty are unchanged
+    z = np.array([0.3 - 2.0j, -1.0 + 0.5j])
+    assert _max_abs_scaled(0.7, z) == _max_abs(0.7 * z)
+    assert _max_abs_scaled(0.7, np.array([])) == 0.0
+    assert math.isnan(_max_abs_scaled(0.7, np.array([1.0, np.nan])))
+    # a nan time passes the guard, however far out the others are
+    with np.errstate(invalid="ignore"):
+        w = cross("Parallel", kappa1=1.0, L=1.0)(np.array([np.nan, 400.0]), 0.0, 1e-3)
+    assert np.isnan(w[0])
+
+
+@pytest.mark.parametrize("kappa1, kappa2", [(0.7, 0.7), (1.0, 0.3)])
+def test_cross_guard_switches_at_its_bound(kappa1, kappa2):
+    # the first time past 350/kappa raises and the one before it does not,
+    # at either end of a real time array and on either branch
+    W = scenario_correlator(TrajectoryScenario("Differing", kappa1=kappa1, kappa2=kappa2), 1, 2)
+
+    def at(branch, t):
+        times = np.array([0.3, -1.0, t])
+        return W(times, 0.2, 1e-3) if branch == 1 else W(0.2, times, 1e-3)
+
+    for branch, kappa in ((1, kappa1), (2, kappa2)):
+        over = 350.0 / kappa
+        while kappa * over <= 350.0:
+            over = np.nextafter(over, math.inf)
+        under = np.nextafter(over, -math.inf)
+        for sign in (1.0, -1.0):
+            at(branch, sign * under)
+            with pytest.raises(HyperbolicRangeError):
+                at(branch, sign * over)
