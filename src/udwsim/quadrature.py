@@ -3,11 +3,11 @@
 The integrands here share one shape: smooth oscillatory factors times
 correlators whose near-singular structure is pinned to known locations (the
 coincidence point s = 0 and the real lightcone crossings of cross terms),
-with peak width set by the regulator eps. Composite Gauss-Legendre panels on
-a mesh that clusters geometrically around those points resolve this to
-machine precision; a paired lower-order rule gives a per-panel error
-estimate. scipy's QUADPACK wrappers fit badly (no vectorized complex
-integrands, no seeded breakpoints), hence the small engine below.
+with peak width set by the regulator eps. Composite panel rules (PanelRule)
+on a mesh that clusters geometrically around those points resolve this to
+machine precision; a lower-order rule on some of the rule's nodes gives a
+per-panel error estimate. scipy's QUADPACK wrappers fit badly (no vectorized
+complex integrands, no seeded breakpoints), hence the small engine below.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-
-_X15, _W15 = leggauss(15)
-_X7, _W7 = leggauss(7)
 
 # Gauss-Kronrod 15-point rule with its embedded 7-point Gauss rule, the
 # constants of QUADPACK's qk15 (Piessens et al., QUADPACK, 1983), for
@@ -38,10 +35,26 @@ _WGK_HALF = np.array([
 _WG_HALF = np.array([
     0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
     0.381830050505118944950369775488975, 0.417959183673469387755102040816327])
-# Kronrod nodes in ascending order; the Gauss-7 nodes are _XK15[1::2]
-_XK15 = np.concatenate([-_XGK_HALF[:-1], _XGK_HALF[::-1]])
-_WK15 = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
-_WG7 = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
+
+
+@dataclass(frozen=True, eq=False)
+class PanelRule:
+    """Nodes on [-1, 1], the weights of the value on nodes[value], and those
+    of a lower-order comparison on nodes[check]: their gap is the error."""
+    nodes: np.ndarray
+    value: slice
+    weights: np.ndarray
+    check: slice
+    check_weights: np.ndarray
+
+
+# Kronrod nodes in ascending order, the embedded Gauss 7 on every other one
+KRONROD15 = PanelRule(np.concatenate([-_XGK_HALF[:-1], _XGK_HALF[::-1]]), slice(None),
+                      np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]]), slice(1, None, 2),
+                      np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]]))
+# Gauss-Legendre 15, then a separate Gauss-Legendre 7: 22 nodes a panel
+(_X15, _W15), (_X7, _W7) = leggauss(15), leggauss(7)
+GAUSS15_7 = PanelRule(np.concatenate([_X15, _X7]), slice(0, 15), _W15, slice(15, None), _W7)
 
 EXTRAPOLATION_MODES = ("richardson_linear", "richardson_quadratic", "none")
 
@@ -91,13 +104,14 @@ def default_schedule(kappa_scale: float = 1.0, extrapolation: str = "richardson_
     return RegulatorSchedule(tuple(e / kappa_scale for e in DEFAULT_EPS_LADDER), extrapolation)
 
 
-def epsilon_extrapolate(estimates, mode: str = "richardson_linear"):
+def epsilon_extrapolate(estimates, mode: str = "richardson_linear", errors=None):
     """Extrapolate (eps, value) pairs to eps -> 0.
 
     Returns (limit, error_estimate) with error_estimate = |difference of the
     last two extrapolants|. Values may be complex. Non-monotone convergence
     across the last three points triggers a RuntimeWarning; the result is
-    still returned.
+    still returned. errors, one bar per point, mark noise: a step within the
+    sum of the bars of its two points never counts as non-monotone.
     """
     if mode not in EXTRAPOLATION_MODES:
         raise ValueError(f"unknown extrapolation mode {mode!r}")
@@ -114,13 +128,13 @@ def epsilon_extrapolate(estimates, mode: str = "richardson_linear"):
         raise ValueError("extrapolation needs at least 2 points")
 
     if len(vals) >= 3:
-        d1 = vals[-2] - vals[-3]
-        d2 = vals[-1] - vals[-2]
+        d1, d2 = vals[-2] - vals[-3], vals[-1] - vals[-2]
+        e3, e2, e1 = (0.0, 0.0, 0.0) if errors is None else tuple(errors)[-3:]
         if isinstance(d1, complex) or isinstance(d2, complex):
             non_monotone = abs(d2) > abs(d1) and abs(d1) > 0
         else:
             non_monotone = d1 * d2 < 0
-        if non_monotone:
+        if non_monotone and abs(d1) > e3 + e2 and abs(d2) > e2 + e1:
             warnings.warn(
                 "regulator ladder values are not converging monotonically "
                 "across the last three points; extrapolant may be unreliable",
@@ -129,9 +143,7 @@ def epsilon_extrapolate(estimates, mode: str = "richardson_linear"):
             )
 
     if mode == "none":
-        limit = vals[-1]
-        err = abs(vals[-1] - vals[-2]) if len(vals) >= 2 else math.inf
-        return limit, err
+        return vals[-1], (abs(vals[-1] - vals[-2]) if len(vals) >= 2 else math.inf)
 
     # successive pairwise linear extrapolants to eps = 0
     lin = [
@@ -139,14 +151,11 @@ def epsilon_extrapolate(estimates, mode: str = "richardson_linear"):
         for i in range(len(vals) - 1)
     ]
     if mode == "richardson_linear":
-        limit = lin[-1]
-        prev = lin[-2] if len(lin) >= 2 else vals[-1]
-        return limit, abs(limit - prev)
+        return lin[-1], abs(lin[-1] - (lin[-2] if len(lin) >= 2 else vals[-1]))
 
     # richardson_quadratic: degree-2 polynomial through the last three points
     if len(pts) < 3:
-        limit = lin[-1]
-        return limit, abs(limit - vals[-1])
+        return lin[-1], abs(lin[-1] - vals[-1])
     e0, e1, e2 = eps[-3:]
     v0, v1, v2 = vals[-3:]
     # Lagrange basis evaluated at eps = 0
@@ -191,51 +200,41 @@ def refine_mesh(edges: np.ndarray, rounds: int = 1) -> np.ndarray:
     return edges
 
 
-def panel_nodes(edges: np.ndarray) -> np.ndarray:
-    """The GL-15 nodes of every panel of the mesh, in panel order, followed
-    by the GL-7 nodes in the same order: the one layout on which
-    panel_integrate evaluates its integrand."""
-    a = edges[:-1]
-    b = edges[1:]
-    h = 0.5 * (b - a)
-    m = 0.5 * (a + b)
-    x15 = (m[:, None] + h[:, None] * _X15[None, :]).ravel()
-    x7 = (m[:, None] + h[:, None] * _X7[None, :]).ravel()
-    return np.concatenate([x15, x7])
+def panel_nodes(edges: np.ndarray, rule: PanelRule = KRONROD15) -> np.ndarray:
+    """The nodes of rule on every panel of the mesh, panel after panel: the
+    one layout on which panel_integrate evaluates its integrand."""
+    h = 0.5 * (edges[1:] - edges[:-1])
+    m = 0.5 * (edges[:-1] + edges[1:])
+    return (m[:, None] + h[:, None] * rule.nodes).ravel()
 
 
-def _panel_sums(f15, f7, h):
-    """(value, error) from an integrand's values on the GL-15 and GL-7 nodes
-    of panels of half-widths h, flattened in panel order."""
-    rows = f15.shape[:-1]
-    p15 = (f15.reshape(rows + (len(h), len(_X15))) * _W15).sum(axis=-1) * h
-    p7 = (f7.reshape(rows + (len(h), len(_X7))) * _W7).sum(axis=-1) * h
-    return fsum_rows(p15), fsum_rows(np.abs(p15 - p7))
+def _panel_sums(f, h, rule: PanelRule = KRONROD15):
+    """(value, error) from an integrand's values on panel_nodes of panels of
+    half-widths h, the last axis in panel order; reduced elementwise, as a
+    matrix product would wake the BLAS threads on a large cut."""
+    f = f.reshape(f.shape[:-1] + (len(h), len(rule.nodes)))
+    value = (f[..., rule.value] * rule.weights).sum(axis=-1) * h
+    check = (f[..., rule.check] * rule.check_weights).sum(axis=-1) * h
+    return fsum_rows(value), fsum_rows(np.abs(value - check))
 
 
-def panel_integrate(f, edges: np.ndarray, omegas=None):
-    """Composite GL-15 integral of a vectorized (complex) integrand over the
-    panel mesh, with a GL-7 comparison error estimate. f is called once, on
-    panel_nodes(edges). Panel contributions are accumulated with compensated
-    summation. An integrand of shape (m, N) for N nodes (one row per
-    regulator value) gives arrays of m values and errors.
+def panel_integrate(f, edges: np.ndarray, omegas=None, rule: PanelRule = KRONROD15):
+    """Composite integral of a vectorized (complex) integrand over the panel
+    mesh under rule, with its comparison-rule error estimate. f is called
+    once, on panel_nodes(edges, rule). Panel contributions are accumulated
+    with compensated summation. An integrand of shape (m, N) for N nodes (one
+    row per regulator value) gives arrays of m values and errors.
 
     With a 1-D array omegas, the integrals of e^{-i omega x} f(x), one per
     omega, with a leading omega axis: f is evaluated once, and each omega
     reduces its own product with f in turn, so that no array carries both
     axes."""
     h = 0.5 * (edges[1:] - edges[:-1])
-    n15 = len(h) * len(_X15)
-    x = panel_nodes(edges)
+    x = panel_nodes(edges, rule)
     fx = np.asarray(f(x))
     if omegas is None:
-        return _panel_sums(fx[..., :n15], fx[..., n15:], h)
-    # contiguous halves, so that each omega's products are those of two
-    # separate evaluations
-    x15, x7 = x[:n15], x[n15:]
-    f15, f7 = np.ascontiguousarray(fx[..., :n15]), np.ascontiguousarray(fx[..., n15:])
-    sums = [_panel_sums(np.exp(-1j * w * x15) * f15, np.exp(-1j * w * x7) * f7, h)
-            for w in omegas]
+        return _panel_sums(fx, h, rule)
+    sums = [_panel_sums(np.exp(-1j * w * x) * fx, h, rule) for w in omegas]
     return np.array([v for v, _ in sums]), np.array([e for _, e in sums])
 
 

@@ -4,15 +4,16 @@ A rate (_rate_at_eps, on the cut tau1 = tau, tau2 = tau - s, for one gap or
 a row of them) and a window (halfplane_integrals_at_eps) are maps of
 branch-pair integrals {(i, j): (J, err)}, and only a map decides which pairs
 are exact. Stationary pairs (every local pair, the thermal bath's cross
-pair) are exact from their spectrum (correlators.pair_spectrum): a rate's J is F(omega)/2, a window
-integrates F against its transform (_spectral_pair_integral). The other
-cross pairs are integrated on the whole regulator ladder in one pass, eps an
-array axis, on meshes clustered at the closed-form lightcone crossings;
-windows by an outer Gauss-Kronrod rule over p = tau1 + tau2 over inner cuts
-of fixed p. _limit alone reduces a map to a rate, a probability or an I_ij
-of the conditional state, extrapolating to eps -> 0 (epsilon_estimates = ()
-when every pair is exact). excitation_probability_contour instead takes the
-window at eps = 0 on a contour shifted off the poles.
+pair) are exact from their spectrum (correlators.pair_spectrum): a rate's J
+is F(omega)/2, a window integrates F against its transform with GAUSS15_7
+panels (_spectral_pair_integral). The other cross pairs are integrated with
+KRONROD15 panels on the whole regulator ladder in one pass, eps an array
+axis, on meshes clustered at the closed-form lightcone crossings; windows
+over p = tau1 + tau2 and over inner cuts of fixed p. _limit alone reduces a
+map to a rate, a probability or an I_ij of the conditional state,
+extrapolating to eps -> 0 (epsilon_estimates = () when every pair is exact).
+excitation_probability_contour instead takes the window at eps = 0 on a
+contour shifted off the poles.
 
 No family is named here: which branch pairs share one integral (_pair_map),
 which are stationary, and kappa_scale are read off the rows of the family
@@ -42,11 +43,11 @@ from .correlators import (denominator_factors, lightcone_roots,  # noqa: F401
 from .errors import ConvergenceError, IndeterminateRatioError
 from .kinematics import TrajectoryScenario
 from .quadrature import (
-    _WG7,
-    _WK15,
-    _XK15,
+    GAUSS15_7,
+    KRONROD15,
     QuadratureConfig,
     RegulatorSchedule,
+    _panel_sums,
     cluster_mesh,
     default_schedule,
     epsilon_extrapolate,
@@ -183,17 +184,17 @@ def _check_converged(val, err, quad, what):
                 estimate=v.item(), error_estimate=e.item())
 
 
-def _refined_integral(f, edges, quad, omegas=None):
-    """panel_integrate of f on the mesh (per omega, given omegas), halving
-    every panel up to _MAX_REFINEMENTS times until every omega and rung meets
-    the tolerance. Returns (value, error); the caller decides what a miss
-    means."""
-    val, err = panel_integrate(f, edges, omegas=omegas)
+def _refined_integral(f, edges, quad, omegas=None, rule=KRONROD15):
+    """panel_integrate of f on the mesh under rule (per omega, given omegas),
+    halving every panel up to _MAX_REFINEMENTS times until every omega and
+    rung meets the tolerance. Returns (value, error); the caller decides what
+    a miss means."""
+    val, err = panel_integrate(f, edges, omegas=omegas, rule=rule)
     for _ in range(_MAX_REFINEMENTS):
         if _within_tol(val, err, quad):
             break
         edges = refine_mesh(edges)
-        val, err = panel_integrate(f, edges, omegas=omegas)
+        val, err = panel_integrate(f, edges, omegas=omegas, rule=rule)
     return val, err
 
 
@@ -266,18 +267,20 @@ def _limit(reg_schedule, blocks, pref):
     passes reg_schedule.epsilons, a tuple, even with one rung. Exact blocks
     are fsummed, with their bars plus the rounding; ladder blocks are summed
     per rung, added to that and extrapolated (epsilon_estimates is () without
-    them). A caller keeping a real part takes it first: a complex value
-    extrapolates with other rounding."""
+    them), with their summed errors as the rungs' bars. A caller keeping a
+    real part takes it first: a complex value extrapolates with other
+    rounding."""
     exact = [(v, e) for v, e in blocks if np.ndim(v) == 0]
-    ladder = [v for v, _ in blocks if np.ndim(v) > 0]
+    ladder = [(v, e) for v, e in blocks if np.ndim(v) > 0]
     value = pref * fsum_rows(np.array([v for v, _ in exact]))
     # fsum rounds once, and so does the product
     bar = pref * sum(e for _, e in exact) + 2.0 * np.finfo(float).eps * abs(value)
     if not ladder:
         return value, float(bar), ()
-    rungs = value + pref * sum(ladder)
+    rungs = value + pref * sum(v for v, _ in ladder)
     limit, err = epsilon_extrapolate(tuple(zip(reg_schedule.epsilons, rungs)),
-                                     reg_schedule.extrapolation)
+                                     reg_schedule.extrapolation,
+                                     errors=pref * sum(e for _, e in ladder))
     return limit.item(), float(err + bar), tuple(zip(reg_schedule.epsilons, rungs.tolist()))
 
 
@@ -355,11 +358,11 @@ def _halfplane_pair_integral(scenario, i, j, params, eps, level=0):
     Past either cut the window weight is below e^{-36} ~ 2e-16 of the scale
     of the value it would add to.
 
-    The 2-D engine for the pairs whose correlator depends on p: an outer
-    Gauss-Kronrod 15 rule in p, whose embedded Gauss 7 rule gives the error
-    estimate, over inner 1-D panel integrals in s. Each inner mesh clusters
-    at the closed-form lightcone roots of its p-cut (lightcone_roots, one
-    call per outer panel). A cut with the same end and the same roots in
+    The 2-D engine for the pairs whose correlator depends on p: KRONROD15 on
+    both axes, outer panels in p of width cap_p with no clustering (the
+    lightcone roots move smoothly through p = 0, and s_hi has no kink there)
+    over inner panel integrals in s. Each inner mesh clusters at the
+    closed-form lightcone roots of its p-cut (one call per outer panel). A cut with the same end and the same roots in
     range as the cut before it reuses that cut's mesh and window
     e^{-s^2/4 sigma^2 - i omega s} (at kappa sigma = 0.05, sigma omega = 4
     every cut of Parallel kappa L = 1 shares one), and each cut calls the
@@ -398,28 +401,26 @@ def _halfplane_pair_integral(scenario, i, j, params, eps, level=0):
 
         return panel_integrate(f, edges)
 
-    # mirrored, so that J_ji = J_ij holds on the same nodes (_pair_key)
-    half = cluster_mesh(0.0, p_hi, [0.0], scale=scale, cap=cap_p)
+    # mirrored, so that J_ji = J_ij holds on the same nodes (_pair_key); p = 0
+    # stays an edge, but nothing there needs clustering
+    half = cluster_mesh(0.0, p_hi, [], scale=scale, cap=cap_p)
     outer_edges = np.concatenate([-half[:0:-1], half])
-    a, b = outer_edges[:-1], outer_edges[1:]
-    h = 0.5 * (b - a)
-    m = 0.5 * (a + b)
-    fk = np.empty(np.shape(eps)[:1] + (len(h), len(_XK15)), dtype=complex)
+    h = 0.5 * (outer_edges[1:] - outer_edges[:-1])
+    nodes = panel_nodes(outer_edges, KRONROD15).reshape(len(h), -1)
+    fk = np.empty(np.shape(eps)[:1] + nodes.shape, dtype=complex)
     err_inner = 0.0
-    for k_pan in range(len(h)):
-        nodes = m[k_pan] + h[k_pan] * _XK15
-        roots = lightcone_roots(scenario, i, j, nodes)
-        for idx, p in enumerate(nodes):
+    for k_pan, row in enumerate(nodes):
+        roots = lightcone_roots(scenario, i, j, row)
+        for idx, p in enumerate(row):
             val, ie = inner(p, roots[:, idx])
             g = math.exp(-p * p * inv4s2)
             fk[..., k_pan, idx] = g * val
-            err_inner += _WK15[idx] * h[k_pan] * g * ie
-    s15 = (fk @ _WK15) * h
-    s7 = (fk[..., 1::2] @ _WG7) * h
+            err_inner += KRONROD15.weights[idx] * h[k_pan] * g * ie
     # Re J is the remainder of a cancellation across panels (by about 6,000x
-    # for Parallel kappa L = 1 at sigma omega = 4), so the panel sums are
-    # accumulated with compensated summation, as in panel_integrate
-    return 0.5 * fsum_rows(s15), 0.5 * (fsum_rows(np.abs(s15 - s7)) + err_inner)
+    # for Parallel kappa L = 1 at sigma omega = 4): _panel_sums accumulates
+    # the panel sums with compensated summation
+    val, err = _panel_sums(fk.reshape(fk.shape[:-2] + (-1,)), h, KRONROD15)
+    return 0.5 * val, 0.5 * (err + err_inner)
 
 
 def _spectral_pair_integral(scenario, i, j, params, quad):
@@ -477,7 +478,7 @@ def _spectral_pair_integral(scenario, i, j, params, quad):
     cap = min(0.5 / sigma, math.pi / (2.0 * L) if L else math.inf)
     edges = cluster_mesh(min(0.0, omega) - half, max(0.0, omega) + half, [0.0, omega],
                          scale=min(kappa, 1.0 / sigma) / 64.0, cap=cap)
-    val, err = _refined_integral(f, edges, quad)
+    val, err = _refined_integral(f, edges, quad, rule=GAUSS15_7)
     _check_converged(val[:2], err[:2], quad, f"spectral window integral for branch pair {(i, j)}")
     J = complex(c_re * val[0], -c_im * val[1])
     return J, complex(c_re * (err[0] + val[2]) + 2.0 * eps_m * abs(J.real),

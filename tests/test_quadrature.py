@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from udwsim import (
     default_schedule,
     epsilon_extrapolate,
 )
-from udwsim.quadrature import (_WG7, _WK15, _XK15, cluster_mesh, fsum_rows,
+from udwsim.quadrature import (GAUSS15_7, KRONROD15, cluster_mesh, fsum_rows,
                                panel_integrate, panel_nodes, refine_mesh,
                                sign_change_roots)
 
@@ -84,6 +85,31 @@ def test_non_monotone_ladder_warns_but_returns():
         limit, err = epsilon_extrapolate(pts)
     assert math.isfinite(limit)
     assert err > 0
+
+
+def test_ladder_flat_to_rounding_within_its_errors_does_not_warn():
+    # a rung flat to rounding that flips sign by an ulp: non-monotone only
+    # without the rungs' own error bars
+    v = 0.0253
+    pts = [(0.04, v), (0.02, v + math.ulp(v)), (0.01, v)]
+    with pytest.warns(RuntimeWarning, match="not converging monotonically"):
+        epsilon_extrapolate(pts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        limit, _ = epsilon_extrapolate(pts, errors=(4e-10, 2e-12, 2e-12))
+    assert limit == pytest.approx(v, rel=1e-14)
+
+
+def test_ladder_non_monotone_past_its_errors_still_warns():
+    pts = [(0.04, 1.0), (0.02, 1.5), (0.01, 1.2)]
+    with pytest.warns(RuntimeWarning, match="not converging monotonically"):
+        epsilon_extrapolate(pts, errors=(1e-12, 1e-12, 1e-12))
+    # a step that exceeds the two bars it spans only just
+    with pytest.warns(RuntimeWarning, match="not converging monotonically"):
+        epsilon_extrapolate(pts, errors=(0.1, 0.1, 0.1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        epsilon_extrapolate(pts, errors=(0.1, 0.15, 0.2))
 
 
 def test_default_schedule_scales_with_kappa():
@@ -188,25 +214,44 @@ def test_panel_error_estimate_flags_unresolved_oscillation():
 
 def test_panel_integrate_calls_the_integrand_once_on_panel_nodes():
     edges = np.array([0.0, 0.25, 1.0, 1.5])
-    nodes = panel_nodes(edges)
-    # GL-15 nodes of each panel, then GL-7 nodes, all inside their panels
-    assert nodes.shape == (22 * 3,)
-    for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        for x in (nodes[15 * k:15 * (k + 1)], nodes[45 + 7 * k:45 + 7 * (k + 1)]):
-            assert np.all((a < x) & (x < b)) and np.all(np.diff(x) > 0)
-    for omegas in (None, np.array([0.0, 3.0])):
-        seen = []
+    # panel after panel: every node of the rule's parts (Kronrod's 15, or
+    # GL-15 then GL-7), each part ascending and inside its panel
+    for rule, parts in ((KRONROD15, [15]), (GAUSS15_7, [15, 7])):
+        nodes = panel_nodes(edges, rule)
+        per_panel = sum(parts)
+        assert nodes.shape == (per_panel * 3,)
+        for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            x = nodes[per_panel * k:per_panel * (k + 1)]
+            assert np.all((a < x) & (x < b))
+            for part in np.split(x, np.cumsum(parts)[:-1]):
+                assert np.all(np.diff(part) > 0)
+        for omegas in (None, np.array([0.0, 3.0])):
+            seen = []
 
-        def f(x):
-            seen.append(x)
-            return np.exp(1j * x)
+            def f(x):
+                seen.append(x)
+                return np.exp(1j * x)
 
-        val, _ = panel_integrate(f, edges, omegas=omegas)
-        assert len(seen) == 1 and np.array_equal(seen[0], nodes)
-        for w, v in zip([0.0] if omegas is None else omegas, np.atleast_1d(val)):
-            # integral of e^{i (1 - w) x} over [0, 1.5]
-            k = 1.0 - w
-            assert v == pytest.approx((np.exp(1.5j * k) - 1.0) / (1j * k), abs=1e-12)
+            val, _ = panel_integrate(f, edges, omegas=omegas, rule=rule)
+            assert len(seen) == 1 and np.array_equal(seen[0], nodes)
+            for w, v in zip([0.0] if omegas is None else omegas, np.atleast_1d(val)):
+                # integral of e^{i (1 - w) x} over [0, 1.5]
+                k = 1.0 - w
+                assert v == pytest.approx((np.exp(1.5j * k) - 1.0) / (1j * k), abs=1e-12)
+    # the default rule is Kronrod's
+    assert np.array_equal(panel_nodes(edges), panel_nodes(edges, KRONROD15))
+
+
+def test_kronrod_panels_are_exact_on_degree_22_polynomials():
+    # over a 3-panel mesh the composite rule integrates x^n, n <= 22, to
+    # rounding; its embedded Gauss 7 comparison is exact only to n <= 13, so
+    # the error estimate is rounding up to there and far above it after
+    edges = np.array([-1.0, -0.25, 0.5, 1.0])
+    for n in range(23):
+        exact = (1.0 - (-1.0) ** (n + 1)) / (n + 1)
+        val, err = panel_integrate(lambda x: x**n, edges)
+        assert val == pytest.approx(exact, abs=1e-15)
+        assert (err < 1e-15) if n <= 13 else (err > 1e-11)
 
 
 def test_fsum_rows_is_exactly_rounded_per_row():
@@ -238,12 +283,14 @@ def test_sign_change_roots_multiple():
 
 
 def test_kronrod_and_embedded_gauss_rules_are_exact_on_monomials():
-    # K15 integrates degree <= 22 exactly, its embedded Gauss 7 degree <= 13
-    for n in range(23):
-        exact = 2.0 / (n + 1) if n % 2 == 0 else 0.0
-        assert (_WK15 * _XK15**n).sum() == pytest.approx(exact, abs=1e-14)
-        if n <= 13:
-            assert (_WG7 * _XK15[1::2] ** n).sum() == pytest.approx(exact, abs=1e-14)
-    # and neither is exact one degree higher
-    assert abs((_WK15 * _XK15**24).sum() - 2.0 / 25) > 1e-10
-    assert abs((_WG7 * _XK15[1::2] ** 14).sum() - 2.0 / 15) > 1e-10
+    # K15 integrates degree <= 22 exactly, GL-15 degree <= 29, and either
+    # comparison (Gauss 7) degree <= 13; none is exact on the next even degree
+    for rule, degrees in ((KRONROD15, (22, 13)), (GAUSS15_7, (29, 13))):
+        value = rule.nodes[rule.value], rule.weights
+        check = rule.nodes[rule.check], rule.check_weights
+        for (x, w), top in zip((value, check), degrees):
+            for n in range(top + 1):
+                exact = 2.0 / (n + 1) if n % 2 == 0 else 0.0
+                assert (w * x**n).sum() == pytest.approx(exact, abs=1e-14)
+            n = top + 2 - top % 2
+            assert abs((w * x**n).sum() - 2.0 / (n + 1)) > 1e-10

@@ -175,22 +175,32 @@ def test_rate_convergence_error_carries_estimate():
 
 
 # transition_rate of every family at omega = kappa = 1, tau = 0.5, as
-# (value, error_estimate, rungs extrapolated) in float.hex: bit for bit what
-# the separate exact and ladder parts gave before one function (_limit)
-# combined every response (numpy 2.4 on x86-64; a different vector math
-# library may move the last bits, and then the pins are re-recorded from
-# that code)
+# (value, error_estimate, rungs extrapolated) in float.hex, as the code gave
+# them once every ladder integral took the Gauss-Kronrod 15 panel rule
+# (numpy 2.4 on x86-64; a different vector math library may move the last
+# bits, and then the pins are re-recorded from that code)
 RATE_PINS = {
     TrajectoryScenario("SingleAccel", kappa1=1.0):
         ("0x1.383bb4aa98a94p-12", "0x1.2fc568e21adcap-59", 0),
     TrajectoryScenario("Parallel", kappa1=1.0, L=1.0):
-        ("-0x1.bb8751ea31947p-9", "0x1.6f05103becbf1p-22", 3),
+        ("-0x1.bb8751ea319ebp-9", "0x1.6f05103b8cbf1p-22", 3),
     TrajectoryScenario("AntiParallel", kappa1=1.0, L=1.0):
-        ("-0x1.0d01824265912p-7", "0x1.a73c7229e5f8bp-25", 3),
+        ("-0x1.0d018242658ecp-7", "0x1.a73c723765f8bp-25", 3),
     TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5):
-        ("-0x1.3055b75488d50p-12", "0x1.cfeffeea68a86p-20", 3),
+        ("-0x1.3055b75488e58p-12", "0x1.cfeffeea5c986p-20", 3),
     TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=1.0):
         ("0x1.1f7bf55bd0c5cp-12", "0x1.2b351ab9f8e24p-59", 0),
+}
+# the ladder rates as pinned while every panel took Gauss-Legendre 15 with a
+# separate Gauss-Legendre 7 estimate, (value, error_estimate): the Kronrod
+# rule moved each by at most 1.4e-9 of that bar
+RATE_PINS_GAUSS15_7 = {
+    TrajectoryScenario("Parallel", kappa1=1.0, L=1.0):
+        ("-0x1.bb8751ea31947p-9", "0x1.6f05103becbf1p-22"),
+    TrajectoryScenario("AntiParallel", kappa1=1.0, L=1.0):
+        ("-0x1.0d01824265912p-7", "0x1.a73c7229e5f8bp-25"),
+    TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5):
+        ("-0x1.3055b75488d50p-12", "0x1.cfeffeea68a86p-20"),
 }
 
 
@@ -201,6 +211,9 @@ def test_rate_is_bit_identical_to_its_pin(scenario):
     assert (r.value.hex(), r.error_estimate.hex()) == (value, error)
     assert len(r.epsilon_estimates) == rungs
     assert all(type(v) is float for _, v in r.epsilon_estimates)
+    if scenario in RATE_PINS_GAUSS15_7:
+        old, bar = (float.fromhex(x) for x in RATE_PINS_GAUSS15_7[scenario])
+        assert abs(r.value - old) <= 1e-8 * bar
 
 
 # a row of gaps: both signs, omega = 0, and |omega| past pi kappa/2, where a
@@ -447,6 +460,33 @@ def test_stationary_pair_integral_matches_2d_engine(scenario, pair):
     assert 0 < bar.real < 1e-10 * exact.real
 
 
+# _spectral_pair_integral at sigma omega = 4 as (Re J, Im J, Re bar, Im bar)
+# in float.hex, as recorded while every panel integral took Gauss-Legendre 15
+# with a separate Gauss-Legendre 7 estimate. The spectral integral keeps that
+# rule (GAUSS15_7): its values are the ones the exact oracles check. Thermal
+# kappa L = 1 is the series past 12 sigma, kappa L = 0.3 a panel integral
+# (numpy 2.4 on x86-64)
+SPECTRAL_PINS = {
+    "SingleAccel": (SA, (1, 1), ("0x1.1eb7e3220029ep-33", "-0x1.44c63e9f71857p-19",
+                                 "0x1.26529a618c1a9p-73", "0x1.4b936da4d1008p-53")),
+    "Thermal-kL1": (TH1, (1, 2), ("0x1.74b43dc0c67cbp-36", "0x0.0p+0",
+                                  "0x1.1380fd9b8ae93p-82", "0x0.0p+0")),
+    "Thermal-kL0.3": (TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=0.3), (1, 2),
+                      ("0x1.85d6049251ce0p-34", "-0x1.4449ca004130cp-19",
+                       "0x1.0ade0c4b44317p-73", "0x1.4f9763ee8f221p-53")),
+    "Differing-22": (TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5), (2, 2),
+                     ("0x1.1b9c7ff6db15bp-33", "-0x1.44c5109765c18p-21",
+                      "0x1.c0d91d05ed86ap-75", "0x1.4b9d0ea4791aap-55")),
+}
+
+
+@pytest.mark.parametrize("case", SPECTRAL_PINS)
+def test_spectral_pair_integral_is_bit_identical_to_its_pin(case):
+    scenario, pair, pinned = SPECTRAL_PINS[case]
+    J, bar = response._spectral_pair_integral(scenario, *pair, REF, QuadratureConfig())
+    assert (J.real.hex(), J.imag.hex(), bar.real.hex(), bar.imag.hex()) == pinned
+
+
 def test_stationary_probabilities_need_no_2d_integral(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("correlator or 2-D engine called for a stationary pair")
@@ -659,6 +699,26 @@ def test_2d_engine_stays_where_the_window_is_above_rounding(monkeypatch):
     assert s.min() >= 0.0
 
 
+@pytest.mark.parametrize("sigma_omega", [4.0, -4.0])
+@pytest.mark.parametrize("scenario", [
+    TrajectoryScenario("Parallel", kappa1=1.0, L=0.3), PAR,
+    TrajectoryScenario("AntiParallel", kappa1=1.0, L=0.5),
+    TrajectoryScenario("AntiParallel", kappa1=1.0, L=1.0),
+    DIFF, TrajectoryScenario("Differing", kappa1=1.0, kappa2=2.0),
+], ids=["Parallel-kL0.3", "Parallel-kL1", "AntiParallel-kL0.5", "AntiParallel-kL1",
+        "Differing-r0.5", "Differing-r2"])
+def test_2d_engine_error_bounds_its_gap_to_a_finer_restart(scenario, sigma_omega):
+    # the error of the smallest rung, whose mesh is the ladder's (the last
+    # rung of a ladder call is bit-identical to it), against the same engine
+    # at restart level 2, with both axes' panels a quarter as wide: the gap
+    # is about 0.1-0.2 of the estimate
+    params = DetectorParams(omega=sigma_omega / 0.05, lambda_coupling=0.01, sigma=0.05)
+    eps = LADDER[-1]
+    value, err = response._halfplane_pair_integral(scenario, 1, 2, params, eps)
+    finer, _ = response._halfplane_pair_integral(scenario, 1, 2, params, eps, level=2)
+    assert abs(value - finer) <= err
+
+
 def counting(monkeypatch):
     """Counts of response.cluster_mesh and correlator calls, and the meshes
     cluster_mesh returned, in call order."""
@@ -698,23 +758,43 @@ def test_2d_engine_builds_a_shared_inner_mesh_once(monkeypatch):
 
 # J_12 of two cross pairs with lightcone roots inside the s-cuts, so that
 # consecutive cuts build different inner meshes: (values per rung as
-# (Re, Im), errors per rung) in float.hex, as the engine gave them when it
-# built every cut's mesh and window afresh and evaluated the correlator
-# separately on the GL-15 and GL-7 nodes (numpy 2.4 on x86-64)
+# (Re, Im), errors per rung) in float.hex, as the engine gave them with the
+# Gauss-Kronrod 15 rule on both axes and an outer p-mesh with no clustering
+# at p = 0 (numpy 2.4 on x86-64)
 J12_ROOTS_IN_CUTS = {
     "AntiParallel kappa L = 0.5": (
         TrajectoryScenario("AntiParallel", kappa1=1.0, L=0.5), REF,
+        (("0x1.ffb98bee38ed8p-35", "-0x1.e2a964ab3457bp-14"),
+         ("0x1.0434bcc82bf85p-34", "-0x1.e39f0c7f994f1p-14"),
+         ("0x1.0661b7ef56313p-34", "-0x1.e3f55296f337ep-14")),
+        ("0x1.64d0071488a2cp-63", "0x1.731485ffa7a42p-63", "0x1.8243352f8b3b5p-63")),
+    "Parallel kappa L = 1, sigma = 1": (
+        PAR, DetectorParams(omega=2.0, lambda_coupling=0.01, sigma=1.0),
+        (("0x1.8f67c4756bf33p-13", "-0x1.1299ac31d99f0p-6"),
+         ("0x1.8ec0102ed3602p-13", "-0x1.14ff6795bbb72p-6"),
+         ("0x1.8e6ba7e0cc673p-13", "-0x1.162ea3a195f5ep-6")),
+        ("0x1.5f27dada1714fp-40", "0x1.e932f0504be41p-40", "0x1.454921c042eb6p-39")),
+}
+# the same, as the engine gave them with Gauss-Legendre 15 inner cuts and a
+# separate Gauss-Legendre 7 estimate, on an outer mesh clustered at p = 0
+# from eps/8: each new rung is within 0.11 of these errors
+J12_ROOTS_IN_CUTS_GAUSS15_7 = {
+    "AntiParallel kappa L = 0.5": (
         (("0x1.ffb98bed721cep-35", "-0x1.e2a964ab3457ap-14"),
          ("0x1.0434bcc745d10p-34", "-0x1.e39f0c7f994f0p-14"),
          ("0x1.0661b7eea6ef8p-34", "-0x1.e3f55296f337ep-14")),
         ("0x1.b62fb61f8a21dp-63", "0x1.ae12e7349c02dp-63", "0x1.be2a139679c23p-63")),
     "Parallel kappa L = 1, sigma = 1": (
-        PAR, DetectorParams(omega=2.0, lambda_coupling=0.01, sigma=1.0),
         (("0x1.8f67c4756bee9p-13", "-0x1.1299ac31d99f1p-6"),
          ("0x1.8ec0102ed3579p-13", "-0x1.14ff6795bbb71p-6"),
          ("0x1.8e6ba7e0cc550p-13", "-0x1.162ea3a195f5bp-6")),
         ("0x1.5f631c92ae77bp-40", "0x1.e9a1a21462daep-40", "0x1.45d9e7ab9a325p-39")),
 }
+
+
+def _from_hex(values, errors):
+    return ([complex(float.fromhex(re), float.fromhex(im)) for re, im in values],
+            [float.fromhex(e) for e in errors])
 
 
 @pytest.mark.parametrize("case", J12_ROOTS_IN_CUTS)
@@ -726,12 +806,27 @@ def test_2d_engine_with_roots_in_the_cuts_is_bit_identical_to_its_pin(case, monk
     assert calls["mesh"] > calls["corr"] // 2
     assert [(v.real.hex(), v.imag.hex()) for v in val] == [tuple(v) for v in values]
     assert [e.hex() for e in err] == list(errors)
+    old, old_err = _from_hex(*J12_ROOTS_IN_CUTS_GAUSS15_7[case])
+    for v, o, e in zip(val, old, old_err, strict=True):
+        assert abs(v - o) <= e
 
 
 # J_12 of Parallel kappa L = 1 at sigma = 0.05 on the default ladder
 # (eps = 1e-2, 5e-3, 2.5e-3), as the 2-D engine gave it on the whole diamond
-# |p| + s <= 2T: the cut domain leaves every rung unchanged to rounding
+# |p| + s <= 2T (outer mesh to |p| = 2T, every cut to s = 2T - |p|), with
+# the Gauss-Kronrod 15 rule on both axes: the cut domain leaves every rung
+# unchanged to rounding
 J12_WHOLE_DIAMOND = {
+    80.0: (1.9087895720544584e-11 - 2.899825668807417e-05j,
+           1.922288443579347e-11 - 2.90148012959312e-05j,
+           1.9289892960054448e-11 - 2.902089619354422e-05j),
+    -80.0: (1.9619591902457272e-11 + 2.9029536245318535e-05j,
+            1.9488830110944865e-11 + 2.903045051447467e-05j,
+            1.9422877998784568e-11 + 2.9028721983476063e-05j),
+}
+# the same on the whole diamond with Gauss-Legendre 15 inner cuts, a separate
+# Gauss-Legendre 7 estimate and an outer mesh clustered at p = 0 from eps/8
+J12_WHOLE_DIAMOND_GAUSS15_7 = {
     80.0: (1.9087895716747576e-11 - 2.899825668807417e-05j,
            1.9222884432530875e-11 - 2.90148012959312e-05j,
            1.9289892957588187e-11 - 2.902089619354422e-05j),
@@ -746,10 +841,14 @@ def test_cut_domain_keeps_j12_on_every_rung(omega):
     params = DetectorParams(omega=omega, lambda_coupling=0.01, sigma=0.05)
     sched, quad = response._defaults(PAR, None, None)
     assert sched.epsilons == LADDER
-    values, _ = response.halfplane_integrals_at_eps(PAR, params, sched.epsilons, quad)[(1, 2)]
+    values, errors = response.halfplane_integrals_at_eps(PAR, params, sched.epsilons,
+                                                         quad)[(1, 2)]
     for value, pinned in zip(values, J12_WHOLE_DIAMOND[omega], strict=True):
         assert value == pytest.approx(pinned, rel=1e-15, abs=0.0)
         assert value.real == pytest.approx(pinned.real, rel=1e-15, abs=0.0)
+    # the rules differ by less than the rungs' own error estimates
+    for value, err, old in zip(values, errors, J12_WHOLE_DIAMOND_GAUSS15_7[omega], strict=True):
+        assert abs(value - old) <= err
 
 
 @pytest.mark.parametrize("scenario, pair", [
@@ -778,12 +877,13 @@ def _ladder_pair_rate(scenario, pair, omega):
     error plus the rounding that it does not see: the integrand peaks at
     |W| ~ 1/(16 pi^2 eps^2) at s = 0, so each rung rounds by about
     eps_mach int |2W| ds = eps_mach/(16 pi eps), and linear Richardson
-    extrapolation over rungs a factor 2 apart triples that."""
+    extrapolation over rungs a factor 2 apart triples that. The rungs' own
+    quadrature errors tell the extrapolation which steps are noise."""
     sched, quad = response._defaults(scenario, None, None)
-    vals, _ = response._rate_pair_integral(scenario, *pair, 0.0, omega,
-                                           sched.epsilons, quad)
+    vals, errs = response._rate_pair_integral(scenario, *pair, 0.0, omega,
+                                              sched.epsilons, quad)
     value, err = epsilon_extrapolate(tuple(zip(sched.epsilons, 2.0 * vals.real)),
-                                     sched.extrapolation)
+                                     sched.extrapolation, errors=2.0 * errs)
     rounding = 3.0 * np.finfo(float).eps / (16.0 * math.pi * min(sched.epsilons))
     return value, err + rounding
 
