@@ -8,10 +8,12 @@ pair) are exact from their spectrum (correlators.pair_spectrum): a rate's J
 is F(omega)/2, a window integrates F against its transform with GAUSS15_7
 panels (_spectral_pair_integral). The other cross pairs are integrated with
 KRONROD15 panels on the whole regulator ladder in one pass, eps an array
-axis, on meshes clustered at the closed-form lightcone crossings; windows
-over p = tau1 + tau2 and over inner cuts of fixed p. _limit alone reduces a
-map to a rate, a probability or an I_ij of the conditional state,
-extrapolating to eps -> 0 (epsilon_estimates = () when every pair is exact).
+axis, on meshes clustered at the closed-form lightcone crossings; a rate row
+transforms that one pass to every gap at once (panel_integrate's omegas),
+and windows integrate over p = tau1 + tau2 and over inner cuts of fixed p.
+_limit alone reduces a map to a rate, a probability or an I_ij of the
+conditional state, extrapolating to eps -> 0 (epsilon_estimates = () when
+every pair is exact).
 excitation_probability_contour instead takes the window at eps = 0 on a
 contour shifted off the poles.
 
@@ -300,8 +302,10 @@ def transition_rates(scenario: TrajectoryScenario, omegas, tau: float,
     cross pairs are integrated up to s = 40/kappa_scale(scenario)
     (_rate_cut) on the regulator ladder and extrapolated to eps -> 0. Their
     correlator does not depend on omega, so each such pair is evaluated once
-    for the whole row, on a mesh that resolves the largest |omega|; a row
-    raises if any of its gaps does not converge there.
+    for the whole row, on a mesh that resolves the largest |omega|, and the
+    row's gaps are reduced from those values together, a few at a time, as
+    one transform of the row (panel_integrate with omegas); a row raises if
+    any of its gaps does not converge there, and an empty row gives [].
     error_estimate is the extrapolation error plus the rounding bound of the
     closed-form part; epsilon_estimates is () when every pair is stationary.
     For the Differing family tau is the shared proper-time parameter of both
@@ -310,6 +314,8 @@ def transition_rates(scenario: TrajectoryScenario, omegas, tau: float,
     reg_schedule, quad = _defaults(scenario, reg_schedule, quad)
     pref = 2.0 * lambda_coupling**2 / scenario.branch_count**2
     omegas = np.asarray(omegas, dtype=float)
+    if not omegas.size:
+        return []
     blocks = _rate_at_eps(scenario, omegas, float(tau), reg_schedule.epsilons, quad).values()
     return [RateResult(*_limit(reg_schedule, [(v[k].real, e[k]) for v, e in blocks], pref))
             for k in range(len(omegas))]

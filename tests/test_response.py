@@ -176,20 +176,32 @@ def test_rate_convergence_error_carries_estimate():
 
 # transition_rate of every family at omega = kappa = 1, tau = 0.5, as
 # (value, error_estimate, rungs extrapolated) in float.hex, as the code gave
-# them once every ladder integral took the Gauss-Kronrod 15 panel rule
-# (numpy 2.4 on x86-64; a different vector math library may move the last
-# bits, and then the pins are re-recorded from that code)
+# them once a rate row was transformed in one pass (folded panel weights,
+# per-panel phase factors; numpy 2.4 on x86-64; a different vector math
+# library may move the last bits, and then the pins are re-recorded from that
+# code)
 RATE_PINS = {
     TrajectoryScenario("SingleAccel", kappa1=1.0):
         ("0x1.383bb4aa98a94p-12", "0x1.2fc568e21adcap-59", 0),
     TrajectoryScenario("Parallel", kappa1=1.0, L=1.0):
-        ("-0x1.bb8751ea319ebp-9", "0x1.6f05103b8cbf1p-22", 3),
+        ("-0x1.bb8751ea319dep-9", "0x1.6f05103b80bf1p-22", 3),
     TrajectoryScenario("AntiParallel", kappa1=1.0, L=1.0):
-        ("-0x1.0d018242658ecp-7", "0x1.a73c723765f8bp-25", 3),
+        ("-0x1.0d018242658e6p-7", "0x1.a73c723ba5f8bp-25", 3),
     TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5):
-        ("-0x1.3055b75488e58p-12", "0x1.cfeffeea5c986p-20", 3),
+        ("-0x1.3055b75488e7fp-12", "0x1.cfeffeea55b86p-20", 3),
     TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=1.0):
         ("0x1.1f7bf55bd0c5cp-12", "0x1.2b351ab9f8e24p-59", 0),
+}
+# the ladder rates as pinned while each gap of a row reduced its own product
+# with the correlator (Gauss-Kronrod 15 panels), (value, error_estimate): the
+# row transform moved each by at most 2.1e-10 of that bar
+RATE_PINS_PER_GAP = {
+    TrajectoryScenario("Parallel", kappa1=1.0, L=1.0):
+        ("-0x1.bb8751ea319ebp-9", "0x1.6f05103b8cbf1p-22"),
+    TrajectoryScenario("AntiParallel", kappa1=1.0, L=1.0):
+        ("-0x1.0d018242658ecp-7", "0x1.a73c723765f8bp-25"),
+    TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5):
+        ("-0x1.3055b75488e58p-12", "0x1.cfeffeea5c986p-20"),
 }
 # the ladder rates as pinned while every panel took Gauss-Legendre 15 with a
 # separate Gauss-Legendre 7 estimate, (value, error_estimate): the Kronrod
@@ -211,9 +223,10 @@ def test_rate_is_bit_identical_to_its_pin(scenario):
     assert (r.value.hex(), r.error_estimate.hex()) == (value, error)
     assert len(r.epsilon_estimates) == rungs
     assert all(type(v) is float for _, v in r.epsilon_estimates)
-    if scenario in RATE_PINS_GAUSS15_7:
-        old, bar = (float.fromhex(x) for x in RATE_PINS_GAUSS15_7[scenario])
-        assert abs(r.value - old) <= 1e-8 * bar
+    for table in (RATE_PINS_PER_GAP, RATE_PINS_GAUSS15_7):
+        if scenario in table:
+            old, bar = (float.fromhex(x) for x in table[scenario])
+            assert abs(r.value - old) <= 1e-8 * bar
 
 
 # a row of gaps: both signs, omega = 0, and |omega| past pi kappa/2, where a
@@ -244,6 +257,11 @@ def test_rate_row_matches_one_gap_calls(scenario):
 def test_stationary_rate_row_is_bit_identical_to_one_gap_calls(scenario):
     for omega, batch in zip(ROW, transition_rates(scenario, ROW, 0.7)):
         assert batch == transition_rate(scenario, unit(omega), 0.7)
+
+
+@pytest.mark.parametrize("scenario", RATE_PINS, ids=lambda sc: sc.family)
+def test_empty_rate_row_is_an_empty_list(scenario):
+    assert transition_rates(scenario, [], 0.5) == []
 
 
 def test_rate_row_names_the_gap_that_does_not_converge():
