@@ -19,7 +19,8 @@ contour shifted off the poles.
 
 No family is named here: which branch pairs share one integral (_pair_map),
 which are stationary, and kappa_scale are read off the rows of the family
-table (kinematics); one _mesh_policy sets the panels of every integral.
+table (kinematics); one _mesh_policy sets the panels of every integral: a
+rate's within 0.5/kappa_scale, a window's within sigma and 0.5/kappa_max.
 
 Normalization: every rate and probability carries the explicit
 lambda^2 / N^2 prefactor (N = number of superposed branches), so one- and
@@ -158,14 +159,20 @@ def _stationary_pair(scenario: TrajectoryScenario, i: int, j: int) -> bool:
 
 
 def _mesh_policy(scenario, omega, eps, sigma=None, level=0):
-    """(cap, scale) of a panel mesh: panels within 0.5/kappa_scale, a period
-    of omega over _OSCILLATION_RESOLUTION and (under a window) sigma/2, and
-    clustering from 1/8 of the smallest eps; both halve per 2-D restart level."""
-    cap = 0.5 / kappa_scale(scenario)
+    """(cap, scale) of a panel mesh: panels within a period of omega over
+    _OSCILLATION_RESOLUTION, and clustering from 1/8 of the smallest eps;
+    both halve per 2-D restart level. A rate's panels are also within
+    0.5/kappa_scale. A window's are within sigma, as its Gaussian
+    e^{-p^2/4 sigma^2} has standard deviation sqrt(2) sigma, and within
+    0.5/kappa_max, since the fastest row sets how the correlator varies
+    (e^{+-kappa_i p/2}); with no accelerated row there is no kappa term."""
+    if sigma is None:
+        cap = 0.5 / kappa_scale(scenario)
+    else:
+        kappa_max = max(b.kappa for b in scenario.branches)
+        cap = min(sigma, 0.5 / kappa_max) if kappa_max > 0.0 else sigma
     if omega != 0.0:
         cap = min(cap, (2.0 * math.pi / abs(omega)) / _OSCILLATION_RESOLUTION)
-    if sigma is not None:
-        cap = min(cap, sigma / 2.0)
     shrink = 0.5**level
     return cap * shrink, float(np.min(eps)) / 8.0 * shrink
 
@@ -241,9 +248,11 @@ def _rate_pair_integral(scenario, i, j, tau, omega, eps, quad):
 
     edges = cluster_mesh(0.0, s_hi, [0.0] + roots, scale=scale, cap=cap)
     val, err = _refined_integral(f, edges, quad, omegas)
-    for w, v, e in zip(omegas, val, err):
-        _check_converged(v, e, quad,
-                         f"rate integrand for branch pair ({i},{j}) at omega = {w:g}")
+    # the row was checked whole: look for the gap to name only on a miss
+    if not _within_tol(val, err, quad):
+        for w, v, e in zip(omegas, val, err):
+            _check_converged(v, e, quad,
+                             f"rate integrand for branch pair ({i},{j}) at omega = {w:g}")
     return (val, err) if np.ndim(omega) else (val[0], err[0])
 
 
@@ -365,11 +374,14 @@ def _halfplane_pair_integral(scenario, i, j, params, eps, level=0):
     of the value it would add to.
 
     The 2-D engine for the pairs whose correlator depends on p: KRONROD15 on
-    both axes, outer panels in p of width cap_p with no clustering (the
+    both axes, outer panels in p at most min(sigma, 0.5/kappa_max) wide
+    (_mesh_policy; 24 of them at kappa sigma = 0.05) with no clustering (the
     lightcone roots move smoothly through p = 0, and s_hi has no kink there)
-    over inner panel integrals in s. Each inner mesh clusters at the
-    closed-form lightcone roots of its p-cut (one call per outer panel). A cut with the same end and the same roots in
-    range as the cut before it reuses that cut's mesh and window
+    over inner panel integrals in s, whose panels are also within an eighth
+    of a period of omega. Each inner mesh clusters at the closed-form
+    lightcone roots of its p-cut (one call per outer panel). A cut with the
+    same end and the same roots in range as the cut before it reuses that
+    cut's mesh and window
     e^{-s^2/4 sigma^2 - i omega s} (at kappa sigma = 0.05, sigma omega = 4
     every cut of Parallel kappa L = 1 shares one), and each cut calls the
     correlator once, on panel_nodes of its mesh. Only the last cut is kept,

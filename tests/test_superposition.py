@@ -27,17 +27,24 @@ from conftest import REF_PARAMS
 
 
 def test_probability_and_i12_are_bit_identical_to_their_pins(parallel_unit_sep_integrals):
-    # float.hex of what the Gauss-Kronrod 15 panel rule gives, on the same
-    # numpy build (see RATE_PINS in test_response.py)
+    # float.hex of what the Gauss-Kronrod 15 panel rule gives, with panels at
+    # most sigma and 0.5/kappa_max wide, on the same numpy build (see
+    # RATE_PINS in test_response.py)
     sc, integrals = parallel_unit_sep_integrals
     p = excitation_probability_quadrature(sc, REF_PARAMS)
-    assert (p.value.hex(), p.error_estimate.hex()) == ("0x1.0dbffb99fee3ep-46",
-                                                      "0x1.cadb506be5305p-64")
+    assert (p.value.hex(), p.error_estimate.hex()) == ("0x1.0dbffb99fcb1dp-46",
+                                                      "0x1.cadb6396e5305p-64")
     i12 = integrals.full_grid[(1, 2)]
-    assert (i12.real.hex(), i12.imag.hex()) == ("0x1.5487bbfbdbda9p-35", "0x0.0p+0")
-    assert integrals.error_estimate.hex() == "0x1.18105988fc000p-49"
+    assert (i12.real.hex(), i12.imag.hex()) == ("0x1.5487bbfbc66a0p-35", "0x0.0p+0")
+    assert integrals.error_estimate.hex() == "0x1.1810653ba8000p-49"
+    # the pins of the same rule with outer panels at most sigma/2 wide: the
+    # wider panels moved both by 2.9e-7 of their bars
+    half_p, half_bar = float.fromhex("0x1.0dbffb99fee3ep-46"), float.fromhex("0x1.cadb506be5305p-64")
+    half_i12, half_err = float.fromhex("0x1.5487bbfbdbda9p-35"), float.fromhex("0x1.18105988fc000p-49")
+    assert abs(p.value - half_p) <= half_bar
+    assert abs(i12.real - half_i12) <= half_err
     # the pins of Gauss-Legendre 15 panels with a separate Gauss-Legendre 7
-    # estimate: the rule moved both by 1.7e-6 of their bars
+    # estimate: the rule moved both by 1.7e-6 of their bars (1.4e-6 now)
     old_p, old_bar = float.fromhex("0x1.0dbffb99f1f85p-46"), float.fromhex("0x1.cadb2faba5305p-64")
     old_i12, old_err = float.fromhex("0x1.5487bbfb5dad7p-35"), float.fromhex("0x1.1810458b94000p-49")
     assert abs(p.value - old_p) <= 1e-5 * old_bar
