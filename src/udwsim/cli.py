@@ -91,9 +91,16 @@ def _fmt(value) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-_METHOD = ("method: stationary branch pairs exact from their closed-form spectrum "
-           "(Planck form, times sin(E L)/(E L) for the bath's cross pair); the other "
-           "cross pairs integrated on the regulator ladder and extrapolated to eps->0")
+_EXACT_PAIRS = ("method: stationary branch pairs exact from their closed-form spectrum "
+                "(Planck form, times sin(E L)/(E L) for the bath's cross pair); ")
+# how the other cross pairs were integrated, by WightmanIntegrals.cross_pair_methods
+_CROSS_PAIRS = {
+    "ladder": "the other cross pairs integrated on the regulator ladder and "
+              "extrapolated to eps->0",
+    "contour": "the other cross pairs' I_ij by a Gauss-Hermite rule on the shifted "
+               "contour Im s = -2 sigma^2 omega at eps=0 (64 against 32 nodes per axis)",
+}
+_METHOD = _EXACT_PAIRS + _CROSS_PAIRS["ladder"]
 
 _NAN = math.nan
 _INVALID_ROW = {
@@ -323,7 +330,9 @@ def _visibility_rows(cfg: ScenarioConfig, scenario):
              f"amplitude={_fmt(summary['amplitude'])} "
              f"(first harmonic of the residual after subtracting the "
              f"(1+cos)/2 envelope)",
-             f"integral error estimate={_fmt(integrals.error_estimate)}", _METHOD)
+             f"integral error estimate={_fmt(integrals.error_estimate)}",
+             _EXACT_PAIRS + "; ".join(_CROSS_PAIRS[m]
+                                      for m in integrals.cross_pair_methods or ("ladder",)))
     return rows, extra
 
 

@@ -11,11 +11,15 @@ KRONROD15 panels on the whole regulator ladder in one pass, eps an array
 axis, on meshes clustered at the closed-form lightcone crossings; a rate row
 transforms that one pass to every gap at once (panel_integrate's omegas),
 and windows integrate over p = tau1 + tau2 and over inner cuts of fixed p.
-_limit alone reduces a map to a rate, a probability or an I_ij of the
-conditional state, extrapolating to eps -> 0 (epsilon_estimates = () when
-every pair is exact).
-excitation_probability_contour instead takes the window at eps = 0 on a
-contour shifted off the poles.
+_limit alone reduces a map to a rate, a probability or a ladder I_ij of
+the conditional state, extrapolating to eps -> 0 (epsilon_estimates = ()
+when every pair is exact).
+On a contour shifted off the poles the window needs no regulator: inside
+its domain (in_contour_domain: omega > 0, beta < pi) contour_pair_integral
+gives one branch pair's full-plane I_ij at eps = 0 from a Gauss-Hermite
+sum, which is how the conditional state takes its non-stationary cross
+pairs (the ladder where a sum misses the tolerance), and
+excitation_probability_contour sums those sums over every pair.
 
 No family is named here: which branch pairs share one integral (_pair_map),
 which are stationary, and kappa_scale are read off the rows of the family
@@ -60,7 +64,7 @@ from .quadrature import (
     refine_mesh,
     sign_change_roots,  # noqa: F401
 )
-from .validity import require_beta_bound
+from .validity import beta_bound_violation, require_beta_bound
 
 # Gaussian window support half-width, in sigmas
 _WINDOW_SIGMAS = 6.0
@@ -545,12 +549,16 @@ def excitation_probability_quadrature(scenario: TrajectoryScenario, params: Dete
 # Gaussian-windowed probability on the shifted contour
 
 
-def _check_contour_domain(scenario: TrajectoryScenario, params: DetectorParams):
-    """Refuse outside the closed forms' beta bound (require_beta_bound),
-    taken at the largest branch acceleration; kappa1 is also the bath's
-    temperature scale."""
-    kappa = max(scenario.kappa1, *(b.kappa for b in scenario.branches))
-    require_beta_bound(params, kappa, "contour shift")
+def _contour_kappa(scenario: TrajectoryScenario) -> float:
+    """The acceleration at which the contour's beta bound is taken: the
+    largest branch acceleration, or kappa1, the bath's temperature scale."""
+    return max(scenario.kappa1, *(b.kappa for b in scenario.branches))
+
+
+def in_contour_domain(scenario: TrajectoryScenario, params: DetectorParams) -> bool:
+    """Whether the shifted contour applies: omega > 0 and beta < pi at
+    _contour_kappa (beta_bound_violation is None)."""
+    return beta_bound_violation(params, _contour_kappa(scenario)) is None
 
 
 @functools.lru_cache(maxsize=None)
@@ -558,21 +566,44 @@ def _hermite_rule(n: int):
     return np.polynomial.hermite.hermgauss(n)
 
 
-def _contour_sum(scenario, params, n):
-    """sum_ij of the n x n Gauss-Hermite rule for the integral of
-    e^{-x^2 - y^2} W^{ij} at p = 2 sigma x, s = 2 sigma y - 2 i sigma^2 omega,
-    and the sum of the moduli of its terms (the rounding scale)."""
-    x, w = _hermite_rule(n)
+def _contour_terms(scenario, params, i, j):
+    """(fine, coarse, size) of branch pair (i, j): the _CONTOUR_NODES^2
+    Gauss-Hermite product rule for the integral of e^{-x^2 - y^2} W^{ij} at
+    p = 2 sigma x, s = 2 sigma y - 2 i sigma^2 omega, eps = 0, the same rule
+    with half as many nodes per axis, and the sum of the moduli of the fine
+    rule's terms (its rounding scale)."""
+    corr = scenario_correlator(scenario, i, j)
     sigma = params.sigma
-    p = 2.0 * sigma * x[:, None]
-    s = 2.0 * sigma * x[None, :] - 2j * sigma**2 * params.omega
-    weights = w[:, None] * w[None, :]
-    def terms(i, j):
-        t = weights * scenario_correlator(scenario, i, j)((p + s) / 2.0, (p - s) / 2.0, 0.0)
-        return t.sum(), np.abs(t).sum()
+    sums = []
+    for n in (_CONTOUR_NODES, _CONTOUR_NODES // 2):
+        x, w = _hermite_rule(n)
+        p = 2.0 * sigma * x[:, None]
+        s = 2.0 * sigma * x[None, :] - 2j * sigma**2 * params.omega
+        sums.append(w[:, None] * w[None, :] * corr((p + s) / 2.0, (p - s) / 2.0, 0.0))
+    fine, coarse = sums
+    return fine.sum(), coarse.sum(), np.abs(fine).sum()
 
-    sums = _pair_map(scenario, terms, window=True).values()
-    return sum(t for t, _ in sums), sum(a for _, a in sums)
+
+def _contour_bar(fine, coarse, size):
+    """The bar of a contour sum: the change from half as many nodes plus the
+    rounding floor of the fine rule."""
+    return abs(fine - coarse) + _CONTOUR_NODES * np.finfo(float).eps * size
+
+
+def contour_pair_integral(scenario: TrajectoryScenario, params: DetectorParams,
+                          i: int, j: int) -> tuple:
+    """(I_ij, bar) at eps = 0 of the full-plane windowed integral
+
+        I_ij = iint dtau' dtau'' eta(tau') eta(tau'') e^{-i omega (tau' - tau'')}
+               W^{ij}(tau', tau'') = 2 sigma^2 e^{-sigma^2 omega^2} sum w w W^{ij},
+
+    the Gauss-Hermite sum of _contour_terms on the shifted contour (the
+    Jacobian (2 sigma)^2 / 2 times the completed square), Im part included;
+    the bar is _contour_bar times the same prefactor. The caller checks the
+    domain (in_contour_domain)."""
+    fine, coarse, size = _contour_terms(scenario, params, i, j)
+    jac = 2.0 * params.sigma**2 * math.exp(-(params.sigma * params.omega) ** 2)
+    return complex(jac * fine), float(jac * _contour_bar(fine, coarse, size))
 
 
 def excitation_probability_contour(scenario: TrajectoryScenario,
@@ -607,15 +638,18 @@ def excitation_probability_contour(scenario: TrajectoryScenario,
     For Differing the result therefore includes the cross terms that
     p_differing omits.
     """
-    _check_contour_domain(scenario, params)
+    require_beta_bound(params, _contour_kappa(scenario), "contour shift")
     sigma = params.sigma
     # lambda^2/N^2 e^{-sigma^2 omega^2}, times the Jacobian (2 sigma)^2 / 2
     pref = (2.0 * (params.lambda_coupling * sigma / scenario.branch_count) ** 2
             * math.exp(-(sigma * params.omega) ** 2))
-    fine, size = _contour_sum(scenario, params, _CONTOUR_NODES)
-    coarse, _ = _contour_sum(scenario, params, _CONTOUR_NODES // 2)
+    # summed over every branch pair in row-major order: each pair's I_ij is
+    # its contour_pair_integral, but the bar is that of the summed rules
+    terms = _pair_map(scenario, functools.partial(_contour_terms, scenario, params),
+                      window=True).values()
+    fine, coarse, size = (sum(t[k] for t in terms) for k in range(3))
     value = pref * fine.real
-    err = pref * (abs(fine - coarse) + _CONTOUR_NODES * np.finfo(float).eps * size)
+    err = pref * _contour_bar(fine, coarse, size)
     if err > _CONTOUR_REL_TOL * abs(value):
         raise ConvergenceError(
             f"shifted-contour rule did not converge (error {err:.3g} on "

@@ -16,6 +16,12 @@ as
 
 The norm p_ground + p_excited is the probability of finding the control in
 the measured superposition; dividing by it conditions the detector state.
+
+Every T_i, and I_ij of every stationary pair, is exact from the pair's
+spectrum. Inside the shifted contour's domain (omega > 0, beta < pi) the
+other cross pairs' I_ij are Gauss-Hermite sums on that contour at eps = 0;
+outside it, and for a pair whose sum misses the quadrature tolerance, they
+are extrapolated from the regulator ladder (compute_wightman_integrals).
 """
 
 from __future__ import annotations
@@ -30,7 +36,9 @@ from .kinematics import TrajectoryScenario
 # epsilon_extrapolate is not called here (response._limit extrapolates); it
 # stays bound because bench/spans.py wraps the name on this module
 from .quadrature import epsilon_extrapolate  # noqa: F401
-from .response import _defaults, _limit, halfplane_integrals_at_eps
+from .response import (_defaults, _limit, _pair_map, _spectral_pair_integral,
+                       _stationary_pair, _within_tol, contour_pair_integral,
+                       halfplane_integrals_at_eps, in_contour_domain)
 
 
 @dataclass(frozen=True)
@@ -63,12 +71,16 @@ class WightmanIntegrals:
     time_ordered[i] holds T_i, whose imaginary part is taken relative to an
     inertial detector in the vacuum (compute_wightman_integrals), so only
     its branch differences are physical. error_estimate bounds every entry.
+    cross_pair_methods names what gave the non-stationary cross pairs:
+    "contour" (the shifted contour at eps = 0) and/or "ladder" (the
+    regulator ladder, extrapolated); () when every pair is stationary.
     """
 
     branch_count: int
     full_grid: dict
     time_ordered: dict
     error_estimate: float = 0.0
+    cross_pair_methods: tuple = ()
 
     def __post_init__(self):
         n = self.branch_count
@@ -96,28 +108,81 @@ class DetectorDensityMatrix:
 
 def compute_wightman_integrals(scenario: TrajectoryScenario, params: DetectorParams,
                                reg_schedule=None, quad=None) -> WightmanIntegrals:
-    """All I_ij and T_i from the J_ij of halfplane_integrals_at_eps. Every
-    diagonal pair is stationary, so T_i = J_ii is exact. Im T_i is relative
-    to an inertial detector in the vacuum: the coincidence divergence dropped
-    is the same for every branch, and cancels in T_i + conj(T_j), the only
-    way T_i enters the density matrix. I_ij = J_ij + conj(J_ji) is exact for
-    stationary pairs and extrapolated to eps -> 0 for the others (_limit).
-    error_estimate is the largest bar of any entry.
+    """All I_ij and T_i at eps = 0. Every diagonal pair is stationary, so
+    T_i = J_ii of _spectral_pair_integral is exact. Im T_i is relative to an
+    inertial detector in the vacuum: the coincidence divergence dropped is
+    the same for every branch, and cancels in T_i + conj(T_j), the only way
+    T_i enters the density matrix. A stationary pair's I_ij = J_ij + conj(J_ji)
+    is exact too.
+
+    Inside the shifted contour's domain (omega > 0, beta < pi; response's
+    in_contour_domain) each other cross pair's I_ij is its Gauss-Hermite sum
+    on that contour (contour_pair_integral), with no regulator, and
+    I_ji = conj(I_ij) exactly. A pair whose contour bar misses quad's
+    tolerance on its own I_ij (a correlator pole near the contour), and every
+    such pair outside the domain, takes the regulator ladder instead
+    (halfplane_integrals_at_eps, extrapolated by _limit). error_estimate is
+    the largest bar of any entry; cross_pair_methods says which of the two
+    gave the cross pairs.
     """
     reg_schedule, quad = _defaults(scenario, reg_schedule, quad)
+    return _wightman_integrals(scenario, params, reg_schedule, quad,
+                               _contour_pairs(scenario, params, quad))
+
+
+def _contour_pairs(scenario, params, quad) -> dict:
+    """{(i, j): (I_ij, bar)} of the non-stationary pairs whose shifted-contour
+    sum meets quad's tolerance, I_ji = conj(I_ij); {} outside the domain."""
+    if not in_contour_domain(scenario, params):
+        return {}
+
+    def integral(i, j):
+        if not _stationary_pair(scenario, i, j):
+            return contour_pair_integral(scenario, params, i, j)
+
+    out = {}
+    for (i, j), pair in _pair_map(scenario, integral, window=True).items():
+        if i < j and pair is not None and _within_tol(*pair, quad):
+            out[(i, j)], out[(j, i)] = pair, (pair[0].conjugate(), pair[1])
+    return out
+
+
+def _ladder_wightman_integrals(scenario, params, reg_schedule, quad) -> WightmanIntegrals:
+    """compute_wightman_integrals with every non-stationary pair on the
+    regulator ladder."""
+    return _wightman_integrals(scenario, params, reg_schedule, quad, {})
+
+
+def _wightman_integrals(scenario, params, reg_schedule, quad, contour) -> WightmanIntegrals:
+    """I_ij = contour[(i, j)] where given, else J_ij + conj(J_ji) reduced by
+    _limit, with the J_ij of halfplane_integrals_at_eps; once the contour
+    gives every non-stationary pair, only the stationary J_ij are computed."""
     n = scenario.branch_count
-    J = halfplane_integrals_at_eps(scenario, params, reg_schedule.epsilons, quad)
+    grid = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    cross = [pair for pair in grid if not _stationary_pair(scenario, *pair)]
+    if contour and all(pair in contour for pair in cross):
+        def spectral(i, j):
+            if _stationary_pair(scenario, i, j):
+                return _spectral_pair_integral(scenario, i, j, params, quad)
+
+        J = _pair_map(scenario, spectral, window=True)
+    else:
+        J = halfplane_integrals_at_eps(scenario, params, reg_schedule.epsilons, quad)
     full = {}
     worst = max(J[(i, i)][1].real + J[(i, i)][1].imag for i in range(1, n + 1))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
+    for i, j in grid:
+        if (i, j) in contour:
+            full[(i, j)], err = contour[(i, j)]
+        else:
             (v_ij, e_ij), (v_ji, e_ji) = J[(i, j)], J[(j, i)]
             full[(i, j)], err, _ = _limit(reg_schedule, [(v_ij, e_ij.real),
                                                          (np.conj(v_ji), e_ji.real)], 1.0)
-            worst = max(worst, err)
+        worst = max(worst, err)
+    methods = {"contour" if pair in contour else "ladder" for pair in cross}
     ordered = {i: complex(J[(i, i)][0]) for i in range(1, n + 1)}
     return WightmanIntegrals(branch_count=n, full_grid=full, time_ordered=ordered,
-                             error_estimate=float(worst))
+                             error_estimate=float(worst),
+                             cross_pair_methods=tuple(sorted(methods)))
 
 
 def conditional_density_matrix(integrals: WightmanIntegrals, control: ControlState,
@@ -161,7 +226,9 @@ def visibility_scan(integrals: WightmanIntegrals, params: DetectorParams,
     plus (lambda^2/4) sum_i (I_ii - 2 Re T_i), which vanishes; so the
     amplitude of its first harmonic, the lambda^2-order visibility
     degradation, is (lambda^2/2)|C|. Returns it with the mean of the norm
-    over the grid (about 1/2 on a full period).
+    over the grid (about 1/2 on a full period). C carries no regulator where
+    compute_wightman_integrals took I_12 from the shifted contour
+    (integrals.cross_pair_methods == ("contour",)): T_i is exact everywhere.
     """
     if integrals.branch_count != 2:
         raise ValueError("visibility scan is defined for N = 2")

@@ -234,10 +234,13 @@ def test_criterion_7_transient_signatures():
 
 
 def test_criterion_8_superposition_consistency(parallel_unit_sep_integrals):
+    # the cross pair's I_12 comes from the shifted contour at eps = 0, so the
+    # direct probability does too; both sides on the regulator ladder agree
+    # as well (test_probability_and_i12_are_bit_identical_to_their_pins)
     scenario, integrals = parallel_unit_sep_integrals
     dm_even = conditional_density_matrix(integrals, ControlState(2, (0.0, 0.0)),
                                          REF_PARAMS)
-    direct = excitation_probability_quadrature(scenario, REF_PARAMS).value
+    direct = excitation_probability_contour(scenario, REF_PARAMS).value
     rel_even = abs(dm_even.p_excited_unnormalized - direct) / direct
 
     dm_odd = conditional_density_matrix(
@@ -254,7 +257,8 @@ def test_criterion_8_superposition_consistency(parallel_unit_sep_integrals):
     ok = (rel_even <= 1e-10 and dm_odd.p_ground_unnormalized == 0.0
           and abs(ratio - 4.0) <= 0.2)
     report(ok, "criterion 8",
-           "equal-phase conditional excitation equals the direct quadrature "
+           "equal-phase conditional excitation equals the direct shifted-contour "
+           "probability "
            f"(rel dev {rel_even:.1e}); opposite-phase ground population is "
            "exactly 0; doubling the coupling scales the visibility "
            f"amplitude by {ratio:.3f} (expected 4.0 +- 0.2)")

@@ -595,6 +595,39 @@ class TestMethodHeader:
                 assert method[0].startswith(
                     "method: stationary branch pairs exact from their closed-form spectrum")
 
+    @pytest.mark.parametrize("omega, phrase", [
+        (1.0, "I_ij by a Gauss-Hermite rule on the shifted contour"),
+        (0.3, "integrated on the regulator ladder"),
+        (-1.0, "integrated on the regulator ladder"),
+        (4.0, "integrated on the regulator ladder")],
+        ids=["contour", "contour_miss", "emission", "beta"])
+    def test_visibility_method_line_names_the_cross_pair_method(self, tmp_path, omega, phrase):
+        # Parallel at kappa L = 1, sigma = kappa = 1: the cross pair takes the
+        # shifted contour inside its domain (omega > 0, beta = omega < pi),
+        # and the regulator ladder where the contour sum misses its tolerance
+        # (omega = 0.3) and at omega < 0 or beta >= pi
+        text = (
+            "scenario:\n"
+            "  family: Parallel\n"
+            "  kappa1: 1.0\n"
+            "  L: 1.0\n"
+            "params:\n"
+            f"  omega: {omega}\n"
+            "grids:\n"
+            "  delta_phi: [0.0, 2.0, 4.0]\n"
+            "outputs:\n"
+            "  - kind: visibility_scan\n    path: v.csv\n"
+        )
+        assert main(["run", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)]) == 0
+        headers = header_lines(tmp_path / "v.csv")
+        method = [h for h in headers if h.startswith("method: ")]
+        assert method == [cli._EXACT_PAIRS + cli._CROSS_PAIRS["contour"] if omega == 1.0
+                          else cli._METHOD]
+        assert method[0].startswith(
+            "method: stationary branch pairs exact from their closed-form spectrum")
+        assert phrase in method[0]
+        assert [r.rsplit(",", 1)[1] for r in data_rows(tmp_path / "v.csv")] == ["1"] * 3
+
 
 class TestRunFailures:
     def test_invalid_config_exit_2(self, tmp_path, capsys):

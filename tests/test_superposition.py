@@ -18,22 +18,39 @@ from udwsim import (
     WightmanIntegrals,
     compute_wightman_integrals,
     conditional_density_matrix,
+    excitation_probability_contour,
     excitation_probability_quadrature,
     phase_envelope,
     visibility_scan,
 )
 
 from conftest import REF_PARAMS
+from udwsim import response
+from udwsim.response import _defaults
+from udwsim.superposition import _ladder_wightman_integrals
 
 
-def test_probability_and_i12_are_bit_identical_to_their_pins(parallel_unit_sep_integrals):
+def _ladder(scenario, params):
+    """compute_wightman_integrals on the regulator ladder, at the library's
+    default schedule."""
+    return _ladder_wightman_integrals(scenario, params, *_defaults(scenario, None, None))
+
+
+def test_probability_and_i12_are_bit_identical_to_their_pins():
     # float.hex of what the Gauss-Kronrod 15 panel rule gives, with panels at
     # most sigma and 0.5/kappa_max wide, on the same numpy build (see
-    # RATE_PINS in test_response.py)
-    sc, integrals = parallel_unit_sep_integrals
+    # RATE_PINS in test_response.py); I_12 and its bar are the regulator
+    # ladder's, which compute_wightman_integrals keeps outside the contour's
+    # domain
+    sc = TrajectoryScenario("Parallel", kappa1=1.0, L=1.0)
     p = excitation_probability_quadrature(sc, REF_PARAMS)
     assert (p.value.hex(), p.error_estimate.hex()) == ("0x1.0dbffb99fcb1dp-46",
                                                       "0x1.cadb6396e5305p-64")
+    integrals = _ladder(sc, REF_PARAMS)
+    # the equal-phase excitation from the ladder's integrals is the ladder's
+    # direct probability
+    dm = conditional_density_matrix(integrals, ControlState(2), REF_PARAMS)
+    assert abs(dm.p_excited_unnormalized - p.value) <= 1e-10 * p.value
     i12 = integrals.full_grid[(1, 2)]
     assert (i12.real.hex(), i12.imag.hex()) == ("0x1.5487bbfbc66a0p-35", "0x0.0p+0")
     assert integrals.error_estimate.hex() == "0x1.1810653ba8000p-49"
@@ -225,6 +242,86 @@ def test_differing_exact_identities(differing_integrals):
     c = conditional_density_matrix(ints, ControlState(2, (0.5, 1.3)), par)
     assert c.p_ground_unnormalized == a.p_ground_unnormalized
     assert c.p_excited_unnormalized == a.p_excited_unnormalized
+
+
+# --- cross pairs on the shifted contour -----------------------------------------
+
+# the three sigma = 0.05, omega = 80 pairs, the Differing fixture and the
+# CLI's default visibility point; measured gap/bar 0.35, 0.19, 0.39, 0.33, 0.34
+CONTOUR_GATE = {
+    "parallel_kl1": (("Parallel", {"kappa1": 1.0, "L": 1.0}), REF_PARAMS),
+    "antiparallel_kl05": (("AntiParallel", {"kappa1": 1.0, "L": 0.5}), REF_PARAMS),
+    "differing_r05": (("Differing", {"kappa1": 1.0, "kappa2": 0.5}), REF_PARAMS),
+    "differing_fixture": (("Differing", {"kappa1": 1.0, "kappa2": 0.5}),
+                          DetectorParams(omega=2.0, lambda_coupling=0.01, sigma=1.0)),
+    "cli_default": (("Parallel", {"kappa1": 1.0, "L": 1.0}),
+                    DetectorParams(omega=1.0, lambda_coupling=0.01, sigma=1.0)),
+}
+
+
+@pytest.mark.parametrize("point", sorted(CONTOUR_GATE))
+def test_contour_i12_lies_inside_the_ladder_bar(point):
+    (family, kwargs), params = CONTOUR_GATE[point]
+    sc = TrajectoryScenario(family, **kwargs)
+    ints, ladder = compute_wightman_integrals(sc, params), _ladder(sc, params)
+    i12 = ints.full_grid[(1, 2)]
+    assert abs(i12 - ladder.full_grid[(1, 2)]) <= ladder.error_estimate
+    assert ints.full_grid[(2, 1)] == i12.conjugate()
+    assert (ints.cross_pair_methods, ladder.cross_pair_methods) == (("contour",), ("ladder",))
+    # the stationary entries are the same spectral integrals, bit for bit
+    assert ints.time_ordered == ladder.time_ordered
+    assert [ints.full_grid[(i, i)] for i in (1, 2)] == [ladder.full_grid[(i, i)]
+                                                        for i in (1, 2)]
+    assert 0.0 < ints.error_estimate < ladder.error_estimate
+
+
+def test_contour_pair_map_sums_to_the_contour_probability():
+    # excitation_probability_contour is the per-pair map summed in row-major
+    # order, bit for bit; the pairs' I_ij sum to it up to rounding
+    sc = TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5)
+    p = excitation_probability_contour(sc, REF_PARAMS)
+    terms = list(response._pair_map(sc, lambda i, j: response._contour_terms(
+        sc, REF_PARAMS, i, j), window=True).values())
+    fine, coarse, size = (sum(t[k] for t in terms) for k in range(3))
+    pref = (2.0 * (REF_PARAMS.lambda_coupling * REF_PARAMS.sigma / 2) ** 2
+            * math.exp(-(REF_PARAMS.sigma * REF_PARAMS.omega) ** 2))
+    assert p.value == pref * fine.real
+    assert p.error_estimate == pref * response._contour_bar(fine, coarse, size)
+    pairs = response._pair_map(sc, lambda i, j: response.contour_pair_integral(
+        sc, REF_PARAMS, i, j), window=True).values()
+    lam2 = REF_PARAMS.lambda_coupling**2
+    assert lam2 / 4.0 * sum(v for v, _ in pairs).real == pytest.approx(p.value, rel=1e-14)
+    assert all(e <= 1e-4 * abs(v) for v, e in pairs)
+
+
+@pytest.mark.parametrize("omega", [-2.0, 3.5], ids=["emission", "beta_past_pi"])
+def test_outside_the_contour_domain_the_state_is_the_ladder(omega):
+    # omega < 0, or beta = kappa sigma^2 omega >= pi: the shifted contour
+    # would cross correlator poles, and every cross pair keeps the ladder
+    sc = TrajectoryScenario("Parallel", kappa1=1.0, L=1.0)
+    params = DetectorParams(omega=omega, lambda_coupling=0.01, sigma=1.0)
+    assert not response.in_contour_domain(sc, params)
+    ints = compute_wightman_integrals(sc, params)
+    assert ints == _ladder(sc, params)
+    assert ints.cross_pair_methods == ("ladder",)
+
+
+@pytest.mark.parametrize("omega", [0.3, 0.5, 3.0])
+def test_a_contour_pair_that_misses_its_tolerance_takes_the_ladder(omega):
+    # Parallel kappa L = 1, sigma = 1, inside the contour's domain: at
+    # sigma omega = 0.3 and 0.5 a correlator pole near the contour, and at
+    # beta = 3 near pi, leave the 64- against 32-node change above 1e-4 of
+    # I_12 itself (2.5e-3, 1.6e-4 and 2.2e-2), so I_12 is the ladder's, as
+    # it is outside the domain
+    sc = TrajectoryScenario("Parallel", kappa1=1.0, L=1.0)
+    params = DetectorParams(omega=omega, lambda_coupling=0.01, sigma=1.0)
+    assert response.in_contour_domain(sc, params)
+    value, bar = response.contour_pair_integral(sc, params, 1, 2)
+    assert bar > 1e-4 * abs(value)
+    ints = compute_wightman_integrals(sc, params)
+    assert ints == _ladder(sc, params)
+    assert ints.cross_pair_methods == ("ladder",)
+    assert math.isfinite(ints.full_grid[(1, 2)].real)
 
 
 # --- visibility ----------------------------------------------------------------
