@@ -223,9 +223,16 @@ def _kms_row(w, kt, rates, kappa, tol):
     return _INVALID_ROW["kms_report"](w, kt)
 
 
-def _header_lines(kind, cfg: ScenarioConfig, scenario, extra=()):
+def _header_lines(kind, cfg: ScenarioConfig, scenario, extra=(), ladder=True):
+    """The output's header; ladder=False marks an output that took no
+    branch pair from the regulator ladder: its regulator line says the
+    ladder was not used, and its tolerance line what the tolerances gated."""
     sc, par, reg, quad = scenario, cfg.params, cfg.regulator, cfg.quadrature
     eps = ",".join(f"{e:g}" for e in reg.epsilons)
+    reg_use = ("(pointlike limit eps->0 taken after integration)" if ladder else
+               "(not used: no branch pair took the regulator ladder)")
+    quad_use = ("" if ladder else " (not used by a regulator ladder: the tolerance "
+                "that each shifted-contour sum and spectral integral met)")
     return [
         f"udwsim output kind={kind}",
         f"config sha1={_config_sha1(cfg.source_text)}",
@@ -237,9 +244,8 @@ def _header_lines(kind, cfg: ScenarioConfig, scenario, extra=()):
         "normalization: probability and rate columns are per lambda^2 "
         "(evaluated at unit coupling; exact at leading order); two-branch "
         "populations carry the control factor lambda^2/N^2 with N=2",
-        f"regulator epsilons={eps} extrapolation={reg.extrapolation} "
-        "(pointlike limit eps->0 taken after integration)",
-        f"quadrature abs_tol={_fmt(quad.abs_tol)} rel_tol={_fmt(quad.rel_tol)}",
+        f"regulator epsilons={eps} extrapolation={reg.extrapolation} {reg_use}",
+        f"quadrature abs_tol={_fmt(quad.abs_tol)} rel_tol={_fmt(quad.rel_tol)}{quad_use}",
         *extra,
         f"columns: {','.join(_COLUMNS[kind])}",
     ]
@@ -280,6 +286,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".", workers: int = 1) -> i
         for out in cfg.outputs:
             for suffix, scenario in scenario_variants(out, cfg.scenario):
                 path = base / _suffixed(out.path, suffix)
+                ladder = True
                 if out.kind == "probability_map":
                     payload = (scenario.family, _unit_coupling(cfg.params), out.backend,
                                cfg.regulator, cfg.quadrature)
@@ -289,7 +296,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".", workers: int = 1) -> i
                     extra += (_METHOD,) if out.backend == "quadrature" else ()
                     rows = _run_tasks(_grid_tasks(out.kind, cfg, payload), pool, workers)
                 elif out.kind == "visibility_scan":
-                    rows, extra = _visibility_rows(cfg, scenario)
+                    rows, extra, ladder = _visibility_rows(cfg, scenario)
                 else:
                     if scenario not in tables:
                         tables[scenario] = _rate_table(cfg, scenario, scenario in kms_variants,
@@ -309,13 +316,17 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".", workers: int = 1) -> i
                         extra = (f"kms tolerance={_fmt(out.tolerance)} "
                                  "(detailed balance rate(omega)/rate(-omega) vs "
                                  "e^{-2 pi omega/kappa})", _METHOD)
-                _write_output(path, _header_lines(out.kind, cfg, scenario, extra),
+                _write_output(path, _header_lines(out.kind, cfg, scenario, extra, ladder),
                               rows, out.json_mirror, out.kind)
                 print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
 
 def _visibility_rows(cfg: ScenarioConfig, scenario):
+    """(rows, header lines, whether a branch pair took the regulator
+    ladder). The amplitude (lambda^2/2)|C|, C = I_12 - T_2 - conj(T_1), sums
+    three entries that each stay within the integrals' bar, so its bar is
+    3 lambda^2/2 times that."""
     grid = cfg.grids["delta_phi"]
     integrals = compute_wightman_integrals(scenario, cfg.params,
                                            cfg.regulator, cfg.quadrature)
@@ -330,10 +341,15 @@ def _visibility_rows(cfg: ScenarioConfig, scenario):
              f"amplitude={_fmt(summary['amplitude'])} "
              f"(first harmonic of the residual after subtracting the "
              f"(1+cos)/2 envelope)",
-             f"integral error estimate={_fmt(integrals.error_estimate)}",
-             _EXACT_PAIRS + "; ".join(_CROSS_PAIRS[m]
-                                      for m in integrals.cross_pair_methods or ("ladder",)))
-    return rows, extra
+             f"integral error estimate={_fmt(integrals.error_estimate)} "
+             "(the bar of the integrals: the largest of any I_ij or T_i)",
+             f"amplitude error estimate="
+             f"{_fmt(1.5 * cfg.params.lambda_coupling**2 * integrals.error_estimate)} "
+             "(lambda^2/2 times three integral bars: the amplitude is (lambda^2/2)|C|, "
+             "C = I_12 - T_2 - conj(T_1))",
+             _EXACT_PAIRS + ("; ".join(_CROSS_PAIRS[m] for m in integrals.cross_pair_methods)
+                             or "there are no other branch pairs"))
+    return rows, extra, "ladder" in integrals.cross_pair_methods
 
 
 # ---------------------------------------------------------------------------

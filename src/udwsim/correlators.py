@@ -29,6 +29,12 @@ squarely inside the rate-map parameter range. Same-branch pairs keep
 wightman_local, a function of s alone: as s -> 0 the differences of
 exponentials would cancel.
 
+An integration engine that evaluates many cuts of fixed p = tau1 + tau2 on
+one set of nodes in s = tau1 - tau2 takes cut_correlator: every such cut is
+the p = 0 cut with both rows shifted in proper time by p/2, a boost about
+each Rindler centre (Branch.shift), so the rows' null data on the nodes are
+computed once and each cut only rescales them.
+
 lightcone_roots solves du = 0 and dv = 0 on the cuts of fixed p from the
 rows alone. pair_spectrum gives the Fourier transform F_ij(E) of every
 stationary pair in closed form, with a bound on its rounding. The only
@@ -129,6 +135,55 @@ def _vacuum_cross(row_i, row_j, tau1, tau2, reg):
     return -1.0 / (_PI2_4 * (du + 1j * eps * da) * (dv - 1j * eps * db))
 
 
+def _vacuum_cut(row_i, row_j, s, reg):
+    """_vacuum_cross on the cuts of fixed p: a callable of a real p giving
+    W((p + s)/2, (p - s)/2) on the fixed real nodes s. Every cut is the p = 0
+    cut with both rows shifted by p/2 (Branch.shift), so the rows' null data
+    at +-s/2 are computed once, with the i eps terms of each rung combined:
+    U_i = a_i - i eps a_i', U_j = a_j + i eps a_j', and V likewise from b, so
+    that du + i eps da = dz + (U_j - U_i) and dv - i eps db = (V_i - V_j) - dz
+    at p = 0. A cut scales each U and V by its row's c_a or c_b and adds o_a
+    or o_b; dividing the first factor by c_a and the second by c_b of row i
+    leaves their product, as c_a c_b = 1. The centre offset dz is still added
+    to the difference of the rows' terms. _guard_hyp refuses a cut on the
+    same bounds as _vacuum_cross on its (tau1, tau2)."""
+    eps = _eps_of(reg)
+    half = s / 2.0
+    lo, hi = float(s.min()), float(s.max())
+
+    def rung_rows(x, dx, sign):
+        # x + sign i eps dx, one row per rung
+        out = np.empty(np.shape(eps)[:1] + x.shape, dtype=complex)
+        out.real = x
+        np.multiply(sign * eps, dx, out=out.imag)
+        return out
+
+    # a row the guard refuses at every cut may overflow here: the first cut raises
+    with np.errstate(over="ignore"):
+        ai, bi, dai, dbi = row_i.null(half)
+        aj, bj, daj, dbj = row_j.null(-half)
+        ui, vi = rung_rows(ai, dai, -1.0), rung_rows(bi, dbi, -1.0)
+        uj, vj = rung_rows(aj, daj, 1.0), rung_rows(bj, dbj, 1.0)
+    dz = row_j.z_c - row_i.z_c
+
+    def at(p):
+        # the extreme nodes give the extreme (p +- s)/2, rounded as _vacuum_cross rounds them
+        _guard_hyp(row_i.kappa * max(abs((p + lo) / 2.0), abs((p + hi) / 2.0)),
+                   row_j.kappa * max(abs((p - hi) / 2.0), abs((p - lo) / 2.0)))
+        cai, oai, cbi, obi = row_i.shift(p / 2.0)
+        caj, oaj, cbj, obj = row_j.shift(p / 2.0)
+        x = (caj / cai) * uj
+        x -= ui
+        x += (dz + oaj - oai) / cai
+        y = (cbj / cbi) * vj
+        np.subtract(vi, y, out=y)
+        y += (obi - obj - dz) / cbi
+        x *= y
+        return np.divide(-1.0 / _PI2_4, x, out=x)
+
+    return at
+
+
 def wightman_thermal_cross(kappa: float, L: float, s_prime, reg):
     """Cross correlator of two static detectors in a bath at T = kappa/2pi.
 
@@ -204,6 +259,23 @@ def scenario_correlator(scenario: TrajectoryScenario, i: int, j: int):
         return lambda t1, t2, eps: wightman_local(
             row_i.kappa, np.asarray(t1) - np.asarray(t2), eps)
     return lambda t1, t2, eps: _vacuum_cross(row_i, row_j, t1, t2, eps)
+
+
+def cut_correlator(scenario: TrajectoryScenario, i: int, j: int, s, reg):
+    """W^{ij}((p + s)/2, (p - s)/2, reg) on fixed real nodes s, as a callable
+    of the cut p = tau1 + tau2 (a real float): the form of scenario_correlator
+    for an integration engine that evaluates many cuts on one set of nodes.
+    Identical rows, or two static ones, have a correlator of s alone, in the
+    vacuum as in the bath: theirs is evaluated once, and every cut returns
+    that array. Any other pair is a vacuum cross pair, as the bath's rows
+    are static, and takes _vacuum_cut, whose every call returns a new
+    array."""
+    s = np.asarray(s, dtype=float)
+    row_i, row_j = scenario.branch(i), scenario.branch(j)
+    if row_i == row_j or row_i.kappa == row_j.kappa == 0.0:
+        w = scenario_correlator(scenario, i, j)(s / 2.0, -s / 2.0, reg)
+        return lambda p: w
+    return _vacuum_cut(row_i, row_j, s, reg)
 
 
 def planck_rate(kappa: float, omega):

@@ -53,7 +53,7 @@ import numpy as np
 class Branch:
     """One row of the family table: an accelerated worldline (kappa > 0,
     direction +-1, Rindler centre z_c) or the static line z = z_c (kappa = 0).
-    The methods are vectorised and accept complex tau."""
+    The methods but shift are vectorised and accept complex tau."""
 
     kappa: float
     direction: float
@@ -69,6 +69,18 @@ class Branch:
         k = self.direction * self.kappa
         em, ep = np.exp(-k * tau), np.exp(k * tau)
         return em / k, ep / k, -em, ep
+
+    def shift(self, delta: float) -> tuple:
+        """(c_a, o_a, c_b, o_b) of the proper-time shift tau -> tau + delta,
+        for one real delta: a(tau + delta) = c_a a(tau) + o_a and
+        b(tau + delta) = c_b b(tau) + o_b, while a' and b' scale by c_a and
+        c_b. An accelerated row is boosted about its Rindler centre,
+        (e^{-k delta}, 0, e^{k delta}, 0); a static one is translated,
+        (1, -delta, 1, delta). Either way c_a c_b = 1."""
+        if self.kappa == 0.0:
+            return 1.0, -delta, 1.0, delta
+        k = self.direction * self.kappa
+        return math.exp(-k * delta), 0.0, math.exp(k * delta), 0.0
 
     def a_inv(self, y):
         """tau with a(tau) = y; nan where y is outside the range of a."""

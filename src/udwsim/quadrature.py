@@ -208,6 +208,17 @@ def panel_nodes(edges: np.ndarray, rule: PanelRule = KRONROD15) -> np.ndarray:
     return (m[:, None] + h[:, None] * rule.nodes).ravel()
 
 
+def node_weights(rule: PanelRule):
+    """(value, value - check): the rule's value weights and its value minus
+    comparison weights on all of its nodes, zero off nodes[value] and
+    nodes[check]. Contracting a panel's values with the second gives the gap
+    whose modulus is the panel's error estimate."""
+    n_nodes = len(rule.nodes)
+    value_w, check_w = np.zeros(n_nodes), np.zeros(n_nodes)
+    value_w[rule.value], check_w[rule.check] = rule.weights, rule.check_weights
+    return value_w, value_w - check_w
+
+
 def _panel_sums(f, h, rule: PanelRule = KRONROD15):
     """(value, error) from an integrand's values on panel_nodes of panels of
     half-widths h, the last axis in panel order; reduced elementwise, as a
@@ -251,14 +262,12 @@ def _row_sums(fx, edges, omegas, rule: PanelRule):
     |value - check| terms of the error summed plainly."""
     h = 0.5 * (edges[1:] - edges[:-1])
     m = 0.5 * (edges[:-1] + edges[1:])
-    n_nodes = len(rule.nodes)
-    value_w, check_w = np.zeros(n_nodes), np.zeros(n_nodes)
-    value_w[rule.value], check_w[rule.check] = rule.weights, rule.check_weights
-    rows = fx.reshape((-1, len(h), n_nodes))
+    value_w, diff_w = node_weights(rule)
+    rows = fx.reshape((-1, len(h), len(rule.nodes)))
     k = len(rows)
     folded = np.empty((2 * k,) + rows.shape[1:], dtype=np.result_type(rows, value_w))
     np.multiply(rows, value_w, out=folded[:k])
-    np.multiply(rows, value_w - check_w, out=folded[k:])
+    np.multiply(rows, diff_w, out=folded[k:])
     widths, panel_width = np.unique(h, return_inverse=True)
     shape = (len(omegas),) + fx.shape[:-1]
     values, errors = np.empty(shape, dtype=complex), np.empty(shape)

@@ -10,7 +10,9 @@ panels (_spectral_pair_integral). The other cross pairs are integrated with
 KRONROD15 panels on the whole regulator ladder in one pass, eps an array
 axis, on meshes clustered at the closed-form lightcone crossings; a rate row
 transforms that one pass to every gap at once (panel_integrate's omegas),
-and windows integrate over p = tau1 + tau2 and over inner cuts of fixed p.
+and windows integrate over p = tau1 + tau2 and over inner cuts of fixed p,
+each cut a boost of the p = 0 cut on its inner mesh (cut_correlator) summed
+against window weights folded once per mesh.
 _limit alone reduces a map to a rate, a probability or a ladder I_ij of
 the conditional state, extrapolating to eps -> 0 (epsilon_estimates = ()
 when every pair is exact).
@@ -45,8 +47,9 @@ from .closed_form import DetectorParams
 # denominator_factors and sign_change_roots are no longer called here; they
 # stay bound because bench/spans.py wraps both names on this module.
 # planck_rate is re-exported from here
-from .correlators import (denominator_factors, lightcone_roots,  # noqa: F401
-                          pair_spectrum, planck_rate, scenario_correlator)
+from .correlators import (cut_correlator, denominator_factors,  # noqa: F401
+                          lightcone_roots, pair_spectrum, planck_rate,
+                          scenario_correlator)
 from .errors import ConvergenceError, IndeterminateRatioError
 from .kinematics import TrajectoryScenario
 from .quadrature import (
@@ -59,6 +62,7 @@ from .quadrature import (
     default_schedule,
     epsilon_extrapolate,
     fsum_rows,
+    node_weights,
     panel_integrate,
     panel_nodes,
     refine_mesh,
@@ -78,6 +82,8 @@ _CONTOUR_REL_TOL = 1e-4
 _OSCILLATION_RESOLUTION = 8
 # most halvings of a mesh (1-D integrals) or restart levels (2-D engine)
 _MAX_REFINEMENTS = 2
+# KRONROD15's value and value-minus-check weights on its 15 nodes (2, 15)
+_KRONROD15_NODE_WEIGHTS = np.stack(node_weights(KRONROD15))
 
 
 @dataclass(frozen=True)
@@ -383,16 +389,24 @@ def _halfplane_pair_integral(scenario, i, j, params, eps, level=0):
     lightcone roots move smoothly through p = 0, and s_hi has no kink there)
     over inner panel integrals in s, whose panels are also within an eighth
     of a period of omega. Each inner mesh clusters at the closed-form
-    lightcone roots of its p-cut (one call per outer panel). A cut with the
-    same end and the same roots in range as the cut before it reuses that
-    cut's mesh and window
-    e^{-s^2/4 sigma^2 - i omega s} (at kappa sigma = 0.05, sigma omega = 4
-    every cut of Parallel kappa L = 1 shares one), and each cut calls the
-    correlator once, on panel_nodes of its mesh. Only the last cut is kept,
-    and every value is bit for bit that of a cut built afresh.
+    lightcone roots of its p-cut (one call per outer panel). All the work
+    that depends on s alone is done once per inner mesh, under the key
+    (s_hi, roots in range), and a cut with the key of the cut before it
+    reuses it (at kappa sigma = 0.05, sigma omega = 4 every cut of Parallel
+    kappa L = 1 shares one mesh): the correlator's cut form
+    (cut_correlator, the rows' null data at +-s/2, which a cut only boosts
+    by p/2) and the window e^{-s^2/4 sigma^2 - i omega s} folded with the
+    KRONROD15 value and value-minus-check weights and the panel half-widths
+    (_folded_window). A cut then costs one evaluation of the cut form and
+    one einsum of its values against those weights; its value is fsummed
+    over the panels. Only the last mesh is kept.
+    Each rung's error is the value-minus-check estimate of both axes plus
+    the rounding floor eps_mach sum |panel terms| of both axes, the inner
+    one integrated over p like the inner estimate.
     Probabilities take the stationary pairs from _spectral_pair_integral;
-    this engine still accepts them, as their independent check. A ladder of
-    eps gives one value and error per rung, on one set of meshes.
+    this engine still accepts them, as their independent check, with W(s)
+    evaluated once per mesh. A ladder of eps gives one value and error per
+    rung, on one set of meshes.
     """
     sigma, omega = params.sigma, params.omega
     T2 = 2.0 * window_halfwidth(params)
@@ -401,27 +415,29 @@ def _halfplane_pair_integral(scenario, i, j, params, eps, level=0):
     # the p-integrand does not oscillate: its mesh ignores omega
     cap_p, scale = _mesh_policy(scenario, 0.0, eps, sigma, level)
     cap_s, _ = _mesh_policy(scenario, omega, eps, sigma, level)
-    corr = scenario_correlator(scenario, i, j)
     inv4s2 = 1.0 / (4.0 * sigma**2)
+    # one row per rung, also for a single eps
+    rungs = np.atleast_1d(np.asarray(eps, dtype=float))
+    eps_m = np.finfo(float).eps
 
-    # the last cut's key (s_hi, roots in range), its mesh and its window on
-    # panel_nodes(edges): consecutive cuts often share all three
-    key = edges = window = None
+    # the last cut's key (s_hi, roots in range), the cut form on its mesh and
+    # the folded window weights: consecutive cuts often share all three
+    key = cut = weights = None
 
     def inner(p, roots):
-        nonlocal key, edges, window
+        nonlocal key, cut, weights
         s_hi = min(T2 - abs(p), s_cut)
-        cut = (s_hi, [float(r) for r in roots if 0.0 <= r <= s_hi])
-        if cut != key:
-            key = cut
-            edges = cluster_mesh(0.0, s_hi, [0.0] + cut[1], scale=scale, cap=cap_s)
+        new = (s_hi, [float(r) for r in roots if 0.0 <= r <= s_hi])
+        if new != key:
+            key = new
+            edges = cluster_mesh(0.0, s_hi, [0.0] + key[1], scale=scale, cap=cap_s)
             s = panel_nodes(edges)
-            window = np.exp(-s * s * inv4s2 - 1j * omega * s)
-
-        def f(s):
-            return window * corr((p + s) / 2.0, (p - s) / 2.0, eps)
-
-        return panel_integrate(f, edges)
+            cut = cut_correlator(scenario, i, j, s, rungs)
+            weights = _folded_window(edges, s, omega, inv4s2)
+        sums = np.einsum("rpn,kpn->rkp", cut(p).reshape((len(rungs),) + weights.shape[1:]),
+                         weights)
+        size, gap = np.abs(sums).sum(axis=-1).T
+        return fsum_rows(sums[:, 0]), gap + eps_m * size
 
     # mirrored, so that J_ji = J_ij holds on the same nodes (_pair_key); p = 0
     # stays an edge, but nothing there needs clustering
@@ -429,20 +445,36 @@ def _halfplane_pair_integral(scenario, i, j, params, eps, level=0):
     outer_edges = np.concatenate([-half[:0:-1], half])
     h = 0.5 * (outer_edges[1:] - outer_edges[:-1])
     nodes = panel_nodes(outer_edges, KRONROD15).reshape(len(h), -1)
-    fk = np.empty(np.shape(eps)[:1] + nodes.shape, dtype=complex)
-    err_inner = 0.0
+    # each cut's value and error, one row per rung, then times G(p)
+    fk = np.empty((len(rungs),) + nodes.shape, dtype=complex)
+    ek = np.empty(fk.shape)
     for k_pan, row in enumerate(nodes):
         roots = lightcone_roots(scenario, i, j, row)
         for idx, p in enumerate(row):
-            val, ie = inner(p, roots[:, idx])
-            g = math.exp(-p * p * inv4s2)
-            fk[..., k_pan, idx] = g * val
-            err_inner += KRONROD15.weights[idx] * h[k_pan] * g * ie
+            fk[:, k_pan, idx], ek[:, k_pan, idx] = inner(p, roots[:, idx])
+    g = np.exp(-nodes * nodes * inv4s2)
+    fk *= g
+    ek *= g * KRONROD15.weights
     # Re J is the remainder of a cancellation across panels (by about 6,000x
     # for Parallel kappa L = 1 at sigma omega = 4): _panel_sums accumulates
     # the panel sums with compensated summation
-    val, err = _panel_sums(fk.reshape(fk.shape[:-2] + (-1,)), h, KRONROD15)
-    return 0.5 * val, 0.5 * (err + err_inner)
+    val, err = _panel_sums(fk.reshape(len(rungs), -1), h, KRONROD15)
+    err_inner = (ek.sum(axis=-1) * h).sum(axis=-1)
+    size = np.abs((fk * KRONROD15.weights).sum(axis=-1) * h).sum(axis=-1)
+    val, err = 0.5 * val, 0.5 * (err + err_inner + eps_m * size)
+    return (val, err) if np.ndim(eps) else (complex(val[0]), float(err[0]))
+
+
+def _folded_window(edges, s, omega, inv4s2):
+    """(2, panels, nodes) weights of an inner mesh: the window
+    e^{-s^2/4 sigma^2 - i omega s} on its panel_nodes s, times the panel
+    half-widths and the KRONROD15 value weights (first) or its
+    value-minus-check weights (second). Contracting a cut's correlator
+    values with them gives its panel values and the gaps whose moduli are
+    their error estimates."""
+    h = 0.5 * (edges[1:] - edges[:-1])
+    window = np.exp(-s * s * inv4s2 - 1j * omega * s).reshape(len(h), -1)
+    return window * (h[:, None] * _KRONROD15_NODE_WEIGHTS[:, None, :])
 
 
 def _spectral_pair_integral(scenario, i, j, params, quad):

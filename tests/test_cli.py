@@ -627,6 +627,24 @@ class TestMethodHeader:
             "method: stationary branch pairs exact from their closed-form spectrum")
         assert phrase in method[0]
         assert [r.rsplit(",", 1)[1] for r in data_rows(tmp_path / "v.csv")] == ["1"] * 3
+        # the regulator and tolerance lines say when no pair took the ladder
+        regulator = [h for h in headers if h.startswith("regulator epsilons=")]
+        tolerance = [h for h in headers if h.startswith("quadrature abs_tol=")]
+        if omega == 1.0:
+            assert regulator[0].endswith("(not used: no branch pair took the regulator ladder)")
+            assert "(not used by a regulator ladder: the tolerance that each shifted-contour " \
+                   "sum and spectral integral met)" in tolerance[0]
+        else:
+            assert regulator[0].endswith("(pointlike limit eps->0 taken after integration)")
+            assert tolerance == ["quadrature abs_tol=1e-11 rel_tol=0.0001"]
+        # the integrals' bar, and the amplitude's: lambda^2/2 times the bars
+        # of the three entries of C, at the default lambda = 0.01
+        bars = {h.split("=", 1)[0]: float(h.split("=", 1)[1].split(" ", 1)[0])
+                for h in headers if " error estimate=" in h}
+        assert [h for h in headers if h.startswith("integral error estimate=")][0].endswith(
+            "(the bar of the integrals: the largest of any I_ij or T_i)")
+        assert bars["amplitude error estimate"] == pytest.approx(
+            1.5 * 0.01**2 * bars["integral error estimate"], rel=1e-12)
 
 
 class TestRunFailures:

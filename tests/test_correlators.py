@@ -25,8 +25,8 @@ from udwsim import (
     wightman_thermal_cross,
     wightman_thermal_local,
 )
-from udwsim.correlators import _max_abs, _max_abs_scaled
-from udwsim.quadrature import panel_nodes, sign_change_roots
+from udwsim.correlators import _max_abs, _max_abs_scaled, cut_correlator
+from udwsim.quadrature import cluster_mesh, panel_nodes, sign_change_roots
 from udwsim.response import _rate_cut, _rate_cut_roots
 
 PI2_4 = 4.0 * math.pi**2
@@ -137,6 +137,100 @@ def test_hyperbolic_argument_guard():
     with pytest.raises(ValueError, match="out of range"):
         # p = 800, s = 0
         cross("Parallel", kappa1=1.0, L=1.0)(400.0, 400.0, 1e-3)
+
+
+# --- the cut form: W^{ij}((p + s)/2, (p - s)/2) on fixed nodes s --------------
+
+CUT_LADDER = (1e-2, 5e-3, 2.5e-3)
+CUT_PAIRS = [
+    (TrajectoryScenario("Parallel", kappa1=1.0, L=1.0), (1, 2)),
+    (TrajectoryScenario("Parallel", kappa1=1.0, L=1.0), (2, 1)),
+    (TrajectoryScenario("AntiParallel", kappa1=1.0, L=0.5), (1, 2)),
+    (TrajectoryScenario("AntiParallel", kappa1=1.0, L=0.5), (2, 1)),
+    (TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5), (1, 2)),
+    (TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5), (2, 1)),
+]
+
+
+def rounding_condition(row_i, row_j, tau1, tau2, eps):
+    """How much the rounding of the null data is amplified in W: each
+    factor's terms (each row's a or b, its rounding of tau times kappa
+    |tau| in the exponential, and the centre offset) over the factor's
+    modulus, summed over both factors."""
+    ai, bi, dai, dbi = row_i.null(tau1)
+    aj, bj, daj, dbj = row_j.null(tau2)
+    wi, wj = 1.0 + row_i.kappa * np.abs(tau1), 1.0 + row_j.kappa * np.abs(tau2)
+    dz = row_j.z_c - row_i.z_c
+    x = dz + (aj - ai) + 1j * eps * (dai + daj)
+    y = (bi - bj) - dz - 1j * eps * (dbi + dbj)
+    return ((np.abs(ai) * wi + np.abs(aj) * wj + abs(dz)) / np.abs(x)
+            + (np.abs(bi) * wi + np.abs(bj) * wj + abs(dz)) / np.abs(y))
+
+
+@pytest.mark.parametrize("sc, pair", CUT_PAIRS)
+def test_cut_form_matches_the_correlator_on_the_same_nodes(sc, pair):
+    # both forms round the null data differently: on every rung and node
+    # the gap is within 8 eps_mach times the rounding condition of W, which
+    # is below 1e-13 of |W| off the lightcone and grows near it, where du or
+    # dv cancels down to eps (up to 3e-13 of |W| on these nodes); p = 690
+    # puts kappa |tau1| at 349.5, next to the hyperbolic guard
+    row_i, row_j = sc.branch(pair[0]), sc.branch(pair[1])
+    s = panel_nodes(cluster_mesh(0.0, 9.0, [0.0, 0.37, 1.9], scale=3e-4, cap=0.05))
+    eps = np.reshape(CUT_LADDER, (-1, 1))
+    cut = cut_correlator(sc, *pair, s, CUT_LADDER)
+    corr = scenario_correlator(sc, *pair)
+    for p in (-4.0, -0.6, 0.0, 0.05, 1.3, 690.0):
+        tau1, tau2 = (p + s) / 2.0, (p - s) / 2.0
+        want, got = corr(tau1, tau2, CUT_LADDER), cut(p)
+        assert got.shape == want.shape == (len(CUT_LADDER), len(s))
+        gap = np.abs(got - want)
+        cond = rounding_condition(row_i, row_j, tau1, tau2, eps)
+        assert np.all(gap <= 8.0 * np.finfo(float).eps * cond * np.abs(want))
+        calm = cond <= 50.0
+        assert np.all(gap[calm] <= 1e-13 * np.abs(want[calm]))
+        assert abs(p) > 100.0 or np.mean(calm) > 0.5
+
+
+@pytest.mark.parametrize("sc, pair", CUT_PAIRS[::2])
+def test_cut_form_guard_refuses_where_the_correlator_does(sc, pair):
+    # the cut form takes its guard bounds from the extreme nodes: it raises
+    # HyperbolicRangeError at exactly the cuts where the correlator raises
+    s = panel_nodes(cluster_mesh(0.0, 9.0, [0.0], scale=3e-4, cap=0.05))
+    cut = cut_correlator(sc, *pair, s, 1e-3)
+    corr = scenario_correlator(sc, *pair)
+    # kappa1 max|tau1| = 350 at p = 700 - s_max; step across it by ulps
+    p0 = 700.0 - float(s.max())
+    outcomes = []
+    for p in (p0 + k * math.ulp(p0) for k in range(-3, 4)):
+        raised = []
+        for f in (lambda: cut(p), lambda: corr((p + s) / 2.0, (p - s) / 2.0, 1e-3)):
+            try:
+                f()
+                raised.append(False)
+            except HyperbolicRangeError:
+                raised.append(True)
+        assert raised[0] == raised[1]
+        outcomes.append(raised[0])
+    assert not outcomes[0] and outcomes[-1]
+
+
+@pytest.mark.parametrize("sc, pair", [
+    (TrajectoryScenario("SingleAccel", kappa1=1.0), (1, 1)),
+    (TrajectoryScenario("Parallel", kappa1=1.0, L=0.0), (1, 2)),
+    (TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=1.0), (1, 2)),
+    (TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=1.0), (2, 2)),
+])
+def test_cut_form_of_a_stationary_pair_is_its_correlator_of_s(sc, pair):
+    # evaluated once, on the p = 0 cut, and returned for every p
+    s = panel_nodes(cluster_mesh(0.0, 3.0, [0.0], scale=3e-4, cap=0.05))
+    cut = cut_correlator(sc, *pair, s, CUT_LADDER)
+    corr = scenario_correlator(sc, *pair)
+    w = cut(0.0)
+    assert np.array_equal(w, corr(s / 2.0, -s / 2.0, CUT_LADDER))
+    for p in (-2.0, 0.7):
+        assert cut(p) is w
+        want = corr((p + s) / 2.0, (p - s) / 2.0, CUT_LADDER)
+        assert np.all(np.abs(w - want) <= 1e-12 * np.abs(want))
 
 
 def test_cross_correlator_decay():

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from udwsim import (
@@ -13,6 +14,7 @@ from udwsim import (
     minkowski_interval,
     worldline_event,
 )
+from udwsim.kinematics import Branch
 
 ALL_FAMILIES = ("SingleAccel", "Parallel", "AntiParallel", "Differing",
                 "ThermalInertialPair")
@@ -215,3 +217,24 @@ def test_horizon_crossing_undefined_families():
     for fam in ("SingleAccel", "Differing", "ThermalInertialPair"):
         with pytest.raises(ValueError):
             horizon_crossing_time(make(fam))
+
+
+@pytest.mark.parametrize("row", [Branch(1.0, 1.0, -0.5), Branch(0.7, -1.0, 0.2),
+                                 Branch(0.0, 1.0, 0.5)],
+                         ids=["accelerated", "accelerated-mirrored", "static"])
+@pytest.mark.parametrize("delta", [-1.3, -0.05, 0.0, 0.4, 2.1])
+def test_branch_shift_is_the_null_data_at_the_shifted_time(row, delta):
+    # a(tau + delta) = c_a a(tau) + o_a, b likewise, a' and b' scaled: to a
+    # few ulps where |kappa (tau + delta)| stays small (the rounding of
+    # tau + delta is amplified by it in e^{k (tau + delta)}), and exactly for
+    # a static row
+    tau = np.linspace(-1.0, 1.0, 41)
+    c_a, o_a, c_b, o_b = row.shift(delta)
+    a, b, da, db = row.null(tau)
+    shifted = (c_a * a + o_a, c_b * b + o_b, c_a * da, c_b * db)
+    for got, want in zip(shifted, row.null(tau + delta), strict=True):
+        if row.kappa == 0.0:
+            assert np.array_equal(got, want)
+        else:
+            assert np.all(np.abs(got - want) <= 8.0 * np.finfo(float).eps * np.abs(want))
+    assert c_a * c_b == pytest.approx(1.0, rel=4.0 * np.finfo(float).eps, abs=0.0)

@@ -36,6 +36,7 @@ from udwsim import (
     window_halfwidth,
 )
 from udwsim import response
+from udwsim.quadrature import panel_nodes
 
 
 def unit(omega, sigma=1.0):
@@ -713,20 +714,10 @@ def test_2d_engine_stays_where_the_window_is_above_rounding(monkeypatch):
     # |p| <= 12 sigma, where the unshifted G(p) is e^{-36}, and
     # s <= 2 sigma sqrt(36 + (sigma omega)^2), where G(s) is e^{-36} times
     # the e^{-(sigma omega)^2} of the signal; both reached, neither passed
-    nodes, correlator = [], response.scenario_correlator
-
-    def recording(scenario, i, j):
-        corr = correlator(scenario, i, j)
-
-        def f(t1, t2, eps):
-            nodes.append((t1 + t2, t1 - t2))
-            return corr(t1, t2, eps)
-        return f
-
-    monkeypatch.setattr(response, "scenario_correlator", recording)
+    calls = counting(monkeypatch)
     response._halfplane_pair_integral(PAR, 1, 2, REF, LADDER)
-    p = np.abs(np.concatenate([np.atleast_1d(p) for p, _ in nodes]))
-    s = np.concatenate([np.atleast_1d(s) for _, s in nodes])
+    p = np.abs(np.array(calls["cuts"]))
+    s = np.concatenate(calls["nodes"])
     p_hi = 12.0 * REF.sigma
     s_hi = 2.0 * REF.sigma * math.sqrt(36.0 + (REF.sigma * REF.omega) ** 2)
     assert p.max() <= p_hi * (1.0 + 1e-12) and s.max() <= s_hi * (1.0 + 1e-12)
@@ -755,50 +746,54 @@ def test_2d_engine_error_bounds_its_gap_to_a_finer_restart(scenario, sigma_omega
 
 
 def counting(monkeypatch):
-    """Counts of response.cluster_mesh and correlator calls, and the meshes
-    cluster_mesh returned, in call order."""
-    calls = {"mesh": 0, "corr": 0, "meshes": []}
-    mesh, correlator = response.cluster_mesh, response.scenario_correlator
+    """The meshes response.cluster_mesh returned, the inner nodes of every
+    cut form that response.cut_correlator built, and the p of every cut
+    evaluated, in call order."""
+    calls = {"meshes": [], "nodes": [], "cuts": []}
+    mesh, cut_form = response.cluster_mesh, response.cut_correlator
 
     def counted_mesh(*args, **kwargs):
-        calls["mesh"] += 1
         calls["meshes"].append(mesh(*args, **kwargs))
         return calls["meshes"][-1]
 
-    def counted_correlator(scenario, i, j):
-        corr = correlator(scenario, i, j)
+    def counted_cut_form(scenario, i, j, s, reg):
+        calls["nodes"].append(s)
+        cut = cut_form(scenario, i, j, s, reg)
 
-        def f(t1, t2, eps):
-            calls["corr"] += 1
-            return corr(t1, t2, eps)
+        def f(p):
+            calls["cuts"].append(p)
+            return cut(p)
         return f
 
     monkeypatch.setattr(response, "cluster_mesh", counted_mesh)
-    monkeypatch.setattr(response, "scenario_correlator", counted_correlator)
+    monkeypatch.setattr(response, "cut_correlator", counted_cut_form)
     return calls
 
 
 def test_2d_engine_builds_a_shared_inner_mesh_once(monkeypatch):
     # at sigma omega = 4 and kappa sigma = 0.05 no lightcone root of Parallel
-    # kappa L = 1 lies in any s-cut, and every cut ends at s_cut: one outer
-    # mesh, one inner mesh, and one correlator call per cut
+    # kappa L = 1 lies in any s-cut, and every cut ends at s_cut: two meshes
+    # (the outer one and one inner one), one cut form on the inner mesh, and
+    # one evaluation of it per cut
     calls = counting(monkeypatch)
     response._halfplane_pair_integral(PAR, 1, 2, REF, LADDER)
     half = calls["meshes"][0]
     assert half[0] == 0.0 and half[-1] == pytest.approx(12.0 * REF.sigma)
     outer_panels = 2 * (len(half) - 1)
-    assert calls["mesh"] == 2
-    assert calls["corr"] == 15 * outer_panels
+    assert len(calls["meshes"]) == 2
+    assert len(calls["nodes"]) == 1
+    assert np.array_equal(calls["nodes"][0], panel_nodes(calls["meshes"][1]))
+    assert len(calls["cuts"]) == 15 * outer_panels
 
 
 def test_2d_engine_sizes_its_outer_panels_by_the_window(monkeypatch):
     # at kappa sigma = 0.05 the outer panels are sigma wide, not
-    # 0.5/kappa_max: 24 panels over |p| <= 12 sigma, so 360 cuts and one
-    # correlator call per cut
+    # 0.5/kappa_max: 24 panels over |p| <= 12 sigma, so 360 cuts, each one
+    # evaluation of the cut form
     calls = counting(monkeypatch)
     response._halfplane_pair_integral(PAR, 1, 2, REF, LADDER)
     assert 2 * (len(calls["meshes"][0]) - 1) == 24
-    assert calls["corr"] == 360
+    assert len(calls["cuts"]) == 360
 
 
 @pytest.mark.slow
@@ -828,16 +823,35 @@ def test_differing_window_with_a_fast_second_branch_converges(monkeypatch):
 # consecutive cuts build different inner meshes: (values per rung as
 # (Re, Im), errors per rung) in float.hex, as the engine gave them with the
 # Gauss-Kronrod 15 rule on both axes, an outer p-mesh with no clustering at
-# p = 0, and panels at most sigma and 0.5/kappa_max wide (numpy 2.4 on x86-64)
+# p = 0, panels at most sigma and 0.5/kappa_max wide, each cut a boost of
+# the p = 0 cut on its inner mesh (cut_correlator) summed against folded
+# window weights, and the rounding floor eps_mach sum |panel terms| of both
+# axes in each error (numpy 2.4 on x86-64)
 J12_ROOTS_IN_CUTS = {
     "AntiParallel kappa L = 0.5": (
         TrajectoryScenario("AntiParallel", kappa1=1.0, L=0.5), REF,
+        (("0x1.ffb98bee04fd0p-35", "-0x1.e2a964ab3457ap-14"),
+         ("0x1.0434bcc810125p-34", "-0x1.e39f0c7f994f0p-14"),
+         ("0x1.0661b7ef1a15cp-34", "-0x1.e3f55296f337dp-14")),
+        ("0x1.8a4994eb41239p-62", "0x1.814eb0e8bcfbcp-62", "0x1.807638d5b6f90p-62")),
+    "Parallel kappa L = 1, sigma = 1": (
+        PAR, DetectorParams(omega=2.0, lambda_coupling=0.01, sigma=1.0),
+        (("0x1.8f67c4756bf09p-13", "-0x1.1299ac31d99f0p-6"),
+         ("0x1.8ec0102ed3608p-13", "-0x1.14ff6795bbb70p-6"),
+         ("0x1.8e6ba7e0cc6b6p-13", "-0x1.162ea3a195f5cp-6")),
+        ("0x1.5f29a2abc1567p-40", "0x1.e934f504a9709p-40", "0x1.4549b3444647ep-39")),
+}
+# the same, as the engine gave them when it evaluated the correlator afresh
+# on every cut and summed each cut with panel_integrate, with no rounding
+# floor in the errors: each new rung is within 0.18 of these errors, and
+# at sigma = 1, where the errors are far above rounding, within 1e-5
+J12_ROOTS_IN_CUTS_PER_CUT = {
+    "AntiParallel kappa L = 0.5": (
         (("0x1.ffb98bef78c07p-35", "-0x1.e2a964ab3457bp-14"),
          ("0x1.0434bcc8952d4p-34", "-0x1.e39f0c7f994f1p-14"),
          ("0x1.0661b7ef463edp-34", "-0x1.e3f55296f337fp-14")),
         ("0x1.6d6543d86f047p-63", "0x1.67cec5ad043a8p-63", "0x1.74af2c122271fp-63")),
     "Parallel kappa L = 1, sigma = 1": (
-        PAR, DetectorParams(omega=2.0, lambda_coupling=0.01, sigma=1.0),
         (("0x1.8f67c4756bf33p-13", "-0x1.1299ac31d99f0p-6"),
          ("0x1.8ec0102ed3602p-13", "-0x1.14ff6795bbb72p-6"),
          ("0x1.8e6ba7e0cc673p-13", "-0x1.162ea3a195f5ep-6")),
@@ -881,10 +895,16 @@ def test_2d_engine_with_roots_in_the_cuts_is_bit_identical_to_its_pin(case, monk
     scenario, params, values, errors = J12_ROOTS_IN_CUTS[case]
     calls = counting(monkeypatch)
     val, err = response._halfplane_pair_integral(scenario, 1, 2, params, LADDER)
-    # most cuts differ from the one before: the mesh is rebuilt at each change
-    assert calls["mesh"] > calls["corr"] // 2
+    # most cuts differ from the one before: the mesh and its cut form are
+    # rebuilt at each change
+    assert len(calls["nodes"]) > len(calls["cuts"]) // 2
+    assert len(calls["meshes"]) == len(calls["nodes"]) + 1
     assert [(v.real.hex(), v.imag.hex()) for v in val] == [tuple(v) for v in values]
     assert [e.hex() for e in err] == list(errors)
+    old, old_err = _from_hex(*J12_ROOTS_IN_CUTS_PER_CUT[case])
+    scale = 1e-5 if params.sigma == 1.0 else 1.0
+    for v, o, e in zip(val, old, old_err, strict=True):
+        assert abs(v - o) <= scale * e
     for table in (J12_ROOTS_IN_CUTS_HALF_SIGMA, J12_ROOTS_IN_CUTS_GAUSS15_7):
         if case in table:
             old, old_err = _from_hex(*table[case])
@@ -895,9 +915,20 @@ def test_2d_engine_with_roots_in_the_cuts_is_bit_identical_to_its_pin(case, monk
 # J_12 of Parallel kappa L = 1 at sigma = 0.05 on the default ladder
 # (eps = 1e-2, 5e-3, 2.5e-3), as the 2-D engine gave it on the whole diamond
 # |p| + s <= 2T (outer mesh to |p| = 2T, every cut to s = 2T - |p|), with
-# the Gauss-Kronrod 15 rule on both axes and panels at most sigma and
-# 0.5/kappa_max wide: the cut domain leaves every rung unchanged to rounding
+# the Gauss-Kronrod 15 rule on both axes, panels at most sigma and
+# 0.5/kappa_max wide, and each cut a boost of the p = 0 cut on its inner
+# mesh: the cut domain leaves every rung unchanged to rounding
 J12_WHOLE_DIAMOND = {
+    80.0: (1.9087895720032572e-11 - 2.899825668807417e-05j,
+           1.9222884435138277e-11 - 2.90148012959312e-05j,
+           1.9289892960145037e-11 - 2.9020896193544217e-05j),
+    -80.0: (1.96195919028192e-11 + 2.9029536245318535e-05j,
+            1.948883010974041e-11 + 2.9030450514474665e-05j,
+            1.9422877998533745e-11 + 2.902872198347606e-05j),
+}
+# the same, as the engine gave it when it evaluated the correlator afresh
+# on every cut: each new rung is within 0.1 of its own error
+J12_WHOLE_DIAMOND_PER_CUT = {
     80.0: (1.9087895719994192e-11 - 2.8998256688074173e-05j,
            1.9222884435686042e-11 - 2.90148012959312e-05j,
            1.928989295985886e-11 - 2.902089619354422e-05j),
@@ -906,7 +937,7 @@ J12_WHOLE_DIAMOND = {
             1.942287799818418e-11 + 2.9028721983476067e-05j),
 }
 # the same with panels at most sigma/2 wide: (values, errors) per rung; each
-# new rung is within 0.11 of these errors
+# new rung is within 0.12 of these errors
 J12_WHOLE_DIAMOND_HALF_SIGMA = {
     80.0: ((1.9087895720544584e-11 - 2.899825668807417e-05j,
             1.922288443579347e-11 - 2.90148012959312e-05j,
@@ -940,12 +971,39 @@ def test_cut_domain_keeps_j12_on_every_rung(omega):
     for value, pinned in zip(values, J12_WHOLE_DIAMOND[omega], strict=True):
         assert value == pytest.approx(pinned, rel=1e-15, abs=0.0)
         assert value.real == pytest.approx(pinned.real, rel=1e-15, abs=0.0)
-    # the rules differ by less than the rungs' own error estimates
-    for value, err, old in zip(values, errors, J12_WHOLE_DIAMOND_GAUSS15_7[omega], strict=True):
-        assert abs(value - old) <= err
+    # the rules differ by less than the rungs' own error estimates, and so
+    # do the boosted cuts from fresh correlator calls
+    for table in (J12_WHOLE_DIAMOND_GAUSS15_7, J12_WHOLE_DIAMOND_PER_CUT):
+        for value, err, old in zip(values, errors, table[omega], strict=True):
+            assert abs(value - old) <= err
     # and the sigma/2 panels by less than their own
     for value, old, old_err in zip(values, *J12_WHOLE_DIAMOND_HALF_SIGMA[omega], strict=True):
         assert abs(value - old) <= old_err
+
+
+# J_12 of Parallel kappa L = 1 at sigma = 0.05, sigma omega = 6 on the
+# default ladder, (values per rung as (Re, Im), errors per rung) in
+# float.hex, as the engine gave them when it evaluated the correlator afresh
+# on every cut, with no rounding floor in the errors
+J12_SIGMA_OMEGA_6_PER_CUT = (
+    (("0x1.8a1b35e809f06p-65", "-0x1.3e1edfabfb826p-16"),
+     ("0x1.8c50dd2ceb2eap-65", "-0x1.3e4571344aeb2p-16"),
+     ("0x1.92de45a0e81f8p-65", "-0x1.3e5299e085c25p-16")),
+    ("0x1.97a0d3de9843dp-65", "0x1.93ce1d2ee4f4dp-65", "0x1.9d50d73b90916p-65"))
+
+
+def test_2d_engine_bar_covers_the_rounding_of_re_j():
+    # at sigma omega = 6, Re J_12 ~ 4e-20 is what is left of |J| ~ 2e-5: its
+    # digits are rounding (the ladder gives P = 1.70e-19 where the contour
+    # gives 1.612e-19), and the boosted cuts move each rung by about 2e-21.
+    # Each rung's bar holds the rounding floor eps_mach sum |panel terms|
+    # of both axes, at least eps_mach |J|, and covers that move
+    params = DetectorParams(omega=120.0, lambda_coupling=0.01, sigma=0.05)
+    values, errors = response._halfplane_pair_integral(PAR, 1, 2, params, LADDER)
+    old, _ = _from_hex(*J12_SIGMA_OMEGA_6_PER_CUT)
+    for value, err, pinned in zip(values, errors, old, strict=True):
+        assert abs(value - pinned) <= err
+        assert err >= np.finfo(float).eps * abs(value)
 
 
 @pytest.mark.parametrize("scenario, pair", [
