@@ -39,6 +39,7 @@ from . import __version__
 from .closed_form import (DetectorParams, p_antiparallel, p_differing, p_local,
                           p_parallel)
 from .config import KIND_GRIDS, ScenarioConfig, scenario_variants, validate_config
+from .correlators import stationary_form
 from .errors import (ConfigError, ConvergenceError, HyperbolicRangeError,
                      IndeterminateRatioError, SingularParameterError,
                      ValidityError)
@@ -100,7 +101,23 @@ _CROSS_PAIRS = {
     "contour": "the other cross pairs' I_ij by a Gauss-Hermite rule on the shifted "
                "contour Im s = -2 sigma^2 omega at eps=0 (64 against 32 nodes per axis)",
 }
-_METHOD = _EXACT_PAIRS + _CROSS_PAIRS["ladder"]
+
+
+def _method_line(methods) -> str:
+    """The method line of an output whose non-stationary cross pairs took
+    methods, keys of _CROSS_PAIRS (as WightmanIntegrals.cross_pair_methods);
+    () when every branch pair is stationary."""
+    return _EXACT_PAIRS + ("; ".join(_CROSS_PAIRS[m] for m in methods)
+                           or "there are no other branch pairs")
+
+
+def _rate_methods(scenario) -> tuple:
+    """The cross-pair methods of a scenario's rates: the regulator ladder
+    unless every branch pair is stationary (stationary_form)."""
+    n = range(1, scenario.branch_count + 1)
+    return ("ladder",) if any(stationary_form(scenario, i, j) is None
+                              for i in n for j in n) else ()
+
 
 _NAN = math.nan
 _INVALID_ROW = {
@@ -223,16 +240,22 @@ def _kms_row(w, kt, rates, kappa, tol):
     return _INVALID_ROW["kms_report"](w, kt)
 
 
-def _header_lines(kind, cfg: ScenarioConfig, scenario, extra=(), ladder=True):
-    """The output's header; ladder=False marks an output that took no
-    branch pair from the regulator ladder: its regulator line says the
-    ladder was not used, and its tolerance line what the tolerances gated."""
+def _header_lines(kind, cfg: ScenarioConfig, scenario, extra=(), methods=("ladder",)):
+    """The output's header, for non-stationary cross pairs that took methods
+    (_method_line). Where none took the regulator ladder, the regulator line
+    says it was not used, and the tolerance line what the tolerances gated:
+    a visibility scan's spectral integrals and shifted-contour sums, and
+    nothing for rates, which are closed-form spectra then."""
     sc, par, reg, quad = scenario, cfg.params, cfg.regulator, cfg.quadrature
     eps = ",".join(f"{e:g}" for e in reg.epsilons)
+    ladder = "ladder" in methods
     reg_use = ("(pointlike limit eps->0 taken after integration)" if ladder else
                "(not used: no branch pair took the regulator ladder)")
-    quad_use = ("" if ladder else " (not used by a regulator ladder: the tolerance "
-                "that each shifted-contour sum and spectral integral met)")
+    quad_use = ("" if ladder else
+                " (not used: every rate is exact from its closed-form spectrum)"
+                if kind != "visibility_scan" else
+                " (not used by a regulator ladder: the tolerance that each "
+                + ("shifted-contour sum and " if methods else "") + "spectral integral met)")
     return [
         f"udwsim output kind={kind}",
         f"config sha1={_config_sha1(cfg.source_text)}",
@@ -286,18 +309,19 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".", workers: int = 1) -> i
         for out in cfg.outputs:
             for suffix, scenario in scenario_variants(out, cfg.scenario):
                 path = base / _suffixed(out.path, suffix)
-                ladder = True
                 if out.kind == "probability_map":
+                    methods = ("ladder",)
                     payload = (scenario.family, _unit_coupling(cfg.params), out.backend,
                                cfg.regulator, cfg.quadrature)
                     extra = (f"backend={out.backend}",
                              "kappa derived per point: kappa = "
                              "kappa_sigma2_omega / (sigma^2 omega); L = L_over_sigma * sigma")
-                    extra += (_METHOD,) if out.backend == "quadrature" else ()
+                    extra += (_method_line(methods),) if out.backend == "quadrature" else ()
                     rows = _run_tasks(_grid_tasks(out.kind, cfg, payload), pool, workers)
                 elif out.kind == "visibility_scan":
-                    rows, extra, ladder = _visibility_rows(cfg, scenario)
+                    rows, extra, methods = _visibility_rows(cfg, scenario)
                 else:
+                    methods = _rate_methods(scenario)
                     if scenario not in tables:
                         tables[scenario] = _rate_table(cfg, scenario, scenario in kms_variants,
                                                        pool, workers)
@@ -308,25 +332,25 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".", workers: int = 1) -> i
                                 for kt in cfg.grids["kappa_tau"]]
                         extra = ("rate normalization: single-branch stationary limit is "
                                  "the thermal value omega/(2 pi (e^{2 pi omega/kappa}-1))",
-                                 _METHOD)
+                                 _method_line(methods))
                     else:
                         rows = [_kms_row(w, kt, table[kt], kappa, out.tolerance)
                                 for w in cfg.grids["omega_over_kappa"]
                                 for kt in cfg.grids["kappa_tau"]]
                         extra = (f"kms tolerance={_fmt(out.tolerance)} "
                                  "(detailed balance rate(omega)/rate(-omega) vs "
-                                 "e^{-2 pi omega/kappa})", _METHOD)
-                _write_output(path, _header_lines(out.kind, cfg, scenario, extra, ladder),
+                                 "e^{-2 pi omega/kappa})", _method_line(methods))
+                _write_output(path, _header_lines(out.kind, cfg, scenario, extra, methods),
                               rows, out.json_mirror, out.kind)
                 print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
 
 def _visibility_rows(cfg: ScenarioConfig, scenario):
-    """(rows, header lines, whether a branch pair took the regulator
-    ladder). The amplitude (lambda^2/2)|C|, C = I_12 - T_2 - conj(T_1), sums
-    three entries that each stay within the integrals' bar, so its bar is
-    3 lambda^2/2 times that."""
+    """(rows, header lines, the integrals' cross_pair_methods). The amplitude
+    (lambda^2/2)|C|, C = I_12 - T_2 - conj(T_1), sums three entries that
+    each stay within the integrals' bar, so its bar is 3 lambda^2/2 times
+    that."""
     grid = cfg.grids["delta_phi"]
     integrals = compute_wightman_integrals(scenario, cfg.params,
                                            cfg.regulator, cfg.quadrature)
@@ -347,9 +371,8 @@ def _visibility_rows(cfg: ScenarioConfig, scenario):
              f"{_fmt(1.5 * cfg.params.lambda_coupling**2 * integrals.error_estimate)} "
              "(lambda^2/2 times three integral bars: the amplitude is (lambda^2/2)|C|, "
              "C = I_12 - T_2 - conj(T_1))",
-             _EXACT_PAIRS + ("; ".join(_CROSS_PAIRS[m] for m in integrals.cross_pair_methods)
-                             or "there are no other branch pairs"))
-    return rows, extra, "ladder" in integrals.cross_pair_methods
+             _method_line(integrals.cross_pair_methods))
+    return rows, extra, integrals.cross_pair_methods
 
 
 # ---------------------------------------------------------------------------

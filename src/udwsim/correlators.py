@@ -36,10 +36,12 @@ each Rindler centre (Branch.shift), so the rows' null data on the nodes are
 computed once and each cut only rescales them.
 
 lightcone_roots solves du = 0 and dv = 0 on the cuts of fixed p from the
-rows alone. pair_spectrum gives the Fourier transform F_ij(E) of every
-stationary pair in closed form, with a bound on its rounding. The only
-family name compared here is the bath's, which selects the field's state,
-not a geometry.
+rows alone. stationary_form decides, once for every layer, which branch
+pairs have a correlator of s = tau1 - tau2 alone, and with what kappa and
+distance L; pair_spectrum gives their Fourier transform F_ij(E) in closed
+form from those two numbers, with a bound on its rounding. The only family
+name compared here is the bath's, in scenario_correlator and
+wightman_schlicht, which selects the field's state, not a geometry.
 """
 
 from __future__ import annotations
@@ -265,17 +267,28 @@ def cut_correlator(scenario: TrajectoryScenario, i: int, j: int, s, reg):
     """W^{ij}((p + s)/2, (p - s)/2, reg) on fixed real nodes s, as a callable
     of the cut p = tau1 + tau2 (a real float): the form of scenario_correlator
     for an integration engine that evaluates many cuts on one set of nodes.
-    Identical rows, or two static ones, have a correlator of s alone, in the
-    vacuum as in the bath: theirs is evaluated once, and every cut returns
-    that array. Any other pair is a vacuum cross pair, as the bath's rows
-    are static, and takes _vacuum_cut, whose every call returns a new
-    array."""
+    A stationary pair (stationary_form) has a correlator of s alone: it is
+    evaluated once, and every cut returns that array. Any other pair is a
+    vacuum cross pair, as the bath's rows are static, and takes _vacuum_cut,
+    whose every call returns a new array."""
     s = np.asarray(s, dtype=float)
-    row_i, row_j = scenario.branch(i), scenario.branch(j)
-    if row_i == row_j or row_i.kappa == row_j.kappa == 0.0:
+    if stationary_form(scenario, i, j) is not None:
         w = scenario_correlator(scenario, i, j)(s / 2.0, -s / 2.0, reg)
         return lambda p: w
-    return _vacuum_cut(row_i, row_j, s, reg)
+    return _vacuum_cut(scenario.branch(i), scenario.branch(j), s, reg)
+
+
+def stationary_form(scenario: TrajectoryScenario, i: int, j: int):
+    """(kappa, L) of a branch pair whose correlator depends on
+    s = tau1 - tau2 only, None for any other pair: identical rows (every
+    local pair) give the row's kappa and L = 0; two static rows, which only
+    the bath has, give the bath's kappa1 and their distance
+    L = z_ci - z_cj. Every method that treats a stationary pair apart reads
+    it here."""
+    row_i, row_j = scenario.branch(i), scenario.branch(j)
+    if row_i.kappa == row_j.kappa == 0.0:
+        return scenario.kappa1, row_i.z_c - row_j.z_c
+    return (row_i.kappa, 0.0) if row_i == row_j else None
 
 
 def planck_rate(kappa: float, omega):
@@ -313,20 +326,18 @@ def pair_spectrum(scenario: TrajectoryScenario, i: int, j: int, E):
     rounding of x is amplified by |x| in e^x. Two rows apart add
     4 eps_mach times the Planck factor, since the rounding of EL is an
     absolute error of sin(EL)/(EL); an underflowed F adds the smallest
-    subnormal. Raises ValueError for a pair with no closed form here.
+    subnormal. Raises ValueError for a pair that is not stationary
+    (stationary_form).
     """
-    row_i, row_j = scenario.branch(i), scenario.branch(j)
-    if scenario.family == "ThermalInertialPair":
-        kappa = scenario.kappa1
-    elif row_i == row_j and row_i.kappa > 0:
-        kappa = row_i.kappa
-    else:
+    form = stationary_form(scenario, i, j)
+    if form is None:
         raise ValueError(f"branch pair ({i},{j}) of {scenario.family} has no "
                          "closed-form spectrum")
+    kappa, L = form
     planck, E = planck_rate(kappa, E), np.asarray(E, dtype=float)
     F, floor, eps = planck, math.ulp(0.0), np.finfo(float).eps
-    if row_i != row_j:
-        EL = E * (row_i.z_c - row_j.z_c)
+    if L != 0.0:
+        EL = E * L
         with np.errstate(invalid="ignore"):
             F = planck * np.where(EL != 0.0, np.sin(EL) / EL, 1.0)
         floor = floor + 4.0 * eps * np.abs(planck)

@@ -2,17 +2,19 @@
 
 A rate (_rate_at_eps, on the cut tau1 = tau, tau2 = tau - s, for one gap or
 a row of them) and a window (halfplane_integrals_at_eps) are maps of
-branch-pair integrals {(i, j): (J, err)}, and only a map decides which pairs
-are exact. Stationary pairs (every local pair, the thermal bath's cross
-pair) are exact from their spectrum (correlators.pair_spectrum): a rate's J
-is F(omega)/2, a window integrates F against its transform with GAUSS15_7
-panels (_spectral_pair_integral). The other cross pairs are integrated with
-KRONROD15 panels on the whole regulator ladder in one pass, eps an array
-axis, on meshes clustered at the closed-form lightcone crossings; a rate row
-transforms that one pass to every gap at once (panel_integrate's omegas),
-and windows integrate over p = tau1 + tau2 and over inner cuts of fixed p,
-each cut a boost of the p = 0 cut on its inner mesh (cut_correlator) summed
-against window weights folded once per mesh.
+branch-pair integrals {(i, j): (J, err)}, and each map asks
+correlators.stationary_form which pairs are exact. Stationary pairs (every
+local pair, the thermal bath's cross pair) are exact from their spectrum
+(correlators.pair_spectrum): a rate's J is F(omega)/2, a window integrates F
+against its transform with GAUSS15_7 panels (_spectral_pair_integral). The
+other cross pairs are integrated with KRONROD15 panels on the whole
+regulator ladder in one pass, eps an array axis, on meshes clustered at the
+closed-form lightcone crossings; a rate row transforms that one pass to
+every gap at once (panel_integrate's omegas), and a window
+(_ladder_pair_integral, restarted finer until within tolerance) integrates
+over p = tau1 + tau2 and over inner cuts of fixed p, each cut a boost of
+the p = 0 cut on its inner mesh (cut_correlator) summed against window
+weights folded once per mesh.
 _limit alone reduces a map to a rate, a probability or a ladder I_ij of
 the conditional state, extrapolating to eps -> 0 (epsilon_estimates = ()
 when every pair is exact).
@@ -20,13 +22,14 @@ On a contour shifted off the poles the window needs no regulator: inside
 its domain (in_contour_domain: omega > 0, beta < pi) contour_pair_integral
 gives one branch pair's full-plane I_ij at eps = 0 from a Gauss-Hermite
 sum, which is how the conditional state takes its non-stationary cross
-pairs (the ladder where a sum misses the tolerance), and
+pairs (_ladder_pair_integral where a sum misses the tolerance), and
 excitation_probability_contour sums those sums over every pair.
 
 No family is named here: which branch pairs share one integral (_pair_map),
-which are stationary, and kappa_scale are read off the rows of the family
-table (kinematics); one _mesh_policy sets the panels of every integral: a
-rate's within 0.5/kappa_scale, a window's within sigma and 0.5/kappa_max.
+which are stationary (stationary_form), and kappa_scale are read off the
+rows of the family table (kinematics); one _mesh_policy sets the panels of
+every integral: a rate's within 0.5/kappa_scale, a window's within sigma
+and 0.5/kappa_max.
 
 Normalization: every rate and probability carries the explicit
 lambda^2 / N^2 prefactor (N = number of superposed branches), so one- and
@@ -49,7 +52,7 @@ from .closed_form import DetectorParams
 # planck_rate is re-exported from here
 from .correlators import (cut_correlator, denominator_factors,  # noqa: F401
                           lightcone_roots, pair_spectrum, planck_rate,
-                          scenario_correlator)
+                          scenario_correlator, stationary_form)
 from .errors import ConvergenceError, IndeterminateRatioError
 from .kinematics import TrajectoryScenario
 from .quadrature import (
@@ -161,13 +164,6 @@ def _pair_map(scenario: TrajectoryScenario, integral, window: bool) -> dict:
     return out
 
 
-def _stationary_pair(scenario: TrajectoryScenario, i: int, j: int) -> bool:
-    """Whether W^{ij}(tau', tau'') depends on tau' - tau'' only: identical rows
-    (every local correlator), or two static ones (the bath's cross pair)."""
-    row_i, row_j = scenario.branch(i), scenario.branch(j)
-    return row_i == row_j or row_i.kappa == row_j.kappa == 0.0
-
-
 def _mesh_policy(scenario, omega, eps, sigma=None, level=0):
     """(cap, scale) of a panel mesh: panels within a period of omega over
     _OSCILLATION_RESOLUTION, and clustering from 1/8 of the smallest eps;
@@ -273,7 +269,7 @@ def _rate_at_eps(scenario, omega, tau, eps, quad) -> dict:
     (halving is exact while F is normal, |omega/kappa| <~ 110); the others'
     _rate_pair_integral, per rung for a ladder."""
     def integral(i, j):
-        if _stationary_pair(scenario, i, j):
+        if stationary_form(scenario, i, j) is not None:
             F, bound = pair_spectrum(scenario, i, j, omega)
             return F / 2.0, bound / 2.0
         return _rate_pair_integral(scenario, i, j, tau, omega, eps, quad)
@@ -502,8 +498,8 @@ def _spectral_pair_integral(scenario, i, j, params, quad):
     from scipy.special import dawsn, erfcx
 
     sigma, omega, a = params.sigma, params.omega, params.sigma * params.omega
-    row_i, row_j = scenario.branch(i), scenario.branch(j)
-    kappa, L = max(row_i.kappa, row_j.kappa) or scenario.kappa1, abs(row_i.z_c - row_j.z_c)
+    kappa, dz = stationary_form(scenario, i, j)
+    L = abs(dz)
     eps_m, c_re, c_im = np.finfo(float).eps, sigma**2 / 2.0, sigma**2 / math.sqrt(math.pi)
     # y = kappa (N + 1/2) nearest L/2 sigma^2, between the poles i kappa N and i kappa (N + 1)
     y = kappa * (max(0, round(L / (2.0 * sigma**2 * kappa) - 0.5)) + 0.5)
@@ -539,21 +535,27 @@ def _spectral_pair_integral(scenario, i, j, params, quad):
                       c_im * (err[1] + val[3]) + 2.0 * eps_m * abs(J.imag))
 
 
+def _ladder_pair_integral(scenario, i, j, params, eps, quad):
+    """(value, err) of the 2-D engine for branch pair (i, j) at one eps or a
+    ladder (arrays over the rungs), restarted finer, up to _MAX_REFINEMENTS
+    levels, until within tolerance; ConvergenceError if the last level
+    misses it."""
+    for level in range(_MAX_REFINEMENTS + 1):
+        val, err = _halfplane_pair_integral(scenario, i, j, params, eps, level=level)
+        if _within_tol(val, err, quad):
+            break
+    _check_converged(val, err, quad, f"windowed double integral for branch pair {(i, j)}")
+    return val, err
+
+
 def halfplane_integrals_at_eps(scenario, params, eps, quad) -> dict:
     """{(i, j): (value, err)} over every branch pair, one integral per
     _pair_map representative. A stationary pair is exact, with a complex err
-    (_spectral_pair_integral); the others take the 2-D engine at one eps or a
-    ladder (arrays over the rungs), restarted finer until within tolerance."""
+    (_spectral_pair_integral); the others take _ladder_pair_integral."""
     def integral(i, j):
-        if _stationary_pair(scenario, i, j):
+        if stationary_form(scenario, i, j) is not None:
             return _spectral_pair_integral(scenario, i, j, params, quad)
-        for level in range(_MAX_REFINEMENTS + 1):
-            val, err = _halfplane_pair_integral(scenario, i, j, params, eps, level=level)
-            if _within_tol(val, err, quad):
-                break
-        _check_converged(val, err, quad,
-                         f"windowed double integral for branch pair {(i, j)}")
-        return val, err
+        return _ladder_pair_integral(scenario, i, j, params, eps, quad)
 
     return _pair_map(scenario, integral, window=True)
 

@@ -17,11 +17,13 @@ as
 The norm p_ground + p_excited is the probability of finding the control in
 the measured superposition; dividing by it conditions the detector state.
 
-Every T_i, and I_ij of every stationary pair, is exact from the pair's
-spectrum. Inside the shifted contour's domain (omega > 0, beta < pi) the
-other cross pairs' I_ij are Gauss-Hermite sums on that contour at eps = 0;
-outside it, and for a pair whose sum misses the quadrature tolerance, they
-are extrapolated from the regulator ladder (compute_wightman_integrals).
+compute_wightman_integrals integrates each branch pair once, by exactly one
+method, chosen in one place: a stationary pair (correlators.stationary_form),
+which gives every T_i, is exact from its spectrum; inside the shifted
+contour's domain (omega > 0, beta < pi) another cross pair's I_ij is a
+Gauss-Hermite sum on that contour at eps = 0 where the sum meets the
+quadrature tolerance, and is extrapolated from the regulator ladder
+otherwise.
 """
 
 from __future__ import annotations
@@ -32,13 +34,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closed_form import DetectorParams
+from .correlators import stationary_form
 from .kinematics import TrajectoryScenario
-# epsilon_extrapolate is not called here (response._limit extrapolates); it
-# stays bound because bench/spans.py wraps the name on this module
+# epsilon_extrapolate and halfplane_integrals_at_eps are not called here
+# (response._limit extrapolates, and each ladder pair is one
+# _ladder_pair_integral); they stay bound because bench/spans.py wraps both
+# names on this module
 from .quadrature import epsilon_extrapolate  # noqa: F401
-from .response import (_defaults, _limit, _pair_map, _spectral_pair_integral,
-                       _stationary_pair, _within_tol, contour_pair_integral,
-                       halfplane_integrals_at_eps, in_contour_domain)
+from .response import (_defaults, _ladder_pair_integral, _limit, _pair_map,
+                       _spectral_pair_integral, _within_tol, contour_pair_integral,
+                       halfplane_integrals_at_eps, in_contour_domain)  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -121,66 +126,55 @@ def compute_wightman_integrals(scenario: TrajectoryScenario, params: DetectorPar
     I_ji = conj(I_ij) exactly. A pair whose contour bar misses quad's
     tolerance on its own I_ij (a correlator pole near the contour), and every
     such pair outside the domain, takes the regulator ladder instead
-    (halfplane_integrals_at_eps, extrapolated by _limit). error_estimate is
-    the largest bar of any entry; cross_pair_methods says which of the two
-    gave the cross pairs.
+    (_ladder_pair_integral, extrapolated by _limit). error_estimate is the
+    largest bar of any entry; cross_pair_methods says which of the two gave
+    the cross pairs.
     """
-    reg_schedule, quad = _defaults(scenario, reg_schedule, quad)
-    return _wightman_integrals(scenario, params, reg_schedule, quad,
-                               _contour_pairs(scenario, params, quad))
-
-
-def _contour_pairs(scenario, params, quad) -> dict:
-    """{(i, j): (I_ij, bar)} of the non-stationary pairs whose shifted-contour
-    sum meets quad's tolerance, I_ji = conj(I_ij); {} outside the domain."""
-    if not in_contour_domain(scenario, params):
-        return {}
-
-    def integral(i, j):
-        if not _stationary_pair(scenario, i, j):
-            return contour_pair_integral(scenario, params, i, j)
-
-    out = {}
-    for (i, j), pair in _pair_map(scenario, integral, window=True).items():
-        if i < j and pair is not None and _within_tol(*pair, quad):
-            out[(i, j)], out[(j, i)] = pair, (pair[0].conjugate(), pair[1])
-    return out
+    return _wightman_integrals(scenario, params, *_defaults(scenario, reg_schedule, quad),
+                               in_contour_domain(scenario, params))
 
 
 def _ladder_wightman_integrals(scenario, params, reg_schedule, quad) -> WightmanIntegrals:
     """compute_wightman_integrals with every non-stationary pair on the
     regulator ladder."""
-    return _wightman_integrals(scenario, params, reg_schedule, quad, {})
+    return _wightman_integrals(scenario, params, reg_schedule, quad, False)
 
 
 def _wightman_integrals(scenario, params, reg_schedule, quad, contour) -> WightmanIntegrals:
-    """I_ij = contour[(i, j)] where given, else J_ij + conj(J_ji) reduced by
-    _limit, with the J_ij of halfplane_integrals_at_eps; once the contour
-    gives every non-stationary pair, only the stationary J_ij are computed."""
-    n = scenario.branch_count
-    grid = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    cross = [pair for pair in grid if not _stationary_pair(scenario, *pair)]
-    if contour and all(pair in contour for pair in cross):
-        def spectral(i, j):
-            if _stationary_pair(scenario, i, j):
-                return _spectral_pair_integral(scenario, i, j, params, quad)
+    """One _pair_map pass, in which each representative pair takes exactly
+    one method, named beside its (value, err):
+    - "spectral" for a stationary pair: J_ij of _spectral_pair_integral;
+    - "contour", where contour is set, for a pair whose contour_pair_integral
+      meets quad's tolerance: I_ij, and I_ji = conj(I_ij);
+    - "ladder" otherwise: J_ij on the regulator ladder
+      (_ladder_pair_integral).
+    A spectral or ladder pair's I_ij is J_ij + conj(J_ji), reduced by _limit.
+    cross_pair_methods is every method but "spectral"."""
+    def integral(i, j):
+        if stationary_form(scenario, i, j) is not None:
+            return "spectral", _spectral_pair_integral(scenario, i, j, params, quad)
+        if contour:
+            pair = contour_pair_integral(scenario, params, i, j)
+            if _within_tol(*pair, quad):
+                return "contour", pair
+        return "ladder", _ladder_pair_integral(scenario, i, j, params,
+                                               reg_schedule.epsilons, quad)
 
-        J = _pair_map(scenario, spectral, window=True)
-    else:
-        J = halfplane_integrals_at_eps(scenario, params, reg_schedule.epsilons, quad)
+    pairs = _pair_map(scenario, integral, window=True)
+    diagonal = [pairs[(i, i)][1] for i in range(1, scenario.branch_count + 1)]
+    worst = max(e.real + e.imag for _, e in diagonal)
     full = {}
-    worst = max(J[(i, i)][1].real + J[(i, i)][1].imag for i in range(1, n + 1))
-    for i, j in grid:
-        if (i, j) in contour:
-            full[(i, j)], err = contour[(i, j)]
+    for (i, j), (method, (v, e)) in pairs.items():
+        if method == "contour":
+            full[(i, j)], err = (v if i < j else v.conjugate()), e
         else:
-            (v_ij, e_ij), (v_ji, e_ji) = J[(i, j)], J[(j, i)]
-            full[(i, j)], err, _ = _limit(reg_schedule, [(v_ij, e_ij.real),
+            v_ji, e_ji = pairs[(j, i)][1]
+            full[(i, j)], err, _ = _limit(reg_schedule, [(v, e.real),
                                                          (np.conj(v_ji), e_ji.real)], 1.0)
         worst = max(worst, err)
-    methods = {"contour" if pair in contour else "ladder" for pair in cross}
-    ordered = {i: complex(J[(i, i)][0]) for i in range(1, n + 1)}
-    return WightmanIntegrals(branch_count=n, full_grid=full, time_ordered=ordered,
+    methods = {method for method, _ in pairs.values()} - {"spectral"}
+    ordered = {i: complex(v) for i, (v, _) in enumerate(diagonal, 1)}
+    return WightmanIntegrals(branch_count=len(diagonal), full_grid=full, time_ordered=ordered,
                              error_estimate=float(worst),
                              cross_pair_methods=tuple(sorted(methods)))
 
@@ -195,15 +189,13 @@ def conditional_density_matrix(integrals: WightmanIntegrals, control: ControlSta
             f"integrals cover {integrals.branch_count} branches, control has {n}")
     lam2 = params.lambda_coupling**2
     phases = control.phases
-    excited = 0.0 + 0.0j
-    ground = 0.0 + 0.0j
+    t = integrals.time_ordered
+    excited = ground = 0.0 + 0.0j
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             w = np.exp(1j * (phases[i - 1] - phases[j - 1]))
             excited += w * integrals.full_grid[(j, i)]
-            ti = integrals.time_ordered[i]
-            tj = integrals.time_ordered[j]
-            ground += w * (1.0 - lam2 * (ti + np.conj(tj)))
+            ground += w * (1.0 - lam2 * (t[i] + np.conj(t[j])))
     p_exc = lam2 / n**2 * excited.real
     p_gnd = ground.real / n**2
     return DetectorDensityMatrix(p_ground_unnormalized=p_gnd,

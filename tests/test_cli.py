@@ -240,18 +240,41 @@ class TestRunRateMap:
             "error: outputs[0].kappa_L: Parallel requires L >= 0\n"
         assert not (tmp_path / "out").exists()
 
-    def test_header_names_versions_and_rate_method(self, tmp_path):
-        text = RATE_CFG + "  - kind: kms_report\n    path: k.csv\n"
+    def _rate_headers(self, tmp_path, scenario):
+        """{file: header lines} of a rate_map and a kms_report of RATE_CFG's
+        grids, with its scenario block lines replaced by scenario."""
+        text = (RATE_CFG.replace("  family: SingleAccel\n", scenario)
+                + "  - kind: kms_report\n    path: k.csv\n")
         main(["run", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)])
+        return {name: header_lines(tmp_path / name) for name in ("r.csv", "k.csv")}
+
+    def test_header_names_versions_and_rate_method(self, tmp_path):
+        # SingleAccel's one branch pair is stationary: its rates are the
+        # closed-form spectrum, and no header claims a ladder or a tolerance
         versions = (f"versions udwsim={udwsim.__version__} numpy={np.__version__} "
                     f"scipy={scipy.__version__}")
-        for name in ("r.csv", "k.csv"):
-            headers = header_lines(tmp_path / name)
+        for headers in self._rate_headers(tmp_path, "  family: SingleAccel\n").values():
             assert versions in headers
             method = [h for h in headers if h.startswith("method: ")]
-            assert len(method) == 1
+            assert method == [cli._method_line(())]
             assert "stationary branch pairs exact from their closed-form spectrum" in method[0]
+            assert "regulator ladder" not in method[0]
+            regulator = [h for h in headers if h.startswith("regulator epsilons=")]
+            assert regulator[0].endswith("(not used: no branch pair took the regulator ladder)")
+            tolerance = [h for h in headers if h.startswith("quadrature abs_tol=")]
+            assert tolerance[0].endswith(
+                "(not used: every rate is exact from its closed-form spectrum)")
+
+    def test_header_names_the_ladder_of_a_cross_pair(self, tmp_path):
+        # Parallel at kappa L = 1 integrates its cross pair on the ladder
+        headers = self._rate_headers(tmp_path, "  family: Parallel\n  L: 1.0\n")
+        for lines in headers.values():
+            method = [h for h in lines if h.startswith("method: ")]
+            assert method == [cli._method_line(("ladder",))]
             assert "other cross pairs integrated on the regulator ladder" in method[0]
+            assert [h for h in lines if h.startswith("regulator epsilons=")][0].endswith(
+                "(pointlike limit eps->0 taken after integration)")
+            assert "quadrature abs_tol=1e-11 rel_tol=0.0001" in lines
 
     def test_values_are_written_at_round_trip_precision(self, tmp_path):
         cfg = write_cfg(tmp_path, RATE_CFG.replace("[-1.0, 1.0]", "[-1.0, 0.1]"))
@@ -621,8 +644,7 @@ class TestMethodHeader:
         assert main(["run", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)]) == 0
         headers = header_lines(tmp_path / "v.csv")
         method = [h for h in headers if h.startswith("method: ")]
-        assert method == [cli._EXACT_PAIRS + cli._CROSS_PAIRS["contour"] if omega == 1.0
-                          else cli._METHOD]
+        assert method == [cli._method_line(("contour",) if omega == 1.0 else ("ladder",))]
         assert method[0].startswith(
             "method: stationary branch pairs exact from their closed-form spectrum")
         assert phrase in method[0]

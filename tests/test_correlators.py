@@ -25,7 +25,7 @@ from udwsim import (
     wightman_thermal_cross,
     wightman_thermal_local,
 )
-from udwsim.correlators import _max_abs, _max_abs_scaled, cut_correlator
+from udwsim.correlators import _max_abs, _max_abs_scaled, cut_correlator, stationary_form
 from udwsim.quadrature import cluster_mesh, panel_nodes, sign_change_roots
 from udwsim.response import _rate_cut, _rate_cut_roots
 
@@ -231,6 +231,49 @@ def test_cut_form_of_a_stationary_pair_is_its_correlator_of_s(sc, pair):
         assert cut(p) is w
         want = corr((p + s) / 2.0, (p - s) / 2.0, CUT_LADDER)
         assert np.all(np.abs(w - want) <= 1e-12 * np.abs(want))
+
+
+# stationary_form of every branch pair, in row-major order: (kappa, L) of a
+# pair whose correlator depends on tau1 - tau2 only, None otherwise
+STATIONARY_FORMS = {
+    "single": (TrajectoryScenario("SingleAccel", kappa1=1.5), [(1.5, 0.0)]),
+    "parallel_l0": (TrajectoryScenario("Parallel", kappa1=1.0, L=0.0), [(1.0, 0.0)] * 4),
+    "parallel_kl1": (TrajectoryScenario("Parallel", kappa1=1.0, L=1.0),
+                     [(1.0, 0.0), None, None, (1.0, 0.0)]),
+    "antiparallel": (TrajectoryScenario("AntiParallel", kappa1=1.0, L=1.0),
+                     [(1.0, 0.0), None, None, (1.0, 0.0)]),
+    "differing_r1": (TrajectoryScenario("Differing", kappa1=2.0, kappa2=2.0), [(2.0, 0.0)] * 4),
+    "differing_r05": (TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5),
+                      [(1.0, 0.0), None, None, (0.5, 0.0)]),
+    "bath_l0": (TrajectoryScenario("ThermalInertialPair", kappa1=2.0, L=0.0), [(2.0, 0.0)] * 4),
+    "bath_l1": (TrajectoryScenario("ThermalInertialPair", kappa1=2.0, L=1.0),
+                [(2.0, 0.0), (2.0, 1.0), (2.0, -1.0), (2.0, 0.0)]),
+}
+
+
+@pytest.mark.parametrize("name", list(STATIONARY_FORMS))
+def test_stationary_form_flags_exactly_the_pairs_of_s_alone(name):
+    # a pair is flagged exactly when its correlator is invariant under a
+    # common shift of both proper times (to rounding), pair_spectrum accepts
+    # it, and cut_correlator returns one array for every cut p
+    sc, forms = STATIONARY_FORMS[name]
+    n = range(1, sc.branch_count + 1)
+    assert [stationary_form(sc, i, j) for i in n for j in n] == forms
+    t1, t2 = np.array([-0.8, -0.2, 0.3, 1.1]), np.array([0.5, -1.0, 0.9, 0.2])
+    s = np.linspace(0.1, 3.0, 9)
+    for (i, j), form in zip([(i, j) for i in n for j in n], forms):
+        corr = scenario_correlator(sc, i, j)
+        w = corr(t1, t2, 1e-2)
+        shifted = corr(t1 + 0.7, t2 + 0.7, 1e-2)
+        invariant = bool(np.all(np.abs(shifted - w) <= 1e-12 * np.abs(w)))
+        try:
+            pair_spectrum(sc, i, j, 0.5)
+            accepted = True
+        except ValueError:
+            accepted = False
+        cut = cut_correlator(sc, i, j, s, 1e-2)
+        one_array = cut(0.0) is cut(0.9)
+        assert (invariant, accepted, one_array) == (form is not None,) * 3, (i, j)
 
 
 def test_cross_correlator_decay():

@@ -25,7 +25,8 @@ from udwsim import (
 )
 
 from conftest import REF_PARAMS
-from udwsim import response
+from udwsim import response, superposition
+from udwsim.correlators import stationary_form
 from udwsim.response import _defaults
 from udwsim.superposition import _ladder_wightman_integrals
 
@@ -329,6 +330,55 @@ def test_a_contour_pair_that_misses_its_tolerance_takes_the_ladder(omega):
     assert ints == _ladder(sc, params)
     assert ints.cross_pair_methods == ("ladder",)
     assert math.isfinite(ints.full_grid[(1, 2)].real)
+
+
+@pytest.mark.parametrize("kwargs, omega, methods", [
+    ({"family": "Differing", "kappa1": 1.0, "kappa2": 0.5}, 2.0, ("contour",)),
+    ({"family": "Differing", "kappa1": 1.0, "kappa2": 0.5}, -1.0, ("ladder",)),
+    ({"family": "Parallel", "kappa1": 1.0, "L": 1.0}, 0.3, ("ladder",))],
+    ids=["differing_contour", "differing_emission", "parallel_contour_miss"])
+def test_each_representative_pair_takes_exactly_one_method(monkeypatch, kwargs, omega,
+                                                           methods):
+    # one pass over the representative pairs: a stationary pair is one
+    # spectral integral; inside the contour's domain another pair is one
+    # contour sum, kept where it meets the tolerance; every other pair is one
+    # ladder integral (its restart levels, level > 0, are not counted apart)
+    sc = TrajectoryScenario(**kwargs)
+    params = DetectorParams(omega=omega, lambda_coupling=0.01, sigma=1.0)
+    quad = _defaults(sc, None, None)[1]
+    calls = []
+
+    def counted(method, fn, at):
+        # at: where (i, j) sits in fn's arguments
+        def wrapper(*args, **kw):
+            out = fn(*args, **kw)
+            if kw.get("level", 0) == 0:
+                calls.append((method, tuple(args[at:at + 2]), out))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(superposition, "_spectral_pair_integral",
+                        counted("spectral", superposition._spectral_pair_integral, 1))
+    monkeypatch.setattr(superposition, "contour_pair_integral",
+                        counted("contour", superposition.contour_pair_integral, 2))
+    monkeypatch.setattr(response, "_halfplane_pair_integral",
+                        counted("ladder", response._halfplane_pair_integral, 1))
+    ints = compute_wightman_integrals(sc, params)
+    assert ints.cross_pair_methods == methods
+    reps = set(response._representatives(sc, True).values())
+    spectral = [pair for m, pair, _ in calls if m == "spectral"]
+    ladder = [pair for m, pair, _ in calls if m == "ladder"]
+    contour = {pair: response._within_tol(*out, quad) for m, pair, out in calls
+               if m == "contour"}
+    assert len(contour) == len([m for m, _, _ in calls if m == "contour"])
+    assert set(spectral) == {pair for pair in reps if stationary_form(sc, *pair) is not None}
+    if response.in_contour_domain(sc, params):
+        assert set(contour) == reps - set(spectral)
+    else:
+        assert contour == {}
+    # each representative pair is integrated once, by exactly one method
+    kept = [pair for pair, ok in contour.items() if ok]
+    assert sorted(spectral + kept + ladder) == sorted(reps)
 
 
 # --- visibility ----------------------------------------------------------------
