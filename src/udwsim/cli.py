@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -94,12 +95,17 @@ def _fmt(value) -> str:
 
 _EXACT_PAIRS = ("method: stationary branch pairs exact from their closed-form spectrum "
                 "(Planck form, times sin(E L)/(E L) for the bath's cross pair); ")
-# how the other cross pairs were integrated, by WightmanIntegrals.cross_pair_methods
+# how the other cross pairs were integrated: by WightmanIntegrals.cross_pair_methods
+# for a visibility scan, "lerch" for rates and "ladder" for a quadrature-backend
+# probability map
 _CROSS_PAIRS = {
     "ladder": "the other cross pairs integrated on the regulator ladder and "
               "extrapolated to eps->0",
     "contour": "the other cross pairs' I_ij by a Gauss-Hermite rule on the shifted "
                "contour Im s = -2 sigma^2 omega at eps=0 (64 against 32 nodes per axis)",
+    "lerch": "the other cross pairs exact on each rung of the regulator ladder, "
+             "integrated to s=inf in closed form (two Lerch transcendents), and "
+             "extrapolated to eps->0",
 }
 
 
@@ -111,12 +117,30 @@ def _method_line(methods) -> str:
                            or "there are no other branch pairs")
 
 
-def _rate_methods(scenario) -> tuple:
-    """The cross-pair methods of a scenario's rates: the regulator ladder
-    unless every branch pair is stationary (stationary_form)."""
+def _pair_methods(scenario, method: str) -> tuple:
+    """(method,) if a branch pair of the scenario is not stationary
+    (stationary_form), else (): the cross-pair methods of its rates
+    ("lerch") or of its quadrature-backend probability ("ladder")."""
     n = range(1, scenario.branch_count + 1)
-    return ("ladder",) if any(stationary_form(scenario, i, j) is None
-                              for i in n for j in n) else ()
+    return (method,) if any(stationary_form(scenario, i, j) is None
+                            for i in n for j in n) else ()
+
+
+def _probability_methods(cfg: ScenarioConfig, family: str, backend: str):
+    """The cross-pair methods of a probability_map: None for the closed
+    backend, which integrates nothing; for the quadrature backend the
+    ladder if a grid point it evaluates (_point_scenario) has a
+    non-stationary branch pair, else ()."""
+    if backend == "closed":
+        return None
+    for point in itertools.product(*(cfg.grids[n] for n in KIND_GRIDS["probability_map"])):
+        try:
+            scenario = _point_scenario(family, cfg.params, point)
+        except ValidityError:  # an invalid row takes no method
+            continue
+        if _pair_methods(scenario, "ladder"):
+            return ("ladder",)
+    return ()
 
 
 _NAN = math.nan
@@ -145,24 +169,34 @@ def _eval_point(task):
             return _INVALID_ROW[kind](*point)
 
 
-def _eval_probability(point, payload):
+def _point_geometry(params: DetectorParams, point) -> tuple:
+    """(kappa, L) of a probability grid point (L_over_sigma, beta):
+    kappa = beta / (sigma^2 omega), L = L_over_sigma * sigma."""
     L_over_sigma, beta = point
-    family, params, backend, reg, quad = payload
-    sigma, omega = params.sigma, params.omega
-    if omega <= 0 or beta <= 0:
+    if params.omega <= 0 or beta <= 0:
         raise ValidityError("probability map needs omega > 0 and beta > 0")
-    kappa = beta / (sigma**2 * omega)
-    L = L_over_sigma * sigma
+    return beta / (params.sigma**2 * params.omega), L_over_sigma * params.sigma
+
+
+def _point_scenario(family: str, params: DetectorParams, point) -> TrajectoryScenario:
+    """The quadrature backend's scenario at a probability grid point;
+    ValidityError where the family refuses it."""
+    kappa, L = _point_geometry(params, point)
+    try:
+        return TrajectoryScenario(family, kappa1=kappa, L=L)
+    except ValueError as exc:  # e.g. Parallel refuses L < 0
+        raise ValidityError(f"grid point outside the family: {exc}") from exc
+
+
+def _eval_probability(point, payload):
+    family, params, backend, reg, quad = payload
     if backend == "closed":
         fn = p_parallel if family == "Parallel" else p_antiparallel
-        value = fn(params, kappa, L).probability
+        value = fn(params, *_point_geometry(params, point)).probability
     else:
-        try:
-            scenario = TrajectoryScenario(family, kappa1=kappa, L=L)
-        except ValueError as exc:  # e.g. Parallel refuses L < 0
-            raise ValidityError(f"grid point outside the family: {exc}") from exc
+        scenario = _point_scenario(family, params, point)
         value = excitation_probability_quadrature(scenario, params, reg, quad).value
-    return (L_over_sigma, beta, value, 1)
+    return (*point, value, 1)
 
 
 def _eval_rates(kappa_tau, payload):
@@ -240,22 +274,34 @@ def _kms_row(w, kt, rates, kappa, tol):
     return _INVALID_ROW["kms_report"](w, kt)
 
 
-def _header_lines(kind, cfg: ScenarioConfig, scenario, extra=(), methods=("ladder",)):
-    """The output's header, for non-stationary cross pairs that took methods
-    (_method_line). Where none took the regulator ladder, the regulator line
-    says it was not used, and the tolerance line what the tolerances gated:
-    a visibility scan's spectral integrals and shifted-contour sums, and
-    nothing for rates, which are closed-form spectra then."""
+_NO_LADDER = "(not used: no branch pair took the regulator ladder)"
+
+
+def _usage_notes(kind, methods) -> tuple:
+    """(regulator note, tolerance note) of a header: what the regulator
+    ladder and the tolerances did for an output whose non-stationary cross
+    pairs took methods (_method_line), or None for a closed-backend
+    probability map, which integrates nothing."""
+    if methods is None:
+        return _NO_LADDER, " (not used: the closed backend evaluates saddle-point forms)"
+    if "ladder" in methods:
+        return "(pointlike limit eps->0 taken after integration)", ""
+    if "lerch" in methods:
+        return ("(pointlike limit eps->0 taken after integration)",
+                " (gates the rounding bound of each closed-form rung)")
+    if kind in ("rate_map", "kms_report"):
+        return _NO_LADDER, " (not used: every rate is exact from its closed-form spectrum)"
+    return _NO_LADDER, (" (not used by a regulator ladder: the tolerance that each "
+                        + ("shifted-contour sum and " if methods else "")
+                        + "spectral integral met)")
+
+
+def _header_lines(kind, cfg: ScenarioConfig, scenario, extra, methods):
+    """The output's header, for non-stationary cross pairs that took
+    methods (_usage_notes)."""
     sc, par, reg, quad = scenario, cfg.params, cfg.regulator, cfg.quadrature
     eps = ",".join(f"{e:g}" for e in reg.epsilons)
-    ladder = "ladder" in methods
-    reg_use = ("(pointlike limit eps->0 taken after integration)" if ladder else
-               "(not used: no branch pair took the regulator ladder)")
-    quad_use = ("" if ladder else
-                " (not used: every rate is exact from its closed-form spectrum)"
-                if kind != "visibility_scan" else
-                " (not used by a regulator ladder: the tolerance that each "
-                + ("shifted-contour sum and " if methods else "") + "spectral integral met)")
+    reg_use, quad_use = _usage_notes(kind, methods)
     return [
         f"udwsim output kind={kind}",
         f"config sha1={_config_sha1(cfg.source_text)}",
@@ -310,18 +356,18 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".", workers: int = 1) -> i
             for suffix, scenario in scenario_variants(out, cfg.scenario):
                 path = base / _suffixed(out.path, suffix)
                 if out.kind == "probability_map":
-                    methods = ("ladder",)
+                    methods = _probability_methods(cfg, scenario.family, out.backend)
                     payload = (scenario.family, _unit_coupling(cfg.params), out.backend,
                                cfg.regulator, cfg.quadrature)
                     extra = (f"backend={out.backend}",
                              "kappa derived per point: kappa = "
                              "kappa_sigma2_omega / (sigma^2 omega); L = L_over_sigma * sigma")
-                    extra += (_method_line(methods),) if out.backend == "quadrature" else ()
+                    extra += (_method_line(methods),) if methods is not None else ()
                     rows = _run_tasks(_grid_tasks(out.kind, cfg, payload), pool, workers)
                 elif out.kind == "visibility_scan":
                     rows, extra, methods = _visibility_rows(cfg, scenario)
                 else:
-                    methods = _rate_methods(scenario)
+                    methods = _pair_methods(scenario, "lerch")
                     if scenario not in tables:
                         tables[scenario] = _rate_table(cfg, scenario, scenario in kms_variants,
                                                        pool, workers)

@@ -108,10 +108,13 @@ def epsilon_extrapolate(estimates, mode: str = "richardson_linear", errors=None)
     """Extrapolate (eps, value) pairs to eps -> 0.
 
     Returns (limit, error_estimate) with error_estimate = |difference of the
-    last two extrapolants|. Values may be complex. Non-monotone convergence
-    across the last three points triggers a RuntimeWarning; the result is
-    still returned. errors, one bar per point, mark noise: a step within the
-    sum of the bars of its two points never counts as non-monotone.
+    last two extrapolants|. Values may be complex, and may be arrays of one
+    shape (then errors too), each element extrapolated as if alone: one
+    array pass gives the same numbers as one call per element. Non-monotone
+    convergence across the last three points triggers a RuntimeWarning, once
+    if any element trips it; the result is still returned. errors, one bar
+    per point, mark noise: a step within the sum of the bars of its two
+    points never counts as non-monotone.
     """
     if mode not in EXTRAPOLATION_MODES:
         raise ValueError(f"unknown extrapolation mode {mode!r}")
@@ -130,11 +133,11 @@ def epsilon_extrapolate(estimates, mode: str = "richardson_linear", errors=None)
     if len(vals) >= 3:
         d1, d2 = vals[-2] - vals[-3], vals[-1] - vals[-2]
         e3, e2, e1 = (0.0, 0.0, 0.0) if errors is None else tuple(errors)[-3:]
-        if isinstance(d1, complex) or isinstance(d2, complex):
-            non_monotone = abs(d2) > abs(d1) and abs(d1) > 0
+        if np.iscomplexobj(d1) or np.iscomplexobj(d2):
+            non_monotone = (abs(d2) > abs(d1)) & (abs(d1) > 0)
         else:
             non_monotone = d1 * d2 < 0
-        if non_monotone and abs(d1) > e3 + e2 and abs(d2) > e2 + e1:
+        if np.any(non_monotone & (abs(d1) > e3 + e2) & (abs(d2) > e2 + e1)):
             warnings.warn(
                 "regulator ladder values are not converging monotonically "
                 "across the last three points; extrapolant may be unreliable",

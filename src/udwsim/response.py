@@ -7,14 +7,16 @@ correlators.stationary_form which pairs are exact. Stationary pairs (every
 local pair, the thermal bath's cross pair) are exact from their spectrum
 (correlators.pair_spectrum): a rate's J is F(omega)/2, a window integrates F
 against its transform with GAUSS15_7 panels (_spectral_pair_integral). The
-other cross pairs are integrated with KRONROD15 panels on the whole
-regulator ladder in one pass, eps an array axis, on meshes clustered at the
-closed-form lightcone crossings; a rate row transforms that one pass to
-every gap at once (panel_integrate's omegas), and a window
-(_ladder_pair_integral, restarted finer until within tolerance) integrates
-over p = tau1 + tau2 and over inner cuts of fixed p, each cut a boost of
-the p = 0 cut on its inner mesh (cut_correlator) summed against window
-weights folded once per mesh.
+other cross pairs take the whole regulator ladder in one pass, eps an array
+axis. A rate's rungs are exact: two Lerch transcendents (lerch) per gap
+and rung of a row (_rate_rungs); _rate_pair_integral, a KRONROD15 panel
+quadrature of the same integral to s = 40/kappa_scale that transforms one
+correlator pass to every gap (panel_integrate's omegas), is kept as the
+tests' reference. A window (_ladder_pair_integral, restarted finer until
+within tolerance) is integrated with KRONROD15 panels on meshes clustered
+at the closed-form lightcone crossings, over p = tau1 + tau2 and over
+inner cuts of fixed p, each cut a boost of the p = 0 cut on its inner mesh
+(cut_correlator) summed against window weights folded once per mesh.
 _limit alone reduces a map to a rate, a probability or a ladder I_ij of
 the conditional state, extrapolating to eps -> 0 (epsilon_estimates = ()
 when every pair is exact).
@@ -28,8 +30,8 @@ excitation_probability_contour sums those sums over every pair.
 No family is named here: which branch pairs share one integral (_pair_map),
 which are stationary (stationary_form), and kappa_scale are read off the
 rows of the family table (kinematics); one _mesh_policy sets the panels of
-every integral: a rate's within 0.5/kappa_scale, a window's within sigma
-and 0.5/kappa_max.
+every panel integral: the reference rate quadrature's within
+0.5/kappa_scale, a window's within sigma and 0.5/kappa_max.
 
 Normalization: every rate and probability carries the explicit
 lambda^2 / N^2 prefactor (N = number of superposed branches), so one- and
@@ -50,11 +52,12 @@ from .closed_form import DetectorParams
 # denominator_factors and sign_change_roots are no longer called here; they
 # stay bound because bench/spans.py wraps both names on this module.
 # planck_rate is re-exported from here
-from .correlators import (cut_correlator, denominator_factors,  # noqa: F401
+from .correlators import (_guard_hyp, cut_correlator, denominator_factors,  # noqa: F401
                           lightcone_roots, pair_spectrum, planck_rate,
                           scenario_correlator, stationary_form)
 from .errors import ConvergenceError, IndeterminateRatioError
 from .kinematics import TrajectoryScenario
+from .lerch import lerch
 from .quadrature import (
     GAUSS15_7,
     KRONROD15,
@@ -214,12 +217,13 @@ def _refined_integral(f, edges, quad, omegas=None, rule=KRONROD15):
 
 
 # ---------------------------------------------------------------------------
-# semi-infinite rate integrals
+# semi-infinite rate integrals: closed-form rungs, and the reference quadrature
 
 
 def _rate_cut(scenario: TrajectoryScenario) -> float:
-    """Upper end of the rate integrals in s: 40 decay lengths of the slowest
-    branch acceleration, the same for every branch pair."""
+    """Upper end in s of the reference rate quadrature (_rate_pair_integral):
+    40 decay lengths of the slowest branch acceleration, the same for every
+    branch pair."""
     return 40.0 / kappa_scale(scenario)
 
 
@@ -240,6 +244,8 @@ def _rate_cut_roots(scenario, i, j, tau, s_hi):
 def _rate_pair_integral(scenario, i, j, tau, omega, eps, quad):
     """integral_0^S e^{-i omega s} W^{ij}(tau, tau - s) ds, S = _rate_cut,
     per rung for a ladder; for an array of omegas, one such row per omega.
+    The panel quadrature of _rate_rungs' integral, cut at S: no library
+    path calls it; the tests compare the closed-form rungs against it.
     The correlator does not depend on omega: it is evaluated once, on one
     mesh that resolves the largest |omega|, and every omega must meet the
     tolerance on it (ConvergenceError names the first that does not)."""
@@ -262,43 +268,118 @@ def _rate_pair_integral(scenario, i, j, tau, omega, eps, quad):
     return (val, err) if np.ndim(omega) else (val[0], err[0])
 
 
+def _rate_rungs(scenario, i, j, tau, omega, eps):
+    """(J, err) of int_0^inf e^{-i omega s} W^{ij}(tau, tau - s) ds for a
+    non-stationary cross pair, in closed form at each rung eps > 0; arrays of
+    shape omega.shape + eps.shape. On the rate cut only row j moves: with
+    q = e^{k s}, k = k_j its signed acceleration (every such pair has an
+    accelerated row j),
+
+        du + i eps da = alpha + beta q,   dv - i eps db = gamma + delta/q,
+        alpha = dz - a_i + i eps a_i',    beta = e^{-k tau} (1/k - i eps),
+        gamma = b_i - dz - i eps b_i',    delta = -e^{k tau} (1/k + i eps),
+
+    (a_i, b_i, a_i', b_i') = row_i.null(tau), dz = z_cj - z_ci. In
+    y = e^{-|k| s} that is W = -y/(4 pi^2 (A + B y)(C + D y)), with
+    (A, B, C, D) = (beta, alpha, gamma, delta) for k > 0 and (alpha, beta,
+    delta, gamma) for k < 0, so by partial fractions
+
+        J = -[u1 I(c, -u1) - u2 I(c, -u2)] / (4 pi^2 |k| (BC - AD)),
+
+    u1 = B/A, u2 = D/C, c = 1 + i omega/|k| and I = lerch. At eps > 0 no
+    factor vanishes on the cut, so -u1 and -u2 lie off [1, inf).
+
+    err bounds the rounding: 16 eps_mach times lerch's scale of each term
+    (over five times the largest error against mpmath seen on it); the
+    rounding of u1, u2 and of BC - AD, which dz - a_i and b_i - dz can make
+    large where they cancel, taken through d(u I(c, -u))/du = 1/(1 + u) -
+    (c - 1) I; and 4 eps_mach |J| for the last steps."""
+    row_i, row_j = scenario.branch(i), scenario.branch(j)
+    k = row_j.direction * row_j.kappa
+    _guard_hyp(row_i.kappa * abs(tau), row_j.kappa * abs(tau))
+    a, b, da, db = (float(v) for v in row_i.null(tau))
+    dz = row_j.z_c - row_i.z_c
+    eps_m, e = np.finfo(float).eps, np.asarray(eps, dtype=float)
+    alpha, gamma = (dz - a) + 1j * e * da, (b - dz) - 1j * e * db
+    # each coefficient with its relative rounding: dz - a_i and b_i - dz may cancel
+    exp_rounding = 4.0 * eps_m * (1.0 + abs(k * tau))
+    alpha = alpha, eps_m * (abs(dz) + abs(a) + np.abs(e * da)) / np.abs(alpha)
+    gamma = gamma, eps_m * (abs(b) + abs(dz) + np.abs(e * db)) / np.abs(gamma)
+    beta = math.exp(-k * tau) * (1.0 / k - 1j * e), exp_rounding
+    delta = -math.exp(k * tau) * (1.0 / k + 1j * e), exp_rounding
+    (A, rA), (B, rB), (C, rC), (D, rD) = ((beta, alpha, gamma, delta) if k > 0 else
+                                          (alpha, beta, delta, gamma))
+    # gaps first, rungs last: x of shape omega.shape + (1,) * eps.ndim, the two
+    # terms' u of shape (2,) + (1,) * omega.ndim + eps.shape
+    x = np.reshape(np.asarray(omega, dtype=float), np.shape(omega) + (1,) * e.ndim) / abs(k)
+    u_shape = (2,) + (1,) * np.ndim(omega) + e.shape
+    u = np.stack([B / A, D / C]).reshape(u_shape)
+    r_u = np.stack([rA + rB, rC + rD]).reshape(u_shape) + eps_m
+    lerch_value, lerch_size = lerch(x, -u)
+    terms = u * lerch_value
+    bc, ad = B * C, A * D
+    den = 4.0 * math.pi**2 * abs(k) * (bc - ad)
+    J = -(terms[0] - terms[1]) / den
+    slope = np.abs(u) * np.abs(1.0 / (1.0 + u) - 1j * x * lerch_value)
+    err = ((16.0 * eps_m * np.abs(u) * lerch_size + slope * r_u).sum(axis=0)) / np.abs(den)
+    err += np.abs(J) * ((np.abs(bc) * (rB + rC) + np.abs(ad) * (rA + rD)) / np.abs(bc - ad)
+                        + 4.0 * eps_m)
+    return J, err
+
+
 def _rate_at_eps(scenario, omega, tau, eps, quad) -> dict:
     """{(i, j): (J, err)} of the rate at a gap omega, or a row for an array
     of gaps, over every branch pair: a stationary pair's exact
     J = F_ij(omega)/2 and half its bound (pair_spectrum), since 2 Re J = F
     (halving is exact while F is normal, |omega/kappa| <~ 110); the others'
-    _rate_pair_integral, per rung for a ladder."""
+    _rate_rungs, per rung for a ladder, whose rounding bounds must meet
+    quad's tolerance (ConvergenceError names the first gap that misses)."""
     def integral(i, j):
         if stationary_form(scenario, i, j) is not None:
             F, bound = pair_spectrum(scenario, i, j, omega)
             return F / 2.0, bound / 2.0
-        return _rate_pair_integral(scenario, i, j, tau, omega, eps, quad)
+        val, err = _rate_rungs(scenario, i, j, tau, omega, eps)
+        # the row is checked whole: look for the gap to name only on a miss
+        if not _within_tol(val, err, quad):
+            rows = np.size(omega)
+            for w, v, e in zip(np.atleast_1d(omega), val.reshape(rows, -1), err.reshape(rows, -1)):
+                _check_converged(v, e, quad,
+                                 f"closed-form rate rung for branch pair ({i},{j}) at omega = {w:g}")
+        return val, err
 
     return _pair_map(scenario, integral, window=False)
 
 
-def _limit(reg_schedule, blocks, pref):
+def _limit(reg_schedule, blocks, pref, shape=()):
     """(value, error_estimate, epsilon_estimates) at eps -> 0 of pref times
-    the sum of blocks, (value, err) pairs. An exact block (a stationary pair)
-    has a scalar value, a ladder block one value per rung: every caller
-    passes reg_schedule.epsilons, a tuple, even with one rung. Exact blocks
-    are fsummed, with their bars plus the rounding; ladder blocks are summed
-    per rung, added to that and extrapolated (epsilon_estimates is () without
-    them), with their summed errors as the rungs' bars. A caller keeping a
-    real part takes it first: a complex value extrapolates with other
-    rounding."""
-    exact = [(v, e) for v, e in blocks if np.ndim(v) == 0]
-    ladder = [(v, e) for v, e in blocks if np.ndim(v) > 0]
-    value = pref * fsum_rows(np.array([v for v, _ in exact]))
+    the sum of blocks, (value, err) pairs, for a result of the given shape:
+    () for one value, (G,) for a row of G gaps, each limited elementwise as
+    if alone. An exact block (a stationary pair) has a value of that shape,
+    a ladder block one more axis, its last, with one value per rung: every
+    caller passes reg_schedule.epsilons, a tuple, even with one rung. Exact
+    blocks are fsummed, with their bars plus the rounding; ladder blocks are
+    summed per rung, added to that and extrapolated (epsilon_estimates is ()
+    without them), with their summed errors as the rungs' bars. A caller
+    keeping a real part takes it first: a complex value extrapolates with
+    other rounding. A row gives arrays of values and errors and a list of
+    epsilon_estimates, one per gap."""
+    exact = [(v, e) for v, e in blocks if np.ndim(v) == len(shape)]
+    ladder = [(v, e) for v, e in blocks if np.ndim(v) > len(shape)]
+    # one fsum per gap, over the exact blocks
+    value = pref * fsum_rows(np.array([v for v, _ in exact]).T)
     # fsum rounds once, and so does the product
     bar = pref * sum(e for _, e in exact) + 2.0 * np.finfo(float).eps * abs(value)
     if not ladder:
-        return value, float(bar), ()
-    rungs = value + pref * sum(v for v, _ in ladder)
-    limit, err = epsilon_extrapolate(tuple(zip(reg_schedule.epsilons, rungs)),
+        return (value, bar, [()] * shape[0]) if shape else (value, float(bar), ())
+    rungs = np.expand_dims(value, -1) + pref * sum(v for v, _ in ladder)
+    limit, err = epsilon_extrapolate(tuple(zip(reg_schedule.epsilons, np.moveaxis(rungs, -1, 0))),
                                      reg_schedule.extrapolation,
-                                     errors=pref * sum(e for _, e in ladder))
-    return limit.item(), float(err + bar), tuple(zip(reg_schedule.epsilons, rungs.tolist()))
+                                     errors=np.moveaxis(pref * sum(e for _, e in ladder), -1, 0))
+    estimates = [tuple(zip(reg_schedule.epsilons, r))
+                 for r in rungs.reshape(-1, rungs.shape[-1]).tolist()]
+    if shape:
+        return limit, err + bar, estimates
+    return limit.item(), float(err + bar), estimates[0]
 
 
 def transition_rates(scenario: TrajectoryScenario, omegas, tau: float,
@@ -314,13 +395,12 @@ def transition_rates(scenario: TrajectoryScenario, omegas, tau: float,
 
     A stationary pair (every local pair, and the thermal bath's cross pair)
     adds lambda^2 F_ij(omega)/N^2 in closed form (pair_spectrum). The other
-    cross pairs are integrated up to s = 40/kappa_scale(scenario)
-    (_rate_cut) on the regulator ladder and extrapolated to eps -> 0. Their
-    correlator does not depend on omega, so each such pair is evaluated once
-    for the whole row, on a mesh that resolves the largest |omega|, and the
-    row's gaps are reduced from those values together, a few at a time, as
-    one transform of the row (panel_integrate with omegas); a row raises if
-    any of its gaps does not converge there, and an empty row gives [].
+    cross pairs are exact on each rung of the regulator ladder: their
+    integral to s = inf is two Lerch transcendents (_rate_rungs), evaluated
+    for every (gap, rung) of the row at once; the rungs are extrapolated to
+    eps -> 0 in one array pass for the whole row (_limit). A row raises if
+    any rung's rounding bound misses quad's tolerance, and an empty row
+    gives []. A gap's rate does not depend on the other gaps of its row.
     error_estimate is the extrapolation error plus the rounding bound of the
     closed-form part; epsilon_estimates is () when every pair is stationary.
     For the Differing family tau is the shared proper-time parameter of both
@@ -332,8 +412,10 @@ def transition_rates(scenario: TrajectoryScenario, omegas, tau: float,
     if not omegas.size:
         return []
     blocks = _rate_at_eps(scenario, omegas, float(tau), reg_schedule.epsilons, quad).values()
-    return [RateResult(*_limit(reg_schedule, [(v[k].real, e[k]) for v, e in blocks], pref))
-            for k in range(len(omegas))]
+    values, errors, estimates = _limit(reg_schedule, [(v.real, e) for v, e in blocks], pref,
+                                       omegas.shape)
+    return [RateResult(float(v), float(e), rungs)
+            for v, e, rungs in zip(values, errors, estimates)]
 
 
 def transition_rate(scenario: TrajectoryScenario, params: DetectorParams, tau: float,

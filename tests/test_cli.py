@@ -266,15 +266,18 @@ class TestRunRateMap:
                 "(not used: every rate is exact from its closed-form spectrum)")
 
     def test_header_names_the_ladder_of_a_cross_pair(self, tmp_path):
-        # Parallel at kappa L = 1 integrates its cross pair on the ladder
+        # Parallel at kappa L = 1 takes its cross pair exactly on each rung of
+        # the ladder, and the tolerance gates those rungs' rounding bounds
         headers = self._rate_headers(tmp_path, "  family: Parallel\n  L: 1.0\n")
         for lines in headers.values():
             method = [h for h in lines if h.startswith("method: ")]
-            assert method == [cli._method_line(("ladder",))]
-            assert "other cross pairs integrated on the regulator ladder" in method[0]
+            assert method == [cli._method_line(("lerch",))]
+            assert "other cross pairs exact on each rung of the regulator ladder" in method[0]
+            assert "closed form (two Lerch transcendents)" in method[0]
             assert [h for h in lines if h.startswith("regulator epsilons=")][0].endswith(
                 "(pointlike limit eps->0 taken after integration)")
-            assert "quadrature abs_tol=1e-11 rel_tol=0.0001" in lines
+            assert ("quadrature abs_tol=1e-11 rel_tol=0.0001 "
+                    "(gates the rounding bound of each closed-form rung)") in lines
 
     def test_values_are_written_at_round_trip_precision(self, tmp_path):
         cfg = write_cfg(tmp_path, RATE_CFG.replace("[-1.0, 1.0]", "[-1.0, 0.1]"))
@@ -618,6 +621,44 @@ class TestMethodHeader:
                 assert method[0].startswith(
                     "method: stationary branch pairs exact from their closed-form spectrum")
 
+    def test_closed_probability_map_header_says_nothing_was_integrated(self, tmp_path):
+        # the closed backend evaluates saddle-point forms: no regulator ladder,
+        # no tolerance, no method line
+        text = PROB_CFG.replace("    json_mirror: true\n", "    backend: closed\n")
+        with pytest.warns(UserWarning, match="beta outside"):
+            assert main(["run", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)]) == 0
+        headers = header_lines(tmp_path / "p.csv")
+        assert "backend=closed" in headers
+        assert not [h for h in headers if h.startswith("method: ")]
+        regulator = [h for h in headers if h.startswith("regulator epsilons=")]
+        assert regulator[0].endswith("(not used: no branch pair took the regulator ladder)")
+        tolerance = [h for h in headers if h.startswith("quadrature abs_tol=")]
+        assert tolerance == ["quadrature abs_tol=1e-11 rel_tol=0.0001 "
+                             "(not used: the closed backend evaluates saddle-point forms)"]
+
+    @pytest.mark.parametrize("L_over_sigma, methods", [
+        ("[0.0]", ()), ("[-1.0, 0.0, 2.0]", ("ladder",))], ids=["stationary", "cross"])
+    def test_quadrature_probability_map_method_line_follows_its_points(self, tmp_path,
+                                                                        L_over_sigma, methods):
+        # Parallel at L = 0 has only stationary pairs, so no point takes the
+        # ladder; at L = 2 sigma the cross pair does (L = -sigma is refused,
+        # an invalid row that takes no method)
+        text = PROB_CFG.replace("[0.0, 2.0]", L_over_sigma).replace(
+            "[0.2, 4.0]", "[0.2]").replace("json_mirror: true", "backend: quadrature")
+        assert main(["run", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)]) == 0
+        headers = header_lines(tmp_path / "p.csv")
+        assert [h for h in headers if h.startswith("method: ")] == [cli._method_line(methods)]
+        regulator = [h for h in headers if h.startswith("regulator epsilons=")]
+        tolerance = [h for h in headers if h.startswith("quadrature abs_tol=")]
+        if methods:
+            assert regulator[0].endswith("(pointlike limit eps->0 taken after integration)")
+            assert tolerance == ["quadrature abs_tol=1e-11 rel_tol=0.0001"]
+        else:
+            assert regulator[0].endswith("(not used: no branch pair took the regulator ladder)")
+            assert tolerance == ["quadrature abs_tol=1e-11 rel_tol=0.0001 (not used by a "
+                                 "regulator ladder: the tolerance that each spectral "
+                                 "integral met)"]
+
     @pytest.mark.parametrize("omega, phrase", [
         (1.0, "I_ij by a Gauss-Hermite rule on the shifted contour"),
         (0.3, "integrated on the regulator ladder"),
@@ -704,13 +745,26 @@ class TestRunFailures:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_hyperbolic_range_row_is_invalid(self, tmp_path):
-        # kappa2/kappa1 = 20: the correlator of the fast branch leaves the
-        # evaluated range of sinh/cosh long before the cut at 40/kappa1
-        text = RATE_CFG.replace("SingleAccel", "Differing\n  kappa2: 20.0")
+        # kappa2/kappa1 = 20 at kappa1 tau = 20: the fast branch's null
+        # coordinates at tau, e^{+-kappa2 tau}, leave the evaluated range of
+        # the exponentials
+        text = RATE_CFG.replace("SingleAccel", "Differing\n  kappa2: 20.0").replace(
+            "kappa_tau: [0.0]", "kappa_tau: [20.0]")
         assert main(["run", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)]) == 0
         rows = [r.split(",") for r in data_rows(tmp_path / "r.csv")]
         assert len(rows) == 2
         assert all(r[2] == "nan" and r[-1] == "0" for r in rows)
+
+    def test_fast_second_branch_rate_rows_are_valid(self, tmp_path):
+        # kappa2/kappa1 = 20: each rung integrates to s = inf in closed form,
+        # so no e^{kappa2 s} is evaluated and the rows are finite, with a
+        # bar below the value
+        text = RATE_CFG.replace("SingleAccel", "Differing\n  kappa2: 20.0").replace(
+            "kappa_tau: [0.0]", "kappa_tau: [-2.0, 0.0]")
+        assert main(["run", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)]) == 0
+        rows = [[float(v) for v in r.split(",")] for r in data_rows(tmp_path / "r.csv")]
+        assert len(rows) == 4
+        assert all(math.isfinite(r[2]) and 0.0 < r[3] < abs(r[2]) and r[-1] == 1 for r in rows)
 
     def test_refused_scenario_row_is_invalid(self, tmp_path):
         # Parallel refuses L < 0; on the quadrature backend that grid point

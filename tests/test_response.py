@@ -10,6 +10,7 @@ freezing.
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -177,21 +178,32 @@ def test_rate_convergence_error_carries_estimate():
 
 # transition_rate of every family at omega = kappa = 1, tau = 0.5, as
 # (value, error_estimate, rungs extrapolated) in float.hex, as the code gave
-# them once a rate row was transformed in one pass (folded panel weights,
-# per-panel phase factors; numpy 2.4 on x86-64; a different vector math
-# library may move the last bits, and then the pins are re-recorded from that
-# code)
+# them once each rung of a cross pair was exact, two Lerch transcendents
+# (numpy 2.4 on x86-64; a different vector math library may move the last
+# bits, and then the pins are re-recorded from that code)
 RATE_PINS = {
     TrajectoryScenario("SingleAccel", kappa1=1.0):
         ("0x1.383bb4aa98a94p-12", "0x1.2fc568e21adcap-59", 0),
     TrajectoryScenario("Parallel", kappa1=1.0, L=1.0):
-        ("-0x1.bb8751ea319dep-9", "0x1.6f05103b80bf1p-22", 3),
+        ("-0x1.bb8751ea31835p-9", "0x1.6f05103d48bf1p-22", 3),
     TrajectoryScenario("AntiParallel", kappa1=1.0, L=1.0):
-        ("-0x1.0d018242658e6p-7", "0x1.a73c723ba5f8bp-25", 3),
+        ("-0x1.0d018242659b0p-7", "0x1.a73c71ffa5f8bp-25", 3),
     TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5):
-        ("-0x1.3055b75488e7fp-12", "0x1.cfeffeea55b86p-20", 3),
+        ("-0x1.3055b75489320p-12", "0x1.cfeffeea23a86p-20", 3),
     TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=1.0):
         ("0x1.1f7bf55bd0c5cp-12", "0x1.2b351ab9f8e24p-59", 0),
+}
+# the ladder rates as pinned while each rung was a quadrature to
+# s = 40/kappa_scale, transformed to every gap of a row in one pass (folded
+# panel weights, per-panel phase factors), (value, error_estimate): the
+# closed-form rungs moved each by at most 7.2e-9 of that bar
+RATE_PINS_ROW_TRANSFORM = {
+    TrajectoryScenario("Parallel", kappa1=1.0, L=1.0):
+        ("-0x1.bb8751ea319dep-9", "0x1.6f05103b80bf1p-22"),
+    TrajectoryScenario("AntiParallel", kappa1=1.0, L=1.0):
+        ("-0x1.0d018242658e6p-7", "0x1.a73c723ba5f8bp-25"),
+    TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5):
+        ("-0x1.3055b75488e7fp-12", "0x1.cfeffeea55b86p-20"),
 }
 # the ladder rates as pinned while each gap of a row reduced its own product
 # with the correlator (Gauss-Kronrod 15 panels), (value, error_estimate): the
@@ -224,7 +236,7 @@ def test_rate_is_bit_identical_to_its_pin(scenario):
     assert (r.value.hex(), r.error_estimate.hex()) == (value, error)
     assert len(r.epsilon_estimates) == rungs
     assert all(type(v) is float for _, v in r.epsilon_estimates)
-    for table in (RATE_PINS_PER_GAP, RATE_PINS_GAUSS15_7):
+    for table in (RATE_PINS_ROW_TRANSFORM, RATE_PINS_PER_GAP, RATE_PINS_GAUSS15_7):
         if scenario in table:
             old, bar = (float.fromhex(x) for x in table[scenario])
             assert abs(r.value - old) <= 1e-8 * bar
@@ -242,14 +254,36 @@ ROW = (-2.6, -0.9, 0.0, 0.9, 2.6)
     TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5),
 ], ids=lambda sc: sc.family)
 def test_rate_row_matches_one_gap_calls(scenario):
+    # each gap's rungs depend on that gap alone, and the row takes the
+    # eps -> 0 limit of all its gaps in one array pass with the one-gap
+    # formula: the row is the one-gap calls bit for bit, and each gap is
+    # _limit of its own blocks
     row = transition_rates(scenario, ROW, 0.7)
     assert len(row) == len(ROW)
-    for omega, batch in zip(ROW, row):
-        single = transition_rate(scenario, unit(omega), 0.7)
-        gap = abs(batch.value - single.value)
-        assert gap <= 1e-10 * abs(single.value)
-        assert gap <= min(batch.error_estimate, single.error_estimate)
+    sched, quad = response._defaults(scenario, None, None)
+    blocks = response._rate_at_eps(scenario, np.array(ROW), 0.7, sched.epsilons, quad).values()
+    for k, (omega, batch) in enumerate(zip(ROW, row)):
+        assert batch == transition_rate(scenario, unit(omega), 0.7)
+        alone = response._limit(sched, [(v[k].real, e[k]) for v, e in blocks], 0.5)
+        assert (batch.value, batch.error_estimate, batch.epsilon_estimates) == alone
         assert len(batch.epsilon_estimates) == 3
+
+
+def test_rate_row_warns_once_if_any_gap_is_non_monotone(monkeypatch):
+    # one row pass gives the non-monotone warning when any one gap trips it
+    rungs = response._rate_rungs
+
+    def zigzag_middle_gap(*args, **kwargs):
+        val, err = rungs(*args, **kwargs)
+        val[len(ROW) // 2] += np.array([0.0, 1e-3, 0.0])
+        return val, err
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        transition_rates(PAR_KL1, ROW, 0.7)
+    monkeypatch.setattr(response, "_rate_rungs", zigzag_middle_gap)
+    with pytest.warns(RuntimeWarning, match="not converging monotonically"):
+        transition_rates(PAR_KL1, ROW, 0.7)
 
 
 @pytest.mark.parametrize("scenario", [
@@ -273,20 +307,105 @@ def test_rate_row_names_the_gap_that_does_not_converge():
 
 
 def test_rate_row_names_the_first_gap_that_misses(monkeypatch):
-    # only the middle gap of the row misses (its error is blown up on every
-    # refinement): a converged row is checked once, and on a miss the gap
-    # named is the first that fails, not the first of the row
-    integrate = response.panel_integrate
+    # only the middle gap of the row misses (its rounding bound is blown up
+    # on every rung): a row within tolerance is checked once, and on a miss
+    # the gap named is the first that fails, not the first of the row
+    rungs = response._rate_rungs
 
     def middle_gap_misses(*args, **kwargs):
-        val, err = integrate(*args, **kwargs)
+        val, err = rungs(*args, **kwargs)
         err[len(ROW) // 2] = 1.0
         return val, err
 
-    monkeypatch.setattr(response, "panel_integrate", middle_gap_misses)
+    monkeypatch.setattr(response, "_rate_rungs", middle_gap_misses)
     with pytest.raises(ConvergenceError, match=r"\(1,2\) at omega = 0 did not") as exc:
         transition_rates(PAR_KL1, ROW, 0.7)
     assert exc.value.error_estimate == 1.0
+
+
+# --- closed-form rungs against the quadrature and mpmath ----------------------
+
+def _mp_rung(scenario, i, j, tau, omega, eps):
+    """J of one rung from mpmath's 2F1 at 30 digits, with the coefficients
+    of _rate_rungs computed in mpmath from the rows at tau."""
+    with mp.workdps(30):
+        row_i, row_j = scenario.branch(i), scenario.branch(j)
+        k = row_j.direction * row_j.kappa
+        ki = row_i.direction * row_i.kappa
+        tau, e = mp.mpf(tau), mp.mpf(eps)
+        a, b = mp.exp(-ki * tau) / ki, mp.exp(ki * tau) / ki
+        da, db = -mp.exp(-ki * tau), mp.exp(ki * tau)
+        dz = mp.mpf(row_j.z_c) - mp.mpf(row_i.z_c)
+        alpha, gamma = dz - a + 1j * e * da, b - dz - 1j * e * db
+        beta = mp.exp(-k * tau) * (1 / mp.mpf(k) - 1j * e)
+        delta = -mp.exp(k * tau) * (1 / mp.mpf(k) + 1j * e)
+        A, B, C, D = (beta, alpha, gamma, delta) if k > 0 else (alpha, beta, delta, gamma)
+        c = mp.mpc(1, omega / abs(k))
+
+        def term(u):
+            return u * mp.hyp2f1(1, c, c + 1, -u) / c
+
+        return complex(-(term(B / A) - term(D / C)) / (4 * mp.pi**2 * abs(k) * (B * C - A * D)))
+
+
+ANTI_CROSSING = TrajectoryScenario("AntiParallel", kappa1=1.0, L=-1.0)
+# AntiParallel kappa L = -1: the branches cross at kappa tau = +-acosh(3/2),
+# where du and dv vanish together at s = 0 and BC - AD is smallest
+CROSSING_TAU = math.acosh(1.5)
+RUNG_CASES = [
+    (PAR_KL1, (-3.0, -0.5, 0.0, 0.7, 2.5)),
+    (TrajectoryScenario("AntiParallel", kappa1=1.0, L=1.0), (-3.0, 0.0, 0.7, 2.5)),
+    (TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5), (-3.0, 0.0, 0.7, 2.5)),
+    (ANTI_CROSSING, (-CROSSING_TAU, 0.0, CROSSING_TAU - 0.01, CROSSING_TAU)),
+]
+
+
+@pytest.mark.parametrize("scenario, taus", RUNG_CASES,
+                         ids=["Parallel", "AntiParallel", "Differing", "AntiParallel-crossing"])
+def test_closed_form_rungs_match_the_quadrature(scenario, taus):
+    # the quadrature to s = 40/kappa_scale is the reference: its error
+    # estimate plus the rungs' rounding bound covers the gap, and the rungs
+    # stay within tolerance where BC - AD is smallest
+    quad = QuadratureConfig()
+    sched = response._defaults(scenario, None, None)[0]
+    gaps = np.array([-2.6, -0.9, 0.0, 0.9, 2.6])
+    for tau in taus:
+        for pair in ((1, 2), (2, 1)):
+            J, err = response._rate_rungs(scenario, *pair, tau, gaps, sched.epsilons)
+            ref, ref_err = response._rate_pair_integral(scenario, *pair, tau, gaps,
+                                                        sched.epsilons, quad)
+            assert J.shape == err.shape == (len(gaps), len(sched.epsilons))
+            assert np.all(np.abs(J - ref) <= ref_err + err)
+            assert np.all(err <= 1e-11 * np.abs(J))
+
+
+@pytest.mark.parametrize("scenario, pair, tau, omega, eps", [
+    (PAR_KL1, (1, 2), 0.7, -2.6, 2.5e-3),
+    (PAR_KL1, (2, 1), -3.0, 0.0, 1e-2),
+    (TrajectoryScenario("AntiParallel", kappa1=1.0, L=1.0), (2, 1), 2.5, 0.9, 5e-3),
+    (TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5), (2, 1), -3.0, 2.6, 5e-3),
+    (TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.05), (1, 2), 0.5, -4.25, 5e-2),
+    (TrajectoryScenario("Differing", kappa1=1.0, kappa2=20.0), (2, 1), -2.0, 1.0, 1e-2),
+    (ANTI_CROSSING, (1, 2), CROSSING_TAU, 0.9, 2.5e-3),
+    (ANTI_CROSSING, (2, 1), CROSSING_TAU, 1e-6, 2.5e-3),
+])
+def test_closed_form_rung_bound_covers_its_mpmath_value(scenario, pair, tau, omega, eps):
+    J, err = response._rate_rungs(scenario, *pair, tau, omega, eps)
+    assert abs(J - _mp_rung(scenario, *pair, tau, omega, eps)) <= err
+    assert err <= 1e-11 * abs(J)
+
+
+def test_fast_second_branch_rung_is_not_truncated():
+    # Differing kappa2/kappa1 = 20 at kappa1 tau = -2: pair (2, 1) has
+    # lightcone crossings at kappa1 s = 35.0 and 41.0, which straddled the
+    # old cut at s = 40/kappa1 (that rung read 0.0166); integrated to
+    # s = inf its Re J is the value that cuts at 60, 80 and 120 agreed on
+    fast = TrajectoryScenario("Differing", kappa1=1.0, kappa2=20.0)
+    J, _ = response._rate_rungs(fast, 2, 1, -2.0, 1.0, 1e-2)
+    assert J.real == pytest.approx(1.155e-4, rel=1e-3)
+    for tau in (-2.0, 0.0, 2.0):
+        for rate in transition_rates(fast, (-1.0, 1.0), tau):
+            assert math.isfinite(rate.value) and 0.0 < rate.error_estimate < abs(rate.value)
 
 
 def test_rate_respects_custom_schedule():
@@ -625,7 +744,7 @@ def test_window_alias_is_used_for_windows_only(monkeypatch, scenario):
 
     # at tau != 0 the two rate cuts differ, so the rate keeps both pairs
     seen.clear()
-    monkeypatch.setattr(response, "_rate_pair_integral", record)
+    monkeypatch.setattr(response, "_rate_rungs", record)
     response._rate_at_eps(scenario, 1.0, 1.0, 1e-2, quad)
     assert (1, 2) in seen and (2, 1) in seen
 
