@@ -17,6 +17,10 @@ independently, and the single writer assembles them in grid order. A row
 holds every gap that a scenario's rate_map and kms_report need (omega, and
 -omega for the KMS ratio), integrated together (transition_rates), so both
 outputs read the same rates; a row that raises is evaluated gap by gap.
+
+Only the points of a quadrature-backend probability_map on the regulator
+ladder (the 2-D engine, up to seconds a point) are spread over --workers
+processes; every other output runs in this process.
 """
 
 from __future__ import annotations
@@ -26,10 +30,9 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import sys
 import warnings
-from contextlib import nullcontext
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -149,24 +152,6 @@ _INVALID_ROW = {
     "rate_map": lambda a, b: (a, b, _NAN, _NAN, 0),
     "kms_report": lambda a, b: (a, b, _NAN, _NAN, _NAN, 0, 0),
 }
-_EVALUATORS = {}
-
-
-def _eval_point(task):
-    """Evaluate one task: a probability grid point, returning its CSV row, or
-    a kappa tau row of rates (_eval_rates).
-
-    Module-level so process pools can pickle it. A point's validity or
-    convergence failure becomes a NaN row with the valid flag down; a rate
-    row marks each failed gap None.
-    """
-    kind, point, payload = task
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            return _EVALUATORS[kind](point, payload)
-        except _POINT_ERRORS:
-            return _INVALID_ROW[kind](*point)
 
 
 def _point_geometry(params: DetectorParams, point) -> tuple:
@@ -188,67 +173,79 @@ def _point_scenario(family: str, params: DetectorParams, point) -> TrajectorySce
         raise ValidityError(f"grid point outside the family: {exc}") from exc
 
 
-def _eval_probability(point, payload):
-    family, params, backend, reg, quad = payload
-    if backend == "closed":
-        fn = p_parallel if family == "Parallel" else p_antiparallel
-        value = fn(params, *_point_geometry(params, point)).probability
-    else:
-        scenario = _point_scenario(family, params, point)
-        value = excitation_probability_quadrature(scenario, params, reg, quad).value
+def _eval_point(task):
+    """The CSV row of one probability grid point, task = (point, payload).
+
+    Module-level so a process pool can pickle it. A point's validity or
+    convergence failure becomes a NaN row with the valid flag down.
+    """
+    point, (family, params, backend, reg, quad) = task
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            if backend == "closed":
+                fn = p_parallel if family == "Parallel" else p_antiparallel
+                value = fn(params, *_point_geometry(params, point)).probability
+            else:
+                scenario = _point_scenario(family, params, point)
+                value = excitation_probability_quadrature(scenario, params, reg, quad).value
+        except _POINT_ERRORS:
+            return _INVALID_ROW["probability_map"](*point)
     return (*point, value, 1)
 
 
-def _eval_rates(kappa_tau, payload):
+def _probability_rows(cfg: ScenarioConfig, payload, methods, workers: int) -> list:
+    """The probability_map rows over the grids, in grid order. Only a map
+    whose points take the regulator ladder (methods, _probability_methods)
+    starts a process pool: of at most workers processes, and no more than
+    it has points or the process has CPUs."""
+    outer, inner = (cfg.grids[n] for n in KIND_GRIDS["probability_map"])
+    tasks = [((a, b), payload) for a in outer for b in inner]
+    if methods == ("ladder",):
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        workers = min(workers, len(tasks), cpus)
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(_eval_point, tasks,
+                                     chunksize=max(1, len(tasks) // (4 * workers))))
+    return [_eval_point(t) for t in tasks]
+
+
+def _eval_rates(scenario, sigma, gaps, tau, reg, quad) -> list:
     """The rates of one kappa tau row, one per gap: a RateResult, or None
     where that gap's own transition_rate call raises a point failure. The
     row is one transition_rates call; if that raises, each gap is evaluated
     alone, so that one failing gap does not fail the others."""
-    scenario, sigma, gaps, reg, quad = payload
-    tau = kappa_tau / scenario.kappa1
-    try:
-        return transition_rates(scenario, gaps, tau, reg, quad)
-    except _POINT_ERRORS:
-        pass
-    rates = []
-    for omega in gaps:
-        params = DetectorParams(omega=omega, lambda_coupling=1.0, sigma=sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # also DetectorParams' unit-coupling warning
         try:
-            rates.append(transition_rate(scenario, params, tau, reg, quad))
+            return transition_rates(scenario, gaps, tau, reg, quad)
         except _POINT_ERRORS:
-            rates.append(None)
-    return rates
+            pass
+        rates = []
+        for omega in gaps:
+            params = DetectorParams(omega=omega, lambda_coupling=1.0, sigma=sigma)
+            try:
+                rates.append(transition_rate(scenario, params, tau, reg, quad))
+            except _POINT_ERRORS:
+                rates.append(None)
+        return rates
 
 
-_EVALUATORS.update({"probability_map": _eval_probability,
-                    "rate_map": _eval_rates})
-
-
-def _grid_tasks(kind, cfg: ScenarioConfig, payload):
-    outer, inner = (cfg.grids[n] for n in KIND_GRIDS[kind])
-    return [(kind, (a, b), payload) for a in outer for b in inner]
-
-
-def _run_tasks(tasks, pool, workers: int):
-    if pool is None or len(tasks) <= 1:
-        return [_eval_point(t) for t in tasks]
-    chunk = max(1, len(tasks) // (4 * workers))
-    return list(pool.map(_eval_point, tasks, chunksize=chunk))
-
-
-def _rate_table(cfg: ScenarioConfig, scenario, negated: bool, pool, workers: int) -> dict:
+def _rate_table(cfg: ScenarioConfig, scenario, negated: bool) -> dict:
     """{kappa_tau: {gap: RateResult or None}} over the grids: omega, and
-    -omega too if negated (a kms_report reads the table), in one task per
+    -omega too if negated (a kms_report reads the table), in one row per
     kappa tau. Gaps equal as floats (0.0 and -0.0 too) are evaluated once."""
     kappa = scenario.kappa1
     gaps = [w * kappa for w in cfg.grids["omega_over_kappa"]]
     if negated:
         gaps += [-g for g in gaps]
     gaps = tuple(dict.fromkeys(gaps))
-    payload = (scenario, cfg.params.sigma, gaps, cfg.regulator, cfg.quadrature)
-    taus = cfg.grids["kappa_tau"]
-    rows = _run_tasks([("rate_map", kt, payload) for kt in taus], pool, workers)
-    return {kt: dict(zip(gaps, row)) for kt, row in zip(taus, rows)}
+    return {kt: dict(zip(gaps, _eval_rates(scenario, cfg.params.sigma, gaps, kt / kappa,
+                                           cfg.regulator, cfg.quadrature)))
+            for kt in cfg.grids["kappa_tau"]}
 
 
 def _rate_row(w, kt, rates, kappa):
@@ -341,7 +338,8 @@ def _suffixed(path: str, suffix: str) -> Path:
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str = ".", workers: int = 1) -> int:
     """Produce every configured output file; returns a process exit code.
-    With workers > 1, one process pool serves every output."""
+    workers bounds the processes of a map whose points take the regulator
+    ladder (_probability_rows); every other output runs in this process."""
     base = Path(out_dir)
     if not cfg.outputs:
         print("nothing to do: config declares no outputs")
@@ -350,45 +348,42 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".", workers: int = 1) -> i
     kms_variants = {scenario for out in cfg.outputs if out.kind == "kms_report"
                     for _, scenario in scenario_variants(out, cfg.scenario)}
     tables = {}
-    pool_cm = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
-    with pool_cm as pool:
-        for out in cfg.outputs:
-            for suffix, scenario in scenario_variants(out, cfg.scenario):
-                path = base / _suffixed(out.path, suffix)
-                if out.kind == "probability_map":
-                    methods = _probability_methods(cfg, scenario.family, out.backend)
-                    payload = (scenario.family, _unit_coupling(cfg.params), out.backend,
-                               cfg.regulator, cfg.quadrature)
-                    extra = (f"backend={out.backend}",
-                             "kappa derived per point: kappa = "
-                             "kappa_sigma2_omega / (sigma^2 omega); L = L_over_sigma * sigma")
-                    extra += (_method_line(methods),) if methods is not None else ()
-                    rows = _run_tasks(_grid_tasks(out.kind, cfg, payload), pool, workers)
-                elif out.kind == "visibility_scan":
-                    rows, extra, methods = _visibility_rows(cfg, scenario)
+    for out in cfg.outputs:
+        for suffix, scenario in scenario_variants(out, cfg.scenario):
+            path = base / _suffixed(out.path, suffix)
+            if out.kind == "probability_map":
+                methods = _probability_methods(cfg, scenario.family, out.backend)
+                payload = (scenario.family, _unit_coupling(cfg.params), out.backend,
+                           cfg.regulator, cfg.quadrature)
+                extra = (f"backend={out.backend}",
+                         "kappa derived per point: kappa = "
+                         "kappa_sigma2_omega / (sigma^2 omega); L = L_over_sigma * sigma")
+                extra += (_method_line(methods),) if methods is not None else ()
+                rows = _probability_rows(cfg, payload, methods, workers)
+            elif out.kind == "visibility_scan":
+                rows, extra, methods = _visibility_rows(cfg, scenario)
+            else:
+                methods = _pair_methods(scenario, "lerch")
+                if scenario not in tables:
+                    tables[scenario] = _rate_table(cfg, scenario, scenario in kms_variants)
+                table, kappa = tables[scenario], scenario.kappa1
+                if out.kind == "rate_map":
+                    rows = [_rate_row(w, kt, table[kt], kappa)
+                            for w in cfg.grids["omega_over_kappa"]
+                            for kt in cfg.grids["kappa_tau"]]
+                    extra = ("rate normalization: single-branch stationary limit is "
+                             "the thermal value omega/(2 pi (e^{2 pi omega/kappa}-1))",
+                             _method_line(methods))
                 else:
-                    methods = _pair_methods(scenario, "lerch")
-                    if scenario not in tables:
-                        tables[scenario] = _rate_table(cfg, scenario, scenario in kms_variants,
-                                                       pool, workers)
-                    table, kappa = tables[scenario], scenario.kappa1
-                    if out.kind == "rate_map":
-                        rows = [_rate_row(w, kt, table[kt], kappa)
-                                for w in cfg.grids["omega_over_kappa"]
-                                for kt in cfg.grids["kappa_tau"]]
-                        extra = ("rate normalization: single-branch stationary limit is "
-                                 "the thermal value omega/(2 pi (e^{2 pi omega/kappa}-1))",
-                                 _method_line(methods))
-                    else:
-                        rows = [_kms_row(w, kt, table[kt], kappa, out.tolerance)
-                                for w in cfg.grids["omega_over_kappa"]
-                                for kt in cfg.grids["kappa_tau"]]
-                        extra = (f"kms tolerance={_fmt(out.tolerance)} "
-                                 "(detailed balance rate(omega)/rate(-omega) vs "
-                                 "e^{-2 pi omega/kappa})", _method_line(methods))
-                _write_output(path, _header_lines(out.kind, cfg, scenario, extra, methods),
-                              rows, out.json_mirror, out.kind)
-                print(f"wrote {path} ({len(rows)} rows)")
+                    rows = [_kms_row(w, kt, table[kt], kappa, out.tolerance)
+                            for w in cfg.grids["omega_over_kappa"]
+                            for kt in cfg.grids["kappa_tau"]]
+                    extra = (f"kms tolerance={_fmt(out.tolerance)} "
+                             "(detailed balance rate(omega)/rate(-omega) vs "
+                             "e^{-2 pi omega/kappa})", _method_line(methods))
+            _write_output(path, _header_lines(out.kind, cfg, scenario, extra, methods),
+                          rows, out.json_mirror, out.kind)
+            print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
 
@@ -586,7 +581,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a scenario config")
     add_common(p_run)
     p_run.add_argument("--workers", type=int, default=1,
-                       help="process-pool size for grid tasks, at least 1 (default 1)")
+                       help="most processes for the points of a quadrature-backend "
+                            "probability_map that take the regulator ladder; every "
+                            "other output runs in one process (at least 1, default 1)")
     p_run.add_argument("--out-dir", default=".",
                        help="directory output paths are resolved against")
     p_run.set_defaults(handler=_cmd_run)

@@ -200,6 +200,10 @@ def _parse_outputs(raw, scenario, errors: list):
             continue
         kappa_L = item.get("kappa_L", ())
         if kappa_L != ():
+            if kind == "probability_map":
+                errors.append(f"{prefix}.kappa_L: probability_map reads its separation "
+                              "from the L_over_sigma grid; sweep that instead")
+                continue
             if scenario is not None and scenario.family not in (
                     "Parallel", "AntiParallel", "ThermalInertialPair"):
                 errors.append(f"{prefix}.kappa_L: family {scenario.family} "

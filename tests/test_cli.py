@@ -1,9 +1,12 @@
 """End-to-end CLI tests: in-process main() calls against temp directories."""
 
+import concurrent.futures
 import hashlib
 import json
 import math
+import os
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -377,19 +380,55 @@ def ladder_cfg(kappa_tau="[-1.0, 0.0, 1.0]", outputs=""):
     )
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every process pool the run starts. The stand-in
+    pool maps in this process, so that no process is started."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+def ladder_map_cfg():
+    """A quadrature-backend Parallel map of 4 points at L > 0, where every
+    point's cross pair takes the regulator ladder."""
+    return PROB_CFG.replace("[0.0, 2.0]", "[1.0, 2.0]").replace(
+        "[0.2, 4.0]", "[0.2, 0.4]").replace("json_mirror: true", "backend: quadrature")
+
+
 class TestRateRows:
     """rate_map and kms_report share one row of rates per kappa tau."""
 
     def test_worker_pool_output_identical_to_serial(self, tmp_path):
-        cfg = write_cfg(tmp_path, ladder_cfg())
+        # the rates run in this process at any --workers; the map's points
+        # take the regulator ladder, so --workers 2 runs them in a real pool
+        cfg = write_cfg(tmp_path, ladder_cfg(outputs=(
+            "  - kind: probability_map\n    path: p.csv\n    backend: quadrature\n"
+        )).replace("grids:\n", "grids:\n  L_over_sigma: [2.0]\n"
+                   "  kappa_sigma2_omega: [0.2, 0.4]\n"))
         for workers in ("1", "2"):
             rc = main(["run", cfg, "--out-dir", str(tmp_path / workers),
                        "--workers", workers])
             assert rc == 0
-        for name in ("r.csv", "k.csv"):
+        for name, rows in (("r.csv", 9), ("k.csv", 9), ("p.csv", 2)):
             serial = (tmp_path / "1" / name).read_bytes()
             assert serial == (tmp_path / "2" / name).read_bytes()
-            assert len(data_rows(tmp_path / "1" / name)) == 9
+            assert len(data_rows(tmp_path / "1" / name)) == rows
+        assert [r.split(",")[-1] for r in data_rows(tmp_path / "1" / "p.csv")] == ["1", "1"]
 
     def test_one_row_call_per_kappa_tau_serves_both_outputs(self, tmp_path, monkeypatch):
         calls, original = [], cli.transition_rates
@@ -406,24 +445,41 @@ class TestRateRows:
         kms = [r.split(",") for r in data_rows(tmp_path / "k.csv")]
         assert [r[2:] for r in kms if r[0] == "0"] == [["1", "1", "0", "1", "1"]] * 3
 
-    def test_one_pool_serves_every_output(self, tmp_path, monkeypatch):
-        pools = []
-
-        class CountingPool(cli.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
-        text = ladder_cfg(outputs="  - kind: probability_map\n    path: p.csv\n")
+    def test_only_a_ladder_map_starts_a_pool(self, tmp_path, pool_sizes):
+        # rates, KMS reports, closed maps and maps whose branch pairs are all
+        # stationary run in this process under --workers 2
+        text = ladder_cfg(outputs="  - kind: probability_map\n    path: p.csv\n"
+                          "  - kind: probability_map\n    path: q.csv\n"
+                          "    backend: quadrature\n")
         text = text.replace("    path: k.csv\n", "    path: k.csv\n    kappa_L: [1.0, 2.0]\n")
-        text = text.replace("grids:\n", "grids:\n  L_over_sigma: [0.0, 2.0]\n"
+        text = text.replace("grids:\n", "grids:\n  L_over_sigma: [0.0]\n"
                             "  kappa_sigma2_omega: [0.2, 0.4]\n")
         assert main(["run", write_cfg(tmp_path, text), "--out-dir", str(tmp_path),
                      "--workers", "2"]) == 0
-        assert len(pools) == 1
-        for name in ("r.csv", "k_kL1.csv", "k_kL2.csv", "p.csv"):
+        assert pool_sizes == []
+        for name in ("r.csv", "k_kL1.csv", "k_kL2.csv", "p.csv", "q.csv"):
             assert (tmp_path / name).exists()
+        # a quadrature map whose points take the regulator ladder starts one
+        assert main(["run", write_cfg(tmp_path, ladder_map_cfg()), "--out-dir",
+                     str(tmp_path / "ladder"), "--workers", "2"]) == 0
+        assert pool_sizes == [2]
+        assert len(data_rows(tmp_path / "ladder" / "p.csv")) == 4
+
+    @pytest.mark.parametrize("workers, cpus, size", [
+        ("500", 2, 2), ("500", 64, 4), ("3", 64, 3), ("2", 1, None)])
+    def test_pool_has_no_more_processes_than_points_or_cpus(
+            self, tmp_path, monkeypatch, pool_sizes, workers, cpus, size):
+        # a forking pool starts all max_workers processes on the first
+        # submit; the map has 4 points
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(cli, "excitation_probability_quadrature",
+                            lambda *args: SimpleNamespace(value=1.0))
+        assert main(["run", write_cfg(tmp_path, ladder_map_cfg()), "--out-dir",
+                     str(tmp_path), "--workers", workers]) == 0
+        assert pool_sizes == ([size] if size else [])
+        assert data_rows(tmp_path / "p.csv") == [
+            "1,0.2,1,1", "1,0.4,1,1", "2,0.2,1,1", "2,0.4,1,1"]
 
     def test_out_of_range_kappa_tau_row_is_invalid_alone(self, tmp_path):
         # at kappa tau = 400 the cross correlator leaves the evaluated range
@@ -775,12 +831,21 @@ class TestRunFailures:
         assert data_rows(tmp_path / "p.csv") == ["-1,0.2,nan,0"]
 
     def test_program_error_aborts_the_run(self, tmp_path, monkeypatch):
-        def broken(point, payload):
+        def broken(*args):
             raise ValueError("a fault of the program, not of the grid point")
 
-        monkeypatch.setitem(cli._EVALUATORS, "rate_map", broken)
+        monkeypatch.setattr(cli, "transition_rates", broken)
         with pytest.raises(ValueError, match="fault of the program"):
             main(["run", write_cfg(tmp_path, RATE_CFG), "--out-dir", str(tmp_path)])
+
+    def test_program_error_at_a_probability_point_aborts_the_run(self, tmp_path,
+                                                                 monkeypatch):
+        def broken(*args):
+            raise ValueError("a fault of the program, not of the grid point")
+
+        monkeypatch.setattr(cli, "excitation_probability_quadrature", broken)
+        with pytest.raises(ValueError, match="fault of the program"):
+            main(["run", write_cfg(tmp_path, ladder_map_cfg()), "--out-dir", str(tmp_path)])
 
     def test_no_outputs_is_a_noop(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "scenario:\n  family: Parallel\n")

@@ -396,6 +396,20 @@ class TestOutputsSection:
         assert ("outputs[0].kappa_L: family Differing has no separation "
                 "parameter") in errs
 
+    def test_kappa_L_refused_on_a_probability_map(self):
+        # the map reads L from its L_over_sigma grid, so a kappa_L sweep would
+        # write files whose bodies are identical and whose headers name an L
+        # that no point used
+        text = MINIMAL + (
+            "outputs:\n"
+            "  - kind: probability_map\n"
+            "    path: p.csv\n"
+            "    kappa_L: [0.5, 3.0]\n"
+        )
+        assert errors_of(text) == [
+            "outputs[0].kappa_L: probability_map reads its separation from the "
+            "L_over_sigma grid; sweep that instead"]
+
     def test_kappa_ratio_only_for_differing(self):
         text = MINIMAL + (
             "outputs:\n"
