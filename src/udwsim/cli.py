@@ -331,11 +331,6 @@ def _write_output(path: Path, header, rows, json_mirror: bool, kind):
             json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _suffixed(path: str, suffix: str) -> Path:
-    p = Path(path)
-    return p if not suffix else p.with_name(p.stem + suffix + p.suffix)
-
-
 def run_scenario(cfg: ScenarioConfig, out_dir: str = ".", workers: int = 1) -> int:
     """Produce every configured output file; returns a process exit code.
     workers bounds the processes of a map whose points take the regulator
@@ -349,8 +344,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".", workers: int = 1) -> i
                     for _, scenario in scenario_variants(out, cfg.scenario)}
     tables = {}
     for out in cfg.outputs:
-        for suffix, scenario in scenario_variants(out, cfg.scenario):
-            path = base / _suffixed(out.path, suffix)
+        for file, scenario in scenario_variants(out, cfg.scenario):
+            path = base / file
             if out.kind == "probability_map":
                 methods = _probability_methods(cfg, scenario.family, out.backend)
                 payload = (scenario.family, _unit_coupling(cfg.params), out.backend,
@@ -493,8 +488,12 @@ def _load_config(args) -> ScenarioConfig:
     cfg = validate_config(text)
     if getattr(args, "quad_tol", None) is not None:
         cfg = replace(cfg, quadrature=replace(cfg.quadrature, rel_tol=args.quad_tol))
-    if getattr(args, "eps_ladder", None):
-        eps = tuple(float(v) for v in args.eps_ladder.split(","))
+    if getattr(args, "eps_ladder", None) is not None:
+        try:
+            eps = tuple(float(v) for v in args.eps_ladder.split(","))
+        except ValueError:
+            raise ValueError("--eps-ladder: expected comma-separated numbers, "
+                             f"got {args.eps_ladder!r}") from None
         cfg = replace(cfg, regulator=replace(cfg.regulator, epsilons=eps))
     return cfg
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import yaml
 
@@ -77,15 +78,22 @@ class ScenarioConfig:
 
 
 def scenario_variants(out: OutputSpec, base: TrajectoryScenario) -> list:
-    """(suffix, scenario) pairs: one per swept separation or ratio value of
-    the output, or the base scenario alone. Raises ValueError for a value
-    the family refuses (validate_config reports it)."""
+    """(file, scenario) pairs: one per swept separation or ratio value of
+    the output, whose file is out.path with the value as a suffix before
+    the extension (r.csv -> r_kL0.5.csv, r_k2r2.csv), or out.path and the
+    base scenario alone. Raises ValueError for a value the family refuses
+    (validate_config reports it)."""
+    p = Path(out.path)
+
+    def file(tag, v):
+        return p.with_name(f"{p.stem}_{tag}{v:g}{p.suffix}")
+
     if out.kappa_L:
-        return [(f"_kL{v:g}", replace(base, L=v / base.kappa1)) for v in out.kappa_L]
+        return [(file("kL", v), replace(base, L=v / base.kappa1)) for v in out.kappa_L]
     if out.kappa_ratio:
-        return [(f"_k2r{v:g}", replace(base, kappa2=v * base.kappa1))
+        return [(file("k2r", v), replace(base, kappa2=v * base.kappa1))
                 for v in out.kappa_ratio]
-    return [("", base)]
+    return [(p, base)]
 
 
 def _as_float(value, path: str, errors: list) -> float:
@@ -159,7 +167,8 @@ def _parse_outputs(raw, scenario, errors: list):
     if not isinstance(raw, list):
         errors.append("outputs: expected a list")
         return ()
-    outputs = []
+    # {file: the entry that writes it}, over every variant of every output
+    outputs, claimed = [], {}
     allowed = ("kind", "path", "backend", "kappa_L", "kappa_ratio",
                "json_mirror", "tolerance")
     for idx, item in enumerate(raw):
@@ -176,6 +185,9 @@ def _parse_outputs(raw, scenario, errors: list):
         path = item.get("path")
         if not isinstance(path, str) or not path.strip():
             errors.append(f"{prefix}.path: must be a nonempty string")
+            continue
+        if not Path(path).name:
+            errors.append(f"{prefix}.path: must name a file, got {path!r}")
             continue
         backend = item.get("backend", "closed")
         if kind == "probability_map":
@@ -236,14 +248,24 @@ def _parse_outputs(raw, scenario, errors: list):
                          kappa_L=tuple(kappa_L), kappa_ratio=tuple(kappa_ratio),
                          json_mirror=json_mirror, tolerance=tolerance)
         # build every variant the run will build, so that a value the family
-        # refuses is reported here
+        # refuses, or a file another entry writes too (the later write would
+        # overwrite it), is reported here
         if scenario is not None and not any(map(math.isnan, out.kappa_L + out.kappa_ratio)):
+            swept = "kappa_L" if out.kappa_L else "kappa_ratio"
             try:
-                scenario_variants(out, scenario)
+                variants = scenario_variants(out, scenario)
             except ValueError as exc:
-                swept = "kappa_L" if out.kappa_L else "kappa_ratio"
                 errors.append(f"{prefix}.{swept}: {exc}")
                 continue
+            for k, (file, _) in enumerate(variants):
+                entry = f"{prefix}.{swept}[{k}]" if out.kappa_L or out.kappa_ratio else prefix
+                written = [(file, entry)]
+                if out.json_mirror:
+                    written.append((file.with_suffix(".json"), f"{entry} (json_mirror)"))
+                for path, who in written:
+                    if path in claimed:
+                        errors.append(f"{who}: writes {path}, as {claimed[path]} does")
+                    claimed.setdefault(path, who)
         outputs.append(out)
     return tuple(outputs)
 

@@ -232,57 +232,14 @@ def _panel_sums(f, h, rule: PanelRule = KRONROD15):
     return fsum_rows(value), fsum_rows(np.abs(value - check))
 
 
-def panel_integrate(f, edges: np.ndarray, omegas=None, rule: PanelRule = KRONROD15):
+def panel_integrate(f, edges: np.ndarray, rule: PanelRule = KRONROD15):
     """Composite integral of a vectorized (complex) integrand over the panel
     mesh under rule, with its comparison-rule error estimate. f is called
     once, on panel_nodes(edges, rule). Panel contributions are accumulated
     with compensated summation. An integrand of shape (m, N) for N nodes (one
-    row per regulator value) gives arrays of m values and errors.
-
-    With a 1-D array omegas, the integrals of e^{-i omega x} f(x), one per
-    omega, with a leading omega axis, as one transform of the row (_row_sums):
-    f is evaluated once, and the gaps are reduced _ROW_CHUNK at a time."""
+    row per regulator value) gives arrays of m values and errors."""
     fx = np.asarray(f(panel_nodes(edges, rule)))
-    if omegas is None:
-        return _panel_sums(fx, 0.5 * (edges[1:] - edges[:-1]), rule)
-    return _row_sums(fx, edges, np.asarray(omegas, dtype=float), rule)
-
-
-# gaps per step of _row_sums: its temporaries grow with it (4 gaps of a
-# 3-rung, 180-panel rate cut peak at about 600 KiB), while few gaps per step
-# leave the cost in per-step overhead
-_ROW_CHUNK = 4
-
-
-def _row_sums(fx, edges, omegas, rule: PanelRule):
-    """(values, errors) of e^{-i omega x} f(x) for every omega, from f's
-    values fx on panel_nodes(edges, rule). The rule's value weights and its
-    value-minus-check weights are folded into fx once; at node t_n of a
-    panel of centre m_p and half-width h_p the phase is
-    e^{-i omega m_p} e^{-i omega h_p t_n}, whose local factor is computed once
-    per distinct width; one einsum per chunk of gaps contracts the nodes, off
-    BLAS. Values are fsummed over the panels, and the non-negative
-    |value - check| terms of the error summed plainly."""
-    h = 0.5 * (edges[1:] - edges[:-1])
-    m = 0.5 * (edges[:-1] + edges[1:])
-    value_w, diff_w = node_weights(rule)
-    rows = fx.reshape((-1, len(h), len(rule.nodes)))
-    k = len(rows)
-    folded = np.empty((2 * k,) + rows.shape[1:], dtype=np.result_type(rows, value_w))
-    np.multiply(rows, value_w, out=folded[:k])
-    np.multiply(rows, diff_w, out=folded[k:])
-    widths, panel_width = np.unique(h, return_inverse=True)
-    shape = (len(omegas),) + fx.shape[:-1]
-    values, errors = np.empty(shape, dtype=complex), np.empty(shape)
-    for start in range(0, len(omegas), _ROW_CHUNK):
-        chunk = slice(start, start + _ROW_CHUNK)
-        w = omegas[chunk, None]
-        local = np.exp(-1j * w[:, :, None] * (widths[:, None] * rule.nodes))
-        sums = np.einsum("gpn,kpn->gkp", local[:, panel_width], folded)
-        sums *= (h * np.exp(-1j * w * m))[:, None, :]
-        values.reshape(-1, k)[chunk] = fsum_rows(sums[:, :k].reshape(-1, len(h))).reshape(-1, k)
-        errors.reshape(-1, k)[chunk] = np.abs(sums[:, k:]).sum(axis=-1)
-    return values, errors
+    return _panel_sums(fx, 0.5 * (edges[1:] - edges[:-1]), rule)
 
 
 def fsum_rows(x):

@@ -9,10 +9,9 @@ local pair, the thermal bath's cross pair) are exact from their spectrum
 against its transform with GAUSS15_7 panels (_spectral_pair_integral). The
 other cross pairs take the whole regulator ladder in one pass, eps an array
 axis. A rate's rungs are exact: two Lerch transcendents (lerch) per gap
-and rung of a row (_rate_rungs); _rate_pair_integral, a KRONROD15 panel
-quadrature of the same integral to s = 40/kappa_scale that transforms one
-correlator pass to every gap (panel_integrate's omegas), is kept as the
-tests' reference. A window (_ladder_pair_integral, restarted finer until
+and rung of a row (_rate_rungs), so no rate is a panel integral; the
+tests check them against a panel quadrature of the same integral cut at
+s = 40/kappa_scale. A window (_ladder_pair_integral, restarted finer until
 within tolerance) is integrated with KRONROD15 panels on meshes clustered
 at the closed-form lightcone crossings, over p = tau1 + tau2 and over
 inner cuts of fixed p, each cut a boost of the p = 0 cut on its inner mesh
@@ -30,8 +29,7 @@ excitation_probability_contour sums those sums over every pair.
 No family is named here: which branch pairs share one integral (_pair_map),
 which are stationary (stationary_form), and kappa_scale are read off the
 rows of the family table (kinematics); one _mesh_policy sets the panels of
-every panel integral: the reference rate quadrature's within
-0.5/kappa_scale, a window's within sigma and 0.5/kappa_max.
+the 2-D engine: within sigma and 0.5/kappa_max.
 
 Normalization: every rate and probability carries the explicit
 lambda^2 / N^2 prefactor (N = number of superposed branches), so one- and
@@ -167,19 +165,16 @@ def _pair_map(scenario: TrajectoryScenario, integral, window: bool) -> dict:
     return out
 
 
-def _mesh_policy(scenario, omega, eps, sigma=None, level=0):
-    """(cap, scale) of a panel mesh: panels within a period of omega over
-    _OSCILLATION_RESOLUTION, and clustering from 1/8 of the smallest eps;
-    both halve per 2-D restart level. A rate's panels are also within
-    0.5/kappa_scale. A window's are within sigma, as its Gaussian
-    e^{-p^2/4 sigma^2} has standard deviation sqrt(2) sigma, and within
-    0.5/kappa_max, since the fastest row sets how the correlator varies
-    (e^{+-kappa_i p/2}); with no accelerated row there is no kappa term."""
-    if sigma is None:
-        cap = 0.5 / kappa_scale(scenario)
-    else:
-        kappa_max = max(b.kappa for b in scenario.branches)
-        cap = min(sigma, 0.5 / kappa_max) if kappa_max > 0.0 else sigma
+def _mesh_policy(scenario, omega, eps, sigma, level=0):
+    """(cap, scale) of a window's panel mesh: panels within a period of omega
+    over _OSCILLATION_RESOLUTION, and clustering from 1/8 of the smallest
+    eps; both halve per 2-D restart level. The panels are also within sigma,
+    as the Gaussian e^{-p^2/4 sigma^2} has standard deviation sqrt(2) sigma,
+    and within 0.5/kappa_max, since the fastest row sets how the correlator
+    varies (e^{+-kappa_i p/2}); with no accelerated row there is no kappa
+    term."""
+    kappa_max = max(b.kappa for b in scenario.branches)
+    cap = min(sigma, 0.5 / kappa_max) if kappa_max > 0.0 else sigma
     if omega != 0.0:
         cap = min(cap, (2.0 * math.pi / abs(omega)) / _OSCILLATION_RESOLUTION)
     shrink = 0.5**level
@@ -202,70 +197,8 @@ def _check_converged(val, err, quad, what):
                 estimate=v.item(), error_estimate=e.item())
 
 
-def _refined_integral(f, edges, quad, omegas=None, rule=KRONROD15):
-    """panel_integrate of f on the mesh under rule (per omega, given omegas),
-    halving every panel up to _MAX_REFINEMENTS times until every omega and
-    rung meets the tolerance. Returns (value, error); the caller decides what
-    a miss means."""
-    val, err = panel_integrate(f, edges, omegas=omegas, rule=rule)
-    for _ in range(_MAX_REFINEMENTS):
-        if _within_tol(val, err, quad):
-            break
-        edges = refine_mesh(edges)
-        val, err = panel_integrate(f, edges, omegas=omegas, rule=rule)
-    return val, err
-
-
 # ---------------------------------------------------------------------------
-# semi-infinite rate integrals: closed-form rungs, and the reference quadrature
-
-
-def _rate_cut(scenario: TrajectoryScenario) -> float:
-    """Upper end in s of the reference rate quadrature (_rate_pair_integral):
-    40 decay lengths of the slowest branch acceleration, the same for every
-    branch pair."""
-    return 40.0 / kappa_scale(scenario)
-
-
-def _rate_cut_roots(scenario, i, j, tau, s_hi):
-    """Lightcone crossings s in [0, s_hi] of W^{ij} on the rate cut
-    tau1 = tau, tau2 = tau - s, in closed form: du vanishes at
-    tau2 = a_j^{-1}(a_i(tau) + z_ci - z_cj), and dv at
-    tau2 = b_j^{-1}(b_i(tau) + z_ci - z_cj)."""
-    if i == j:
-        return []
-    row_i, row_j = scenario.branch(i), scenario.branch(j)
-    a, b, _, _ = row_i.null(tau)
-    off = row_i.z_c - row_j.z_c
-    s = tau - np.array([row_j.a_inv(a + off), row_j.b_inv(b + off)])
-    return [float(r) for r in s if 0.0 <= r <= s_hi]
-
-
-def _rate_pair_integral(scenario, i, j, tau, omega, eps, quad):
-    """integral_0^S e^{-i omega s} W^{ij}(tau, tau - s) ds, S = _rate_cut,
-    per rung for a ladder; for an array of omegas, one such row per omega.
-    The panel quadrature of _rate_rungs' integral, cut at S: no library
-    path calls it; the tests compare the closed-form rungs against it.
-    The correlator does not depend on omega: it is evaluated once, on one
-    mesh that resolves the largest |omega|, and every omega must meet the
-    tolerance on it (ConvergenceError names the first that does not)."""
-    omegas = np.atleast_1d(np.asarray(omega, dtype=float))
-    s_hi = _rate_cut(scenario)
-    cap, scale = _mesh_policy(scenario, float(np.max(np.abs(omegas))), eps)
-    corr = scenario_correlator(scenario, i, j)
-    roots = _rate_cut_roots(scenario, i, j, tau, s_hi)
-
-    def f(s):
-        return corr(np.full_like(s, tau), tau - s, eps)
-
-    edges = cluster_mesh(0.0, s_hi, [0.0] + roots, scale=scale, cap=cap)
-    val, err = _refined_integral(f, edges, quad, omegas)
-    # the row was checked whole: look for the gap to name only on a miss
-    if not _within_tol(val, err, quad):
-        for w, v, e in zip(omegas, val, err):
-            _check_converged(v, e, quad,
-                             f"rate integrand for branch pair ({i},{j}) at omega = {w:g}")
-    return (val, err) if np.ndim(omega) else (val[0], err[0])
+# semi-infinite rate integrals, in closed form
 
 
 def _rate_rungs(scenario, i, j, tau, omega, eps):
@@ -610,7 +543,13 @@ def _spectral_pair_integral(scenario, i, j, params, quad):
     cap = min(0.5 / sigma, math.pi / (2.0 * L) if L else math.inf)
     edges = cluster_mesh(min(0.0, omega) - half, max(0.0, omega) + half, [0.0, omega],
                          scale=min(kappa, 1.0 / sigma) / 64.0, cap=cap)
-    val, err = _refined_integral(f, edges, quad, rule=GAUSS15_7)
+    # every panel halved, up to _MAX_REFINEMENTS times, until within tolerance
+    val, err = panel_integrate(f, edges, rule=GAUSS15_7)
+    for _ in range(_MAX_REFINEMENTS):
+        if _within_tol(val, err, quad):
+            break
+        edges = refine_mesh(edges)
+        val, err = panel_integrate(f, edges, rule=GAUSS15_7)
     _check_converged(val[:2], err[:2], quad, f"spectral window integral for branch pair {(i, j)}")
     J = complex(c_re * val[0], -c_im * val[1])
     return J, complex(c_re * (err[0] + val[2]) + 2.0 * eps_m * abs(J.real),

@@ -134,12 +134,6 @@ def compute_wightman_integrals(scenario: TrajectoryScenario, params: DetectorPar
                                in_contour_domain(scenario, params))
 
 
-def _ladder_wightman_integrals(scenario, params, reg_schedule, quad) -> WightmanIntegrals:
-    """compute_wightman_integrals with every non-stationary pair on the
-    regulator ladder."""
-    return _wightman_integrals(scenario, params, reg_schedule, quad, False)
-
-
 def _wightman_integrals(scenario, params, reg_schedule, quad, contour) -> WightmanIntegrals:
     """One _pair_map pass, in which each representative pair takes exactly
     one method, named beside its (value, err):

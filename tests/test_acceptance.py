@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES, REF_PARAMS
-from udwsim import response
+from rate_reference import rate_pair_integral
 from udwsim.closed_form import (DetectorParams, p_antiparallel, p_differing,
                                 p_local, p_parallel)
 from udwsim.correlators import scenario_correlator
@@ -55,8 +55,7 @@ def test_criterion_1_single_branch_rate_is_planckian():
     worst = 0.0
     for q in (0.25, 0.5, 1.0, 2.0, 3.0):
         for sign in (1.0, -1.0):
-            vals, _ = response._rate_pair_integral(sc, 1, 1, 0.0, sign * q,
-                                                   sched.epsilons, quad)
+            vals, _ = rate_pair_integral(sc, 1, 1, 0.0, sign * q, sched.epsilons, quad)
             rate, _ = epsilon_extrapolate(tuple(zip(sched.epsilons, 2.0 * vals.real)),
                                           sched.extrapolation)
             ref = planck_rate(1.0, sign * q)

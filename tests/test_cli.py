@@ -133,6 +133,20 @@ class TestCheck:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command", ["check", "run"])
+    @pytest.mark.parametrize("ladder", ["", "1e-2, x", "1e-2,"],
+                             ids=["empty", "not-a-number", "trailing-comma"])
+    def test_malformed_eps_ladder_exit_2(self, tmp_path, capsys, command, ladder):
+        # an empty value is refused, not read as no override, and the
+        # message names the flag
+        cfg = write_cfg(tmp_path, RATE_CFG)
+        rc = main([command, cfg, "--eps-ladder", ladder, *(
+            ["--out-dir", str(tmp_path / "out")] if command == "run" else [])])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: --eps-ladder: expected comma-separated numbers, got {ladder!r}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_config_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "scenario:\n  family: Spiral\n")
         rc = main(["check", cfg])

@@ -512,6 +512,72 @@ class TestOutputsSection:
         cfg = validate_config(text)
         assert cfg.outputs[0].kappa_L == (0.5, 1.0)
 
+    def test_two_outputs_with_one_path_are_refused(self):
+        text = MINIMAL + (
+            "outputs:\n"
+            "  - kind: rate_map\n"
+            "    path: r.csv\n"
+            "  - kind: kms_report\n"
+            "    path: ./r.csv\n"
+        )
+        assert errors_of(text) == ["outputs[1]: writes r.csv, as outputs[0] does"]
+
+    def test_kappa_L_values_with_one_suffix_are_refused(self):
+        # both format to _kL1: the second file would overwrite the first
+        text = MINIMAL + (
+            "outputs:\n"
+            "  - kind: rate_map\n"
+            "    path: r.csv\n"
+            "    kappa_L: [1.0, 0.5, 1.0000001]\n"
+        )
+        assert errors_of(text) == [
+            "outputs[0].kappa_L[2]: writes r_kL1.csv, as outputs[0].kappa_L[0] does"]
+
+    def test_kappa_ratio_file_another_output_writes_is_refused(self):
+        text = (
+            "scenario:\n  family: Differing\n  kappa2: 0.5\n"
+            "outputs:\n"
+            "  - kind: rate_map\n"
+            "    path: r_k2r2.csv\n"
+            "  - kind: kms_report\n"
+            "    path: r.csv\n"
+            "    kappa_ratio: [0.5, 2.0]\n"
+        )
+        assert errors_of(text) == [
+            "outputs[1].kappa_ratio[1]: writes r_k2r2.csv, as outputs[0] does"]
+
+    def test_json_mirror_of_another_outputs_file_is_refused(self):
+        text = MINIMAL + (
+            "outputs:\n"
+            "  - kind: rate_map\n"
+            "    path: r.csv\n"
+            "    json_mirror: true\n"
+            "  - kind: kms_report\n"
+            "    path: r.json\n"
+        )
+        assert errors_of(text) == ["outputs[1]: writes r.json, as outputs[0] (json_mirror) does"]
+
+    def test_distinct_files_in_one_directory_parse(self):
+        text = MINIMAL + (
+            "outputs:\n"
+            "  - kind: rate_map\n"
+            "    path: r.csv\n"
+            "    kappa_L: [0.5, 1.0]\n"
+            "    json_mirror: true\n"
+            "  - kind: kms_report\n"
+            "    path: out/r.csv\n"
+        )
+        assert len(validate_config(text).outputs) == 2
+
+    def test_path_must_name_a_file(self):
+        text = MINIMAL + (
+            "outputs:\n"
+            "  - kind: rate_map\n"
+            "    path: .\n"
+            "    json_mirror: true\n"
+        )
+        assert errors_of(text) == ["outputs[0].path: must name a file, got '.'"]
+
     def test_valid_kappa_ratio_sweep_parses(self):
         text = (
             "scenario:\n  family: Differing\n  kappa2: 0.5\n"

@@ -12,6 +12,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from rate_reference import rate_cut, rate_cut_roots
 from udwsim import (
     HyperbolicRangeError,
     TrajectoryScenario,
@@ -27,7 +28,6 @@ from udwsim import (
 )
 from udwsim.correlators import _max_abs, _max_abs_scaled, cut_correlator, stationary_form
 from udwsim.quadrature import cluster_mesh, panel_nodes, sign_change_roots
-from udwsim.response import _rate_cut, _rate_cut_roots
 
 PI2_4 = 4.0 * math.pi**2
 PI2_16 = 16.0 * math.pi**2
@@ -463,10 +463,10 @@ def test_rate_cut_roots_match_sign_change_scan(sc, pair):
     # kappa tau on a grid in [-4, 4] that misses the horizon crossings (where
     # a factor tends to exactly 0 as s -> inf and the scan finds rounding
     # noise), the closed-form roots are the scan's
-    s_max = _rate_cut(sc)
+    s_max = rate_cut(sc)
     found = 0
     for tau in np.linspace(-4.0, 4.0, 40) / sc.kappa1:
-        closed = _rate_cut_roots(sc, *pair, tau, s_max)
+        closed = rate_cut_roots(sc, *pair, tau, s_max)
         scanned = []
         for g in denominator_factors(sc, *pair):
             scanned += sign_change_roots(lambda s: g(tau, tau - s), 0.0, s_max)

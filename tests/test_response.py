@@ -14,6 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from rate_reference import rate_cut, rate_cut_roots, rate_pair_integral
 from udwsim import (
     ConvergenceError,
     DetectorParams,
@@ -156,7 +157,7 @@ def test_no_rate_cut_roots_at_a_horizon_crossing():
     # in s in [36.9, 40] there
     sc = TrajectoryScenario("Parallel", kappa1=1.0, L=1.0)
     assert horizon_crossing_time(sc) == [0.0]
-    assert response._rate_cut_roots(sc, 2, 1, 0.0, response._rate_cut(sc)) == []
+    assert rate_cut_roots(sc, 2, 1, 0.0, rate_cut(sc)) == []
     params = unit(-1.0)
     at = transition_rate(sc, params, 0.0)
     for tau in (-1e-6, 1e-6):
@@ -372,14 +373,14 @@ def test_closed_form_rungs_match_the_quadrature(scenario, taus):
     for tau in taus:
         for pair in ((1, 2), (2, 1)):
             J, err = response._rate_rungs(scenario, *pair, tau, gaps, sched.epsilons)
-            ref, ref_err = response._rate_pair_integral(scenario, *pair, tau, gaps,
-                                                        sched.epsilons, quad)
+            ref, ref_err = rate_pair_integral(scenario, *pair, tau, gaps, sched.epsilons,
+                                              quad)
             assert J.shape == err.shape == (len(gaps), len(sched.epsilons))
             assert np.all(np.abs(J - ref) <= ref_err + err)
             assert np.all(err <= 1e-11 * np.abs(J))
 
 
-@pytest.mark.parametrize("scenario, pair, tau, omega, eps", [
+MP_RUNG_CASES = [
     (PAR_KL1, (1, 2), 0.7, -2.6, 2.5e-3),
     (PAR_KL1, (2, 1), -3.0, 0.0, 1e-2),
     (TrajectoryScenario("AntiParallel", kappa1=1.0, L=1.0), (2, 1), 2.5, 0.9, 5e-3),
@@ -388,11 +389,28 @@ def test_closed_form_rungs_match_the_quadrature(scenario, taus):
     (TrajectoryScenario("Differing", kappa1=1.0, kappa2=20.0), (2, 1), -2.0, 1.0, 1e-2),
     (ANTI_CROSSING, (1, 2), CROSSING_TAU, 0.9, 2.5e-3),
     (ANTI_CROSSING, (2, 1), CROSSING_TAU, 1e-6, 2.5e-3),
-])
+]
+
+
+@pytest.mark.parametrize("scenario, pair, tau, omega, eps", MP_RUNG_CASES)
 def test_closed_form_rung_bound_covers_its_mpmath_value(scenario, pair, tau, omega, eps):
     J, err = response._rate_rungs(scenario, *pair, tau, omega, eps)
     assert abs(J - _mp_rung(scenario, *pair, tau, omega, eps)) <= err
     assert err <= 1e-11 * abs(J)
+
+
+# Parallel, Differing and the AntiParallel crossing, where BC - AD is smallest;
+# not Differing kappa2/kappa1 = 20, whose crossings at s = 35 and 41 straddle
+# the reference's cut
+@pytest.mark.parametrize("scenario, pair, tau, omega, eps",
+                         [MP_RUNG_CASES[k] for k in (0, 3, 6)],
+                         ids=["Parallel", "Differing", "AntiParallel-crossing"])
+def test_reference_quadrature_covers_the_mpmath_rung(scenario, pair, tau, omega, eps):
+    # the reference is checked against mpmath on its own, not only through
+    # the closed-form rungs it is compared with; its tail past s = 40/kappa is
+    # below rounding
+    ref, ref_err = rate_pair_integral(scenario, *pair, tau, omega, eps, QuadratureConfig())
+    assert abs(ref - _mp_rung(scenario, *pair, tau, omega, eps)) <= ref_err
 
 
 def test_fast_second_branch_rung_is_not_truncated():
@@ -425,13 +443,13 @@ def test_result_dataclass_validation():
 
 def test_kappa_scale_and_rate_cut():
     assert kappa_scale(SA) == 1.0
-    assert response._rate_cut(SA) == 40.0
+    assert rate_cut(SA) == 40.0
     df = TrajectoryScenario("Differing", kappa1=2.0, kappa2=0.5)
     assert kappa_scale(df) == 0.5
-    assert response._rate_cut(df) == 80.0
+    assert rate_cut(df) == 80.0
     # static branches: the bath's temperature scale
     th = TrajectoryScenario("ThermalInertialPair", kappa1=0.1, L=10.0)
-    assert response._rate_cut(th) == pytest.approx(400.0)
+    assert rate_cut(th) == pytest.approx(400.0)
 
 
 def test_window_halfwidth():
@@ -810,9 +828,8 @@ def test_ladder_call_matches_one_rung_calls(scenario, pair, engine):
 def test_ladder_rate_point_matches_one_rung_calls():
     quad = QuadratureConfig()
     for pair in ((1, 2), (2, 1)):
-        values, errors = response._rate_pair_integral(PAR, *pair, 1.0, 1.0, LADDER, quad)
-        singles = [response._rate_pair_integral(PAR, *pair, 1.0, 1.0, eps, quad)
-                   for eps in LADDER]
+        values, errors = rate_pair_integral(PAR, *pair, 1.0, 1.0, LADDER, quad)
+        singles = [rate_pair_integral(PAR, *pair, 1.0, 1.0, eps, quad) for eps in LADDER]
         for k, single in enumerate(singles):
             assert_rungs_match((values[k], errors[k]), single)
         assert values[-1] == singles[-1][0]
@@ -1154,8 +1171,7 @@ def _ladder_pair_rate(scenario, pair, omega):
     extrapolation over rungs a factor 2 apart triples that. The rungs' own
     quadrature errors tell the extrapolation which steps are noise."""
     sched, quad = response._defaults(scenario, None, None)
-    vals, errs = response._rate_pair_integral(scenario, *pair, 0.0, omega,
-                                              sched.epsilons, quad)
+    vals, errs = rate_pair_integral(scenario, *pair, 0.0, omega, sched.epsilons, quad)
     value, err = epsilon_extrapolate(tuple(zip(sched.epsilons, 2.0 * vals.real)),
                                      sched.extrapolation, errors=2.0 * errs)
     rounding = 3.0 * np.finfo(float).eps / (16.0 * math.pi * min(sched.epsilons))

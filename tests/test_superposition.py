@@ -28,13 +28,13 @@ from conftest import REF_PARAMS
 from udwsim import response, superposition
 from udwsim.correlators import stationary_form
 from udwsim.response import _defaults
-from udwsim.superposition import _ladder_wightman_integrals
+from udwsim.superposition import _wightman_integrals
 
 
 def _ladder(scenario, params):
-    """compute_wightman_integrals on the regulator ladder, at the library's
-    default schedule."""
-    return _ladder_wightman_integrals(scenario, params, *_defaults(scenario, None, None))
+    """compute_wightman_integrals with every non-stationary pair on the
+    regulator ladder, at the library's default schedule."""
+    return _wightman_integrals(scenario, params, *_defaults(scenario, None, None), False)
 
 
 def test_probability_and_i12_are_bit_identical_to_their_pins():
