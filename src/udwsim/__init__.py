@@ -21,8 +21,8 @@ from .errors import (ConfigError, ConvergenceError, HyperbolicRangeError,
 from .kinematics import (FAMILIES, Event, FourVector, TrajectoryScenario,
                          four_velocity, horizon_crossing_time,
                          minkowski_interval, worldline_event)
-from .quadrature import (DEFAULT_EPS_LADDER, EXTRAPOLATION_MODES,
-                         QuadratureConfig, RegulatorSchedule, default_schedule,
+from .quadrature import (DEFAULT_EPS_LADDER, QuadratureConfig,
+                         RegulatorSchedule, default_schedule,
                          epsilon_extrapolate)
 from .response import (KMSReport, ProbabilityResult, RateResult,
                        excitation_probability_contour,
@@ -45,7 +45,6 @@ __all__ = [
     "DEFAULT_EPS_LADDER",
     "DetectorDensityMatrix",
     "DetectorParams",
-    "EXTRAPOLATION_MODES",
     "Event",
     "FAMILIES",
     "FourVector",

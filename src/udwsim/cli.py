@@ -310,7 +310,7 @@ def _header_lines(kind, cfg: ScenarioConfig, scenario, extra, methods):
         "normalization: probability and rate columns are per lambda^2 "
         "(evaluated at unit coupling; exact at leading order); two-branch "
         "populations carry the control factor lambda^2/N^2 with N=2",
-        f"regulator epsilons={eps} extrapolation={reg.extrapolation} {reg_use}",
+        f"regulator epsilons={eps} extrapolation=richardson_linear {reg_use}",
         f"quadrature abs_tol={_fmt(quad.abs_tol)} rel_tol={_fmt(quad.rel_tol)}{quad_use}",
         *extra,
         f"columns: {','.join(_COLUMNS[kind])}",
@@ -486,15 +486,22 @@ def _cmd_limits(args) -> int:
 def _load_config(args) -> ScenarioConfig:
     text = Path(args.config).read_text(encoding="utf-8")
     cfg = validate_config(text)
+    # an override the schedule or the tolerances refuse names its flag
     if getattr(args, "quad_tol", None) is not None:
-        cfg = replace(cfg, quadrature=replace(cfg.quadrature, rel_tol=args.quad_tol))
+        try:
+            cfg = replace(cfg, quadrature=replace(cfg.quadrature, rel_tol=args.quad_tol))
+        except ValueError as exc:
+            raise ValueError(f"--quad-tol: {exc}") from None
     if getattr(args, "eps_ladder", None) is not None:
         try:
             eps = tuple(float(v) for v in args.eps_ladder.split(","))
         except ValueError:
             raise ValueError("--eps-ladder: expected comma-separated numbers, "
                              f"got {args.eps_ladder!r}") from None
-        cfg = replace(cfg, regulator=replace(cfg.regulator, epsilons=eps))
+        try:
+            cfg = replace(cfg, regulator=replace(cfg.regulator, epsilons=eps))
+        except ValueError as exc:
+            raise ValueError(f"--eps-ladder: {exc}") from None
     return cfg
 
 
@@ -541,7 +548,7 @@ def _cmd_check(args) -> int:
         print(f"grid {name}: {len(vals)} points in "
               f"[{min(vals):g}, {max(vals):g}]")
     print(f"regulator: epsilons={','.join(f'{e:g}' for e in cfg.regulator.epsilons)} "
-          f"extrapolation={cfg.regulator.extrapolation}")
+          "extrapolation=richardson_linear")
     q = cfg.quadrature
     print(f"quadrature: abs_tol={q.abs_tol:g} rel_tol={q.rel_tol:g}")
     if cfg.outputs:

@@ -23,8 +23,7 @@ import yaml
 from .closed_form import DetectorParams
 from .errors import ConfigError
 from .kinematics import FAMILIES, TrajectoryScenario
-from .quadrature import (DEFAULT_EPS_LADDER, EXTRAPOLATION_MODES,
-                         QuadratureConfig, RegulatorSchedule)
+from .quadrature import DEFAULT_EPS_LADDER, QuadratureConfig, RegulatorSchedule
 
 OUTPUT_KINDS = ("probability_map", "rate_map", "kms_report", "visibility_scan")
 PROBABILITY_BACKENDS = ("closed", "quadrature")
@@ -316,21 +315,14 @@ def validate_config(raw_text: str) -> ScenarioConfig:
             errors.append(f"quadrature: {exc}")
 
     reg_raw = dict(data.get("regulator", {}))
-    _check_keys(reg_raw, ("epsilons", "extrapolation"), "regulator", errors)
+    _check_keys(reg_raw, ("epsilons",), "regulator", errors)
     epsilons = reg_raw.get("epsilons", list(DEFAULT_EPS_LADDER))
-    extrapolation = reg_raw.get("extrapolation", "richardson_linear")
-    if extrapolation not in EXTRAPOLATION_MODES:
-        errors.append(f"regulator.extrapolation: unknown mode {extrapolation!r} "
-                      f"(choose from {', '.join(EXTRAPOLATION_MODES)})")
-        extrapolation = "richardson_linear"
     eps_vals = _as_float_list(epsilons, "regulator.epsilons", errors)
     try:
-        regulator = RegulatorSchedule(epsilons=tuple(eps_vals),
-                                      extrapolation=extrapolation)
+        regulator = RegulatorSchedule(epsilons=tuple(eps_vals))
     except ValueError as exc:
         errors.append(f"regulator.epsilons: {exc}")
-        regulator = RegulatorSchedule(epsilons=DEFAULT_EPS_LADDER,
-                                      extrapolation=extrapolation)
+        regulator = RegulatorSchedule(epsilons=DEFAULT_EPS_LADDER)
 
     outputs = _parse_outputs(data.get("outputs", []), scenario, errors)
 

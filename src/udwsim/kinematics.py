@@ -155,7 +155,7 @@ class TrajectoryScenario:
     kappa1 is the proper acceleration of branch 1 (and the bath temperature
     scale kappa/2pi for ThermalInertialPair). kappa2 is used only by Differing.
     L is the closest-approach separation, used by Parallel, AntiParallel and
-    ThermalInertialPair.
+    ThermalInertialPair. A family refuses a nonzero value it does not read.
     """
 
     family: str
@@ -171,6 +171,11 @@ class TrajectoryScenario:
         if self.family == "Differing":
             if not (self.kappa2 > 0) or not math.isfinite(self.kappa2):
                 raise ValueError("Differing requires kappa2 > 0")
+        elif self.kappa2 != 0.0:
+            raise ValueError(f"{self.family} reads no kappa2 (only Differing does), "
+                             f"got kappa2={self.kappa2:g}")
+        if self.family in ("SingleAccel", "Differing") and self.L != 0.0:
+            raise ValueError(f"{self.family} reads no separation L, got L={self.L:g}")
         if self.family == "Parallel" and self.L < 0:
             # parallel configurations are symmetric in L; normalize to L >= 0
             raise ValueError("Parallel requires L >= 0")

@@ -56,8 +56,6 @@ KRONROD15 = PanelRule(np.concatenate([-_XGK_HALF[:-1], _XGK_HALF[::-1]]), slice(
 (_X15, _W15), (_X7, _W7) = leggauss(15), leggauss(7)
 GAUSS15_7 = PanelRule(np.concatenate([_X15, _X7]), slice(0, 15), _W15, slice(15, None), _W7)
 
-EXTRAPOLATION_MODES = ("richardson_linear", "richardson_quadratic", "none")
-
 # default regulator ladder, in units of 1/kappa
 DEFAULT_EPS_LADDER = (1e-2, 5e-3, 2.5e-3)
 
@@ -81,43 +79,40 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class RegulatorSchedule:
-    """Decreasing regulator ladder plus the extrapolation policy."""
+    """Strictly decreasing regulator ladder of at least 2 rungs, extrapolated
+    to eps -> 0 by linear Richardson (epsilon_extrapolate)."""
 
     epsilons: tuple
-    extrapolation: str = "richardson_linear"
 
     def __post_init__(self):
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        if self.extrapolation not in EXTRAPOLATION_MODES:
-            raise ValueError(f"unknown extrapolation mode {self.extrapolation!r}")
         eps = self.epsilons
         if not all(0 < e < math.inf for e in eps):
             raise ValueError("all epsilons must be positive and finite")
-        if self.extrapolation != "none":
-            if len(eps) < 2:
-                raise ValueError("extrapolating schedules need at least 2 epsilons")
+        if len(eps) < 2:
+            raise ValueError("extrapolating schedules need at least 2 epsilons")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilons must be strictly decreasing")
 
 
-def default_schedule(kappa_scale: float = 1.0, extrapolation: str = "richardson_linear") -> RegulatorSchedule:
-    return RegulatorSchedule(tuple(e / kappa_scale for e in DEFAULT_EPS_LADDER), extrapolation)
+def default_schedule(kappa_scale: float = 1.0) -> RegulatorSchedule:
+    return RegulatorSchedule(tuple(e / kappa_scale for e in DEFAULT_EPS_LADDER))
 
 
-def epsilon_extrapolate(estimates, mode: str = "richardson_linear", errors=None):
-    """Extrapolate (eps, value) pairs to eps -> 0.
+def epsilon_extrapolate(estimates, errors=None):
+    """Extrapolate (eps, value) pairs to eps -> 0 by linear Richardson: the
+    line through the last two points, evaluated at eps = 0.
 
     Returns (limit, error_estimate) with error_estimate = |difference of the
-    last two extrapolants|. Values may be complex, and may be arrays of one
-    shape (then errors too), each element extrapolated as if alone: one
-    array pass gives the same numbers as one call per element. Non-monotone
+    last two pairwise extrapolants| (of the extrapolant and the last value
+    when there are only 2 points). Values may be complex, and may be arrays
+    of one shape (then errors too), each element extrapolated as if alone:
+    one array pass gives the same numbers as one call per element. Non-monotone
     convergence across the last three points triggers a RuntimeWarning, once
     if any element trips it; the result is still returned. errors, one bar
     per point, mark noise: a step within the sum of the bars of its two
     points never counts as non-monotone.
     """
-    if mode not in EXTRAPOLATION_MODES:
-        raise ValueError(f"unknown extrapolation mode {mode!r}")
     pts = [(float(e), v) for e, v in estimates]
     if not pts:
         raise ValueError("no estimates to extrapolate")
@@ -127,7 +122,7 @@ def epsilon_extrapolate(estimates, mode: str = "richardson_linear", errors=None)
         raise ValueError("epsilons must be positive")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be strictly decreasing")
-    if mode != "none" and len(pts) < 2:
+    if len(pts) < 2:
         raise ValueError("extrapolation needs at least 2 points")
 
     if len(vals) >= 3:
@@ -145,28 +140,12 @@ def epsilon_extrapolate(estimates, mode: str = "richardson_linear", errors=None)
                 stacklevel=2,
             )
 
-    if mode == "none":
-        return vals[-1], (abs(vals[-1] - vals[-2]) if len(vals) >= 2 else math.inf)
-
     # successive pairwise linear extrapolants to eps = 0
     lin = [
         (vals[i + 1] * eps[i] - vals[i] * eps[i + 1]) / (eps[i] - eps[i + 1])
         for i in range(len(vals) - 1)
     ]
-    if mode == "richardson_linear":
-        return lin[-1], abs(lin[-1] - (lin[-2] if len(lin) >= 2 else vals[-1]))
-
-    # richardson_quadratic: degree-2 polynomial through the last three points
-    if len(pts) < 3:
-        return lin[-1], abs(lin[-1] - vals[-1])
-    e0, e1, e2 = eps[-3:]
-    v0, v1, v2 = vals[-3:]
-    # Lagrange basis evaluated at eps = 0
-    l0 = (e1 * e2) / ((e0 - e1) * (e0 - e2))
-    l1 = (e0 * e2) / ((e1 - e0) * (e1 - e2))
-    l2 = (e0 * e1) / ((e2 - e0) * (e2 - e1))
-    limit = v0 * l0 + v1 * l1 + v2 * l2
-    return limit, abs(limit - lin[-1])
+    return lin[-1], abs(lin[-1] - (lin[-2] if len(lin) >= 2 else vals[-1]))
 
 
 def cluster_mesh(a: float, b: float, clusters, scale: float, cap: float) -> np.ndarray:

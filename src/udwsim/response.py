@@ -289,10 +289,10 @@ def _limit(reg_schedule, blocks, pref, shape=()):
     () for one value, (G,) for a row of G gaps, each limited elementwise as
     if alone. An exact block (a stationary pair) has a value of that shape,
     a ladder block one more axis, its last, with one value per rung: every
-    caller passes reg_schedule.epsilons, a tuple, even with one rung. Exact
-    blocks are fsummed, with their bars plus the rounding; ladder blocks are
-    summed per rung, added to that and extrapolated (epsilon_estimates is ()
-    without them), with their summed errors as the rungs' bars. A caller
+    caller passes reg_schedule.epsilons, a tuple. Exact blocks are fsummed,
+    with their bars plus the rounding; ladder blocks are summed per rung,
+    added to that and extrapolated (epsilon_estimates is () without them),
+    with their summed errors as the rungs' bars. A caller
     keeping a real part takes it first: a complex value extrapolates with
     other rounding. A row gives arrays of values and errors and a list of
     epsilon_estimates, one per gap."""
@@ -306,7 +306,6 @@ def _limit(reg_schedule, blocks, pref, shape=()):
         return (value, bar, [()] * shape[0]) if shape else (value, float(bar), ())
     rungs = np.expand_dims(value, -1) + pref * sum(v for v, _ in ladder)
     limit, err = epsilon_extrapolate(tuple(zip(reg_schedule.epsilons, np.moveaxis(rungs, -1, 0))),
-                                     reg_schedule.extrapolation,
                                      errors=np.moveaxis(pref * sum(e for _, e in ladder), -1, 0))
     estimates = [tuple(zip(reg_schedule.epsilons, r))
                  for r in rungs.reshape(-1, rungs.shape[-1]).tolist()]

@@ -56,8 +56,7 @@ def test_criterion_1_single_branch_rate_is_planckian():
     for q in (0.25, 0.5, 1.0, 2.0, 3.0):
         for sign in (1.0, -1.0):
             vals, _ = rate_pair_integral(sc, 1, 1, 0.0, sign * q, sched.epsilons, quad)
-            rate, _ = epsilon_extrapolate(tuple(zip(sched.epsilons, 2.0 * vals.real)),
-                                          sched.extrapolation)
+            rate, _ = epsilon_extrapolate(tuple(zip(sched.epsilons, 2.0 * vals.real)))
             ref = planck_rate(1.0, sign * q)
             worst = max(worst, abs(rate - ref) / ref)
     report(worst <= 0.01, "criterion 1",

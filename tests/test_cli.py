@@ -122,12 +122,19 @@ class TestCheck:
         assert "rel_tol=0.001" in out
 
     @pytest.mark.parametrize("flags, message", [
-        (["--eps-ladder", "inf,1e-3"], "all epsilons must be positive and finite"),
-        (["--eps-ladder", "nan,1e-3"], "all epsilons must be positive and finite"),
-        (["--quad-tol", "inf"], "tolerances must be finite"),
-    ], ids=["inf-epsilon", "nan-epsilon", "inf-tolerance"])
+        (["--eps-ladder", "inf,1e-3"], "--eps-ladder: all epsilons must be positive and finite"),
+        (["--eps-ladder", "nan,1e-3"], "--eps-ladder: all epsilons must be positive and finite"),
+        (["--quad-tol", "inf"], "--quad-tol: tolerances must be finite"),
+        (["--eps-ladder", "1e-2,2e-2"], "--eps-ladder: epsilons must be strictly decreasing"),
+        (["--eps-ladder", "1e-2"],
+         "--eps-ladder: extrapolating schedules need at least 2 epsilons"),
+        (["--quad-tol", "-1"], "--quad-tol: tolerances must be positive"),
+    ], ids=["inf-epsilon", "nan-epsilon", "inf-tolerance", "increasing-ladder",
+            "one-rung-ladder", "negative-tolerance"])
     def test_non_finite_override_exit_2(self, tmp_path, capsys, flags, message):
-        # the config file refuses .inf and .nan; the flags must too
+        # the config file refuses .inf and .nan; the flags must too. Every
+        # value that parses but that the schedule or the tolerances refuse
+        # names its flag, apart from the config's regulator: and quadrature:
         cfg = write_cfg(tmp_path, "scenario:\n  family: Parallel\n")
         rc = main(["check", cfg, *flags])
         assert rc == 2
@@ -624,7 +631,7 @@ class TestRunProbabilityMap:
 
 class TestRunVisibility:
     def test_scan_rows_and_summary(self, tmp_path):
-        # single-epsilon schedule keeps this cheap; plumbing is the target
+        # a two-rung ladder keeps this cheap; plumbing is the target
         text = (
             "scenario:\n"
             "  family: Parallel\n"
@@ -636,8 +643,7 @@ class TestRunVisibility:
             "grids:\n"
             "  delta_phi: [0.0, 2.0943951023931953, 4.1887902047863905]\n"
             "regulator:\n"
-            "  epsilons: [1.0e-2]\n"
-            "  extrapolation: none\n"
+            "  epsilons: [1.0e-2, 5.0e-3]\n"
             "outputs:\n"
             "  - kind: visibility_scan\n"
             "    path: v.csv\n"

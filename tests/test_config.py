@@ -67,7 +67,6 @@ class TestDefaults:
         assert cfg.quadrature.abs_tol == 1e-11
         assert cfg.quadrature.rel_tol == 1e-4
         assert cfg.regulator.epsilons == DEFAULT_EPS_LADDER
-        assert cfg.regulator.extrapolation == "richardson_linear"
         assert cfg.outputs == ()
 
     def test_source_text_is_preserved(self):
@@ -91,7 +90,6 @@ class TestDefaults:
             "  rel_tol: 1.0e-3\n"
             "regulator:\n"
             "  epsilons: [2.0e-2, 1.0e-2]\n"
-            "  extrapolation: none\n"
         )
         cfg = validate_config(text)
         assert cfg.scenario.kappa2 == 0.5
@@ -101,7 +99,6 @@ class TestDefaults:
         assert len(cfg.grids["omega_over_kappa"]) == 20
         assert cfg.quadrature == QuadratureConfig(abs_tol=1e-12, rel_tol=1e-3)
         assert cfg.regulator.epsilons == (2e-2, 1e-2)
-        assert cfg.regulator.extrapolation == "none"
 
     def test_output_spec_defaults(self):
         text = MINIMAL + (
@@ -171,6 +168,21 @@ class TestScenarioSection:
         errs = errors_of("scenario:\n  family: Parallel\n  L: -1.0\n")
         assert len(errs) == 1
         assert errs[0].startswith("scenario: ")
+
+    @pytest.mark.parametrize("fields, message", [
+        ("  family: SingleAccel\n  kappa2: -7\n",
+         "scenario: SingleAccel reads no kappa2 (only Differing does), got kappa2=-7"),
+        ("  family: SingleAccel\n  L: 3\n",
+         "scenario: SingleAccel reads no separation L, got L=3"),
+        ("  family: Differing\n  kappa2: 0.5\n  L: 1.0\n",
+         "scenario: Differing reads no separation L, got L=1"),
+    ], ids=["single-kappa2", "single-L", "differing-L"])
+    def test_field_the_family_ignores_rejected(self, fields, message):
+        assert errors_of("scenario:\n" + fields) == [message]
+
+    def test_zero_ignored_fields_accepted(self):
+        cfg = validate_config("scenario:\n  family: SingleAccel\n  kappa2: 0.0\n  L: 0.0\n")
+        assert (cfg.scenario.kappa2, cfg.scenario.L) == (0.0, 0.0)
 
     def test_nonpositive_kappa_rejected(self):
         errs = errors_of("scenario:\n  family: SingleAccel\n  kappa1: 0.0\n")
@@ -284,11 +296,16 @@ class TestQuadratureAndRegulator:
         assert cfg.regulator.epsilons == DEFAULT_EPS_LADDER
 
     def test_unknown_extrapolation_mode(self):
-        errs = errors_of(MINIMAL + "regulator:\n  extrapolation: cubic\n")
+        # linear Richardson is the only extrapolation: the key is gone, and
+        # an old config that still sets it is refused, not read
+        for mode in ("cubic", "richardson_linear"):
+            errs = errors_of(MINIMAL + f"regulator:\n  extrapolation: {mode}\n")
+            assert errs == ["regulator.extrapolation: unknown field"]
+
+    def test_one_rung_epsilons_rejected(self):
+        errs = errors_of(MINIMAL + "regulator:\n  epsilons: [1.0e-2]\n")
         assert errs == [
-            "regulator.extrapolation: unknown mode 'cubic' "
-            "(choose from richardson_linear, richardson_quadratic, none)"
-        ]
+            "regulator.epsilons: extrapolating schedules need at least 2 epsilons"]
 
     def test_non_decreasing_epsilons_rejected(self):
         errs = errors_of(MINIMAL + "regulator:\n  epsilons: [1.0e-3, 1.0e-2]\n")

@@ -45,6 +45,28 @@ def test_scenario_validation():
     TrajectoryScenario("AntiParallel", kappa1=1.0, L=-1.0)
 
 
+@pytest.mark.parametrize("family, fields, message", [
+    ("SingleAccel", {"kappa2": -7.0}, "SingleAccel reads no kappa2"),
+    ("Parallel", {"kappa2": 0.5, "L": 1.0}, "Parallel reads no kappa2"),
+    ("AntiParallel", {"kappa2": 0.5}, "AntiParallel reads no kappa2"),
+    ("ThermalInertialPair", {"kappa2": 2.0, "L": 1.0}, "ThermalInertialPair reads no kappa2"),
+    ("SingleAccel", {"L": 3.0}, "SingleAccel reads no separation L"),
+    ("Differing", {"kappa2": 0.5, "L": 1.0}, "Differing reads no separation L"),
+    ("SingleAccel", {"L": math.nan}, "SingleAccel reads no separation L"),
+])
+def test_scenario_refuses_fields_its_family_ignores(family, fields, message):
+    # a value no branch reads would still be written to every header
+    with pytest.raises(ValueError, match=message):
+        TrajectoryScenario(family, kappa1=1.0, **fields)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_scenario_accepts_zero_defaults_of_ignored_fields(family):
+    kappa2 = 0.5 if family == "Differing" else 0.0
+    sc = TrajectoryScenario(family, kappa1=1.0, kappa2=kappa2, L=0.0)
+    assert sc.branches == make(family, kappa2=0.5, L=0.0).branches
+
+
 def test_branch_count_and_kappa():
     assert make("SingleAccel").branch_count == 1
     for fam in ("Parallel", "AntiParallel", "Differing", "ThermalInertialPair"):

@@ -97,6 +97,8 @@ def rows(draw):
     kappa1 = draw(st.floats(0.2, 4.0))
     if family == "Differing":
         sc = TrajectoryScenario(family, kappa1=kappa1, kappa2=draw(st.floats(0.2, 4.0)))
+    elif family == "SingleAccel":
+        sc = TrajectoryScenario(family, kappa1=kappa1)
     elif family == "AntiParallel":
         sc = TrajectoryScenario(family, kappa1=kappa1, L=draw(st.floats(-3.0, 3.0)))
     else:

@@ -114,7 +114,7 @@ def test_control_phase_gauge_invariance(offset, delta):
 def test_linear_extrapolation_is_exact_on_affine_data(intercept, slope):
     ladder = (1e-2, 5e-3, 2.5e-3)
     limit, err = epsilon_extrapolate(
-        [(e, intercept + slope * e) for e in ladder], "richardson_linear")
+        [(e, intercept + slope * e) for e in ladder])
     scale = max(1.0, abs(intercept), abs(slope) * ladder[0])
     assert abs(limit - intercept) <= 1e-12 * scale
     assert err <= 1e-11 * scale

@@ -23,23 +23,22 @@ from udwsim.quadrature import (GAUSS15_7, KRONROD15, cluster_mesh, fsum_rows,
 
 def test_linear_extrapolation_exact_on_affine_data():
     pts = [(e, 3.0 + 5.0 * e) for e in (0.02, 0.01, 0.005)]
-    limit, err = epsilon_extrapolate(pts, "richardson_linear")
+    limit, err = epsilon_extrapolate(pts)
     assert limit == pytest.approx(3.0, abs=1e-14)
     assert err == pytest.approx(0.0, abs=1e-14)
 
 
 def test_linear_extrapolation_constant_data():
-    limit, err = epsilon_extrapolate([(0.1, 7.0), (0.05, 7.0)], "richardson_linear")
+    limit, err = epsilon_extrapolate([(0.1, 7.0), (0.05, 7.0)])
     assert limit == 7.0
     assert err == 0.0
 
 
-def test_quadratic_extrapolation_kills_quadratic_term():
+def test_linear_extrapolation_leaves_a_quadratic_residual():
+    # linear Richardson cancels the eps term only: an eps^2 term leaves a
+    # residual ~ eps_small^2, and the error bar sees it
     pts = [(e, 1.0 + e * e) for e in (0.02, 0.01, 0.005)]
-    limit, _ = epsilon_extrapolate(pts, "richardson_quadratic")
-    assert limit == pytest.approx(1.0, abs=1e-12)
-    # linear mode leaves a residual ~ eps_small^2
-    lin, lin_err = epsilon_extrapolate(pts, "richardson_linear")
+    lin, lin_err = epsilon_extrapolate(pts)
     assert abs(lin - 1.0) > 1e-6
     assert lin_err > 0
 
@@ -47,16 +46,9 @@ def test_quadratic_extrapolation_kills_quadratic_term():
 def test_extrapolation_error_estimate_is_last_two_extrapolants():
     pts = [(0.04, 2.4), (0.02, 2.2), (0.01, 2.1)]
     # pairwise linear extrapolants: from first pair 2.0, from last pair 2.0
-    limit, err = epsilon_extrapolate(pts, "richardson_linear")
+    limit, err = epsilon_extrapolate(pts)
     assert limit == pytest.approx(2.0)
     assert err == pytest.approx(0.0, abs=1e-13)
-
-
-def test_extrapolation_mode_none_returns_last():
-    pts = [(0.02, 5.0), (0.01, 4.0)]
-    limit, err = epsilon_extrapolate(pts, "none")
-    assert limit == 4.0
-    assert err == 1.0
 
 
 def test_extrapolation_handles_complex_values():
@@ -74,9 +66,7 @@ def test_extrapolation_input_validation():
     with pytest.raises(ValueError):
         epsilon_extrapolate([(-0.01, 1.0)])
     with pytest.raises(ValueError):
-        epsilon_extrapolate([(0.01, 1.0)], "richardson_linear")  # 1 point
-    with pytest.raises(ValueError):
-        epsilon_extrapolate([(0.02, 1.0), (0.01, 1.0)], "cubic")
+        epsilon_extrapolate([(0.01, 1.0)])  # 1 point
 
 
 def test_non_monotone_ladder_warns_but_returns():
@@ -115,7 +105,6 @@ def test_ladder_non_monotone_past_its_errors_still_warns():
 def test_default_schedule_scales_with_kappa():
     sched = default_schedule(2.0)
     assert sched.epsilons == tuple(e / 2.0 for e in DEFAULT_EPS_LADDER)
-    assert sched.extrapolation == "richardson_linear"
 
 
 def test_regulator_schedule_validation():
@@ -125,10 +114,6 @@ def test_regulator_schedule_validation():
         RegulatorSchedule((0.01, -0.005))
     with pytest.raises(ValueError):
         RegulatorSchedule((0.01,))  # too short to extrapolate
-    with pytest.raises(ValueError):
-        RegulatorSchedule((0.01, 0.005), extrapolation="bogus")
-    # a single point is fine when no extrapolation is requested
-    RegulatorSchedule((0.01,), extrapolation="none")
 
 
 @pytest.mark.parametrize("eps", [(math.inf, 1e-3), (math.nan, 1e-3), (1e-2, math.nan)])
@@ -137,8 +122,6 @@ def test_regulator_schedule_refuses_non_finite_epsilons(eps):
     # scale never ends a cluster_mesh loop, and inf makes nan rows
     with pytest.raises(ValueError, match="all epsilons must be positive and finite"):
         RegulatorSchedule(eps)
-    with pytest.raises(ValueError, match="all epsilons must be positive and finite"):
-        RegulatorSchedule(eps, extrapolation="none")
 
 
 def test_quadrature_config_validation():

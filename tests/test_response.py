@@ -627,8 +627,7 @@ def test_stationary_pair_integral_matches_2d_engine(scenario, pair):
     sched, quad = response._defaults(scenario, None, None)
     exact, bar = response._spectral_pair_integral(scenario, *pair, REF, quad)
     values, _ = response._halfplane_pair_integral(scenario, *pair, REF, sched.epsilons)
-    ladder, err = epsilon_extrapolate(tuple(zip(sched.epsilons, values.real)),
-                                      sched.extrapolation)
+    ladder, err = epsilon_extrapolate(tuple(zip(sched.epsilons, values.real)))
     assert abs(exact.real - ladder) <= err + bar.real
     assert 0 < bar.real < 1e-10 * exact.real
 
@@ -1173,7 +1172,7 @@ def _ladder_pair_rate(scenario, pair, omega):
     sched, quad = response._defaults(scenario, None, None)
     vals, errs = rate_pair_integral(scenario, *pair, 0.0, omega, sched.epsilons, quad)
     value, err = epsilon_extrapolate(tuple(zip(sched.epsilons, 2.0 * vals.real)),
-                                     sched.extrapolation, errors=2.0 * errs)
+                                     errors=2.0 * errs)
     rounding = 3.0 * np.finfo(float).eps / (16.0 * math.pi * min(sched.epsilons))
     return value, err + rounding
 
