@@ -146,14 +146,6 @@ def _probability_methods(cfg: ScenarioConfig, family: str, backend: str):
     return ()
 
 
-_NAN = math.nan
-_INVALID_ROW = {
-    "probability_map": lambda a, b: (a, b, _NAN, 0),
-    "rate_map": lambda a, b: (a, b, _NAN, _NAN, 0),
-    "kms_report": lambda a, b: (a, b, _NAN, _NAN, _NAN, 0, 0),
-}
-
-
 def _point_geometry(params: DetectorParams, point) -> tuple:
     """(kappa, L) of a probability grid point (L_over_sigma, beta):
     kappa = beta / (sigma^2 omega), L = L_over_sigma * sigma."""
@@ -190,7 +182,7 @@ def _eval_point(task):
                 scenario = _point_scenario(family, params, point)
                 value = excitation_probability_quadrature(scenario, params, reg, quad).value
         except _POINT_ERRORS:
-            return _INVALID_ROW["probability_map"](*point)
+            return (*point, math.nan, 0)
     return (*point, value, 1)
 
 
@@ -252,7 +244,7 @@ def _rate_row(w, kt, rates, kappa):
     """The rate_map row at omega/kappa = w from a row of rates."""
     res = rates[w * kappa]
     if res is None:
-        return _INVALID_ROW["rate_map"](w, kt)
+        return (w, kt, math.nan, math.nan, 0)
     return (w, kt, res.value, res.error_estimate, 1)
 
 
@@ -268,7 +260,7 @@ def _kms_row(w, kt, rates, kappa, tol):
         else:
             return (w, kt, report.ratio, report.expected, report.deviation,
                     1 if report.satisfied else 0, 1)
-    return _INVALID_ROW["kms_report"](w, kt)
+    return (w, kt, math.nan, math.nan, math.nan, 0, 0)
 
 
 _NO_LADDER = "(not used: no branch pair took the regulator ladder)"

@@ -1,29 +1,33 @@
 """Numerical detector response: transition rates and excitation probabilities.
 
 A rate (_rate_at_eps, on the cut tau1 = tau, tau2 = tau - s, for one gap or
-a row of them) and a window (halfplane_integrals_at_eps) are maps of
-branch-pair integrals {(i, j): (J, err)}, and each map asks
-correlators.stationary_form which pairs are exact. Stationary pairs (every
-local pair, the thermal bath's cross pair) are exact from their spectrum
-(correlators.pair_spectrum): a rate's J is F(omega)/2, a window integrates F
-against its transform with GAUSS15_7 panels (_spectral_pair_integral). The
-other cross pairs take the whole regulator ladder in one pass, eps an array
-axis. A rate's rungs are exact: two Lerch transcendents (lerch) per gap
-and rung of a row (_rate_rungs), so no rate is a panel integral; the
-tests check them against a panel quadrature of the same integral cut at
-s = 40/kappa_scale. A window (_ladder_pair_integral, restarted finer until
-within tolerance) is integrated with KRONROD15 panels on meshes clustered
-at the closed-form lightcone crossings, over p = tau1 + tau2 and over
-inner cuts of fixed p, each cut a boost of the p = 0 cut on its inner mesh
+a row of them) and a window (halfplane_integrals_at_eps, the one windowed
+pair pass) are maps of branch-pair integrals {(i, j): (method, J, err)}:
+each map picks one method per pair and names it, and nothing downstream
+picks again. Each map asks correlators.stationary_form which pairs are
+exact. Stationary pairs (every local pair, the thermal bath's cross pair)
+are "spectral", exact from their spectrum (correlators.pair_spectrum): a
+rate's J is F(omega)/2, a window integrates F against its transform with
+GAUSS15_7 panels (_spectral_pair_integral). The other cross pairs take the
+whole regulator ladder in one pass, eps an array axis. A rate's rungs are
+"lerch", exact: two Lerch transcendents (lerch) per gap and rung of a row
+(_rate_rungs), so no rate is a panel integral; the tests check them against
+a panel quadrature of the same integral cut at s = 40/kappa_scale. A
+"ladder" window (_ladder_pair_integral, restarted finer until within
+tolerance) is integrated with KRONROD15 panels on meshes clustered at the
+closed-form lightcone crossings, over p = tau1 + tau2 and over inner cuts of
+fixed p, each cut a boost of the p = 0 cut on its inner mesh
 (cut_correlator) summed against window weights folded once per mesh.
 _limit alone reduces a map to a rate, a probability or a ladder I_ij of
-the conditional state, extrapolating to eps -> 0 (epsilon_estimates = ()
-when every pair is exact).
+the conditional state: it sums the "spectral" blocks exactly and
+extrapolates the rest to eps -> 0 (epsilon_estimates = () when every pair
+is exact).
 On a contour shifted off the poles the window needs no regulator: inside
 its domain (in_contour_domain: omega > 0, beta < pi) contour_pair_integral
 gives one branch pair's full-plane I_ij at eps = 0 from a Gauss-Hermite
-sum, which is how the conditional state takes its non-stationary cross
-pairs (_ladder_pair_integral where a sum misses the tolerance), and
+sum. With its contour flag set, the windowed pass names such a pair
+"contour" where the sum meets the tolerance ("ladder" where it misses),
+which is how the conditional state takes its non-stationary cross pairs;
 excitation_probability_contour sums those sums over every pair.
 
 No family is named here: which branch pairs share one integral (_pair_map),
@@ -261,16 +265,17 @@ def _rate_rungs(scenario, i, j, tau, omega, eps):
 
 
 def _rate_at_eps(scenario, omega, tau, eps, quad) -> dict:
-    """{(i, j): (J, err)} of the rate at a gap omega, or a row for an array
-    of gaps, over every branch pair: a stationary pair's exact
-    J = F_ij(omega)/2 and half its bound (pair_spectrum), since 2 Re J = F
-    (halving is exact while F is normal, |omega/kappa| <~ 110); the others'
-    _rate_rungs, per rung for a ladder, whose rounding bounds must meet
-    quad's tolerance (ConvergenceError names the first gap that misses)."""
+    """{(i, j): (method, J, err)} of the rate at a gap omega, or a row for an
+    array of gaps, over every branch pair: a "spectral" (stationary) pair's
+    exact J = F_ij(omega)/2 and half its bound (pair_spectrum), since
+    2 Re J = F (halving is exact while F is normal, |omega/kappa| <~ 110);
+    the others' "lerch" _rate_rungs, per rung for a ladder, whose rounding
+    bounds must meet quad's tolerance (ConvergenceError names the first gap
+    that misses)."""
     def integral(i, j):
         if stationary_form(scenario, i, j) is not None:
             F, bound = pair_spectrum(scenario, i, j, omega)
-            return F / 2.0, bound / 2.0
+            return "spectral", F / 2.0, bound / 2.0
         val, err = _rate_rungs(scenario, i, j, tau, omega, eps)
         # the row is checked whole: look for the gap to name only on a miss
         if not _within_tol(val, err, quad):
@@ -278,38 +283,38 @@ def _rate_at_eps(scenario, omega, tau, eps, quad) -> dict:
             for w, v, e in zip(np.atleast_1d(omega), val.reshape(rows, -1), err.reshape(rows, -1)):
                 _check_converged(v, e, quad,
                                  f"closed-form rate rung for branch pair ({i},{j}) at omega = {w:g}")
-        return val, err
+        return "lerch", val, err
 
     return _pair_map(scenario, integral, window=False)
 
 
-def _limit(reg_schedule, blocks, pref, shape=()):
+def _limit(reg_schedule, blocks, pref):
     """(value, error_estimate, epsilon_estimates) at eps -> 0 of pref times
-    the sum of blocks, (value, err) pairs, for a result of the given shape:
-    () for one value, (G,) for a row of G gaps, each limited elementwise as
-    if alone. An exact block (a stationary pair) has a value of that shape,
-    a ladder block one more axis, its last, with one value per rung: every
-    caller passes reg_schedule.epsilons, a tuple. Exact blocks are fsummed,
-    with their bars plus the rounding; ladder blocks are summed per rung,
-    added to that and extrapolated (epsilon_estimates is () without them),
-    with their summed errors as the rungs' bars. A caller
-    keeping a real part takes it first: a complex value extrapolates with
-    other rounding. A row gives arrays of values and errors and a list of
+    the sum of blocks, (method, value, err) triples, for one value or a row
+    of gaps, each limited elementwise as if alone. A "spectral" block is
+    exact: its value has the result's shape, () or (G,). Every other block
+    ("lerch", "ladder") has one more axis, its last, with one value per rung:
+    every caller passes reg_schedule.epsilons, a tuple. Exact blocks are
+    fsummed, with their bars plus the rounding; rung blocks are summed per
+    rung, added to that and extrapolated (epsilon_estimates is () without
+    them), with their summed errors as the rungs' bars. A caller keeping a
+    real part takes it first: a complex value extrapolates with other
+    rounding. A row gives arrays of values and errors and a list of
     epsilon_estimates, one per gap."""
-    exact = [(v, e) for v, e in blocks if np.ndim(v) == len(shape)]
-    ladder = [(v, e) for v, e in blocks if np.ndim(v) > len(shape)]
+    exact = [(v, e) for method, v, e in blocks if method == "spectral"]
+    ladder = [(v, e) for method, v, e in blocks if method != "spectral"]
     # one fsum per gap, over the exact blocks
     value = pref * fsum_rows(np.array([v for v, _ in exact]).T)
     # fsum rounds once, and so does the product
     bar = pref * sum(e for _, e in exact) + 2.0 * np.finfo(float).eps * abs(value)
     if not ladder:
-        return (value, bar, [()] * shape[0]) if shape else (value, float(bar), ())
+        return (value, bar, [()] * len(value)) if np.ndim(value) else (value, float(bar), ())
     rungs = np.expand_dims(value, -1) + pref * sum(v for v, _ in ladder)
     limit, err = epsilon_extrapolate(tuple(zip(reg_schedule.epsilons, np.moveaxis(rungs, -1, 0))),
                                      errors=np.moveaxis(pref * sum(e for _, e in ladder), -1, 0))
     estimates = [tuple(zip(reg_schedule.epsilons, r))
                  for r in rungs.reshape(-1, rungs.shape[-1]).tolist()]
-    if shape:
+    if np.ndim(limit):
         return limit, err + bar, estimates
     return limit.item(), float(err + bar), estimates[0]
 
@@ -336,16 +341,22 @@ def transition_rates(scenario: TrajectoryScenario, omegas, tau: float,
     error_estimate is the extrapolation error plus the rounding bound of the
     closed-form part; epsilon_estimates is () when every pair is stationary.
     For the Differing family tau is the shared proper-time parameter of both
-    branches (no global time coordinate relates them).
+    branches (no global time coordinate relates them). omegas must be a 1-D
+    sequence of finite gaps and tau finite (ValueError otherwise).
     """
-    reg_schedule, quad = _defaults(scenario, reg_schedule, quad)
-    pref = 2.0 * lambda_coupling**2 / scenario.branch_count**2
-    omegas = np.asarray(omegas, dtype=float)
+    omegas, tau = np.asarray(omegas, dtype=float), float(tau)
+    if omegas.ndim != 1:
+        raise ValueError(f"omegas must be a 1-D sequence of gaps, got shape {omegas.shape}")
+    if not np.all(np.isfinite(omegas)):
+        raise ValueError("omegas must be finite")
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau!r}")
     if not omegas.size:
         return []
-    blocks = _rate_at_eps(scenario, omegas, float(tau), reg_schedule.epsilons, quad).values()
-    values, errors, estimates = _limit(reg_schedule, [(v.real, e) for v, e in blocks], pref,
-                                       omegas.shape)
+    reg_schedule, quad = _defaults(scenario, reg_schedule, quad)
+    pref = 2.0 * lambda_coupling**2 / scenario.branch_count**2
+    blocks = _rate_at_eps(scenario, omegas, tau, reg_schedule.epsilons, quad).values()
+    values, errors, estimates = _limit(reg_schedule, [(m, v.real, e) for m, v, e in blocks], pref)
     return [RateResult(float(v), float(e), rungs)
             for v, e, rungs in zip(values, errors, estimates)]
 
@@ -568,14 +579,23 @@ def _ladder_pair_integral(scenario, i, j, params, eps, quad):
     return val, err
 
 
-def halfplane_integrals_at_eps(scenario, params, eps, quad) -> dict:
-    """{(i, j): (value, err)} over every branch pair, one integral per
-    _pair_map representative. A stationary pair is exact, with a complex err
-    (_spectral_pair_integral); the others take _ladder_pair_integral."""
+def halfplane_integrals_at_eps(scenario, params, eps, quad, contour=False) -> dict:
+    """{(i, j): (method, value, err)} over every branch pair, each
+    _pair_map representative integrated once, by exactly one method:
+    - "spectral" for a stationary pair: J_ij of _spectral_pair_integral,
+      exact, with a complex err;
+    - "contour", where contour is set (the caller checks in_contour_domain),
+      for a pair whose contour_pair_integral meets quad's tolerance: the
+      full-plane I_ij at eps = 0, not J_ij;
+    - "ladder" otherwise: J_ij on every rung of eps (_ladder_pair_integral)."""
     def integral(i, j):
         if stationary_form(scenario, i, j) is not None:
-            return _spectral_pair_integral(scenario, i, j, params, quad)
-        return _ladder_pair_integral(scenario, i, j, params, eps, quad)
+            return "spectral", *_spectral_pair_integral(scenario, i, j, params, quad)
+        if contour:
+            value, bar = contour_pair_integral(scenario, params, i, j)
+            if _within_tol(value, bar, quad):
+                return "contour", value, bar
+        return "ladder", *_ladder_pair_integral(scenario, i, j, params, eps, quad)
 
     return _pair_map(scenario, integral, window=True)
 
@@ -596,7 +616,8 @@ def excitation_probability_quadrature(scenario: TrajectoryScenario, params: Dete
     reg_schedule, quad = _defaults(scenario, reg_schedule, quad)
     pref = 2.0 * params.lambda_coupling**2 / scenario.branch_count**2
     blocks = halfplane_integrals_at_eps(scenario, params, reg_schedule.epsilons, quad).values()
-    return ProbabilityResult(*_limit(reg_schedule, [(v.real, e.real) for v, e in blocks], pref))
+    return ProbabilityResult(*_limit(reg_schedule, [(m, v.real, e.real) for m, v, e in blocks],
+                                     pref))
 
 
 # ---------------------------------------------------------------------------

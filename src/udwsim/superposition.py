@@ -18,12 +18,13 @@ The norm p_ground + p_excited is the probability of finding the control in
 the measured superposition; dividing by it conditions the detector state.
 
 compute_wightman_integrals integrates each branch pair once, by exactly one
-method, chosen in one place: a stationary pair (correlators.stationary_form),
-which gives every T_i, is exact from its spectrum; inside the shifted
-contour's domain (omega > 0, beta < pi) another cross pair's I_ij is a
-Gauss-Hermite sum on that contour at eps = 0 where the sum meets the
-quadrature tolerance, and is extrapolated from the regulator ladder
-otherwise.
+of three methods, which response's one windowed pair pass
+(halfplane_integrals_at_eps) chooses and names: "spectral" for a stationary
+pair, which gives every T_i, exact from its spectrum; "contour", inside the
+shifted contour's domain (omega > 0, beta < pi), for another cross pair
+whose Gauss-Hermite sum on that contour at eps = 0 meets the quadrature
+tolerance; and "ladder" otherwise, extrapolated from the regulator ladder.
+This module only assembles the state from the named integrals.
 """
 
 from __future__ import annotations
@@ -34,16 +35,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closed_form import DetectorParams
-from .correlators import stationary_form
 from .kinematics import TrajectoryScenario
-# epsilon_extrapolate and halfplane_integrals_at_eps are not called here
-# (response._limit extrapolates, and each ladder pair is one
-# _ladder_pair_integral); they stay bound because bench/spans.py wraps both
-# names on this module
+# epsilon_extrapolate is not called here (response._limit extrapolates); it
+# stays bound because bench/spans.py wraps the name on this module
 from .quadrature import epsilon_extrapolate  # noqa: F401
-from .response import (_defaults, _ladder_pair_integral, _limit, _pair_map,
-                       _spectral_pair_integral, _within_tol, contour_pair_integral,
-                       halfplane_integrals_at_eps, in_contour_domain)  # noqa: F401
+from .response import _defaults, _limit, halfplane_integrals_at_eps, in_contour_domain
 
 
 @dataclass(frozen=True)
@@ -113,60 +109,47 @@ class DetectorDensityMatrix:
 
 def compute_wightman_integrals(scenario: TrajectoryScenario, params: DetectorParams,
                                reg_schedule=None, quad=None) -> WightmanIntegrals:
-    """All I_ij and T_i at eps = 0. Every diagonal pair is stationary, so
-    T_i = J_ii of _spectral_pair_integral is exact. Im T_i is relative to an
-    inertial detector in the vacuum: the coincidence divergence dropped is
-    the same for every branch, and cancels in T_i + conj(T_j), the only way
-    T_i enters the density matrix. A stationary pair's I_ij = J_ij + conj(J_ji)
-    is exact too.
+    """All I_ij and T_i at eps = 0, from one windowed pair pass
+    (response.halfplane_integrals_at_eps), which names each pair's method.
+    Every diagonal pair is "spectral", so T_i = J_ii is exact. Im T_i is
+    relative to an inertial detector in the vacuum: the coincidence
+    divergence dropped is the same for every branch, and cancels in
+    T_i + conj(T_j), the only way T_i enters the density matrix. A
+    "spectral" cross pair's I_ij = J_ij + conj(J_ji) is exact too.
 
     Inside the shifted contour's domain (omega > 0, beta < pi; response's
-    in_contour_domain) each other cross pair's I_ij is its Gauss-Hermite sum
-    on that contour (contour_pair_integral), with no regulator, and
-    I_ji = conj(I_ij) exactly. A pair whose contour bar misses quad's
-    tolerance on its own I_ij (a correlator pole near the contour), and every
-    such pair outside the domain, takes the regulator ladder instead
-    (_ladder_pair_integral, extrapolated by _limit). error_estimate is the
-    largest bar of any entry; cross_pair_methods says which of the two gave
-    the cross pairs.
+    in_contour_domain) each other cross pair is "contour": its I_ij is the
+    Gauss-Hermite sum on that contour (contour_pair_integral), with no
+    regulator, and I_ji = conj(I_ij) exactly. A pair whose contour bar misses
+    quad's tolerance on its own I_ij (a correlator pole near the contour),
+    and every such pair outside the domain, is "ladder" instead: J_ij on the
+    regulator ladder, with I_ij = J_ij + conj(J_ji) extrapolated by _limit.
+    error_estimate is the largest bar of any entry; cross_pair_methods names
+    the methods of the non-stationary cross pairs.
     """
     return _wightman_integrals(scenario, params, *_defaults(scenario, reg_schedule, quad),
                                in_contour_domain(scenario, params))
 
 
 def _wightman_integrals(scenario, params, reg_schedule, quad, contour) -> WightmanIntegrals:
-    """One _pair_map pass, in which each representative pair takes exactly
-    one method, named beside its (value, err):
-    - "spectral" for a stationary pair: J_ij of _spectral_pair_integral;
-    - "contour", where contour is set, for a pair whose contour_pair_integral
-      meets quad's tolerance: I_ij, and I_ji = conj(I_ij);
-    - "ladder" otherwise: J_ij on the regulator ladder
-      (_ladder_pair_integral).
-    A spectral or ladder pair's I_ij is J_ij + conj(J_ji), reduced by _limit.
+    """The state from the named pairs of halfplane_integrals_at_eps, with
+    contour as its flag: a "contour" I_ij as it is, and I_ji = conj(I_ij);
+    every other I_ij is J_ij + conj(J_ji), reduced by _limit.
     cross_pair_methods is every method but "spectral"."""
-    def integral(i, j):
-        if stationary_form(scenario, i, j) is not None:
-            return "spectral", _spectral_pair_integral(scenario, i, j, params, quad)
-        if contour:
-            pair = contour_pair_integral(scenario, params, i, j)
-            if _within_tol(*pair, quad):
-                return "contour", pair
-        return "ladder", _ladder_pair_integral(scenario, i, j, params,
-                                               reg_schedule.epsilons, quad)
-
-    pairs = _pair_map(scenario, integral, window=True)
-    diagonal = [pairs[(i, i)][1] for i in range(1, scenario.branch_count + 1)]
+    pairs = halfplane_integrals_at_eps(scenario, params, reg_schedule.epsilons, quad,
+                                       contour=contour)
+    diagonal = [pairs[(i, i)][1:] for i in range(1, scenario.branch_count + 1)]
     worst = max(e.real + e.imag for _, e in diagonal)
     full = {}
-    for (i, j), (method, (v, e)) in pairs.items():
+    for (i, j), (method, v, e) in pairs.items():
         if method == "contour":
             full[(i, j)], err = (v if i < j else v.conjugate()), e
         else:
-            v_ji, e_ji = pairs[(j, i)][1]
-            full[(i, j)], err, _ = _limit(reg_schedule, [(v, e.real),
-                                                         (np.conj(v_ji), e_ji.real)], 1.0)
+            m_ji, v_ji, e_ji = pairs[(j, i)]
+            blocks = [(method, v, e.real), (m_ji, np.conj(v_ji), e_ji.real)]
+            full[(i, j)], err, _ = _limit(reg_schedule, blocks, 1.0)
         worst = max(worst, err)
-    methods = {method for method, _ in pairs.values()} - {"spectral"}
+    methods = {method for method, _, _ in pairs.values()} - {"spectral"}
     ordered = {i: complex(v) for i, (v, _) in enumerate(diagonal, 1)}
     return WightmanIntegrals(branch_count=len(diagonal), full_grid=full, time_ordered=ordered,
                              error_estimate=float(worst),

@@ -16,7 +16,7 @@ import pytest
 
 import udwsim.cli
 import udwsim.quadrature
-from udwsim import DetectorParams, TrajectoryScenario, response
+from udwsim import DetectorParams, TrajectoryScenario, response, superposition
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -97,3 +97,22 @@ def test_names_the_tracer_wraps_keep_their_signatures():
     assert params(udwsim.cli._eval_point) == ["task"]
     assert params(udwsim.cli._write_output) == ["path", "header", "rows",
                                                "json_mirror", "kind"]
+
+
+def test_tracer_sees_the_conditional_state(spans):
+    # the conditional state takes its pairs from the one windowed pair pass,
+    # which the tracer wraps on both modules: one rung pass per call, whether
+    # the cross pair is a contour sum or a ladder
+    differing = TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5)
+    parallel = TrajectoryScenario("Parallel", kappa1=1.0, L=1.0)
+    contour = DetectorParams(omega=80.0, lambda_coupling=0.01, sigma=0.05)
+    ladder = DetectorParams(omega=-1.0, lambda_coupling=0.01, sigma=1.0)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        methods = [superposition.compute_wightman_integrals(sc, params).cross_pair_methods
+                   for sc, params in ((differing, contour), (parallel, ladder))]
+    finally:
+        tracer.uninstall()
+    assert methods == [("contour",), ("ladder",)]
+    assert tracer.counts["response.eps_rungs"] == 2

@@ -265,7 +265,7 @@ def test_rate_row_matches_one_gap_calls(scenario):
     blocks = response._rate_at_eps(scenario, np.array(ROW), 0.7, sched.epsilons, quad).values()
     for k, (omega, batch) in enumerate(zip(ROW, row)):
         assert batch == transition_rate(scenario, unit(omega), 0.7)
-        alone = response._limit(sched, [(v[k].real, e[k]) for v, e in blocks], 0.5)
+        alone = response._limit(sched, [(m, v[k].real, e[k]) for m, v, e in blocks], 0.5)
         assert (batch.value, batch.error_estimate, batch.epsilon_estimates) == alone
         assert len(batch.epsilon_estimates) == 3
 
@@ -298,6 +298,28 @@ def test_stationary_rate_row_is_bit_identical_to_one_gap_calls(scenario):
 @pytest.mark.parametrize("scenario", RATE_PINS, ids=lambda sc: sc.family)
 def test_empty_rate_row_is_an_empty_list(scenario):
     assert transition_rates(scenario, [], 0.5) == []
+
+
+@pytest.mark.parametrize("scenario", [PAR_KL1, SA], ids=["cross_pair", "all_stationary"])
+@pytest.mark.parametrize("omegas, tau, name", [
+    ([math.nan], 0.5, "omegas"),
+    ([math.inf], 0.5, "omegas"),
+    ([1.0, -math.inf], 0.5, "omegas"),
+    (1.0, 0.5, "omegas"),
+    ([[1.0, 2.0]], 0.5, "omegas"),
+    ([1.0], math.nan, "tau"),
+    ([1.0], math.inf, "tau"),
+    ([], math.nan, "tau"),
+], ids=["nan", "inf", "minus_inf_in_row", "bare_float", "2d", "tau_nan", "tau_inf",
+        "empty_row_tau_nan"])
+def test_rate_row_refuses_bad_inputs_before_any_work(monkeypatch, scenario, omegas, tau, name):
+    # a ValueError that names the argument, raised before any pair integral
+    def no_work(*args, **kwargs):
+        raise AssertionError("a pair map ran on a refused input")
+
+    monkeypatch.setattr(response, "_rate_at_eps", no_work)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        transition_rates(scenario, omegas, tau)
 
 
 def test_rate_row_names_the_gap_that_does_not_converge():
@@ -838,8 +860,8 @@ def test_ladder_rate_point_matches_one_rung_calls():
     cross = ((1, 2), (2, 1))
     for k, eps in enumerate(LADDER):
         single = response._rate_at_eps(PAR, 1.0, 1.0, eps, quad)
-        rate = sum(single[pair][0].real for pair in cross)
-        assert abs(sum(blocks[pair][0][k].real for pair in cross) - rate) <= 1e-8 * abs(rate)
+        rate = sum(single[pair][1].real for pair in cross)
+        assert abs(sum(blocks[pair][1][k].real for pair in cross) - rate) <= 1e-8 * abs(rate)
         assert blocks[(1, 1)] == single[(1, 1)] and blocks[(2, 2)] == single[(2, 2)]
 
 
@@ -947,8 +969,8 @@ def test_differing_window_with_a_fast_second_branch_converges(monkeypatch):
         return engine(*args, level=level)
 
     monkeypatch.setattr(response, "_halfplane_pair_integral", recording)
-    value, err = response.halfplane_integrals_at_eps(scenario, params, eps,
-                                                     QuadratureConfig())[(1, 2)]
+    _, value, err = response.halfplane_integrals_at_eps(scenario, params, eps,
+                                                        QuadratureConfig())[(1, 2)]
     assert levels == [0, 1]
     finer, _ = engine(scenario, 1, 2, params, eps, level=2)
     assert abs(value - finer) <= 0.01 * err
@@ -1101,8 +1123,8 @@ def test_cut_domain_keeps_j12_on_every_rung(omega):
     params = DetectorParams(omega=omega, lambda_coupling=0.01, sigma=0.05)
     sched, quad = response._defaults(PAR, None, None)
     assert sched.epsilons == LADDER
-    values, errors = response.halfplane_integrals_at_eps(PAR, params, sched.epsilons,
-                                                         quad)[(1, 2)]
+    _, values, errors = response.halfplane_integrals_at_eps(PAR, params, sched.epsilons,
+                                                            quad)[(1, 2)]
     for value, pinned in zip(values, J12_WHOLE_DIAMOND[omega], strict=True):
         assert value == pytest.approx(pinned, rel=1e-15, abs=0.0)
         assert value.real == pytest.approx(pinned.real, rel=1e-15, abs=0.0)

@@ -357,10 +357,10 @@ def test_each_representative_pair_takes_exactly_one_method(monkeypatch, kwargs, 
             return out
         return wrapper
 
-    monkeypatch.setattr(superposition, "_spectral_pair_integral",
-                        counted("spectral", superposition._spectral_pair_integral, 1))
-    monkeypatch.setattr(superposition, "contour_pair_integral",
-                        counted("contour", superposition.contour_pair_integral, 2))
+    monkeypatch.setattr(response, "_spectral_pair_integral",
+                        counted("spectral", response._spectral_pair_integral, 1))
+    monkeypatch.setattr(response, "contour_pair_integral",
+                        counted("contour", response.contour_pair_integral, 2))
     monkeypatch.setattr(response, "_halfplane_pair_integral",
                         counted("ladder", response._halfplane_pair_integral, 1))
     ints = compute_wightman_integrals(sc, params)
