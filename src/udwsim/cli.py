@@ -18,16 +18,22 @@ holds every gap that a scenario's rate_map and kms_report need (omega, and
 -omega for the KMS ratio), integrated together (transition_rates), so both
 outputs read the same rates; a row that raises is evaluated gap by gap.
 
-Only the points of a quadrature-backend probability_map on the regulator
-ladder (the 2-D engine, up to seconds a point) are spread over --workers
-processes; every other output runs in this process.
+Each header says what ran. Every row comes with the cross_pair_methods of
+the results it was built from, and the method: line and the regulator and
+tolerance notes are built from their union over the valid rows, from one
+table of each method's text (_METHODS); a file with no valid row names no
+method and no note.
+
+Only the points of a quadrature-backend probability_map that take the 2-D
+engine (up to seconds a point) are spread over --workers processes: the one
+question asked before any point runs is whether a grid point has a
+non-stationary branch pair. Every other output runs in this process.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -96,54 +102,38 @@ def _fmt(value) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-_EXACT_PAIRS = ("method: stationary branch pairs exact from their closed-form spectrum "
-                "(Planck form, times sin(E L)/(E L) for the bath's cross pair); ")
-# how the other cross pairs were integrated: by WightmanIntegrals.cross_pair_methods
-# for a visibility scan, "lerch" for rates and "ladder" for a quadrature-backend
-# probability map
-_CROSS_PAIRS = {
-    "ladder": "the other cross pairs integrated on the regulator ladder and "
-              "extrapolated to eps->0",
-    "contour": "the other cross pairs' I_ij by a Gauss-Hermite rule on the shifted "
-               "contour Im s = -2 sigma^2 omega at eps=0 (64 against 32 nodes per axis)",
-    "lerch": "the other cross pairs exact on each rung of the regulator ladder, "
-             "integrated to s=inf in closed form (two Lerch transcendents), and "
-             "extrapolated to eps->0",
+_LIMIT = " (pointlike limit eps->0 taken after integration)"
+_NO_LADDER = " (not used: no branch pair took the regulator ladder)"
+# the header text of each method, keyed by the names that results carry
+# (RateResult and WightmanIntegrals.cross_pair_methods): its phrase on the
+# method: line, and its notes on the regulator and tolerance lines. The first
+# method in this order that a file's valid rows ran sets both notes;
+# "spectral", which every valid row runs, only where no other method ran,
+# and a rate file then notes that its stationary pairs were not integrated
+_METHODS = {
+    "ladder": ("the other cross pairs integrated on the regulator ladder and "
+               "extrapolated to eps->0", _LIMIT, ""),
+    "lerch": ("the other cross pairs exact on each rung of the regulator ladder, "
+              "integrated to s=inf in closed form (two Lerch transcendents), and "
+              "extrapolated to eps->0", _LIMIT,
+              " (gates the rounding bound of each closed-form rung)"),
+    "contour": ("the other cross pairs' I_ij by a Gauss-Hermite rule on the shifted "
+                "contour Im s = -2 sigma^2 omega at eps=0 (64 against 32 nodes per axis)",
+                _NO_LADDER, " (not used by a regulator ladder: the tolerance that each "
+                "shifted-contour sum and spectral integral met)"),
+    "spectral": ("stationary branch pairs exact from their closed-form spectrum "
+                 "(Planck form, times sin(E L)/(E L) for the bath's cross pair)", _NO_LADDER,
+                 " (not used by a regulator ladder: the tolerance that each spectral "
+                 "integral met)"),
 }
 
 
 def _method_line(methods) -> str:
-    """The method line of an output whose non-stationary cross pairs took
-    methods, keys of _CROSS_PAIRS (as WightmanIntegrals.cross_pair_methods);
-    () when every branch pair is stationary."""
-    return _EXACT_PAIRS + ("; ".join(_CROSS_PAIRS[m] for m in methods)
-                           or "there are no other branch pairs")
-
-
-def _pair_methods(scenario, method: str) -> tuple:
-    """(method,) if a branch pair of the scenario is not stationary
-    (stationary_form), else (): the cross-pair methods of its rates
-    ("lerch") or of its quadrature-backend probability ("ladder")."""
-    n = range(1, scenario.branch_count + 1)
-    return (method,) if any(stationary_form(scenario, i, j) is None
-                            for i in n for j in n) else ()
-
-
-def _probability_methods(cfg: ScenarioConfig, family: str, backend: str):
-    """The cross-pair methods of a probability_map: None for the closed
-    backend, which integrates nothing; for the quadrature backend the
-    ladder if a grid point it evaluates (_point_scenario) has a
-    non-stationary branch pair, else ()."""
-    if backend == "closed":
-        return None
-    for point in itertools.product(*(cfg.grids[n] for n in KIND_GRIDS["probability_map"])):
-        try:
-            scenario = _point_scenario(family, cfg.params, point)
-        except ValidityError:  # an invalid row takes no method
-            continue
-        if _pair_methods(scenario, "ladder"):
-            return ("ladder",)
-    return ()
+    """The method: line of a file whose valid rows' non-stationary cross
+    pairs took methods, names in _METHODS; () when every pair was
+    stationary."""
+    return ("method: " + "; ".join(_METHODS[m][0] for m in ("spectral", *sorted(methods)))
+            + ("" if methods else "; there are no other branch pairs"))
 
 
 def _point_geometry(params: DetectorParams, point) -> tuple:
@@ -166,10 +156,13 @@ def _point_scenario(family: str, params: DetectorParams, point) -> TrajectorySce
 
 
 def _eval_point(task):
-    """The CSV row of one probability grid point, task = (point, payload).
+    """(row, methods) of one probability grid point, task = (point, payload):
+    its CSV row and the cross_pair_methods of its result, () for the closed
+    backend.
 
     Module-level so a process pool can pickle it. A point's validity or
-    convergence failure becomes a NaN row with the valid flag down.
+    convergence failure becomes a NaN row with the valid flag down, which
+    took no method.
     """
     point, (family, params, backend, reg, quad) = task
     with warnings.catch_warnings():
@@ -177,31 +170,44 @@ def _eval_point(task):
         try:
             if backend == "closed":
                 fn = p_parallel if family == "Parallel" else p_antiparallel
-                value = fn(params, *_point_geometry(params, point)).probability
+                value, methods = fn(params, *_point_geometry(params, point)).probability, ()
             else:
                 scenario = _point_scenario(family, params, point)
-                value = excitation_probability_quadrature(scenario, params, reg, quad).value
+                res = excitation_probability_quadrature(scenario, params, reg, quad)
+                value, methods = res.value, res.cross_pair_methods
         except _POINT_ERRORS:
-            return (*point, math.nan, 0)
-    return (*point, value, 1)
+            return (*point, math.nan, 0), ()
+    return (*point, value, 1), methods
 
 
-def _probability_rows(cfg: ScenarioConfig, payload, methods, workers: int) -> list:
-    """The probability_map rows over the grids, in grid order. Only a map
-    whose points take the regulator ladder (methods, _probability_methods)
-    starts a process pool: of at most workers processes, and no more than
-    it has points or the process has CPUs."""
+def _has_cross_pair(task) -> bool:
+    """Whether the grid point of an _eval_point task is valid and has a
+    non-stationary branch pair, whose windows take the 2-D engine."""
+    point, (family, params, *_) = task
+    try:
+        scenario = _point_scenario(family, params, point)
+    except ValidityError:
+        return False
+    n = range(1, scenario.branch_count + 1)
+    return any(stationary_form(scenario, i, j) is None for i in n for j in n)
+
+
+def _probability_rows(cfg: ScenarioConfig, payload, workers: int) -> list:
+    """The (row, methods) of each probability_map point (_eval_point), in
+    grid order. Only a quadrature-backend map with a point whose cross pair
+    takes the 2-D engine (_has_cross_pair) starts a process pool: of at most
+    workers processes, and no more than it has points or the process has
+    CPUs."""
     outer, inner = (cfg.grids[n] for n in KIND_GRIDS["probability_map"])
     tasks = [((a, b), payload) for a in outer for b in inner]
-    if methods == ("ladder",):
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        workers = min(workers, len(tasks), cpus)
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(_eval_point, tasks,
-                                     chunksize=max(1, len(tasks) // (4 * workers))))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(workers, len(tasks), cpus)
+    if workers > 1 and payload[2] == "quadrature" and any(map(_has_cross_pair, tasks)):
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_eval_point, tasks,
+                                 chunksize=max(1, len(tasks) // (4 * workers))))
     return [_eval_point(t) for t in tasks]
 
 
@@ -241,16 +247,17 @@ def _rate_table(cfg: ScenarioConfig, scenario, negated: bool) -> dict:
 
 
 def _rate_row(w, kt, rates, kappa):
-    """The rate_map row at omega/kappa = w from a row of rates."""
+    """(row, methods) of the rate_map at omega/kappa = w from a row of rates."""
     res = rates[w * kappa]
     if res is None:
-        return (w, kt, math.nan, math.nan, 0)
-    return (w, kt, res.value, res.error_estimate, 1)
+        return (w, kt, math.nan, math.nan, 0), ()
+    return (w, kt, res.value, res.error_estimate, 1), res.cross_pair_methods
 
 
 def _kms_row(w, kt, rates, kappa, tol):
-    """The kms_report row at omega/kappa = w from a row of rates: valid=0
-    if either rate failed or the ratio is indeterminate (kms_check)."""
+    """(row, methods) of the kms_report at omega/kappa = w from a row of
+    rates: valid=0 if either rate failed or the ratio is indeterminate
+    (kms_check)."""
     omega = w * kappa
     if rates[omega] is not None and rates[-omega] is not None:
         try:
@@ -258,39 +265,30 @@ def _kms_row(w, kt, rates, kappa, tol):
         except IndeterminateRatioError:
             pass
         else:
-            return (w, kt, report.ratio, report.expected, report.deviation,
-                    1 if report.satisfied else 0, 1)
-    return (w, kt, math.nan, math.nan, math.nan, 0, 0)
+            return ((w, kt, report.ratio, report.expected, report.deviation,
+                     1 if report.satisfied else 0, 1),
+                    rates[omega].cross_pair_methods + rates[-omega].cross_pair_methods)
+    return (w, kt, math.nan, math.nan, math.nan, 0, 0), ()
 
 
-_NO_LADDER = "(not used: no branch pair took the regulator ladder)"
-
-
-def _usage_notes(kind, methods) -> tuple:
-    """(regulator note, tolerance note) of a header: what the regulator
-    ladder and the tolerances did for an output whose non-stationary cross
-    pairs took methods (_method_line), or None for a closed-backend
-    probability map, which integrates nothing."""
-    if methods is None:
-        return _NO_LADDER, " (not used: the closed backend evaluates saddle-point forms)"
-    if "ladder" in methods:
-        return "(pointlike limit eps->0 taken after integration)", ""
-    if "lerch" in methods:
-        return ("(pointlike limit eps->0 taken after integration)",
-                " (gates the rounding bound of each closed-form rung)")
-    if kind in ("rate_map", "kms_report"):
-        return _NO_LADDER, " (not used: every rate is exact from its closed-form spectrum)"
-    return _NO_LADDER, (" (not used by a regulator ladder: the tolerance that each "
-                        + ("shifted-contour sum and " if methods else "")
-                        + "spectral integral met)")
-
-
-def _header_lines(kind, cfg: ScenarioConfig, scenario, extra, methods):
-    """The output's header, for non-stationary cross pairs that took
-    methods (_usage_notes)."""
+def _header_lines(kind, cfg: ScenarioConfig, scenario, extra, rows, methods):
+    """The output's header. methods is the union of the cross_pair_methods
+    of the results that the valid rows were built from, or None for a
+    closed-backend probability map, which integrates nothing and has no
+    method: line; the method: line and the notes come from _METHODS. A file
+    with no valid row names no method and no note."""
     sc, par, reg, quad = scenario, cfg.params, cfg.regulator, cfg.quadrature
     eps = ",".join(f"{e:g}" for e in reg.epsilons)
-    reg_use, quad_use = _usage_notes(kind, methods)
+    if not any(row[-1] for row in rows):
+        method, reg_use, quad_use = ["method: none (no row has a value)"], "", ""
+    elif methods is None:
+        method, reg_use = [], _NO_LADDER
+        quad_use = " (not used: the closed backend evaluates saddle-point forms)"
+    else:
+        method = [_method_line(methods)]
+        _, reg_use, quad_use = _METHODS[next((m for m in _METHODS if m in methods), "spectral")]
+        if kind in ("rate_map", "kms_report") and not methods:
+            quad_use = " (not used: every rate is exact from its closed-form spectrum)"
     return [
         f"udwsim output kind={kind}",
         f"config sha1={_config_sha1(cfg.source_text)}",
@@ -302,9 +300,10 @@ def _header_lines(kind, cfg: ScenarioConfig, scenario, extra, methods):
         "normalization: probability and rate columns are per lambda^2 "
         "(evaluated at unit coupling; exact at leading order); two-branch "
         "populations carry the control factor lambda^2/N^2 with N=2",
-        f"regulator epsilons={eps} extrapolation=richardson_linear {reg_use}",
+        f"regulator epsilons={eps} extrapolation=richardson_linear{reg_use}",
         f"quadrature abs_tol={_fmt(quad.abs_tol)} rel_tol={_fmt(quad.rel_tol)}{quad_use}",
         *extra,
+        *method,
         f"columns: {','.join(_COLUMNS[kind])}",
     ]
 
@@ -325,8 +324,9 @@ def _write_output(path: Path, header, rows, json_mirror: bool, kind):
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str = ".", workers: int = 1) -> int:
     """Produce every configured output file; returns a process exit code.
-    workers bounds the processes of a map whose points take the regulator
-    ladder (_probability_rows); every other output runs in this process."""
+    workers bounds the processes of a map whose points take the 2-D engine
+    (_probability_rows); every other output runs in this process. Each
+    header names the methods that the file's valid rows ran."""
     base = Path(out_dir)
     if not cfg.outputs:
         print("nothing to do: config declares no outputs")
@@ -339,55 +339,48 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".", workers: int = 1) -> i
         for file, scenario in scenario_variants(out, cfg.scenario):
             path = base / file
             if out.kind == "probability_map":
-                methods = _probability_methods(cfg, scenario.family, out.backend)
                 payload = (scenario.family, _unit_coupling(cfg.params), out.backend,
                            cfg.regulator, cfg.quadrature)
                 extra = (f"backend={out.backend}",
                          "kappa derived per point: kappa = "
                          "kappa_sigma2_omega / (sigma^2 omega); L = L_over_sigma * sigma")
-                extra += (_method_line(methods),) if methods is not None else ()
-                rows = _probability_rows(cfg, payload, methods, workers)
+                built = _probability_rows(cfg, payload, workers)
             elif out.kind == "visibility_scan":
-                rows, extra, methods = _visibility_rows(cfg, scenario)
+                built, extra = _visibility_rows(cfg, scenario)
             else:
-                methods = _pair_methods(scenario, "lerch")
                 if scenario not in tables:
                     tables[scenario] = _rate_table(cfg, scenario, scenario in kms_variants)
                 table, kappa = tables[scenario], scenario.kappa1
-                if out.kind == "rate_map":
-                    rows = [_rate_row(w, kt, table[kt], kappa)
-                            for w in cfg.grids["omega_over_kappa"]
-                            for kt in cfg.grids["kappa_tau"]]
-                    extra = ("rate normalization: single-branch stationary limit is "
-                             "the thermal value omega/(2 pi (e^{2 pi omega/kappa}-1))",
-                             _method_line(methods))
-                else:
-                    rows = [_kms_row(w, kt, table[kt], kappa, out.tolerance)
-                            for w in cfg.grids["omega_over_kappa"]
-                            for kt in cfg.grids["kappa_tau"]]
-                    extra = (f"kms tolerance={_fmt(out.tolerance)} "
-                             "(detailed balance rate(omega)/rate(-omega) vs "
-                             "e^{-2 pi omega/kappa})", _method_line(methods))
-            _write_output(path, _header_lines(out.kind, cfg, scenario, extra, methods),
+                built = [_rate_row(w, kt, table[kt], kappa) if out.kind == "rate_map"
+                         else _kms_row(w, kt, table[kt], kappa, out.tolerance)
+                         for w in cfg.grids["omega_over_kappa"] for kt in cfg.grids["kappa_tau"]]
+                extra = ("rate normalization: single-branch stationary limit is the thermal "
+                         "value omega/(2 pi (e^{2 pi omega/kappa}-1))" if out.kind == "rate_map"
+                         else f"kms tolerance={_fmt(out.tolerance)} (detailed balance "
+                         "rate(omega)/rate(-omega) vs e^{-2 pi omega/kappa})",)
+            rows = [row for row, _ in built]
+            methods = (None if out.kind == "probability_map" and out.backend == "closed"
+                       else set().union(*(m for _, m in built)))
+            _write_output(path, _header_lines(out.kind, cfg, scenario, extra, rows, methods),
                           rows, out.json_mirror, out.kind)
             print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
 
 def _visibility_rows(cfg: ScenarioConfig, scenario):
-    """(rows, header lines, the integrals' cross_pair_methods). The amplitude
-    (lambda^2/2)|C|, C = I_12 - T_2 - conj(T_1), sums three entries that
-    each stay within the integrals' bar, so its bar is 3 lambda^2/2 times
-    that."""
+    """((row, methods) per phase, header lines), methods the integrals'
+    cross_pair_methods. The amplitude (lambda^2/2)|C|, C = I_12 - T_2 -
+    conj(T_1), sums three entries that each stay within the integrals' bar,
+    so its bar is 3 lambda^2/2 times that."""
     grid = cfg.grids["delta_phi"]
     integrals = compute_wightman_integrals(scenario, cfg.params,
                                            cfg.regulator, cfg.quadrature)
-    rows = []
+    built = []
     for dphi in grid:
         control = ControlState(2, (0.0, dphi))
         dm = conditional_density_matrix(integrals, control, cfg.params)
         env = phase_envelope(control)
-        rows.append((dphi, dm.norm, env, dm.norm - env, 1))
+        built.append(((dphi, dm.norm, env, dm.norm - env, 1), integrals.cross_pair_methods))
     summary = visibility_scan(integrals, cfg.params, grid)
     extra = (f"visibility mean={_fmt(summary['mean'])} "
              f"amplitude={_fmt(summary['amplitude'])} "
@@ -398,9 +391,8 @@ def _visibility_rows(cfg: ScenarioConfig, scenario):
              f"amplitude error estimate="
              f"{_fmt(1.5 * cfg.params.lambda_coupling**2 * integrals.error_estimate)} "
              "(lambda^2/2 times three integral bars: the amplitude is (lambda^2/2)|C|, "
-             "C = I_12 - T_2 - conj(T_1))",
-             _method_line(integrals.cross_pair_methods))
-    return rows, extra, integrals.cross_pair_methods
+             "C = I_12 - T_2 - conj(T_1))")
+    return built, extra
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a scenario config")
     add_common(p_run)
     p_run.add_argument("--workers", type=int, default=1,
-                       help="most processes for the points of a quadrature-backend "
-                            "probability_map that take the regulator ladder; every "
+                       help="most processes for a quadrature-backend probability_map "
+                            "with a non-stationary branch pair (the 2-D engine); every "
                             "other output runs in one process (at least 1, default 1)")
     p_run.add_argument("--out-dir", default=".",
                        help="directory output paths are resolved against")

@@ -99,11 +99,17 @@ class RateResult:
     """Extrapolated transition rate (may be negative) or excitation
     probability, with the (eps, value) rungs it was extrapolated from;
     epsilon_estimates is () for a value that used no regulator ladder (a
-    rate whose branch pairs are all stationary, or the shifted contour)."""
+    rate whose branch pairs are all stationary, or the shifted contour).
+    cross_pair_methods names what the non-stationary cross pairs took, as
+    WightmanIntegrals.cross_pair_methods does: the sorted method names of
+    the pair map (_cross_pair_methods), "lerch" for transition_rates and
+    "ladder" for excitation_probability_quadrature; () when every pair is
+    "spectral". excitation_probability_contour leaves it ()."""
 
     value: float
     error_estimate: float
     epsilon_estimates: tuple
+    cross_pair_methods: tuple = ()
 
     def __post_init__(self):
         if self.error_estimate < 0:
@@ -288,6 +294,12 @@ def _rate_at_eps(scenario, omega, tau, eps, quad) -> dict:
     return _pair_map(scenario, integral, window=False)
 
 
+def _cross_pair_methods(blocks) -> tuple:
+    """The sorted names of the methods of (method, value, err) blocks, but
+    "spectral": what a result's non-stationary cross pairs took."""
+    return tuple(sorted({method for method, _, _ in blocks} - {"spectral"}))
+
+
 def _limit(reg_schedule, blocks, pref):
     """(value, error_estimate, epsilon_estimates) at eps -> 0 of pref times
     the sum of blocks, (method, value, err) triples, for one value or a row
@@ -339,7 +351,8 @@ def transition_rates(scenario: TrajectoryScenario, omegas, tau: float,
     any rung's rounding bound misses quad's tolerance, and an empty row
     gives []. A gap's rate does not depend on the other gaps of its row.
     error_estimate is the extrapolation error plus the rounding bound of the
-    closed-form part; epsilon_estimates is () when every pair is stationary.
+    closed-form part; epsilon_estimates is () when every pair is stationary,
+    and cross_pair_methods ("lerch" or ()) is the row's, in every result.
     For the Differing family tau is the shared proper-time parameter of both
     branches (no global time coordinate relates them). omegas must be a 1-D
     sequence of finite gaps and tau finite (ValueError otherwise).
@@ -357,7 +370,8 @@ def transition_rates(scenario: TrajectoryScenario, omegas, tau: float,
     pref = 2.0 * lambda_coupling**2 / scenario.branch_count**2
     blocks = _rate_at_eps(scenario, omegas, tau, reg_schedule.epsilons, quad).values()
     values, errors, estimates = _limit(reg_schedule, [(m, v.real, e) for m, v, e in blocks], pref)
-    return [RateResult(float(v), float(e), rungs)
+    methods = _cross_pair_methods(blocks)
+    return [RateResult(float(v), float(e), rungs, methods)
             for v, e, rungs in zip(values, errors, estimates)]
 
 
@@ -611,13 +625,14 @@ def excitation_probability_quadrature(scenario: TrajectoryScenario, params: Dete
     e^{-i omega (tau'-tau'')} W^{ij} (halfplane_integrals_at_eps): exact for
     stationary pairs, extrapolated from the regulator ladder for the other
     cross pairs. error_estimate is the extrapolation error plus the exact
-    pairs' bars; epsilon_estimates is () when no pair needs the ladder.
+    pairs' bars; epsilon_estimates is () when no pair needs the ladder,
+    and cross_pair_methods is ("ladder",) when one does.
     """
     reg_schedule, quad = _defaults(scenario, reg_schedule, quad)
     pref = 2.0 * params.lambda_coupling**2 / scenario.branch_count**2
     blocks = halfplane_integrals_at_eps(scenario, params, reg_schedule.epsilons, quad).values()
     return ProbabilityResult(*_limit(reg_schedule, [(m, v.real, e.real) for m, v, e in blocks],
-                                     pref))
+                                     pref), _cross_pair_methods(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +764,9 @@ def kms_check(rate_at, omega: float, kappa: float, tol: float) -> KMSReport:
 
     rate_at maps a gap to a RateResult (or plain number). Raises
     IndeterminateRatioError when the denominator rate is zero within its
-    error estimate.
+    error estimate, or when the ratio or e^{-2 pi omega/kappa} overflows or
+    underflows to zero (past |omega/kappa| ~ 113 one of them leaves the
+    float range). A NaN rate gives a NaN ratio, which is returned as it is.
     """
     num, _ = _value_and_error(rate_at(omega))
     den, den_err = _value_and_error(rate_at(-omega))
@@ -758,7 +775,13 @@ def kms_check(rate_at, omega: float, kappa: float, tol: float) -> KMSReport:
             f"rate at -omega = {-omega:g} is zero within its error estimate "
             f"({den:.3g} +- {den_err:.3g})")
     ratio = num / den
-    expected = math.exp(-2.0 * math.pi * omega / kappa)
+    try:
+        expected = math.exp(-2.0 * math.pi * omega / kappa)
+    except OverflowError:
+        expected = math.inf
+    if any(x in (0.0, math.inf, -math.inf) for x in (ratio, expected)):
+        raise IndeterminateRatioError(f"ratio {ratio:.3g} or e^(-2 pi omega/kappa) = "
+                                      f"{expected:.3g} is not a finite, nonzero float")
     deviation = abs(ratio / expected - 1.0)
     return KMSReport(ratio=ratio, expected=expected, deviation=deviation,
                      satisfied=bool(deviation <= tol))

@@ -39,7 +39,8 @@ from .kinematics import TrajectoryScenario
 # epsilon_extrapolate is not called here (response._limit extrapolates); it
 # stays bound because bench/spans.py wraps the name on this module
 from .quadrature import epsilon_extrapolate  # noqa: F401
-from .response import _defaults, _limit, halfplane_integrals_at_eps, in_contour_domain
+from .response import (_cross_pair_methods, _defaults, _limit, halfplane_integrals_at_eps,
+                       in_contour_domain)
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,9 @@ class WightmanIntegrals:
     its branch differences are physical. error_estimate bounds every entry.
     cross_pair_methods names what gave the non-stationary cross pairs:
     "contour" (the shifted contour at eps = 0) and/or "ladder" (the
-    regulator ladder, extrapolated); () when every pair is stationary.
+    regulator ladder, extrapolated); () when every pair is stationary. A
+    RateResult carries the same field, and the CLI's method: header line
+    and its notes are built from it.
     """
 
     branch_count: int
@@ -135,7 +138,7 @@ def _wightman_integrals(scenario, params, reg_schedule, quad, contour) -> Wightm
     """The state from the named pairs of halfplane_integrals_at_eps, with
     contour as its flag: a "contour" I_ij as it is, and I_ji = conj(I_ij);
     every other I_ij is J_ij + conj(J_ji), reduced by _limit.
-    cross_pair_methods is every method but "spectral"."""
+    cross_pair_methods is every method but "spectral" (_cross_pair_methods)."""
     pairs = halfplane_integrals_at_eps(scenario, params, reg_schedule.epsilons, quad,
                                        contour=contour)
     diagonal = [pairs[(i, i)][1:] for i in range(1, scenario.branch_count + 1)]
@@ -149,11 +152,10 @@ def _wightman_integrals(scenario, params, reg_schedule, quad, contour) -> Wightm
             blocks = [(method, v, e.real), (m_ji, np.conj(v_ji), e_ji.real)]
             full[(i, j)], err, _ = _limit(reg_schedule, blocks, 1.0)
         worst = max(worst, err)
-    methods = {method for method, _, _ in pairs.values()} - {"spectral"}
     ordered = {i: complex(v) for i, (v, _) in enumerate(diagonal, 1)}
     return WightmanIntegrals(branch_count=len(diagonal), full_grid=full, time_ordered=ordered,
                              error_estimate=float(worst),
-                             cross_pair_methods=tuple(sorted(methods)))
+                             cross_pair_methods=_cross_pair_methods(pairs.values()))
 
 
 def conditional_density_matrix(integrals: WightmanIntegrals, control: ControlState,

@@ -495,7 +495,8 @@ class TestRateRows:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         monkeypatch.setattr(cli, "excitation_probability_quadrature",
-                            lambda *args: SimpleNamespace(value=1.0))
+                            lambda *args: SimpleNamespace(value=1.0,
+                                                          cross_pair_methods=("ladder",)))
         assert main(["run", write_cfg(tmp_path, ladder_map_cfg()), "--out-dir",
                      str(tmp_path), "--workers", workers]) == 0
         assert pool_sizes == ([size] if size else [])
@@ -784,6 +785,82 @@ class TestMethodHeader:
             "(the bar of the integrals: the largest of any I_ij or T_i)")
         assert bars["amplitude error estimate"] == pytest.approx(
             1.5 * 0.01**2 * bars["integral error estimate"], rel=1e-12)
+
+
+# the header's regulator, tolerance and method lines at the default settings
+REG_LINE = "regulator epsilons=0.01,0.005,0.0025 extrapolation=richardson_linear"
+TOL_LINE = "quadrature abs_tol=1e-11 rel_tol=0.0001"
+EXACT = ("method: stationary branch pairs exact from their closed-form spectrum "
+         "(Planck form, times sin(E L)/(E L) for the bath's cross pair)")
+
+
+def usage_lines(path):
+    """The regulator, tolerance and method lines of a file's header."""
+    return [h for h in header_lines(path)
+            if h.startswith(("regulator ", "quadrature ", "method: "))]
+
+
+class TestHeaderNamesWhatRan:
+    """A header names a method, and notes what it did, only if a valid row
+    of that file ran it."""
+
+    def test_rate_map_with_a_valid_row_names_lerch(self, tmp_path):
+        # kappa tau = 400 fails at every gap, kappa tau = 0 is valid
+        main(["run", write_cfg(tmp_path, ladder_cfg("[0.0, 400.0]")), "--out-dir", str(tmp_path)])
+        assert [r.rsplit(",", 1)[1] for r in data_rows(tmp_path / "r.csv")] == ["1", "0"] * 3
+        assert usage_lines(tmp_path / "r.csv") == [
+            f"{REG_LINE} (pointlike limit eps->0 taken after integration)",
+            f"{TOL_LINE} (gates the rounding bound of each closed-form rung)",
+            f"{EXACT}; the other cross pairs exact on each rung of the regulator ladder, "
+            "integrated to s=inf in closed form (two Lerch transcendents), and "
+            "extrapolated to eps->0"]
+
+    def test_rate_map_with_no_valid_row_names_no_method(self, tmp_path):
+        main(["run", write_cfg(tmp_path, ladder_cfg("[400.0]")), "--out-dir", str(tmp_path)])
+        for name in ("r.csv", "k.csv"):
+            assert {r.rsplit(",", 1)[1] for r in data_rows(tmp_path / name)} == {"0"}
+            assert usage_lines(tmp_path / name) == [
+                REG_LINE, TOL_LINE, "method: none (no row has a value)"]
+
+    def test_refused_quadrature_map_names_no_method(self, tmp_path):
+        # omega < 0: every point is refused before a spectral integral runs
+        text = ladder_map_cfg().replace("grids:\n", "params:\n  omega: -1.0\ngrids:\n")
+        with pytest.warns(UserWarning, match="every row will be flagged invalid"):
+            assert main(["run", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)]) == 0
+        assert {r.rsplit(",", 1)[1] for r in data_rows(tmp_path / "p.csv")} == {"0"}
+        assert usage_lines(tmp_path / "p.csv") == [
+            REG_LINE, TOL_LINE, "method: none (no row has a value)"]
+
+    def test_serial_quadrature_map_builds_each_scenario_once(self, tmp_path, monkeypatch):
+        # Parallel at L = 0: both points have only stationary (spectral) pairs
+        calls, original = [], cli._point_scenario
+
+        def counting(family, params, point):
+            calls.append(point)
+            return original(family, params, point)
+
+        monkeypatch.setattr(cli, "_point_scenario", counting)
+        text = ladder_map_cfg().replace("[1.0, 2.0]", "[0.0]")
+        assert main(["run", write_cfg(tmp_path, text), "--out-dir", str(tmp_path),
+                     "--workers", "1"]) == 0
+        assert calls == [(0.0, 0.2), (0.0, 0.4)]
+        assert usage_lines(tmp_path / "p.csv") == [
+            f"{REG_LINE} (not used: no branch pair took the regulator ladder)",
+            f"{TOL_LINE} (not used by a regulator ladder: the tolerance that each spectral "
+            "integral met)",
+            f"{EXACT}; there are no other branch pairs"]
+
+    def test_kms_ratio_outside_the_float_range_is_an_invalid_row(self, tmp_path):
+        # e^{-2 pi omega/kappa} overflows at omega/kappa = -113.5 and
+        # underflows at 120; the row between keeps the bytes of a run alone
+        text = (RATE_CFG.replace("[-1.0, 1.0]", "[-113.5, 1.0, 120.0]")
+                .replace("rate_map\n    path: r.csv", "kms_report\n    path: k.csv"))
+        assert main(["run", write_cfg(tmp_path, text), "--out-dir", str(tmp_path / "all")]) == 0
+        alone = text.replace("[-113.5, 1.0, 120.0]", "[1.0]")
+        assert main(["run", write_cfg(tmp_path, alone), "--out-dir", str(tmp_path / "one")]) == 0
+        rows = data_rows(tmp_path / "all" / "k.csv")
+        assert [r.rsplit(",", 1)[1] for r in rows] == ["0", "1", "0"]
+        assert rows[1] == data_rows(tmp_path / "one" / "k.csv")[0]
 
 
 class TestRunFailures:

@@ -527,6 +527,42 @@ def test_kms_indeterminate_denominator():
                   else RateResult(1.0, 1e-10, ()), 1.0, 1.0, 0.01)
 
 
+@pytest.mark.parametrize("w", [-113.5, 120.0], ids=["overflow", "underflow"])
+def test_kms_ratio_outside_the_float_range_is_indeterminate(w):
+    # SingleAccel at kappa tau = 0: at omega/kappa = -113.5, e^{-2 pi omega/kappa}
+    # overflows math.exp (and the ratio is inf); at 120 it underflows to 0,
+    # and so does rate(omega), so the ratio is 0 / finite = 0
+    rates = dict(zip((w, -w), transition_rates(SA, [w, -w], 0.0)))
+    with pytest.raises(IndeterminateRatioError, match="not a finite, nonzero float"):
+        kms_check(rates.__getitem__, w, 1.0, 0.01)
+
+
+# --- the methods a result names -----------------------------------------------
+
+@pytest.mark.parametrize("scenario", [
+    SA, TrajectoryScenario("Parallel", kappa1=1.0, L=1.0),
+    TrajectoryScenario("AntiParallel", kappa1=1.0, L=1.0),
+    TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5),
+    TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=1.0)],
+    ids=lambda sc: sc.family)
+def test_results_name_the_methods_of_their_pair_maps(scenario):
+    # cross_pair_methods is every method but "spectral" that the pair map of
+    # the same inputs names: "lerch" for a rate, "ladder" for a window
+    reg, quad = response._defaults(scenario, None, None)
+    gaps = np.array([-1.0, 0.0, 1.0])
+    names = {m for m, _, _ in response._rate_at_eps(scenario, gaps, 0.7, reg.epsilons,
+                                                      quad).values()}
+    expected = tuple(sorted(names - {"spectral"}))
+    assert [r.cross_pair_methods for r in transition_rates(scenario, gaps, 0.7)] == [expected] * 3
+    params = unit(1.0)
+    names = {m for m, _, _ in response.halfplane_integrals_at_eps(scenario, params, reg.epsilons,
+                                                                  quad).values()}
+    expected = tuple(sorted(names - {"spectral"}))
+    assert excitation_probability_quadrature(scenario, params).cross_pair_methods == expected
+    assert expected == (() if scenario.family in ("SingleAccel", "ThermalInertialPair")
+                        else ("ladder",))
+
+
 # --- excitation probabilities -------------------------------------------------
 
 REF = DetectorParams(omega=80.0, lambda_coupling=0.01, sigma=0.05)
