@@ -27,7 +27,7 @@ from .quadrature import (DEFAULT_EPS_LADDER, QuadratureConfig,
 from .response import (KMSReport, ProbabilityResult, RateResult,
                        excitation_probability_contour,
                        excitation_probability_quadrature, kappa_scale,
-                       kms_check, planck_rate, transition_rate,
+                       kms_check, planck_rate, rate_table, transition_rate,
                        transition_rates, window_halfwidth)
 from .superposition import (ControlState, DetectorDensityMatrix,
                             WightmanIntegrals, compute_wightman_integrals,
@@ -83,6 +83,7 @@ __all__ = [
     "pair_spectrum",
     "phase_envelope",
     "planck_rate",
+    "rate_table",
     "scenario_correlator",
     "transition_rate",
     "transition_rates",

@@ -12,11 +12,13 @@ udwsim, numpy and scipy versions and a git-style content hash of the config,
 so a file is traceable to the exact run that produced it. Every float is
 written as the shortest string that reads back as the same float. Bodies are
 byte-identical across repeated runs and across --workers settings: every
-probability grid point, and every kappa tau row of rates, is evaluated
-independently, and the single writer assembles them in grid order. A row
-holds every gap that a scenario's rate_map and kms_report need (omega, and
--omega for the KMS ratio), integrated together (transition_rates), so both
-outputs read the same rates; a row that raises is evaluated gap by gap.
+probability grid point, and every rate, is evaluated independently of the
+others, and the single writer assembles them in grid order. A scenario's
+rates are one table (rate_table): every kappa tau row, each holding every
+gap that its rate_map and kms_report need (omega, and -omega for the KMS
+ratio), in one array pass, so both outputs read the same rates; only a row
+that fails is evaluated again, gap by gap, so that one failing gap does not
+fail the others.
 
 Each header says what ran. Every row comes with the cross_pair_methods of
 the results it was built from, and the method: line and the regulator and
@@ -43,7 +45,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .closed_form import (DetectorParams, p_antiparallel, p_differing, p_local,
@@ -55,7 +56,7 @@ from .errors import (ConfigError, ConvergenceError, HyperbolicRangeError,
                      ValidityError)
 from .kinematics import TrajectoryScenario
 from .response import (excitation_probability_quadrature, kms_check, planck_rate,
-                       transition_rate, transition_rates)
+                       rate_table, transition_rate)
 from .superposition import (ControlState, compute_wightman_integrals,
                             conditional_density_matrix, phase_envelope,
                             visibility_scan)
@@ -212,38 +213,39 @@ def _probability_rows(cfg: ScenarioConfig, payload, workers: int) -> list:
 
 
 def _eval_rates(scenario, sigma, gaps, tau, reg, quad) -> list:
-    """The rates of one kappa tau row, one per gap: a RateResult, or None
-    where that gap's own transition_rate call raises a point failure. The
-    row is one transition_rates call; if that raises, each gap is evaluated
-    alone, so that one failing gap does not fail the others."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # also DetectorParams' unit-coupling warning
+    """The rates of a kappa tau row that failed as a whole, gap by gap: a
+    RateResult, or None where that gap's own transition_rate call raises a
+    point failure."""
+    rates = []
+    for omega in gaps:
+        params = DetectorParams(omega=omega, lambda_coupling=1.0, sigma=sigma)
         try:
-            return transition_rates(scenario, gaps, tau, reg, quad)
+            rates.append(transition_rate(scenario, params, tau, reg, quad))
         except _POINT_ERRORS:
-            pass
-        rates = []
-        for omega in gaps:
-            params = DetectorParams(omega=omega, lambda_coupling=1.0, sigma=sigma)
-            try:
-                rates.append(transition_rate(scenario, params, tau, reg, quad))
-            except _POINT_ERRORS:
-                rates.append(None)
-        return rates
+            rates.append(None)
+    return rates
 
 
 def _rate_table(cfg: ScenarioConfig, scenario, negated: bool) -> dict:
     """{kappa_tau: {gap: RateResult or None}} over the grids: omega, and
-    -omega too if negated (a kms_report reads the table), in one row per
-    kappa tau. Gaps equal as floats (0.0 and -0.0 too) are evaluated once."""
+    -omega too if negated (a kms_report reads the table), from one
+    rate_table call over every kappa tau; a row that fails is evaluated
+    again gap by gap (_eval_rates). Gaps equal as floats (0.0 and -0.0 too)
+    are evaluated once."""
     kappa = scenario.kappa1
     gaps = [w * kappa for w in cfg.grids["omega_over_kappa"]]
     if negated:
         gaps += [-g for g in gaps]
     gaps = tuple(dict.fromkeys(gaps))
-    return {kt: dict(zip(gaps, _eval_rates(scenario, cfg.params.sigma, gaps, kt / kappa,
-                                           cfg.regulator, cfg.quadrature)))
-            for kt in cfg.grids["kappa_tau"]}
+    kts = cfg.grids["kappa_tau"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # also DetectorParams' unit-coupling warning
+        rows = rate_table(scenario, gaps, [kt / kappa for kt in kts], cfg.regulator,
+                          cfg.quadrature)
+        return {kt: dict(zip(gaps, row if isinstance(row, list) else
+                             _eval_rates(scenario, cfg.params.sigma, gaps, kt / kappa,
+                                         cfg.regulator, cfg.quadrature)))
+                for kt, row in zip(kts, rows)}
 
 
 def _rate_row(w, kt, rates, kappa):
@@ -276,7 +278,10 @@ def _header_lines(kind, cfg: ScenarioConfig, scenario, extra, rows, methods):
     of the results that the valid rows were built from, or None for a
     closed-backend probability map, which integrates nothing and has no
     method: line; the method: line and the notes come from _METHODS. A file
-    with no valid row names no method and no note."""
+    with no valid row names no method and no note. scipy is imported here,
+    for its version, so that importing this module loads no scipy module."""
+    import scipy
+
     sc, par, reg, quad = scenario, cfg.params, cfg.regulator, cfg.quadrature
     eps = ",".join(f"{e:g}" for e in reg.epsilons)
     if not any(row[-1] for row in rows):

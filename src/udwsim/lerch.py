@@ -31,9 +31,19 @@ converges fast there:
   as near e^{+-i pi/3}, where all three series have ratio 1. Summed
   backward from a depth that grows with |x|, since the fraction converges
   slowest near z = 1 at large |c|.
-Every sum runs over an array axis, not a Python loop, except the continued
-fraction's depth. Each point's value depends on that point alone, not on
-the others evaluated with it.
+
+A rate table asks for an outer product: every z of its rows and rungs
+against every x of its gaps. So lerch evaluates the grid of the distinct z
+and the distinct x of its arguments, and picks their points from it. Each
+series separates on that grid: every term is a factor of z alone (z^n,
+zeta^n, (1 - z)^n, computed once per z) times a factor of c alone (1/(n + c),
+n!/(c + 1)_n, (c)_n/n! and psi(n + 1) - psi(c + n), once per x and side of
+the reflection), and each sum is one einsum over the term axis, with no
+(z, x, term) temporary. The reflection's Q and the continued fraction are
+evaluated point by point. Every sum has one fixed length per method, padded
+with exact zeros, and the continued fraction fixes its depth per point, so
+a value depends on its own (x, z) alone, bit for bit, not on the grid it is
+evaluated in.
 """
 
 from __future__ import annotations
@@ -47,6 +57,13 @@ _EULER_GAMMA = 0.57721566490153286
 # 2^-56 < eps_mach/16
 _SERIES_TERMS = 56
 _SERIES_RATIO = 0.5
+# terms of the log series: ceil(ln(eps_mach/16)/ln|1 - z|) + 10 for each z,
+# at most 56 + 10 on its largest disk |1 - z| = 1/2. Inside the disk
+# |x| |1 - z| <= 2, so the count covers the e^{|x| |1 - z|} growth at every x
+_LOG_TERMS = _SERIES_TERMS + 10
+# a grid of distinct z and x is evaluated whole while it has at most this many
+# times the points asked for; scattered points are taken this many x at a time
+_GRID_WASTE = 8
 # levels of the continued fraction whose coefficients are held at once
 _CF_BLOCK = 64
 # B_2k/(2k), k = 1..7: psi(u) ~ ln u - 1/(2u) - sum_k B_2k/(2k u^2k), used from
@@ -62,24 +79,38 @@ _CSCH_SERIES = tuple((-1) ** k * 2.0 * (2.0 ** (2 * k - 1) - 1.0) * b / math.fac
                      for k, b in enumerate(_BERNOULLI, 1))
 
 
-def _plain_series(c, z):
-    """sum_n z^n / (n + c), |z| <= 1/2."""
-    powers = np.empty((z.size, _SERIES_TERMS), dtype=complex)
-    powers[:, 0] = 1.0
-    powers[:, 1:] = z[:, None]
-    np.cumprod(powers, axis=1, out=powers)
-    powers /= np.arange(_SERIES_TERMS) + c[:, None]
-    return powers.sum(axis=1), np.abs(powers).sum(axis=1)
+def _powers(q, terms):
+    """(len(q), terms) array of q^n, n = 0..terms - 1."""
+    p = np.empty((q.size, terms), dtype=complex)
+    p[:, 0] = 1.0
+    p[:, 1:] = q[:, None]
+    return np.cumprod(p, axis=1, out=p)
 
 
-def _pfaff_series(c, z):
-    """2F1(1, 1; c + 1; zeta) / (c (1 - z)) = sum_n n! zeta^n / (c + 1)_n
-    / (c (1 - z)), zeta = z/(z - 1), |zeta| <= 1/2."""
-    n = np.arange(_SERIES_TERMS - 1)
-    terms = (n + 1.0) * (z / (z - 1.0))[:, None] / (c[:, None] + 1.0 + n)
-    np.cumprod(terms, axis=1, out=terms)
-    scale = 1.0 / (c * (1.0 - z))
-    return scale * (1.0 + terms.sum(axis=1)), np.abs(scale) * (1.0 + np.abs(terms).sum(axis=1))
+def _separable_sum(zf, cf):
+    """(sum, sum of moduli) over the term axis of the products of per-z
+    factors zf (Z, n) and per-c factors cf (X, n): arrays (Z, X). einsum
+    adds each sum's terms in order, whatever the grid."""
+    return np.einsum("zn,xn->zx", zf, cf), np.einsum("zn,xn->zx", np.abs(zf), np.abs(cf))
+
+
+def _plain_series(z, c):
+    """sum_n z^n / (n + c) on the grid z x c, |z| <= 1/2."""
+    return _separable_sum(_powers(z, _SERIES_TERMS),
+                          1.0 / (np.arange(_SERIES_TERMS) + c[:, None]))
+
+
+def _pfaff_series(z, c):
+    """2F1(1, 1; c + 1; zeta) / (c (1 - z)) = sum_n zeta^n n!/(c + 1)_n
+    / (c (1 - z)) on the grid z x c, zeta = z/(z - 1), |zeta| <= 1/2."""
+    n = np.arange(1, _SERIES_TERMS)
+    ratios = np.empty((c.size, _SERIES_TERMS), dtype=complex)
+    ratios[:, 0] = 1.0
+    ratios[:, 1:] = n / (c[:, None] + n)
+    np.cumprod(ratios, axis=1, out=ratios)
+    total, size = _separable_sum(_powers(z / (z - 1.0), _SERIES_TERMS), ratios)
+    # divided by each factor, not by the product (1 - z) c (see _grid)
+    return total / (1.0 - z)[:, None] / c, size / (np.abs(1.0 - z)[:, None] * np.abs(c))
 
 
 def _digamma(c):
@@ -99,32 +130,31 @@ def _digamma(c):
     return np.log(u) - 0.5 / u - tail * inv2 - steps.sum(axis=1)
 
 
-def _log_series(c, z, x):
-    """Abramowitz & Stegun 15.3.10 at a = 1, b = c, divided by c:
-    I = sum_n (c)_n/n! (1 - z)^n [psi(n + 1) - psi(c + n) - ln(1 - z)],
-    |1 - z| <= min(1/2, 2/|x|). The terms grow up to about
-    e^{|x| |1 - z|}, then fall like |1 - z|^n: each point sums its own
-    count of them, in order, so that its value does not depend on the
-    others."""
+def _log_series(z, c):
+    """Abramowitz & Stegun 15.3.10 at a = 1, b = c, divided by c, on the grid
+    z x c: I = sum_n (c)_n/n! r^n [psi(n + 1) - psi(c + n) - ln r],
+    r = 1 - z, for |r| <= min(1/2, 2/|x|), x = Im c. The terms grow to
+    about e^{|x| |r|}, then fall like |r|^n: each z sums its own count of
+    them, the rest of its _LOG_TERMS being exact zeros. One separable sum over
+    twice the terms: r^n against (c)_n/n! [psi(n + 1) - psi(c + n)], then
+    -ln r r^n against (c)_n/n!."""
     r = 1.0 - z
-    ar = np.abs(r)
-    count = (math.log(np.finfo(float).eps / 16.0) / np.log(ar)
-             + 3.0 * np.abs(x) * ar).astype(int) + 4
-    k = np.arange(count.max() - 1)
+    count = np.ceil(math.log(np.finfo(float).eps / 16.0) / np.log(np.abs(r))) + 10
+    powers = _powers(r, _LOG_TERMS)
+    powers[np.arange(_LOG_TERMS) >= count[:, None]] = 0.0
+    k = np.arange(_LOG_TERMS - 1)
     ck = c[:, None] + k
-    p = np.empty((z.size, len(k) + 1), dtype=complex)
-    p[:, 0] = 1.0
-    p[:, 1:] = ck / (k + 1.0) * r[:, None]
-    np.cumprod(p, axis=1, out=p)
-    # psi(n + 1) - psi(c + n) - ln(1 - z); 1/(k + 1) - 1/(c + k) = (c - 1)/((k + 1)(c + k))
-    bracket = np.empty_like(p)
-    bracket[:, 0] = -_EULER_GAMMA - _digamma(c) - np.log(r)
-    bracket[:, 1:] = (c - 1.0)[:, None] / ((k + 1.0) * ck)
-    np.cumsum(bracket, axis=1, out=bracket)
-    p *= bracket
-    last = (np.arange(z.size), count - 1)
-    size = np.abs(p).cumsum(axis=1)[last]
-    return np.cumsum(p, axis=1, out=p)[last], size
+    # (c)_n/n!, and psi(n + 1) - psi(c + n) by 1/(k + 1) - 1/(c + k) = (c - 1)/((k + 1)(c + k))
+    pochhammer = np.empty((c.size, _LOG_TERMS), dtype=complex)
+    pochhammer[:, 0] = 1.0
+    pochhammer[:, 1:] = ck / (k + 1.0)
+    np.cumprod(pochhammer, axis=1, out=pochhammer)
+    digammas = np.empty_like(pochhammer)
+    digammas[:, 0] = -_EULER_GAMMA - _digamma(c)
+    digammas[:, 1:] = (c - 1.0)[:, None] / ((k + 1.0) * ck)
+    np.cumsum(digammas, axis=1, out=digammas)
+    return _separable_sum(np.concatenate([powers, -np.log(r)[:, None] * powers], axis=1),
+                          np.concatenate([digammas * pochhammer, pochhammer], axis=1))
 
 
 def _continued_fraction(c, z, x):
@@ -180,44 +210,85 @@ def _q(x, ell):
 
 
 def _in_disk(x, z):
-    """(I(1 + i x, z), rounding scale) for |z| <= 1, each point by the first
-    method of the module docstring that converges fast there."""
+    """(I(1 + i x, z), rounding scale) on the grid z x x, |z| <= 1, each
+    point by the first method of the module docstring that converges fast
+    there: the plain and the Pfaff series take whole rows (they depend on z
+    alone), the log series the points of its disk, the continued fraction
+    the rest."""
     c = 1.0 + 1j * x
-    value, size = np.empty(z.shape, dtype=complex), np.empty(z.shape)
+    value, size = np.empty((z.size, x.size), dtype=complex), np.empty((z.size, x.size))
     az, a1 = np.abs(z), np.abs(1.0 - z)
-    with np.errstate(divide="ignore"):
-        log_radius = np.minimum(0.5, 2.0 / np.abs(x))
     plain = az <= _SERIES_RATIO
     pfaff = ~plain & (az <= _SERIES_RATIO * a1)
-    near_one = ~plain & ~pfaff & (a1 <= log_radius)
-    rest = ~(plain | pfaff | near_one)
-    for mask, method in ((plain, _plain_series), (pfaff, _pfaff_series)):
-        if mask.any():
-            value[mask], size[mask] = method(c[mask], z[mask])
-    for mask, method in ((near_one, _log_series), (rest, _continued_fraction)):
-        if mask.any():
-            value[mask], size[mask] = method(c[mask], z[mask], x[mask])
+    for rows, method in ((plain, _plain_series), (pfaff, _pfaff_series)):
+        if rows.any():
+            value[rows], size[rows] = method(z[rows], c)
+    with np.errstate(divide="ignore"):
+        log_radius = np.minimum(0.5, 2.0 / np.abs(x))
+    near_one = (~plain & ~pfaff)[:, None] & (a1[:, None] <= log_radius)
+    rest = (~plain & ~pfaff)[:, None] & ~near_one
+    if near_one.any():
+        rows, cols = near_one.any(axis=1), near_one.any(axis=0)
+        sub = np.ix_(rows, cols)
+        v, s = _log_series(z[rows], c[cols])
+        # the sub-grid's other points belong to the continued fraction
+        value[sub] = np.where(near_one[sub], v, 0.0)
+        size[sub] = np.where(near_one[sub], s, 0.0)
+    if rest.any():
+        zi, xi = np.nonzero(rest)
+        value[zi, xi], size[zi, xi] = _continued_fraction(c[xi], z[zi], x[xi])
+    return value, size
+
+
+def _grid(x, z):
+    """(I(1 + i x, z), rounding scale) on the grid z x x of distinct values,
+    arrays (len(z), len(x)), with size as lerch returns it."""
+    far = np.abs(z) > 1.0
+    w = z.copy()
+    w[far] = 1.0 / z[far]
+    value, size = np.empty((z.size, x.size), dtype=complex), np.empty((z.size, x.size))
+    # the reflection's inner term I(1 - i x, w) is I at -x
+    for rows, side in ((~far, x), (far, -x)):
+        if rows.any():
+            value[rows], size[rows] = _in_disk(side, w[rows])
+    if far.any():
+        wf = w[far][:, None]
+        q, q_size = (v.reshape(-1, x.size) for v in
+                     _q(np.tile(x, wf.size), np.repeat(np.log(-w[far]), x.size)))
+        value[far] = -1j * wf * q + wf * wf * value[far]
+        size[far] = np.abs(wf) * (q_size + np.abs(wf) * size[far])
+    # c I as I + i x I: numpy may round a product of complex arrays of
+    # different ranks by another loop (with or without fused multiply-adds)
+    # on a grid of one point than on a larger one, and only a factor with a
+    # zero real or imaginary part rounds alike in both
+    size += np.abs(1.0 / (1.0 - z)[:, None] - value - 1j * x * value)
     return value, size
 
 
 def lerch(x, z):
     """(I, size) for I = I(1 + i x, z) = 2F1(1, c; c + 1; z)/c of real x and
-    complex z off the cut [1, inf), arrays of one shape. size is the sum of
-    the moduli of the terms that made I, plus |z dI/dz| = |1/(1 - z) - c I|,
-    the change of I under a relative change of z (the rounding of z), so a
-    few eps_mach times size bounds the rounding of I."""
-    x, z = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(z, dtype=complex))
-    shape = z.shape
-    x, z = x.ravel(), z.ravel()
-    far = np.abs(z) > 1.0
-    w = z.copy()
-    w[far] = 1.0 / z[far]
-    # the reflection's inner term I(1 - i x, w) is I at -x
-    value, size = _in_disk(np.where(far, -x, x), w)
-    if far.any():
-        wf = w[far]
-        q, q_size = _q(x[far], np.log(-wf))
-        value[far] = -1j * wf * q + wf * wf * value[far]
-        size[far] = np.abs(wf) * (q_size + np.abs(wf) * size[far])
-    size += np.abs(1.0 / (1.0 - z) - (1.0 + 1j * x) * value)
-    return value.reshape(shape), size.reshape(shape)
+    complex z off the cut [1, inf), arrays that broadcast to one shape. size
+    is the sum of the moduli of the terms that made I, plus
+    |z dI/dz| = |1/(1 - z) - c I|, the change of I under a relative change of
+    z (the rounding of z), so a few eps_mach times size bounds the rounding
+    of I.
+
+    The values come from the grid of the distinct z and the distinct x
+    (_grid): an outer product, as a rate table asks for, costs what its
+    points cost. Scattered points, whose grid would hold more than
+    _GRID_WASTE times as many points, are taken _GRID_WASTE distinct x at a
+    time."""
+    x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=complex)
+    xs, xi = np.unique(x, return_inverse=True)
+    zs, zi = np.unique(z, return_inverse=True)
+    xi, zi = np.broadcast_arrays(xi.reshape(x.shape), zi.reshape(z.shape))
+    if xs.size * zs.size <= _GRID_WASTE * xi.size:
+        value, size = _grid(xs, zs)
+        return value[zi, xi], size[zi, xi]
+    value, size = np.empty(xi.shape, dtype=complex), np.empty(xi.shape)
+    for lo in range(0, xs.size, _GRID_WASTE):
+        pick = (xi >= lo) & (xi < lo + _GRID_WASTE)
+        rows, row_of = np.unique(zi[pick], return_inverse=True)
+        v, s = _grid(xs[lo:lo + _GRID_WASTE], zs[rows])
+        value[pick], size[pick] = v[row_of, xi[pick] - lo], s[row_of, xi[pick] - lo]
+    return value, size

@@ -223,20 +223,21 @@ def panel_integrate(f, edges: np.ndarray, rule: PanelRule = KRONROD15):
 
 def fsum_rows(x):
     """math.fsum over the last axis of a real or complex array: a scalar for
-    a 1-D array, an array of one sum per row for a 2-D one. fsum is exactly
-    rounded, so each sum is independent of the order of its terms."""
+    a 1-D array, else an array of one sum per row, of shape x.shape[:-1].
+    fsum is exactly rounded, so each sum is independent of the order of its
+    terms."""
     if np.iscomplexobj(x):
         re, im = fsum_rows(x.real), fsum_rows(x.imag)
         if x.ndim == 1:
             return complex(re, im)
-        out = np.empty(len(re), dtype=complex)
+        out = np.empty(re.shape, dtype=complex)
         out.real, out.imag = re, im
         return out
-    # fsum reads a list faster than an array, to the same sum
-    terms = x.tolist()
     if x.ndim == 1:
-        return math.fsum(terms)
-    return np.array([math.fsum(row) for row in terms])
+        # fsum reads a list faster than an array, to the same sum
+        return math.fsum(x.tolist())
+    rows = x.reshape(-1, x.shape[-1]).tolist()
+    return np.array([math.fsum(row) for row in rows]).reshape(x.shape[:-1])
 
 
 def sign_change_roots(g, lo: float, hi: float, n_scan: int = 257) -> list:

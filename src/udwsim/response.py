@@ -1,23 +1,24 @@
 """Numerical detector response: transition rates and excitation probabilities.
 
-A rate (_rate_at_eps, on the cut tau1 = tau, tau2 = tau - s, for one gap or
-a row of them) and a window (halfplane_integrals_at_eps, the one windowed
-pair pass) are maps of branch-pair integrals {(i, j): (method, J, err)}:
-each map picks one method per pair and names it, and nothing downstream
-picks again. Each map asks correlators.stationary_form which pairs are
-exact. Stationary pairs (every local pair, the thermal bath's cross pair)
-are "spectral", exact from their spectrum (correlators.pair_spectrum): a
-rate's J is F(omega)/2, a window integrates F against its transform with
-GAUSS15_7 panels (_spectral_pair_integral). The other cross pairs take the
-whole regulator ladder in one pass, eps an array axis. A rate's rungs are
-"lerch", exact: two Lerch transcendents (lerch) per gap and rung of a row
-(_rate_rungs), so no rate is a panel integral; the tests check them against
-a panel quadrature of the same integral cut at s = 40/kappa_scale. A
-"ladder" window (_ladder_pair_integral, restarted finer until within
-tolerance) is integrated with KRONROD15 panels on meshes clustered at the
-closed-form lightcone crossings, over p = tau1 + tau2 and over inner cuts of
-fixed p, each cut a boost of the p = 0 cut on its inner mesh
-(cut_correlator) summed against window weights folded once per mesh.
+A rate (_rate_at_eps, on the cut tau1 = tau, tau2 = tau - s, for one gap,
+a row of them or a table of gaps x times) and a window
+(halfplane_integrals_at_eps, the one windowed pair pass) are maps of
+branch-pair integrals {(i, j): (method, J, err)}: each map picks one method
+per pair and names it, and nothing downstream picks again. Each map asks
+correlators.stationary_form which pairs are exact. Stationary pairs (every
+local pair, the thermal bath's cross pair) are "spectral", exact from their
+spectrum (correlators.pair_spectrum): a rate's J is F(omega)/2, a window
+integrates F against its transform with GAUSS15_7 panels
+(_spectral_pair_integral). The other cross pairs take the whole regulator
+ladder in one pass, eps an array axis. A rate's rungs are "lerch", exact:
+two Lerch transcendents (lerch) per gap, time and rung (_rate_rungs), one
+lerch grid for a whole table (rate_table), so no rate is a panel integral;
+the tests check them against a panel quadrature of the same integral cut at
+s = 40/kappa_scale. A "ladder" window (_ladder_pair_integral, restarted
+finer until within tolerance) is integrated with KRONROD15 panels on meshes
+clustered at the closed-form lightcone crossings, over p = tau1 + tau2 and
+over inner cuts of fixed p, each cut a boost of the p = 0 cut on its inner
+mesh (cut_correlator) summed against window weights folded once per mesh.
 _limit alone reduces a map to a rate, a probability or a ladder I_ij of
 the conditional state: it sums the "spectral" blocks exactly and
 extrapolates the rest to eps -> 0 (epsilon_estimates = () when every pair
@@ -57,7 +58,7 @@ from .closed_form import DetectorParams
 from .correlators import (_guard_hyp, cut_correlator, denominator_factors,  # noqa: F401
                           lightcone_roots, pair_spectrum, planck_rate,
                           scenario_correlator, stationary_form)
-from .errors import ConvergenceError, IndeterminateRatioError
+from .errors import ConvergenceError, HyperbolicRangeError, IndeterminateRatioError
 from .kinematics import TrajectoryScenario
 from .lerch import lerch
 from .quadrature import (
@@ -103,8 +104,9 @@ class RateResult:
     cross_pair_methods names what the non-stationary cross pairs took, as
     WightmanIntegrals.cross_pair_methods does: the sorted method names of
     the pair map (_cross_pair_methods), "lerch" for transition_rates and
-    "ladder" for excitation_probability_quadrature; () when every pair is
-    "spectral". excitation_probability_contour leaves it ()."""
+    "ladder" for excitation_probability_quadrature and "contour" for
+    excitation_probability_contour, whose every pair is a shifted-contour
+    sum; () when no pair is a non-stationary cross pair."""
 
     value: float
     error_estimate: float
@@ -192,8 +194,11 @@ def _mesh_policy(scenario, omega, eps, sigma, level=0):
 
 
 def _within_tol(val, err, quad) -> bool:
-    """Whether the error meets the tolerance on every rung."""
-    return not np.any(err > np.fmax(quad.abs_tol, quad.rel_tol * np.abs(val)))
+    """Whether the error meets the tolerance on every rung; a value or an
+    error that is not finite never does."""
+    size = np.abs(val)
+    return bool(np.all((err <= np.maximum(quad.abs_tol, quad.rel_tol * size))
+                       & (size + err < math.inf)))
 
 
 def _check_converged(val, err, quad, what):
@@ -213,8 +218,9 @@ def _check_converged(val, err, quad, what):
 
 def _rate_rungs(scenario, i, j, tau, omega, eps):
     """(J, err) of int_0^inf e^{-i omega s} W^{ij}(tau, tau - s) ds for a
-    non-stationary cross pair, in closed form at each rung eps > 0; arrays of
-    shape omega.shape + eps.shape. On the rate cut only row j moves: with
+    non-stationary cross pair, in closed form at each rung eps > 0, for one
+    time tau or a 1-D array of rows; arrays of shape omega.shape +
+    tau.shape + eps.shape. On the rate cut only row j moves: with
     q = e^{k s}, k = k_j its signed acceleration (every such pair has an
     accelerated row j),
 
@@ -229,8 +235,12 @@ def _rate_rungs(scenario, i, j, tau, omega, eps):
 
         J = -[u1 I(c, -u1) - u2 I(c, -u2)] / (4 pi^2 |k| (BC - AD)),
 
-    u1 = B/A, u2 = D/C, c = 1 + i omega/|k| and I = lerch. At eps > 0 no
-    factor vanishes on the cut, so -u1 and -u2 lie off [1, inf).
+    u1 = B/A, u2 = D/C, c = 1 + i omega/|k| and I = lerch, one call for every
+    row, gap and rung: the rows' and rungs' u against the gaps' c. At eps > 0
+    no factor vanishes on the cut, so -u1 and -u2 lie off [1, inf). Where
+    BC - AD = 0 (Parallel kappa L = 2 at kappa tau = 0) J and err are NaN,
+    which no tolerance accepts (_within_tol). Every row must lie within
+    _guard_hyp's range (HyperbolicRangeError otherwise).
 
     err bounds the rounding: 16 eps_mach times lerch's scale of each term
     (over five times the largest error against mpmath seen on it); the
@@ -239,57 +249,67 @@ def _rate_rungs(scenario, i, j, tau, omega, eps):
     (c - 1) I; and 4 eps_mach |J| for the last steps."""
     row_i, row_j = scenario.branch(i), scenario.branch(j)
     k = row_j.direction * row_j.kappa
-    _guard_hyp(row_i.kappa * abs(tau), row_j.kappa * abs(tau))
-    a, b, da, db = (float(v) for v in row_i.null(tau))
+    e = np.asarray(eps, dtype=float)
+    # the rows on their own axes, before the rungs'
+    t = np.asarray(tau, dtype=float)
+    far = np.max(np.abs(t), initial=0.0)
+    _guard_hyp(row_i.kappa * far, row_j.kappa * far)
+    t = t.reshape(t.shape + (1,) * e.ndim)
+    a, b, da, db = row_i.null(t)
     dz = row_j.z_c - row_i.z_c
-    eps_m, e = np.finfo(float).eps, np.asarray(eps, dtype=float)
+    eps_m = np.finfo(float).eps
     alpha, gamma = (dz - a) + 1j * e * da, (b - dz) - 1j * e * db
     # each coefficient with its relative rounding: dz - a_i and b_i - dz may cancel
-    exp_rounding = 4.0 * eps_m * (1.0 + abs(k * tau))
-    alpha = alpha, eps_m * (abs(dz) + abs(a) + np.abs(e * da)) / np.abs(alpha)
-    gamma = gamma, eps_m * (abs(b) + abs(dz) + np.abs(e * db)) / np.abs(gamma)
-    beta = math.exp(-k * tau) * (1.0 / k - 1j * e), exp_rounding
-    delta = -math.exp(k * tau) * (1.0 / k + 1j * e), exp_rounding
+    exp_rounding = 4.0 * eps_m * (1.0 + np.abs(k * t))
+    alpha = alpha, eps_m * (abs(dz) + np.abs(a) + np.abs(e * da)) / np.abs(alpha)
+    gamma = gamma, eps_m * (np.abs(b) + abs(dz) + np.abs(e * db)) / np.abs(gamma)
+    beta = np.exp(-k * t) * (1.0 / k - 1j * e), exp_rounding
+    delta = -np.exp(k * t) * (1.0 / k + 1j * e), exp_rounding
     (A, rA), (B, rB), (C, rC), (D, rD) = ((beta, alpha, gamma, delta) if k > 0 else
                                           (alpha, beta, delta, gamma))
-    # gaps first, rungs last: x of shape omega.shape + (1,) * eps.ndim, the two
-    # terms' u of shape (2,) + (1,) * omega.ndim + eps.shape
-    x = np.reshape(np.asarray(omega, dtype=float), np.shape(omega) + (1,) * e.ndim) / abs(k)
-    u_shape = (2,) + (1,) * np.ndim(omega) + e.shape
-    u = np.stack([B / A, D / C]).reshape(u_shape)
-    r_u = np.stack([rA + rB, rC + rD]).reshape(u_shape) + eps_m
+    # gaps first, then rows and rungs: x of shape omega.shape + (1,) * (tau.ndim
+    # + eps.ndim), the two terms' u of shape (2,) + (1,) * omega.ndim + tau.shape
+    # + eps.shape
+    rows_and_rungs = np.shape(tau) + e.shape
+    x = (np.reshape(np.asarray(omega, dtype=float), np.shape(omega) + (1,) * len(rows_and_rungs))
+         / abs(k))
+    u_shape = (2,) + (1,) * np.ndim(omega) + rows_and_rungs
+    u = np.stack(np.broadcast_arrays(B / A, D / C)).reshape(u_shape)
+    r_u = np.stack(np.broadcast_arrays(rA + rB, rC + rD)).reshape(u_shape) + eps_m
     lerch_value, lerch_size = lerch(x, -u)
     terms = u * lerch_value
     bc, ad = B * C, A * D
     den = 4.0 * math.pi**2 * abs(k) * (bc - ad)
-    J = -(terms[0] - terms[1]) / den
     slope = np.abs(u) * np.abs(1.0 / (1.0 + u) - 1j * x * lerch_value)
-    err = ((16.0 * eps_m * np.abs(u) * lerch_size + slope * r_u).sum(axis=0)) / np.abs(den)
-    err += np.abs(J) * ((np.abs(bc) * (rB + rC) + np.abs(ad) * (rA + rD)) / np.abs(bc - ad)
-                        + 4.0 * eps_m)
+    # a degenerate pair (bc = ad) gives NaN, not a warning: the tolerance refuses it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        J = -(terms[0] - terms[1]) / den
+        err = ((16.0 * eps_m * np.abs(u) * lerch_size + slope * r_u).sum(axis=0)) / np.abs(den)
+        err += np.abs(J) * ((np.abs(bc) * (rB + rC) + np.abs(ad) * (rA + rD)) / np.abs(bc - ad)
+                            + 4.0 * eps_m)
     return J, err
 
 
 def _rate_at_eps(scenario, omega, tau, eps, quad) -> dict:
     """{(i, j): (method, J, err)} of the rate at a gap omega, or a row for an
-    array of gaps, over every branch pair: a "spectral" (stationary) pair's
-    exact J = F_ij(omega)/2 and half its bound (pair_spectrum), since
-    2 Re J = F (halving is exact while F is normal, |omega/kappa| <~ 110);
-    the others' "lerch" _rate_rungs, per rung for a ladder, whose rounding
-    bounds must meet quad's tolerance (ConvergenceError names the first gap
-    that misses)."""
+    array of gaps, at one time tau or at every time of a 1-D array of rows,
+    over every branch pair: a "spectral" (stationary) pair's exact
+    J = F_ij(omega)/2 and half its bound (pair_spectrum), since 2 Re J = F
+    (halving is exact while F is normal, |omega/kappa| <~ 110), the same at
+    every tau, so one size-1 axis per row axis; the others' "lerch"
+    _rate_rungs, per rung for a ladder, of shape omega.shape + tau.shape +
+    eps.shape. No tolerance is checked here: rate_table guards each row's
+    hyperbolic range before this pass (_rate_rungs refuses a pass with a row
+    out of range) and holds each row to quad's tolerance after it, so that a
+    row that fails does not fail the others. quad is not read; bench/spans.py
+    wraps this name with these parameters."""
     def integral(i, j):
         if stationary_form(scenario, i, j) is not None:
             F, bound = pair_spectrum(scenario, i, j, omega)
+            if np.ndim(tau):  # the same at every row
+                F, bound = (np.reshape(v, np.shape(v) + (1,) * np.ndim(tau)) for v in (F, bound))
             return "spectral", F / 2.0, bound / 2.0
-        val, err = _rate_rungs(scenario, i, j, tau, omega, eps)
-        # the row is checked whole: look for the gap to name only on a miss
-        if not _within_tol(val, err, quad):
-            rows = np.size(omega)
-            for w, v, e in zip(np.atleast_1d(omega), val.reshape(rows, -1), err.reshape(rows, -1)):
-                _check_converged(v, e, quad,
-                                 f"closed-form rate rung for branch pair ({i},{j}) at omega = {w:g}")
-        return "lerch", val, err
+        return "lerch", *_rate_rungs(scenario, i, j, tau, omega, eps)
 
     return _pair_map(scenario, integral, window=False)
 
@@ -302,25 +322,28 @@ def _cross_pair_methods(blocks) -> tuple:
 
 def _limit(reg_schedule, blocks, pref):
     """(value, error_estimate, epsilon_estimates) at eps -> 0 of pref times
-    the sum of blocks, (method, value, err) triples, for one value or a row
-    of gaps, each limited elementwise as if alone. A "spectral" block is
-    exact: its value has the result's shape, () or (G,). Every other block
-    ("lerch", "ladder") has one more axis, its last, with one value per rung:
-    every caller passes reg_schedule.epsilons, a tuple. Exact blocks are
-    fsummed, with their bars plus the rounding; rung blocks are summed per
-    rung, added to that and extrapolated (epsilon_estimates is () without
-    them), with their summed errors as the rungs' bars. A caller keeping a
-    real part takes it first: a complex value extrapolates with other
-    rounding. A row gives arrays of values and errors and a list of
-    epsilon_estimates, one per gap."""
+    the sum of blocks, (method, value, err) triples, for one value or an
+    array of them (a row of gaps, or a table of gaps x rows), each limited
+    elementwise as if alone. A "spectral" block is exact: its value has the
+    result's shape, () or (G,), or (G, 1) in a table, the same at every row.
+    Every other block ("lerch", "ladder") has the result's shape and one
+    more axis, its last, with one value per rung: every caller passes
+    reg_schedule.epsilons, a tuple. Exact blocks are fsummed, with their bars
+    plus the rounding; rung blocks are summed per rung, added to that and
+    extrapolated (epsilon_estimates is () without them), with their summed
+    errors as the rungs' bars. A caller keeping a real part takes it first: a
+    complex value extrapolates with other rounding. An array gives arrays of
+    values and errors and a list of epsilon_estimates, one per value in
+    C order."""
     exact = [(v, e) for method, v, e in blocks if method == "spectral"]
     ladder = [(v, e) for method, v, e in blocks if method != "spectral"]
-    # one fsum per gap, over the exact blocks
-    value = pref * fsum_rows(np.array([v for v, _ in exact]).T)
+    # one fsum per value, over the exact blocks
+    stacked = np.array([v for v, _ in exact])
+    value = pref * fsum_rows(stacked.transpose((*range(1, stacked.ndim), 0)))
     # fsum rounds once, and so does the product
     bar = pref * sum(e for _, e in exact) + 2.0 * np.finfo(float).eps * abs(value)
     if not ladder:
-        return (value, bar, [()] * len(value)) if np.ndim(value) else (value, float(bar), ())
+        return (value, bar, [()] * np.size(value)) if np.ndim(value) else (value, float(bar), ())
     rungs = np.expand_dims(value, -1) + pref * sum(v for v, _ in ladder)
     limit, err = epsilon_extrapolate(tuple(zip(reg_schedule.epsilons, np.moveaxis(rungs, -1, 0))),
                                      errors=np.moveaxis(pref * sum(e for _, e in ladder), -1, 0))
@@ -329,6 +352,99 @@ def _limit(reg_schedule, blocks, pref):
     if np.ndim(limit):
         return limit, err + bar, estimates
     return limit.item(), float(err + bar), estimates[0]
+
+
+def _cross_pairs(scenario, window: bool) -> list:
+    """The non-stationary cross pairs among the representative branch pairs
+    (_representatives), in pair-map order: a rate's "lerch" pairs."""
+    reps = dict.fromkeys(_representatives(scenario, window).values())
+    return [pair for pair in reps if stationary_form(scenario, *pair) is None]
+
+
+def _range_failure(scenario, pairs, tau):
+    """The HyperbolicRangeError of the first pair whose rows leave
+    _guard_hyp's range at tau, or None."""
+    try:
+        for i, j in pairs:
+            _guard_hyp(scenario.branch(i).kappa * abs(tau), scenario.branch(j).kappa * abs(tau))
+    except HyperbolicRangeError as exc:
+        return exc
+    return None
+
+
+def _tolerance_failure(blocks, pairs, row, omegas, quad):
+    """The ConvergenceError of the first pair, and in it the first gap, whose
+    rungs at row (an index of the row axis) miss quad's tolerance, or None.
+    The row is checked whole, and its gaps only on a miss."""
+    try:
+        for i, j in pairs:
+            _, val, err = blocks[(i, j)]
+            if not _within_tol(val[:, row], err[:, row], quad):
+                for w, v, e in zip(omegas, val[:, row], err[:, row]):
+                    _check_converged(v, e, quad, "closed-form rate rung for branch pair "
+                                     f"({i},{j}) at omega = {w:g}")
+    except ConvergenceError as exc:
+        return exc
+    return None
+
+
+def rate_table(scenario: TrajectoryScenario, omegas, taus,
+               reg_schedule: RegulatorSchedule | None = None,
+               quad: QuadratureConfig | None = None,
+               lambda_coupling: float = 1.0) -> list:
+    """The transition rates of transition_rates on a table of gaps x times:
+    for each tau in taus, its row, one RateResult per gap omega in omegas,
+    or the point error that the row raised.
+
+    The table is one array pass. One _rate_at_eps call takes every row: each
+    non-stationary cross pair's rungs are one lerch grid of the rows' and
+    rungs' arguments against the gaps' (_rate_rungs), and each stationary
+    pair's spectrum is evaluated once, as it does not depend on tau. Each
+    row is checked on its own: a row whose branches leave the hyperbolic
+    range at tau gets the HyperbolicRangeError, and is not evaluated; a row
+    whose rungs miss quad's tolerance, or are not finite, gets the
+    ConvergenceError naming the first pair and gap that miss. One _limit
+    takes eps -> 0 of every other row. A row that fails leaves the others
+    as they would be alone: a rate depends on its own gap and time alone,
+    bit for bit. An empty omegas gives empty rows. omegas must be a 1-D
+    sequence of finite gaps and taus a 1-D sequence of finite times
+    (ValueError otherwise).
+    """
+    omegas, taus = np.asarray(omegas, dtype=float), np.asarray(taus, dtype=float)
+    if omegas.ndim != 1:
+        raise ValueError(f"omegas must be a 1-D sequence of gaps, got shape {omegas.shape}")
+    if not np.all(np.isfinite(omegas)):
+        raise ValueError("omegas must be finite")
+    if taus.ndim != 1 or not np.all(np.isfinite(taus)):
+        raise ValueError(f"taus must be a 1-D sequence of finite times, got {taus!r}")
+    if not omegas.size:
+        return [[] for _ in taus]
+    reg_schedule, quad = _defaults(scenario, reg_schedule, quad)
+    pref = 2.0 * lambda_coupling**2 / scenario.branch_count**2
+    pairs = _cross_pairs(scenario, window=False)
+    table = [_range_failure(scenario, pairs, tau) for tau in taus]
+    rows = [t for t, failure in enumerate(table) if failure is None]
+    if not rows:
+        return table
+    blocks = _rate_at_eps(scenario, omegas, taus[rows], reg_schedule.epsilons, quad)
+    for k, t in enumerate(rows):
+        table[t] = _tolerance_failure(blocks, pairs, k, omegas, quad)
+    kept = [k for k, t in enumerate(rows) if table[t] is None]
+    if not kept:
+        return table
+    values, errors, estimates = _limit(reg_schedule, [
+        (m, v.real, e) if m == "spectral" else (m, v.real[:, kept], e[:, kept])
+        for m, v, e in blocks.values()], pref)
+    # the flat index of each (gap, kept row): a table of stationary pairs only
+    # has one column, the same for every row
+    index = np.broadcast_to(np.arange(np.size(values)).reshape(np.shape(values)),
+                            (omegas.size, len(kept)))
+    values, errors = np.ravel(values), np.ravel(errors)
+    methods = _cross_pair_methods(blocks.values())
+    for col, k in enumerate(kept):
+        table[rows[k]] = [RateResult(float(values[n]), float(errors[n]), estimates[n], methods)
+                          for n in index[:, col]]
+    return table
 
 
 def transition_rates(scenario: TrajectoryScenario, omegas, tau: float,
@@ -340,16 +456,19 @@ def transition_rates(scenario: TrajectoryScenario, omegas, tau: float,
         rate(tau) = (lambda^2/N^2) 2 Re sum_ij int_0^inf ds e^{-i omega s}
                     W^{ij}(tau, tau - s),
 
-    one RateResult per gap omega in omegas, all at one tau.
+    one RateResult per gap omega in omegas, all at one tau: the one-row
+    rate_table, whose point error it raises.
 
     A stationary pair (every local pair, and the thermal bath's cross pair)
     adds lambda^2 F_ij(omega)/N^2 in closed form (pair_spectrum). The other
     cross pairs are exact on each rung of the regulator ladder: their
     integral to s = inf is two Lerch transcendents (_rate_rungs), evaluated
     for every (gap, rung) of the row at once; the rungs are extrapolated to
-    eps -> 0 in one array pass for the whole row (_limit). A row raises if
-    any rung's rounding bound misses quad's tolerance, and an empty row
-    gives []. A gap's rate does not depend on the other gaps of its row.
+    eps -> 0 in one array pass for the whole row (_limit). A row raises
+    HyperbolicRangeError where its branches leave the evaluated range, and
+    ConvergenceError if any rung's rounding bound misses quad's tolerance or
+    is not finite (a degenerate pair, BC - AD = 0); an empty row gives [].
+    A gap's rate does not depend on the other gaps of its row.
     error_estimate is the extrapolation error plus the rounding bound of the
     closed-form part; epsilon_estimates is () when every pair is stationary,
     and cross_pair_methods ("lerch" or ()) is the row's, in every result.
@@ -357,22 +476,13 @@ def transition_rates(scenario: TrajectoryScenario, omegas, tau: float,
     branches (no global time coordinate relates them). omegas must be a 1-D
     sequence of finite gaps and tau finite (ValueError otherwise).
     """
-    omegas, tau = np.asarray(omegas, dtype=float), float(tau)
-    if omegas.ndim != 1:
-        raise ValueError(f"omegas must be a 1-D sequence of gaps, got shape {omegas.shape}")
-    if not np.all(np.isfinite(omegas)):
-        raise ValueError("omegas must be finite")
+    tau = float(tau)
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau!r}")
-    if not omegas.size:
-        return []
-    reg_schedule, quad = _defaults(scenario, reg_schedule, quad)
-    pref = 2.0 * lambda_coupling**2 / scenario.branch_count**2
-    blocks = _rate_at_eps(scenario, omegas, tau, reg_schedule.epsilons, quad).values()
-    values, errors, estimates = _limit(reg_schedule, [(m, v.real, e) for m, v, e in blocks], pref)
-    methods = _cross_pair_methods(blocks)
-    return [RateResult(float(v), float(e), rungs, methods)
-            for v, e, rungs in zip(values, errors, estimates)]
+    (row,) = rate_table(scenario, omegas, [tau], reg_schedule, quad, lambda_coupling)
+    if isinstance(row, Exception):
+        raise row
+    return row
 
 
 def transition_rate(scenario: TrajectoryScenario, params: DetectorParams, tau: float,
@@ -712,7 +822,8 @@ def excitation_probability_contour(scenario: TrajectoryScenario,
     explicit factor instead of a cancellation; the closed forms keep only the
     leading saddle term of the same integral. A fixed Gauss-Hermite product
     rule evaluates it; error_estimate is the change from half as many nodes
-    plus a rounding floor, and the result is refused (ConvergenceError) when
+    plus a rounding floor; cross_pair_methods is ("contour",) when a branch
+    pair is not stationary. The result is refused (ConvergenceError) when
     that exceeds 1e-4 of the value, which happens as a pole nears the
     contour: sigma omega <~ 1 or beta -> pi.
 
@@ -745,8 +856,9 @@ def excitation_probability_contour(scenario: TrajectoryScenario,
             f"shifted-contour rule did not converge (error {err:.3g} on "
             f"|value| {abs(value):.3g}); a correlator pole is near the contour",
             estimate=value, error_estimate=err)
-    return ProbabilityResult(value=float(value), error_estimate=float(err),
-                             epsilon_estimates=())
+    return ProbabilityResult(value=float(value), error_estimate=float(err), epsilon_estimates=(),
+                             cross_pair_methods=("contour",) if _cross_pairs(scenario, True)
+                             else ())
 
 
 # ---------------------------------------------------------------------------

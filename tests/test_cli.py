@@ -452,19 +452,31 @@ class TestRateRows:
         assert [r.split(",")[-1] for r in data_rows(tmp_path / "1" / "p.csv")] == ["1", "1"]
 
     def test_one_row_call_per_kappa_tau_serves_both_outputs(self, tmp_path, monkeypatch):
-        calls, original = [], cli.transition_rates
+        # one rate_table call holds every kappa tau row of both outputs
+        calls, original = [], cli.rate_table
 
-        def recording(scenario, gaps, tau, *args):
-            calls.append((tau, gaps))
-            return original(scenario, gaps, tau, *args)
+        def recording(scenario, gaps, taus, *args):
+            calls.append((list(taus), gaps))
+            return original(scenario, gaps, taus, *args)
 
-        monkeypatch.setattr(cli, "transition_rates", recording)
+        monkeypatch.setattr(cli, "rate_table", recording)
         main(["run", write_cfg(tmp_path, ladder_cfg()), "--out-dir", str(tmp_path)])
         # omega and -omega once each: -0.0 is the gap 0.0
-        assert calls == [(tau, (-0.5, 0.0, 0.5)) for tau in (-1.0, 0.0, 1.0)]
+        assert calls == [([-1.0, 0.0, 1.0], (-0.5, 0.0, 0.5))]
         # rate(0)/rate(-0) is one rate divided by itself
         kms = [r.split(",") for r in data_rows(tmp_path / "k.csv")]
         assert [r[2:] for r in kms if r[0] == "0"] == [["1", "1", "0", "1", "1"]] * 3
+
+    def test_degenerate_cross_pair_row_is_invalid_alone(self, tmp_path):
+        # Parallel kappa L = 2 at kappa tau = 0: pair (2,1) has BC - AD = 0,
+        # and its rungs are NaN; both outputs flag that row, not a NaN rate
+        # with valid=1, and every other row keeps a finite value
+        main(["run", write_cfg(tmp_path, ladder_cfg().replace("L: 1.0", "L: 2.0")),
+              "--out-dir", str(tmp_path)])
+        for name in ("r.csv", "k.csv"):
+            rows = [r.split(",") for r in data_rows(tmp_path / name)]
+            assert {r[-1] for r in rows if r[1] == "0"} == {"0"}
+            assert all(r[-1] == "1" and math.isfinite(float(r[2])) for r in rows if r[1] != "0")
 
     def test_only_a_ladder_map_starts_a_pool(self, tmp_path, pool_sizes):
         # rates, KMS reports, closed maps and maps whose branch pairs are all
@@ -931,7 +943,7 @@ class TestRunFailures:
         def broken(*args):
             raise ValueError("a fault of the program, not of the grid point")
 
-        monkeypatch.setattr(cli, "transition_rates", broken)
+        monkeypatch.setattr(cli, "rate_table", broken)
         with pytest.raises(ValueError, match="fault of the program"):
             main(["run", write_cfg(tmp_path, RATE_CFG), "--out-dir", str(tmp_path)])
 

@@ -1,8 +1,10 @@
-"""What a udwsim process loads: scipy.optimize and scipy.special stay off
-the import path and off the rate and closed-form paths, which never call
-them, and so does the process pool (concurrent.futures.process), which only
-a probability map on the regulator ladder starts. Each check runs in a
-fresh interpreter, so that no other test's imports count."""
+"""What a udwsim process loads: no scipy module is on the import path, not
+even scipy's top-level package (the CLI imports it for the version in its
+headers when it writes one); scipy.optimize and scipy.special stay off the
+rate and closed-form paths too, which never call them, and so does the
+process pool (concurrent.futures.process), which only a probability map on
+the regulator ladder starts. Each check runs in a fresh interpreter, so
+that no other test's imports count."""
 
 import json
 import os
@@ -22,6 +24,7 @@ def loaded():
 seen = {}
 import udwsim, udwsim.cli
 seen["import"] = loaded()
+seen["scipy at import"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 from udwsim import DetectorParams, TrajectoryScenario, p_parallel, transition_rates
 transition_rates(TrajectoryScenario("Parallel", kappa1=1.0, L=1.0), [-1.0, 0.5, 2.0], 0.3)
 seen["rate row"] = loaded()
@@ -51,6 +54,7 @@ def test_rate_and_closed_form_paths_load_no_scipy_submodule():
     out = subprocess.run([sys.executable, "-c", SCRIPT], env=env, check=True,
                          capture_output=True, text=True).stdout
     seen = json.loads(out.splitlines()[-1])
+    assert seen["scipy at import"] == []
     assert seen["import"] == seen["rate row"] == seen["cli rate rows, --workers 2"] \
         == seen["closed form"] == []
     # the first windowed stationary pair is where scipy.special loads

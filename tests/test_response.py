@@ -180,19 +180,31 @@ def test_rate_convergence_error_carries_estimate():
 # transition_rate of every family at omega = kappa = 1, tau = 0.5, as
 # (value, error_estimate, rungs extrapolated) in float.hex, as the code gave
 # them once each rung of a cross pair was exact, two Lerch transcendents
-# (numpy 2.4 on x86-64; a different vector math library may move the last
-# bits, and then the pins are re-recorded from that code)
+# summed as separable sums on a grid of distinct arguments (numpy 2.4 on
+# x86-64; a different vector math library may move the last bits, and then
+# the pins are re-recorded from that code)
 RATE_PINS = {
     TrajectoryScenario("SingleAccel", kappa1=1.0):
         ("0x1.383bb4aa98a94p-12", "0x1.2fc568e21adcap-59", 0),
     TrajectoryScenario("Parallel", kappa1=1.0, L=1.0):
-        ("-0x1.bb8751ea31835p-9", "0x1.6f05103d48bf1p-22", 3),
+        ("-0x1.bb8751ea3183ap-9", "0x1.6f05103d36bf1p-22", 3),
     TrajectoryScenario("AntiParallel", kappa1=1.0, L=1.0):
-        ("-0x1.0d018242659b0p-7", "0x1.a73c71ffa5f8bp-25", 3),
+        ("-0x1.0d018242659b3p-7", "0x1.a73c71fe25f8bp-25", 3),
     TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5):
-        ("-0x1.3055b75489320p-12", "0x1.cfeffeea23a86p-20", 3),
+        ("-0x1.3055b754892fcp-12", "0x1.cfeffeea23986p-20", 3),
     TrajectoryScenario("ThermalInertialPair", kappa1=1.0, L=1.0):
         ("0x1.1f7bf55bd0c5cp-12", "0x1.2b351ab9f8e24p-59", 0),
+}
+# the ladder rates as pinned while each Lerch transcendent summed its own
+# series point by point, (value, error_estimate): the separable sums moved
+# each by at most 1.1e-10 of that bar
+RATE_PINS_POINTWISE_LERCH = {
+    TrajectoryScenario("Parallel", kappa1=1.0, L=1.0):
+        ("-0x1.bb8751ea31835p-9", "0x1.6f05103d48bf1p-22"),
+    TrajectoryScenario("AntiParallel", kappa1=1.0, L=1.0):
+        ("-0x1.0d018242659b0p-7", "0x1.a73c71ffa5f8bp-25"),
+    TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5):
+        ("-0x1.3055b75489320p-12", "0x1.cfeffeea23a86p-20"),
 }
 # the ladder rates as pinned while each rung was a quadrature to
 # s = 40/kappa_scale, transformed to every gap of a row in one pass (folded
@@ -237,7 +249,8 @@ def test_rate_is_bit_identical_to_its_pin(scenario):
     assert (r.value.hex(), r.error_estimate.hex()) == (value, error)
     assert len(r.epsilon_estimates) == rungs
     assert all(type(v) is float for _, v in r.epsilon_estimates)
-    for table in (RATE_PINS_ROW_TRANSFORM, RATE_PINS_PER_GAP, RATE_PINS_GAUSS15_7):
+    for table in (RATE_PINS_POINTWISE_LERCH, RATE_PINS_ROW_TRANSFORM, RATE_PINS_PER_GAP,
+                  RATE_PINS_GAUSS15_7):
         if scenario in table:
             old, bar = (float.fromhex(x) for x in table[scenario])
             assert abs(r.value - old) <= 1e-8 * bar
@@ -561,6 +574,20 @@ def test_results_name_the_methods_of_their_pair_maps(scenario):
     assert excitation_probability_quadrature(scenario, params).cross_pair_methods == expected
     assert expected == (() if scenario.family in ("SingleAccel", "ThermalInertialPair")
                         else ("ladder",))
+
+
+@pytest.mark.parametrize("scenario, methods", [
+    (SA, ()),
+    (TrajectoryScenario("Parallel", kappa1=1.0, L=0.0), ()),
+    (TrajectoryScenario("Parallel", kappa1=1.0, L=1.0), ("contour",)),
+    (TrajectoryScenario("Differing", kappa1=1.0, kappa2=0.5), ("contour",)),
+], ids=["SingleAccel", "Parallel-L0", "Parallel-kL1", "Differing"])
+def test_contour_probability_names_the_contour_for_its_cross_pairs(scenario, methods):
+    # every pair of the shifted-contour probability is a contour sum; a
+    # non-stationary cross pair makes it name "contour", as a conditional
+    # state's contour pairs do
+    params = DetectorParams(omega=80.0, lambda_coupling=0.01, sigma=0.05)
+    assert excitation_probability_contour(scenario, params).cross_pair_methods == methods
 
 
 # --- excitation probabilities -------------------------------------------------
