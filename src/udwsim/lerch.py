@@ -61,9 +61,6 @@ _SERIES_RATIO = 0.5
 # at most 56 + 10 on its largest disk |1 - z| = 1/2. Inside the disk
 # |x| |1 - z| <= 2, so the count covers the e^{|x| |1 - z|} growth at every x
 _LOG_TERMS = _SERIES_TERMS + 10
-# a grid of distinct z and x is evaluated whole while it has at most this many
-# times the points asked for; scattered points are taken this many x at a time
-_GRID_WASTE = 8
 # levels of the continued fraction whose coefficients are held at once
 _CF_BLOCK = 64
 # B_2k/(2k), k = 1..7: psi(u) ~ ln u - 1/(2u) - sum_k B_2k/(2k u^2k), used from
@@ -274,21 +271,11 @@ def lerch(x, z):
     of I.
 
     The values come from the grid of the distinct z and the distinct x
-    (_grid): an outer product, as a rate table asks for, costs what its
-    points cost. Scattered points, whose grid would hold more than
-    _GRID_WASTE times as many points, are taken _GRID_WASTE distinct x at a
-    time."""
+    (_grid), so an outer product, as a rate table asks for, costs what its
+    points cost, and scattered points cost their whole grid."""
     x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=complex)
     xs, xi = np.unique(x, return_inverse=True)
     zs, zi = np.unique(z, return_inverse=True)
     xi, zi = np.broadcast_arrays(xi.reshape(x.shape), zi.reshape(z.shape))
-    if xs.size * zs.size <= _GRID_WASTE * xi.size:
-        value, size = _grid(xs, zs)
-        return value[zi, xi], size[zi, xi]
-    value, size = np.empty(xi.shape, dtype=complex), np.empty(xi.shape)
-    for lo in range(0, xs.size, _GRID_WASTE):
-        pick = (xi >= lo) & (xi < lo + _GRID_WASTE)
-        rows, row_of = np.unique(zi[pick], return_inverse=True)
-        v, s = _grid(xs[lo:lo + _GRID_WASTE], zs[rows])
-        value[pick], size[pick] = v[row_of, xi[pick] - lo], s[row_of, xi[pick] - lo]
-    return value, size
+    value, size = _grid(xs, zs)
+    return value[zi, xi], size[zi, xi]

@@ -87,6 +87,11 @@ _CONTOUR_NODES = 64
 # shifted-contour results whose error estimate exceeds this fraction of the
 # value are refused (the default quadrature rel_tol)
 _CONTOUR_REL_TOL = 1e-4
+# (gap, row, rung) points of one rate_table pass, so that a pass's
+# temporaries stay a few MB on any grid; a row counts as at least
+# _PASS_MIN_GAPS gaps, as lerch holds up to 2 x 66 series terms per z
+_PASS_POINTS = 2**16
+_PASS_MIN_GAPS = 128
 # mesh panels per period of omega
 _OSCILLATION_RESOLUTION = 8
 # most halvings of a mesh (1-D integrals) or restart levels (2-D engine)
@@ -240,7 +245,7 @@ def _rate_rungs(scenario, i, j, tau, omega, eps):
     no factor vanishes on the cut, so -u1 and -u2 lie off [1, inf). Where
     BC - AD = 0 (Parallel kappa L = 2 at kappa tau = 0) J and err are NaN,
     which no tolerance accepts (_within_tol). Every row must lie within
-    _guard_hyp's range (HyperbolicRangeError otherwise).
+    _guard_hyp's range, which rate_table checks before the pass.
 
     err bounds the rounding: 16 eps_mach times lerch's scale of each term
     (over five times the largest error against mpmath seen on it); the
@@ -251,10 +256,7 @@ def _rate_rungs(scenario, i, j, tau, omega, eps):
     k = row_j.direction * row_j.kappa
     e = np.asarray(eps, dtype=float)
     # the rows on their own axes, before the rungs'
-    t = np.asarray(tau, dtype=float)
-    far = np.max(np.abs(t), initial=0.0)
-    _guard_hyp(row_i.kappa * far, row_j.kappa * far)
-    t = t.reshape(t.shape + (1,) * e.ndim)
+    t = np.reshape(np.asarray(tau, dtype=float), np.shape(tau) + (1,) * e.ndim)
     a, b, da, db = row_i.null(t)
     dz = row_j.z_c - row_i.z_c
     eps_m = np.finfo(float).eps
@@ -298,10 +300,9 @@ def _rate_at_eps(scenario, omega, tau, eps, quad) -> dict:
     (halving is exact while F is normal, |omega/kappa| <~ 110), the same at
     every tau, so one size-1 axis per row axis; the others' "lerch"
     _rate_rungs, per rung for a ladder, of shape omega.shape + tau.shape +
-    eps.shape. No tolerance is checked here: rate_table guards each row's
-    hyperbolic range before this pass (_rate_rungs refuses a pass with a row
-    out of range) and holds each row to quad's tolerance after it, so that a
-    row that fails does not fail the others. quad is not read; bench/spans.py
+    eps.shape. Nothing is checked here: rate_table guards each row's
+    hyperbolic range before this pass and holds each row to quad's tolerance
+    after it, so that a row that fails does not fail the others. quad is not read; bench/spans.py
     wraps this name with these parameters."""
     def integral(i, j):
         if stationary_form(scenario, i, j) is not None:
@@ -396,7 +397,10 @@ def rate_table(scenario: TrajectoryScenario, omegas, taus,
     for each tau in taus, its row, one RateResult per gap omega in omegas,
     or the point error that the row raised.
 
-    The table is one array pass. One _rate_at_eps call takes every row: each
+    The table is evaluated in array passes over slices of its rows, each of
+    at most _PASS_POINTS (gap, row, rung) points, so that memory does not
+    grow with the table (one pass takes the CLI's default 20 x 20 grids).
+    One _rate_at_eps call takes a pass's rows: each
     non-stationary cross pair's rungs are one lerch grid of the rows' and
     rungs' arguments against the gaps' (_rate_rungs), and each stationary
     pair's spectrum is evaluated once, as it does not depend on tau. Each
@@ -404,7 +408,7 @@ def rate_table(scenario: TrajectoryScenario, omegas, taus,
     range at tau gets the HyperbolicRangeError, and is not evaluated; a row
     whose rungs miss quad's tolerance, or are not finite, gets the
     ConvergenceError naming the first pair and gap that miss. One _limit
-    takes eps -> 0 of every other row. A row that fails leaves the others
+    per pass takes eps -> 0 of its other rows. A row that fails leaves the others
     as they would be alone: a rate depends on its own gap and time alone,
     bit for bit. An empty omegas gives empty rows. omegas must be a 1-D
     sequence of finite gaps and taus a 1-D sequence of finite times
@@ -420,18 +424,27 @@ def rate_table(scenario: TrajectoryScenario, omegas, taus,
     if not omegas.size:
         return [[] for _ in taus]
     reg_schedule, quad = _defaults(scenario, reg_schedule, quad)
-    pref = 2.0 * lambda_coupling**2 / scenario.branch_count**2
     pairs = _cross_pairs(scenario, window=False)
     table = [_range_failure(scenario, pairs, tau) for tau in taus]
     rows = [t for t, failure in enumerate(table) if failure is None]
-    if not rows:
-        return table
+    step = max(1, _PASS_POINTS // (max(omegas.size, _PASS_MIN_GAPS)
+                                   * len(reg_schedule.epsilons)))
+    for lo in range(0, len(rows), step):
+        _table_pass(scenario, omegas, taus, rows[lo:lo + step], table, pairs,
+                    reg_schedule, quad, 2.0 * lambda_coupling**2 / scenario.branch_count**2)
+    return table
+
+
+def _table_pass(scenario, omegas, taus, rows, table, pairs, reg_schedule, quad, pref):
+    """Fill table[t] for each index t in rows, in one _rate_at_eps call: the
+    ConvergenceError of a row that misses quad's tolerance, or its
+    RateResults."""
     blocks = _rate_at_eps(scenario, omegas, taus[rows], reg_schedule.epsilons, quad)
     for k, t in enumerate(rows):
         table[t] = _tolerance_failure(blocks, pairs, k, omegas, quad)
     kept = [k for k, t in enumerate(rows) if table[t] is None]
     if not kept:
-        return table
+        return
     values, errors, estimates = _limit(reg_schedule, [
         (m, v.real, e) if m == "spectral" else (m, v.real[:, kept], e[:, kept])
         for m, v, e in blocks.values()], pref)
@@ -444,7 +457,6 @@ def rate_table(scenario: TrajectoryScenario, omegas, taus,
     for col, k in enumerate(kept):
         table[rows[k]] = [RateResult(float(values[n]), float(errors[n]), estimates[n], methods)
                           for n in index[:, col]]
-    return table
 
 
 def transition_rates(scenario: TrajectoryScenario, omegas, tau: float,

@@ -15,6 +15,7 @@ import pytest
 from udwsim import (ConvergenceError, HyperbolicRangeError, TrajectoryScenario, rate_table,
                     transition_rates)
 from udwsim import lerch as lerch_module
+from udwsim import response
 from udwsim.lerch import lerch
 
 METHODS = ("_plain_series", "_pfaff_series", "_log_series", "_continued_fraction", "_q")
@@ -45,8 +46,7 @@ def test_lerch_value_is_the_same_alone_and_in_any_grid(monkeypatch):
     for a, x in enumerate(XS):
         for b, z in enumerate(ZS):
             assert bits(*lerch(x, z)) == bits(value[a, b], size[a, b]), (x, z)
-    # a sub-grid, the transposed grid, and scattered points (taken a few x
-    # at a time) give the same bits
+    # a sub-grid, the transposed grid, and scattered points give the same bits
     rng = np.random.default_rng(7)
     rows, cols = rng.choice(XS.size, 3, replace=False), rng.choice(ZS.size, 5, replace=False)
     sub = lerch(XS[rows][:, None], ZS[cols][None, :])
@@ -55,11 +55,6 @@ def test_lerch_value_is_the_same_alone_and_in_any_grid(monkeypatch):
     assert bits(*flipped) == bits(value.T.copy(), size.T.copy())
     a, b = rng.integers(0, XS.size, 40), rng.integers(0, ZS.size, 40)
     assert bits(*lerch(XS[a], ZS[b])) == bits(value[a, b], size[a, b])
-    # points whose grid would be far larger than they are: 30 distinct x
-    # against 30 distinct z, taken a few x at a time
-    xs, zs = np.linspace(-6.0, 6.0, 30), np.resize(ZS, 30) * np.linspace(0.98, 1.0, 30)
-    grid = lerch(xs[:, None], zs[None, :])
-    assert bits(*lerch(xs, zs)) == bits(np.diag(grid[0]).copy(), np.diag(grid[1]).copy())
 
 
 def test_lerch_of_no_points_is_empty():
@@ -142,3 +137,22 @@ def test_rate_table_of_no_gaps_has_empty_rows():
 def test_rate_table_refuses_taus_that_are_not_finite_times(taus):
     with pytest.raises(ValueError, match="^taus must be"):
         rate_table(FAMILIES[1], GAPS, taus)
+
+
+@pytest.mark.filterwarnings("ignore:regulator ladder values:RuntimeWarning")
+def test_rows_taken_in_several_passes_are_the_same(monkeypatch):
+    # a pass of one row at a time gives the same bits as one pass for all
+    taus = (-1.5, 0.0, 0.7, 400.0, 2.0)
+    whole = rate_table(FAMILIES[1], GAPS, taus)
+    calls = []
+    rate_at_eps = response._rate_at_eps
+    monkeypatch.setattr(response, "_rate_at_eps",
+                        lambda *args: calls.append(args[2].size) or rate_at_eps(*args))
+    monkeypatch.setattr(response, "_PASS_POINTS", 1)
+    sliced = rate_table(FAMILIES[1], GAPS, taus)
+    assert calls == [1, 1, 1, 1]
+    for row, alone in zip(whole, sliced):
+        if isinstance(row, list):
+            assert exact(row) == exact(alone)
+        else:
+            assert type(row) is type(alone) and str(row) == str(alone)
