@@ -16,9 +16,9 @@ probability grid point, and every rate, is evaluated independently of the
 others, and the single writer assembles them in grid order. A scenario's
 rates are one table (rate_table): every kappa tau row, each holding every
 gap that its rate_map and kms_report need (omega, and -omega for the KMS
-ratio), in one array pass, so both outputs read the same rates; only a row
-that fails is evaluated again, gap by gap, so that one failing gap does not
-fail the others.
+ratio), in one array pass, so both outputs read the same rates. Each
+(kappa tau, gap) point holds its rate or its own point error, so that one
+failing point does not fail the others.
 
 Each header says what ran. Every row comes with the cross_pair_methods of
 the results it was built from, and the method: line and the regulator and
@@ -55,8 +55,10 @@ from .errors import (ConfigError, ConvergenceError, HyperbolicRangeError,
                      IndeterminateRatioError, SingularParameterError,
                      ValidityError)
 from .kinematics import TrajectoryScenario
-from .response import (excitation_probability_quadrature, kms_check, planck_rate,
-                       rate_table, transition_rate)
+# transition_rate is no longer called here; it stays bound because
+# bench/spans.py wraps this name on this module
+from .response import (RateResult, excitation_probability_quadrature, kms_check,  # noqa: F401
+                       planck_rate, rate_table, transition_rate)
 from .superposition import (ControlState, compute_wightman_integrals,
                             conditional_density_matrix, phase_envelope,
                             visibility_scan)
@@ -212,26 +214,11 @@ def _probability_rows(cfg: ScenarioConfig, payload, workers: int) -> list:
     return [_eval_point(t) for t in tasks]
 
 
-def _eval_rates(scenario, sigma, gaps, tau, reg, quad) -> list:
-    """The rates of a kappa tau row that failed as a whole, gap by gap: a
-    RateResult, or None where that gap's own transition_rate call raises a
-    point failure."""
-    rates = []
-    for omega in gaps:
-        params = DetectorParams(omega=omega, lambda_coupling=1.0, sigma=sigma)
-        try:
-            rates.append(transition_rate(scenario, params, tau, reg, quad))
-        except _POINT_ERRORS:
-            rates.append(None)
-    return rates
-
-
 def _rate_table(cfg: ScenarioConfig, scenario, negated: bool) -> dict:
-    """{kappa_tau: {gap: RateResult or None}} over the grids: omega, and
-    -omega too if negated (a kms_report reads the table), from one
-    rate_table call over every kappa tau; a row that fails is evaluated
-    again gap by gap (_eval_rates). Gaps equal as floats (0.0 and -0.0 too)
-    are evaluated once."""
+    """{kappa_tau: {gap: RateResult or its point error}} over the grids:
+    omega, and -omega too if negated (a kms_report reads the table), from
+    one rate_table call over every kappa tau. Gaps equal as floats (0.0 and
+    -0.0 too) are evaluated once."""
     kappa = scenario.kappa1
     gaps = [w * kappa for w in cfg.grids["omega_over_kappa"]]
     if negated:
@@ -239,19 +226,17 @@ def _rate_table(cfg: ScenarioConfig, scenario, negated: bool) -> dict:
     gaps = tuple(dict.fromkeys(gaps))
     kts = cfg.grids["kappa_tau"]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # also DetectorParams' unit-coupling warning
+        warnings.simplefilter("ignore")
         rows = rate_table(scenario, gaps, [kt / kappa for kt in kts], cfg.regulator,
                           cfg.quadrature)
-        return {kt: dict(zip(gaps, row if isinstance(row, list) else
-                             _eval_rates(scenario, cfg.params.sigma, gaps, kt / kappa,
-                                         cfg.regulator, cfg.quadrature)))
-                for kt, row in zip(kts, rows)}
+    return {kt: dict(zip(gaps, row)) for kt, row in zip(kts, rows)}
 
 
 def _rate_row(w, kt, rates, kappa):
-    """(row, methods) of the rate_map at omega/kappa = w from a row of rates."""
+    """(row, methods) of the rate_map at omega/kappa = w from a row of
+    rates: valid=0 if the rate failed."""
     res = rates[w * kappa]
-    if res is None:
+    if not isinstance(res, RateResult):
         return (w, kt, math.nan, math.nan, 0), ()
     return (w, kt, res.value, res.error_estimate, 1), res.cross_pair_methods
 
@@ -261,7 +246,7 @@ def _kms_row(w, kt, rates, kappa, tol):
     rates: valid=0 if either rate failed or the ratio is indeterminate
     (kms_check)."""
     omega = w * kappa
-    if rates[omega] is not None and rates[-omega] is not None:
+    if isinstance(rates[omega], RateResult) and isinstance(rates[-omega], RateResult):
         try:
             report = kms_check(rates.__getitem__, omega, kappa, tol)
         except IndeterminateRatioError:

@@ -198,12 +198,13 @@ def _mesh_policy(scenario, omega, eps, sigma, level=0):
     return cap * shrink, float(np.min(eps)) / 8.0 * shrink
 
 
-def _within_tol(val, err, quad) -> bool:
-    """Whether the error meets the tolerance on every rung; a value or an
-    error that is not finite never does."""
+def _within_tol(val, err, quad, axis=None):
+    """Whether the error meets the tolerance on every rung, or on every
+    element along axis only; a value or an error that is not finite never
+    does."""
     size = np.abs(val)
-    return bool(np.all((err <= np.maximum(quad.abs_tol, quad.rel_tol * size))
-                       & (size + err < math.inf)))
+    return np.all((err <= np.maximum(quad.abs_tol, quad.rel_tol * size))
+                  & (size + err < math.inf), axis=axis)
 
 
 def _check_converged(val, err, quad, what):
@@ -301,9 +302,10 @@ def _rate_at_eps(scenario, omega, tau, eps, quad) -> dict:
     every tau, so one size-1 axis per row axis; the others' "lerch"
     _rate_rungs, per rung for a ladder, of shape omega.shape + tau.shape +
     eps.shape. Nothing is checked here: rate_table guards each row's
-    hyperbolic range before this pass and holds each row to quad's tolerance
-    after it, so that a row that fails does not fail the others. quad is not read; bench/spans.py
-    wraps this name with these parameters."""
+    hyperbolic range before this pass and holds each point to quad's
+    tolerance after it, so that a point that fails does not fail the
+    others. quad is not read; bench/spans.py wraps this name with these
+    parameters."""
     def integral(i, j):
         if stationary_form(scenario, i, j) is not None:
             F, bound = pair_spectrum(scenario, i, j, omega)
@@ -323,19 +325,18 @@ def _cross_pair_methods(blocks) -> tuple:
 
 def _limit(reg_schedule, blocks, pref):
     """(value, error_estimate, epsilon_estimates) at eps -> 0 of pref times
-    the sum of blocks, (method, value, err) triples, for one value or an
-    array of them (a row of gaps, or a table of gaps x rows), each limited
+    the sum of blocks, (method, value, err) triples, for one value or a 1-D
+    array of them (the points of a rate table that pass), each limited
     elementwise as if alone. A "spectral" block is exact: its value has the
-    result's shape, () or (G,), or (G, 1) in a table, the same at every row.
-    Every other block ("lerch", "ladder") has the result's shape and one
-    more axis, its last, with one value per rung: every caller passes
-    reg_schedule.epsilons, a tuple. Exact blocks are fsummed, with their bars
-    plus the rounding; rung blocks are summed per rung, added to that and
-    extrapolated (epsilon_estimates is () without them), with their summed
-    errors as the rungs' bars. A caller keeping a real part takes it first: a
-    complex value extrapolates with other rounding. An array gives arrays of
-    values and errors and a list of epsilon_estimates, one per value in
-    C order."""
+    result's shape, () or (P,). Every other block ("lerch", "ladder") has
+    the result's shape and one more axis, its last, with one value per
+    rung: every caller passes reg_schedule.epsilons, a tuple. Exact blocks
+    are fsummed, with their bars plus the rounding; rung blocks are summed
+    per rung, added to that and extrapolated (epsilon_estimates is ()
+    without them), with their summed errors as the rungs' bars. A caller
+    keeping a real part takes it first: a complex value extrapolates with
+    other rounding. An array gives arrays of values and errors and a list
+    of epsilon_estimates, one per value."""
     exact = [(v, e) for method, v, e in blocks if method == "spectral"]
     ladder = [(v, e) for method, v, e in blocks if method != "spectral"]
     # one fsum per value, over the exact blocks
@@ -373,20 +374,16 @@ def _range_failure(scenario, pairs, tau):
     return None
 
 
-def _tolerance_failure(blocks, pairs, row, omegas, quad):
-    """The ConvergenceError of the first pair, and in it the first gap, whose
-    rungs at row (an index of the row axis) miss quad's tolerance, or None.
-    The row is checked whole, and its gaps only on a miss."""
-    try:
-        for i, j in pairs:
-            _, val, err = blocks[(i, j)]
-            if not _within_tol(val[:, row], err[:, row], quad):
-                for w, v, e in zip(omegas, val[:, row], err[:, row]):
-                    _check_converged(v, e, quad, "closed-form rate rung for branch pair "
-                                     f"({i},{j}) at omega = {w:g}")
-    except ConvergenceError as exc:
-        return exc
-    return None
+def _tolerance_failure(blocks, pairs, g, k, omega, quad):
+    """The ConvergenceError of the first pair whose rungs at gap index g and
+    row index k, the gap omega, miss quad's tolerance."""
+    for i, j in pairs:
+        _, val, err = blocks[(i, j)]
+        try:
+            _check_converged(val[g, k], err[g, k], quad, "closed-form rate rung for branch "
+                             f"pair ({i},{j}) at omega = {omega:g}")
+        except ConvergenceError as exc:
+            return exc
 
 
 def rate_table(scenario: TrajectoryScenario, omegas, taus,
@@ -394,25 +391,25 @@ def rate_table(scenario: TrajectoryScenario, omegas, taus,
                quad: QuadratureConfig | None = None,
                lambda_coupling: float = 1.0) -> list:
     """The transition rates of transition_rates on a table of gaps x times:
-    for each tau in taus, its row, one RateResult per gap omega in omegas,
-    or the point error that the row raised.
+    for each tau in taus, its row, one entry per gap omega in omegas: that
+    point's RateResult, or the point error of that point alone.
 
     The table is evaluated in array passes over slices of its rows, each of
     at most _PASS_POINTS (gap, row, rung) points, so that memory does not
     grow with the table (one pass takes the CLI's default 20 x 20 grids).
-    One _rate_at_eps call takes a pass's rows: each
-    non-stationary cross pair's rungs are one lerch grid of the rows' and
-    rungs' arguments against the gaps' (_rate_rungs), and each stationary
-    pair's spectrum is evaluated once, as it does not depend on tau. Each
-    row is checked on its own: a row whose branches leave the hyperbolic
-    range at tau gets the HyperbolicRangeError, and is not evaluated; a row
-    whose rungs miss quad's tolerance, or are not finite, gets the
-    ConvergenceError naming the first pair and gap that miss. One _limit
-    per pass takes eps -> 0 of its other rows. A row that fails leaves the others
-    as they would be alone: a rate depends on its own gap and time alone,
-    bit for bit. An empty omegas gives empty rows. omegas must be a 1-D
-    sequence of finite gaps and taus a 1-D sequence of finite times
-    (ValueError otherwise).
+    One _rate_at_eps call takes a pass's rows: each non-stationary cross
+    pair's rungs are one lerch grid of the rows' and rungs' arguments
+    against the gaps' (_rate_rungs), and each stationary pair's spectrum is
+    evaluated once, as it does not depend on tau. A row whose branches
+    leave the hyperbolic range at tau is not evaluated, and each of its
+    gaps gets the HyperbolicRangeError. Each other point is checked on its
+    own: one whose rungs miss quad's tolerance for some pair, or are not
+    finite, gets the ConvergenceError of the first pair that misses there.
+    One _limit per pass takes eps -> 0 of the points that pass. A point
+    that fails leaves the others as they would be alone: a rate depends on
+    its own gap and time alone, bit for bit. An empty omegas gives empty
+    rows. omegas must be a 1-D sequence of finite gaps and taus a 1-D
+    sequence of finite times (ValueError otherwise).
     """
     omegas, taus = np.asarray(omegas, dtype=float), np.asarray(taus, dtype=float)
     if omegas.ndim != 1:
@@ -425,8 +422,10 @@ def rate_table(scenario: TrajectoryScenario, omegas, taus,
         return [[] for _ in taus]
     reg_schedule, quad = _defaults(scenario, reg_schedule, quad)
     pairs = _cross_pairs(scenario, window=False)
-    table = [_range_failure(scenario, pairs, tau) for tau in taus]
-    rows = [t for t, failure in enumerate(table) if failure is None]
+    failures = [_range_failure(scenario, pairs, tau) for tau in taus]
+    # a row in range is filled in by its pass
+    table = [[failure] * omegas.size for failure in failures]
+    rows = [t for t, failure in enumerate(failures) if failure is None]
     step = max(1, _PASS_POINTS // (max(omegas.size, _PASS_MIN_GAPS)
                                    * len(reg_schedule.epsilons)))
     for lo in range(0, len(rows), step):
@@ -436,27 +435,26 @@ def rate_table(scenario: TrajectoryScenario, omegas, taus,
 
 
 def _table_pass(scenario, omegas, taus, rows, table, pairs, reg_schedule, quad, pref):
-    """Fill table[t] for each index t in rows, in one _rate_at_eps call: the
-    ConvergenceError of a row that misses quad's tolerance, or its
-    RateResults."""
+    """Fill table[t] for each index t in rows, in one _rate_at_eps call: at
+    each gap, the RateResult of a point whose rungs meet quad's tolerance
+    for every pair, else its ConvergenceError (_tolerance_failure)."""
     blocks = _rate_at_eps(scenario, omegas, taus[rows], reg_schedule.epsilons, quad)
-    for k, t in enumerate(rows):
-        table[t] = _tolerance_failure(blocks, pairs, k, omegas, quad)
-    kept = [k for k, t in enumerate(rows) if table[t] is None]
-    if not kept:
-        return
+    shape = (omegas.size, len(rows))
+    ok = np.ones(shape, dtype=bool)
+    for pair in pairs:
+        _, val, err = blocks[pair]
+        ok &= _within_tol(val, err, quad, axis=-1)
+    for g, k in np.argwhere(~ok):
+        table[rows[k]][g] = _tolerance_failure(blocks, pairs, g, k, omegas[g], quad)
+    # the passing points alone, as 1-D arrays (maybe empty): the rungs of a
+    # failing point may be NaN or inf
     values, errors, estimates = _limit(reg_schedule, [
-        (m, v.real, e) if m == "spectral" else (m, v.real[:, kept], e[:, kept])
-        for m, v, e in blocks.values()], pref)
-    # the flat index of each (gap, kept row): a table of stationary pairs only
-    # has one column, the same for every row
-    index = np.broadcast_to(np.arange(np.size(values)).reshape(np.shape(values)),
-                            (omegas.size, len(kept)))
-    values, errors = np.ravel(values), np.ravel(errors)
+        (m, np.broadcast_to(v.real, shape + v.shape[2:])[ok],
+         np.broadcast_to(e, shape + e.shape[2:])[ok]) for m, v, e in blocks.values()], pref)
     methods = _cross_pair_methods(blocks.values())
-    for col, k in enumerate(kept):
-        table[rows[k]] = [RateResult(float(values[n]), float(errors[n]), estimates[n], methods)
-                          for n in index[:, col]]
+    for (g, k), value, error, estimate in zip(np.argwhere(ok).tolist(), values.tolist(),
+                                              errors.tolist(), estimates):
+        table[rows[k]][g] = RateResult(value, error, estimate, methods)
 
 
 def transition_rates(scenario: TrajectoryScenario, omegas, tau: float,
@@ -469,7 +467,7 @@ def transition_rates(scenario: TrajectoryScenario, omegas, tau: float,
                     W^{ij}(tau, tau - s),
 
     one RateResult per gap omega in omegas, all at one tau: the one-row
-    rate_table, whose point error it raises.
+    rate_table, which raises the point error of its first failing gap.
 
     A stationary pair (every local pair, and the thermal bath's cross pair)
     adds lambda^2 F_ij(omega)/N^2 in closed form (pair_spectrum). The other
@@ -480,20 +478,22 @@ def transition_rates(scenario: TrajectoryScenario, omegas, tau: float,
     HyperbolicRangeError where its branches leave the evaluated range, and
     ConvergenceError if any rung's rounding bound misses quad's tolerance or
     is not finite (a degenerate pair, BC - AD = 0); an empty row gives [].
-    A gap's rate does not depend on the other gaps of its row.
-    error_estimate is the extrapolation error plus the rounding bound of the
-    closed-form part; epsilon_estimates is () when every pair is stationary,
-    and cross_pair_methods ("lerch" or ()) is the row's, in every result.
-    For the Differing family tau is the shared proper-time parameter of both
-    branches (no global time coordinate relates them). omegas must be a 1-D
-    sequence of finite gaps and tau finite (ValueError otherwise).
+    A gap's rate, or its failure, does not depend on the other gaps of its
+    row. error_estimate is the extrapolation error plus the rounding bound
+    of the closed-form part; epsilon_estimates is () when every pair is
+    stationary, and cross_pair_methods ("lerch" or ()) is the row's, in
+    every result. For the Differing family tau is the shared proper-time
+    parameter of both branches (no global time coordinate relates them).
+    omegas must be a 1-D sequence of finite gaps and tau finite (ValueError
+    otherwise).
     """
     tau = float(tau)
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau!r}")
     (row,) = rate_table(scenario, omegas, [tau], reg_schedule, quad, lambda_coupling)
-    if isinstance(row, Exception):
-        raise row
+    for rate in row:
+        if isinstance(rate, Exception):
+            raise rate
     return row
 
 

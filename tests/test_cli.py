@@ -452,20 +452,35 @@ class TestRateRows:
         assert [r.split(",")[-1] for r in data_rows(tmp_path / "1" / "p.csv")] == ["1", "1"]
 
     def test_one_row_call_per_kappa_tau_serves_both_outputs(self, tmp_path, monkeypatch):
-        # one rate_table call holds every kappa tau row of both outputs
+        # one rate_table call holds every kappa tau row of both outputs, and
+        # no rate is evaluated again, not even in a row that fails
         calls, original = [], cli.rate_table
+        single = []
 
         def recording(scenario, gaps, taus, *args):
             calls.append((list(taus), gaps))
             return original(scenario, gaps, taus, *args)
 
         monkeypatch.setattr(cli, "rate_table", recording)
+        monkeypatch.setattr(cli, "transition_rate", lambda *args: single.append(args))
         main(["run", write_cfg(tmp_path, ladder_cfg()), "--out-dir", str(tmp_path)])
         # omega and -omega once each: -0.0 is the gap 0.0
         assert calls == [([-1.0, 0.0, 1.0], (-0.5, 0.0, 0.5))]
         # rate(0)/rate(-0) is one rate divided by itself
         kms = [r.split(",") for r in data_rows(tmp_path / "k.csv")]
         assert [r[2:] for r in kms if r[0] == "0"] == [["1", "1", "0", "1", "1"]] * 3
+        # Parallel kappa L = 2: kappa tau = 0 is the degenerate row (BC - AD
+        # = 0) and kappa tau = 400 leaves the hyperbolic range; every point of
+        # both fails, and only their rows are valid=0
+        calls.clear()
+        text = ladder_cfg("[0.0, 1.0, 400.0]").replace("L: 1.0", "L: 2.0")
+        main(["run", write_cfg(tmp_path, text), "--out-dir", str(tmp_path / "failing")])
+        assert calls == [([0.0, 1.0, 400.0], (-0.5, 0.0, 0.5))]
+        assert single == []
+        for name in ("r.csv", "k.csv"):
+            rows = [r.split(",") for r in data_rows(tmp_path / "failing" / name)]
+            assert len(rows) == 9
+            assert sorted(r[1] for r in rows if r[-1] == "0") == ["0"] * 3 + ["400"] * 3
 
     def test_degenerate_cross_pair_row_is_invalid_alone(self, tmp_path):
         # Parallel kappa L = 2 at kappa tau = 0: pair (2,1) has BC - AD = 0,

@@ -12,8 +12,8 @@ import warnings
 import numpy as np
 import pytest
 
-from udwsim import (ConvergenceError, HyperbolicRangeError, TrajectoryScenario, rate_table,
-                    transition_rates)
+from udwsim import (ConvergenceError, HyperbolicRangeError, QuadratureConfig, TrajectoryScenario,
+                    rate_table, transition_rates)
 from udwsim import lerch as lerch_module
 from udwsim import response
 from udwsim.lerch import lerch
@@ -84,41 +84,76 @@ def exact(row):
             for r in row]
 
 
-def one_row(scenario, tau):
-    """transition_rates at tau, or the point error it raises."""
+def one_gap(scenario, omega, tau, quad=None):
+    """transition_rates at one gap and tau: its RateResult, or the point
+    error it raises."""
     try:
-        return transition_rates(scenario, GAPS, tau)
+        return transition_rates(scenario, [omega], tau, quad=quad)[0]
     except (HyperbolicRangeError, ConvergenceError) as exc:
         return exc
+
+
+def assert_same_error(error, alone):
+    assert isinstance(error, (HyperbolicRangeError, ConvergenceError))
+    assert type(error) is type(alone) and str(error) == str(alone)
 
 
 @pytest.mark.parametrize("scenario", FAMILIES + [DEGENERATE],
                          ids=[sc.family for sc in FAMILIES] + ["Parallel-degenerate"])
 def test_each_row_is_the_one_row_call(scenario):
     # kappa tau = 400 leaves the hyperbolic range wherever a cross pair is not
-    # stationary, and the degenerate row's rungs are not finite: each fails
-    # alone, and every other row is its one-row call bit for bit
+    # stationary, and the degenerate row's rungs are not finite: each point
+    # of those rows is its one-gap call's error, and every other row is its
+    # one-row call bit for bit
     taus = (-1.5, 0.0, 0.7, 400.0, 2.0)
     with warnings.catch_warnings():
         # no arithmetic warning; a ladder that is not monotone may warn
         warnings.simplefilter("error")
         warnings.filterwarnings("ignore", "regulator ladder values", RuntimeWarning)
         table = rate_table(scenario, GAPS, taus)
-        alone = [one_row(scenario, tau) for tau in taus]
-    assert len(table) == len(taus)
-    stationary = scenario.family in ("SingleAccel", "ThermalInertialPair")
-    for tau, row, single in zip(taus, table, alone):
-        if tau == 400.0 and not stationary:
-            assert all(isinstance(r, HyperbolicRangeError) for r in (row, single))
-        elif tau == 0.0 and scenario is DEGENERATE:
-            assert all(isinstance(r, ConvergenceError) for r in (row, single))
-            assert str(row) == str(single)
-            assert "branch pair (2,1)" in str(row)
-        else:
-            assert isinstance(row, list) and exact(row) == exact(single), tau
+        stationary = scenario.family in ("SingleAccel", "ThermalInertialPair")
+        assert len(table) == len(taus)
+        for tau, row in zip(taus, table):
+            assert len(row) == len(GAPS)
+            if (tau == 400.0 and not stationary) or (tau == 0.0 and scenario is DEGENERATE):
+                for omega, error in zip(GAPS, row):
+                    assert_same_error(error, one_gap(scenario, omega, tau))
+                if tau == 0.0:
+                    assert all("branch pair (2,1)" in str(error) for error in row)
+            else:
+                assert exact(row) == exact(transition_rates(scenario, GAPS, tau)), tau
     if stationary:
         # a stationary rate does not depend on tau
         assert all(exact(row) == exact(table[0]) for row in table)
+
+
+@pytest.mark.filterwarnings("ignore:regulator ladder values:RuntimeWarning")
+def test_a_row_that_fails_at_some_gaps_keeps_the_others():
+    # Parallel kappa L = 1 at kappa tau = 0.7: each gap's largest rounding
+    # ratio err/|J| over its pairs and rungs differs, so a rel_tol between
+    # the second and third smallest passes two gaps and fails three
+    scenario, tau = FAMILIES[1], 0.7
+    sched, quad = response._defaults(scenario, None, None)
+    blocks = response._rate_at_eps(scenario, np.array(GAPS), tau, sched.epsilons, quad)
+    ratio = np.max([np.max(e / np.abs(v), axis=-1)
+                    for m, v, e in blocks.values() if m == "lerch"], axis=0)
+    lo, hi = np.sort(ratio)[1:3]
+    assert lo < hi
+    split = QuadratureConfig(abs_tol=1e-30, rel_tol=math.sqrt(lo * hi))
+    (row,) = rate_table(scenario, GAPS, [tau], quad=split)
+    passing = ratio <= split.rel_tol
+    assert passing.sum() == 2
+    for omega, rate, ok in zip(GAPS, row, passing):
+        alone = one_gap(scenario, omega, tau, split)
+        if ok:
+            assert exact([rate]) == exact([alone])
+        else:
+            assert_same_error(rate, alone)
+    # the one-row call raises its first failing gap's error
+    first = next(rate for rate in row if isinstance(rate, ConvergenceError))
+    with pytest.raises(ConvergenceError) as exc:
+        transition_rates(scenario, GAPS, tau, quad=split)
+    assert str(exc.value) == str(first)
 
 
 def test_degenerate_pair_is_a_convergence_error_not_a_nan_rate():
@@ -152,7 +187,9 @@ def test_rows_taken_in_several_passes_are_the_same(monkeypatch):
     sliced = rate_table(FAMILIES[1], GAPS, taus)
     assert calls == [1, 1, 1, 1]
     for row, alone in zip(whole, sliced):
-        if isinstance(row, list):
-            assert exact(row) == exact(alone)
-        else:
-            assert type(row) is type(alone) and str(row) == str(alone)
+        assert len(row) == len(alone) == len(GAPS)
+        for rate, rate_alone in zip(row, alone):
+            if isinstance(rate, Exception):
+                assert_same_error(rate, rate_alone)
+            else:
+                assert exact([rate]) == exact([rate_alone])
