@@ -236,6 +236,9 @@ def fsum_rows(x):
     if x.ndim == 1:
         # fsum reads a list faster than an array, to the same sum
         return math.fsum(x.tolist())
+    if x.shape[-1] == 1:
+        # fsum of one term is that term, a zero as +0.0
+        return x[..., 0] + 0.0
     rows = x.reshape(-1, x.shape[-1]).tolist()
     return np.array([math.fsum(row) for row in rows]).reshape(x.shape[:-1])
 

@@ -440,17 +440,21 @@ def _table_pass(scenario, omegas, taus, rows, table, pairs, reg_schedule, quad, 
     for every pair, else its ConvergenceError (_tolerance_failure)."""
     blocks = _rate_at_eps(scenario, omegas, taus[rows], reg_schedule.epsilons, quad)
     shape = (omegas.size, len(rows))
-    ok = np.ones(shape, dtype=bool)
-    for pair in pairs:
-        _, val, err = blocks[pair]
-        ok &= _within_tol(val, err, quad, axis=-1)
+    # a point passes where every cross pair's rungs meet quad's tolerance
+    ok = np.all([np.ones(shape, dtype=bool)]
+                + [_within_tol(*blocks[pair][1:], quad, axis=-1) for pair in pairs], axis=0)
     for g, k in np.argwhere(~ok):
         table[rows[k]][g] = _tolerance_failure(blocks, pairs, g, k, omegas[g], quad)
+    # the exact blocks, of shape (G, 1), fsummed once per gap: _limit's fsum
+    # of that one block and its sum of bars are the same numbers
+    exact = [(v.real, e) for m, v, e in blocks.values() if m == "spectral"]
+    summed = ("spectral", fsum_rows(np.stack([v for v, _ in exact], -1)), sum(e for _, e in exact))
     # the passing points alone, as 1-D arrays (maybe empty): the rungs of a
     # failing point may be NaN or inf
     values, errors, estimates = _limit(reg_schedule, [
         (m, np.broadcast_to(v.real, shape + v.shape[2:])[ok],
-         np.broadcast_to(e, shape + e.shape[2:])[ok]) for m, v, e in blocks.values()], pref)
+         np.broadcast_to(e, shape + e.shape[2:])[ok])
+        for m, v, e in [summed] + [b for b in blocks.values() if b[0] != "spectral"]], pref)
     methods = _cross_pair_methods(blocks.values())
     for (g, k), value, error, estimate in zip(np.argwhere(ok).tolist(), values.tolist(),
                                               errors.tolist(), estimates):

@@ -244,6 +244,10 @@ def test_fsum_rows_is_exactly_rounded_per_row():
     assert fsum_rows(z).tolist() == [complex(4.0, r1), complex(r1, 4.0)]
     # a 1-D array gives a scalar
     assert fsum_rows(z[0]) == complex(4.0, r1) and fsum_rows(rows[0]) == 4.0
+    # rows of one term are math.fsum of each, signed zeros and non-finite too
+    ones = np.array([-0.0, 0.0, -2.5, 5e-324, math.inf, -math.inf, math.nan]).reshape(-1, 1)
+    assert (np.array([math.fsum(row) for row in ones.tolist()]).tobytes()
+            == fsum_rows(ones).tobytes())
 
 
 def test_sign_change_roots():

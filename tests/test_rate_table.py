@@ -117,6 +117,8 @@ def test_each_row_is_the_one_row_call(scenario):
             assert len(row) == len(GAPS)
             if (tau == 400.0 and not stationary) or (tau == 0.0 and scenario is DEGENERATE):
                 for omega, error in zip(GAPS, row):
+                    assert isinstance(error, HyperbolicRangeError if tau == 400.0
+                                      else ConvergenceError)
                     assert_same_error(error, one_gap(scenario, omega, tau))
                 if tau == 0.0:
                     assert all("branch pair (2,1)" in str(error) for error in row)
