@@ -9,16 +9,17 @@ Subcommands:
 Outputs are figure-ready CSVs: '#'-prefixed header lines record every
 parameter, the normalization conventions, the regulator schedule, the
 udwsim, numpy and scipy versions and a git-style content hash of the config,
-so a file is traceable to the exact run that produced it. Every float is
-written as the shortest string that reads back as the same float. Bodies are
-byte-identical across repeated runs and across --workers settings: every
-probability grid point, and every rate, is evaluated independently of the
-others, and the single writer assembles them in grid order. A scenario's
-rates are one table (rate_table): every kappa tau row, each holding every
-gap that its rate_map and kms_report need (omega, and -omega for the KMS
-ratio), in one array pass, so both outputs read the same rates. Each
-(kappa tau, gap) point holds its rate or its own point error, so that one
-failing point does not fail the others.
+so a file is traceable to the exact run that produced it. A run's settings
+come only from its config file, which the header's config sha1 names. Every
+float is written as the shortest string that reads back as the same float.
+Bodies are byte-identical across repeated runs and across --workers
+settings: every probability grid point, and every rate, is evaluated
+independently of the others, and the single writer assembles them in grid
+order. A scenario's rates are one table (rate_table): every kappa tau row,
+each holding every gap that its rate_map and kms_report need (omega, and
+-omega for the KMS ratio), in one array pass, so both outputs read the same
+rates. Each (kappa tau, gap) point holds its rate or its own point error, so
+that one failing point does not fail the others.
 
 Each header says what ran. Every row comes with the cross_pair_methods of
 the results it was built from, and the method: line and the regulator and
@@ -41,7 +42,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -50,15 +50,15 @@ from . import __version__
 from .closed_form import (DetectorParams, p_antiparallel, p_differing, p_local,
                           p_parallel)
 from .config import KIND_GRIDS, ScenarioConfig, scenario_variants, validate_config
-from .correlators import stationary_form
 from .errors import (ConfigError, ConvergenceError, HyperbolicRangeError,
                      IndeterminateRatioError, SingularParameterError,
                      ValidityError)
 from .kinematics import TrajectoryScenario
 # transition_rate is no longer called here; it stays bound because
 # bench/spans.py wraps this name on this module
-from .response import (RateResult, excitation_probability_quadrature, kms_check,  # noqa: F401
-                       planck_rate, rate_table, transition_rate)
+from .response import (_CONTOUR_NODES, RateResult, _cross_pairs,  # noqa: F401
+                       excitation_probability_quadrature, kms_check, planck_rate,
+                       rate_table, transition_rate)
 from .superposition import (ControlState, compute_wightman_integrals,
                             conditional_density_matrix, phase_envelope,
                             visibility_scan)
@@ -94,13 +94,8 @@ def _unit_coupling(params: DetectorParams) -> DetectorParams:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    if math.isnan(value):
-        return "nan"
-    # the shortest string that reads back as the same float; 1.0 is "1"
+    """The shortest string that reads back as float(value), with a trailing
+    ".0" dropped: 1.0, 1 and True are "1", NaN is "nan"."""
     text = repr(float(value))
     return text[:-2] if text.endswith(".0") else text
 
@@ -121,7 +116,8 @@ _METHODS = {
               "extrapolated to eps->0", _LIMIT,
               " (gates the rounding bound of each closed-form rung)"),
     "contour": ("the other cross pairs' I_ij by a Gauss-Hermite rule on the shifted "
-                "contour Im s = -2 sigma^2 omega at eps=0 (64 against 32 nodes per axis)",
+                f"contour Im s = -2 sigma^2 omega at eps=0 ({_CONTOUR_NODES} against "
+                f"{_CONTOUR_NODES // 2} nodes per axis)",
                 _NO_LADDER, " (not used by a regulator ladder: the tolerance that each "
                 "shifted-contour sum and spectral integral met)"),
     "spectral": ("stationary branch pairs exact from their closed-form spectrum "
@@ -191,8 +187,7 @@ def _has_cross_pair(task) -> bool:
         scenario = _point_scenario(family, params, point)
     except ValidityError:
         return False
-    n = range(1, scenario.branch_count + 1)
-    return any(stationary_form(scenario, i, j) is None for i in n for j in n)
+    return bool(_cross_pairs(scenario, window=True))
 
 
 def _probability_rows(cfg: ScenarioConfig, payload, workers: int) -> list:
@@ -458,25 +453,7 @@ def _cmd_limits(args) -> int:
 
 
 def _load_config(args) -> ScenarioConfig:
-    text = Path(args.config).read_text(encoding="utf-8")
-    cfg = validate_config(text)
-    # an override the schedule or the tolerances refuse names its flag
-    if getattr(args, "quad_tol", None) is not None:
-        try:
-            cfg = replace(cfg, quadrature=replace(cfg.quadrature, rel_tol=args.quad_tol))
-        except ValueError as exc:
-            raise ValueError(f"--quad-tol: {exc}") from None
-    if getattr(args, "eps_ladder", None) is not None:
-        try:
-            eps = tuple(float(v) for v in args.eps_ladder.split(","))
-        except ValueError:
-            raise ValueError("--eps-ladder: expected comma-separated numbers, "
-                             f"got {args.eps_ladder!r}") from None
-        try:
-            cfg = replace(cfg, regulator=replace(cfg.regulator, epsilons=eps))
-        except ValueError as exc:
-            raise ValueError(f"--eps-ladder: {exc}") from None
-    return cfg
+    return validate_config(Path(args.config).read_text(encoding="utf-8"))
 
 
 def _print_config_errors(exc: ConfigError) -> int:
@@ -551,15 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "trajectories: parameter sweeps to figure-ready CSV.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("config", help="path to a YAML scenario config")
-        p.add_argument("--quad-tol", type=float, default=None,
-                       help="override quadrature relative tolerance")
-        p.add_argument("--eps-ladder", default=None,
-                       help="comma-separated regulator values, e.g. 1e-2,5e-3,2.5e-3")
-
     p_run = sub.add_parser("run", help="execute a scenario config")
-    add_common(p_run)
+    p_run.add_argument("config", help="path to a YAML scenario config")
     p_run.add_argument("--workers", type=int, default=1,
                        help="most processes for a quadrature-backend probability_map "
                             "with a non-stationary branch pair (the 2-D engine); every "
@@ -569,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(handler=_cmd_run)
 
     p_check = sub.add_parser("check", help="validate a config and echo it")
-    add_common(p_check)
+    p_check.add_argument("config", help="path to a YAML scenario config")
     p_check.set_defaults(handler=_cmd_check)
 
     p_oracle = sub.add_parser("oracle", help="print a reference value")

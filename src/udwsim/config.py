@@ -28,7 +28,8 @@ from .quadrature import DEFAULT_EPS_LADDER, QuadratureConfig, RegulatorSchedule
 OUTPUT_KINDS = ("probability_map", "rate_map", "kms_report", "visibility_scan")
 PROBABILITY_BACKENDS = ("closed", "quadrature")
 
-# grid names each output kind sweeps; only referenced grids must be usable
+# grid names each output kind sweeps; every grid, default or given, is
+# nonempty and finite
 GRID_NAMES = ("omega_over_kappa", "kappa_tau", "L_over_sigma",
               "kappa_sigma2_omega", "delta_phi")
 KIND_GRIDS = {
@@ -155,7 +156,11 @@ def _parse_params(raw: dict, errors: list):
         return None
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # coupling-size warning handled below
+            # the coupling-size warning is suppressed on purpose: a run's
+            # probability and rate columns are per lambda^2, evaluated at unit
+            # coupling, so no lambda_coupling changes them; the warning is for
+            # code that builds DetectorParams itself
+            warnings.simplefilter("ignore")
             return DetectorParams(**vals)
     except ValueError as exc:
         errors.append(f"params: {exc}")
@@ -325,16 +330,6 @@ def validate_config(raw_text: str) -> ScenarioConfig:
         regulator = RegulatorSchedule(epsilons=DEFAULT_EPS_LADDER)
 
     outputs = _parse_outputs(data.get("outputs", []), scenario, errors)
-
-    # referenced grids must be nonempty and finite
-    for out in outputs:
-        for name in KIND_GRIDS[out.kind]:
-            values = grids.get(name, ())
-            if len(values) == 0:
-                errors.append(f"grids.{name}: empty")
-            elif any(math.isnan(v) or math.isinf(v) for v in values):
-                errors.append(f"grids.{name}: entries must be finite")
-
     if errors:
         raise ConfigError(sorted(set(errors)))
 

@@ -112,46 +112,18 @@ class TestCheck:
         main(["check", cfg])
         assert "output: kind=rate_map path=r.csv" in capsys.readouterr().out
 
-    def test_override_flags_change_echo(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "scenario:\n  family: Parallel\n")
-        rc = main(["check", cfg, "--eps-ladder", "2e-2,1e-2",
-                   "--quad-tol", "1e-3"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "epsilons=0.02,0.01" in out
-        assert "rel_tol=0.001" in out
-
-    @pytest.mark.parametrize("flags, message", [
-        (["--eps-ladder", "inf,1e-3"], "--eps-ladder: all epsilons must be positive and finite"),
-        (["--eps-ladder", "nan,1e-3"], "--eps-ladder: all epsilons must be positive and finite"),
-        (["--quad-tol", "inf"], "--quad-tol: tolerances must be finite"),
-        (["--eps-ladder", "1e-2,2e-2"], "--eps-ladder: epsilons must be strictly decreasing"),
-        (["--eps-ladder", "1e-2"],
-         "--eps-ladder: extrapolating schedules need at least 2 epsilons"),
-        (["--quad-tol", "-1"], "--quad-tol: tolerances must be positive"),
-    ], ids=["inf-epsilon", "nan-epsilon", "inf-tolerance", "increasing-ladder",
-            "one-rung-ladder", "negative-tolerance"])
-    def test_non_finite_override_exit_2(self, tmp_path, capsys, flags, message):
-        # the config file refuses .inf and .nan; the flags must too. Every
-        # value that parses but that the schedule or the tolerances refuse
-        # names its flag, apart from the config's regulator: and quadrature:
-        cfg = write_cfg(tmp_path, "scenario:\n  family: Parallel\n")
-        rc = main(["check", cfg, *flags])
-        assert rc == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
-
     @pytest.mark.parametrize("command", ["check", "run"])
-    @pytest.mark.parametrize("ladder", ["", "1e-2, x", "1e-2,"],
-                             ids=["empty", "not-a-number", "trailing-comma"])
-    def test_malformed_eps_ladder_exit_2(self, tmp_path, capsys, command, ladder):
-        # an empty value is refused, not read as no override, and the
-        # message names the flag
+    @pytest.mark.parametrize("flags", [["--eps-ladder", "2e-2,1e-2"], ["--quad-tol", "1e-3"]],
+                             ids=["eps-ladder", "quad-tol"])
+    def test_removed_setting_flags_exit_2(self, tmp_path, capsys, command, flags):
+        # a run's settings come from its config file alone: argparse refuses
+        # either flag before any file is read or written
         cfg = write_cfg(tmp_path, RATE_CFG)
-        rc = main([command, cfg, "--eps-ladder", ladder, *(
-            ["--out-dir", str(tmp_path / "out")] if command == "run" else [])])
-        assert rc == 2
-        assert capsys.readouterr().err == (
-            f"error: --eps-ladder: expected comma-separated numbers, got {ladder!r}\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, cfg, *flags, *(
+                ["--out-dir", str(tmp_path / "out")] if command == "run" else [])])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_invalid_config_exit_2(self, tmp_path, capsys):
@@ -165,6 +137,19 @@ class TestCheck:
         rc = main(["check", str(tmp_path / "nope.yaml")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys, command):
+        # read_text raises UnicodeDecodeError, a ValueError: one error line,
+        # not an exception out of main
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_bytes(RATE_CFG.encode("utf-8") + b"# \xff\n")
+        rc = main([command, str(cfg), *(
+            ["--out-dir", str(tmp_path / "out")] if command == "run" else [])])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestRunRateMap:
@@ -317,13 +302,6 @@ class TestRunRateMap:
         assert float(rows[1][2]) == lib.value
         assert float(rows[1][3]) == lib.error_estimate
         assert rows[1][2] == repr(lib.value)
-
-    def test_eps_ladder_override_lands_in_header(self, tmp_path):
-        cfg = write_cfg(tmp_path, RATE_CFG)
-        main(["run", cfg, "--out-dir", str(tmp_path),
-              "--eps-ladder", "2e-2,1e-2"])
-        assert any(h.startswith("regulator epsilons=0.02,0.01")
-                   for h in header_lines(tmp_path / "r.csv"))
 
 
 class TestRunSlowAcceleration:

@@ -227,8 +227,8 @@ class TestGridsSection:
         assert "grids.kappa_tau: empty" in errs
 
     def test_empty_grid_referenced_by_output_reported_once(self):
-        # both the list parser and the per-output reference check flag the
-        # empty grid; duplicates collapse in the sorted-unique error list
+        # the list parser flags the empty grid once, whichever outputs
+        # sweep it
         text = MINIMAL + (
             "grids:\n"
             "  omega_over_kappa: []\n"
@@ -249,7 +249,6 @@ class TestGridsSection:
         )
         errs = errors_of(text)
         assert "grids.kappa_tau[1]: must be finite, got inf" in errs
-        assert "grids.kappa_tau: entries must be finite" in errs
 
     def test_unreferenced_bad_grid_still_errors_on_parse(self):
         # list-level parsing runs regardless of which outputs use the grid
@@ -306,6 +305,15 @@ class TestQuadratureAndRegulator:
         errs = errors_of(MINIMAL + "regulator:\n  epsilons: [1.0e-2]\n")
         assert errs == [
             "regulator.epsilons: extrapolating schedules need at least 2 epsilons"]
+
+    @pytest.mark.parametrize("rung, value", [(".inf", "inf"), (".nan", "nan")])
+    def test_non_finite_epsilon_rejected(self, rung, value):
+        errs = errors_of(MINIMAL + f"regulator:\n  epsilons: [{rung}, 1.0e-3]\n")
+        assert f"regulator.epsilons[0]: must be finite, got {value}" in errs
+
+    def test_non_finite_tolerance_rejected(self):
+        errs = errors_of(MINIMAL + "quadrature:\n  rel_tol: .inf\n")
+        assert errs == ["quadrature.rel_tol: must be finite, got inf"]
 
     def test_non_decreasing_epsilons_rejected(self):
         errs = errors_of(MINIMAL + "regulator:\n  epsilons: [1.0e-3, 1.0e-2]\n")
